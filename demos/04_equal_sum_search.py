@@ -9,7 +9,6 @@ fewer terms than the canonical expansion length when it exists at all.
 
 from imbalanceset import (
     ImbalanceSet,
-    esseq_via_tis,
     min_odd_equal_sum,
     power_of_two_check,
     solve_esseq,
@@ -42,10 +41,3 @@ for members in [{4, -6}, {2, -2}, {2, -6}, {6, -10}, {16, -10}]:
     parts = ImbalanceSet.from_values(members)
     print(f"  {sorted(members, reverse=True)}: "
           f"{'realizable (shortcut)' if power_of_two_check(parts) else 'inconclusive'}")
-
-print()
-print("== deciding equal-sum feasibility through tournament decisions ==")
-for xs, ys in [({2}, {1}), ({3}, {5}), ({2, 5}, {3, 4})]:
-    via = esseq_via_tis(xs, ys, 16)
-    direct = solve_esseq(xs, ys, 16) is not None
-    print(f"  X={sorted(xs)} Y={sorted(ys)}: via tournaments {via}, direct {direct}")

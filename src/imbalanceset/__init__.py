@@ -12,7 +12,6 @@ oracles for independent verification.
 from .digraph import Digraph, VertexImbalance
 from .equalsum import (
     EqualSumWitness,
-    esseq_via_tis,
     min_odd_equal_sum,
     power_of_two_check,
     solve_esseq,
@@ -83,7 +82,6 @@ __all__ = [
     "decide_tis",
     "digraph_imbalance_failure",
     "enumerate_tournaments",
-    "esseq_via_tis",
     "imbalances_from_scores",
     "landau_failure",
     "max_arc_count",

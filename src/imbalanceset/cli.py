@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .equalsum import solve_esseq
-from .errors import ResourceLimitError
+from .errors import DEFAULT_ORDER_CAP, ResourceLimitError
 from .formats import FORMATS, detect_format, emit, parse
 from .oracle import brute_min_order, brute_zero_sum_min_odd
 from .sequences import (
@@ -22,7 +22,7 @@ from .sequences import (
     landau_failure,
     tournament_imbalance_failure,
 )
-from .tis import DEFAULT_ORDER_CAP, decide_tis, order_upper_bound
+from .tis import _order_bound, decide_tis
 
 EXIT_YES = 0
 EXIT_USAGE = 1
@@ -229,7 +229,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if not decision.verdict:
         print(f"no: {decision.refusal}", file=sys.stderr)
         return EXIT_NO
-    bound = order_upper_bound(members)
+    bound = _order_bound(members)
     extra = {}
     if args.budget is not None:
         extra["exact_min_order"] = brute_min_order(members, min(bound, args.budget))

@@ -29,16 +29,13 @@ deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import DP_CELL_CAP, ESSEQ_SUM_CAP, ResourceLimitError
 
 _INF = np.iinfo(np.int64).max // 4
-
-# Reachability tables beyond this many cells are refused outright.
-DEFAULT_DP_CELL_CAP = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -163,10 +160,7 @@ def _lex_min_terms(
 
 
 def min_odd_equal_sum(
-    x_values: Iterable[int],
-    y_abs_values: Iterable[int],
-    *,
-    dp_cell_cap: int = DEFAULT_DP_CELL_CAP,
+    x_values: Iterable[int], y_abs_values: Iterable[int]
 ) -> EqualSumWitness | None:
     """Minimal odd-total-length equal-sum pair for an even imbalance set.
 
@@ -196,10 +190,10 @@ def min_odd_equal_sum(
 
     # Any witness sum fits under each side's per-term maximum.
     sum_cap = (order - 1) * min(xs[-1], ys[-1])
-    if 4 * (sum_cap + 1) > dp_cell_cap:
+    if 4 * (sum_cap + 1) > DP_CELL_CAP:
         raise ResourceLimitError(
             f"equal-sum search needs {4 * (sum_cap + 1)} DP cells "
-            f"(cap {dp_cell_cap})"
+            f"(cap {DP_CELL_CAP})"
         )
 
     dist_x = _min_counts_by_parity(xs, sum_cap, order - 1)
@@ -308,7 +302,7 @@ def solve_esseq(
     ys = _validate_side(y_values, "y side", even=False)
 
     cap = max_repeats * min(sum(xs), sum(ys))
-    if cap > DEFAULT_DP_CELL_CAP // 8:
+    if cap > ESSEQ_SUM_CAP:
         raise ResourceLimitError(f"equal-sum table of {cap} sums exceeds the cap")
 
     # Sum 0 is witnessable only by the zero element itself.
@@ -371,37 +365,3 @@ def _bounded_walk(
         return found
 
     return go(target, count, 0, 0)
-
-
-def esseq_via_tis(
-    x_values: Iterable[int],
-    y_values: Iterable[int],
-    max_repeats: int,
-    tis_decider: Callable[[frozenset[int]], bool] | None = None,
-) -> bool:
-    """Decide equal-sum-sequence feasibility through tournament decisions.
-
-    Builds |X| + 1 even instances: the doubled pair (2X, -2Y) and, for
-    each x in X, the shifted-and-doubled pair (2(X + x), -2Y).  The
-    instance family answers the unbounded-repetition question; the
-    max_repeats argument is accepted for signature compatibility and
-    checked for sanity only.  Experimental: validated empirically
-    against :func:`solve_esseq` on small inputs.
-    """
-    if max_repeats < 1:
-        raise ValueError("repetition cap must be at least 1")
-    xs = _validate_side(x_values, "x side", even=False)
-    ys = _validate_side(y_values, "y side", even=False)
-
-    if tis_decider is None:
-        from .tis import decide_tis
-
-        def tis_decider(members: frozenset[int]) -> bool:
-            return decide_tis(members).verdict
-
-    instances = [frozenset(2 * x for x in xs) | frozenset(-2 * y for y in ys)]
-    for shift in xs:
-        instances.append(
-            frozenset(2 * (x + shift) for x in xs) | frozenset(-2 * y for y in ys)
-        )
-    return any(tis_decider(inst) for inst in instances)

@@ -1,5 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types and every resource cap, each checked before
+the memory it guards is allocated or the search it bounds starts."""
+
+DEFAULT_ORDER_CAP = 10**6  # canonical expansion order (order_cap, --max-n)
+MATRIX_CELL_CAP = 1_000_000_000  # dense adjacency matrix cells
+DP_CELL_CAP = 400_000_000  # odd-total equal-sum search table cells
+ESSEQ_SUM_CAP = DP_CELL_CAP // 8  # bounded equal-sum search: largest sum
 
 
 class ResourceLimitError(RuntimeError):
     """An input is structurally fine but exceeds the configured size cap."""
+
+
+def check_matrix_order(order: int) -> None:
+    """Refuse a dense matrix of this order before it is allocated."""
+    if order * order > MATRIX_CELL_CAP:
+        raise ResourceLimitError(f"order {order} needs {order * order} matrix cells")

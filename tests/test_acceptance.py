@@ -4,10 +4,11 @@ Each test exercises one headline guarantee at its stated budget and
 prints a single pass/fail line; run with ``pytest -v -s`` to see them.
 """
 
+import io
 import itertools
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 from imbalanceset import (
@@ -28,6 +29,7 @@ from imbalanceset import (
     order_upper_bound,
     realize_imbalance_set,
 )
+from imbalanceset.cli import main as cli_main
 from imbalanceset.formats import emit_dot
 
 DATA = Path(__file__).parent / "data"

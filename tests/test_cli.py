@@ -153,6 +153,10 @@ class TestBound:
         code, _, err = run(capsys, "bound", "2,-2")
         assert code == 2
 
+    def test_max_n_applies_to_the_decision(self, capsys):
+        code, out, _ = run(capsys, "bound", "1,-1000001", "--max-n", "2000000")
+        assert code == 0 and out.strip() == "1000002"
+
     def test_budget_searches_exact_minimum(self, capsys):
         code, out, _ = run(capsys, "bound", "4,2,-2", "--json", "--budget", "13")
         assert code == 0

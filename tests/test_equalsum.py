@@ -6,8 +6,6 @@ from imbalanceset import (
     EqualSumWitness,
     ImbalanceSet,
     brute_zero_sum_min_odd,
-    decide_tis,
-    esseq_via_tis,
     min_odd_equal_sum,
     power_of_two_check,
     solve_esseq,
@@ -175,41 +173,3 @@ class TestPowerOfTwo:
                     continue
                 if power_of_two_check(parts):
                     assert min_odd_equal_sum({x}, {y}) is not None, (x, y)
-
-
-class TestEsseqViaTis:
-    def test_doubling_reduction_basic(self):
-        assert esseq_via_tis({2}, {1}, 3)
-        # The first reduction instance alone is already a yes.
-        assert decide_tis({4, -2}).verdict
-
-    def test_equal_singletons(self):
-        assert esseq_via_tis({1}, {1}, 1)
-
-    def test_large_repeats(self):
-        assert esseq_via_tis({3}, {5}, 8)
-
-    def test_agrees_with_direct_solver_on_small_sets(self):
-        small = [
-            ({2}, {1}),
-            ({1}, {1}),
-            ({3}, {5}),
-            ({2, 3}, {7}),
-            ({4}, {6}),
-            ({5}, {10}),
-            ({2, 5}, {3, 4}),
-            ({9}, {6}),
-        ]
-        for xs, ys in small:
-            direct = solve_esseq(xs, ys, 64) is not None
-            assert esseq_via_tis(xs, ys, 64) == direct, (xs, ys)
-
-    def test_custom_decider_is_used(self):
-        calls = []
-
-        def decider(members):
-            calls.append(members)
-            return False
-
-        assert not esseq_via_tis({2}, {1}, 1, decider)
-        assert len(calls) == 2  # |X| + 1 instances

@@ -100,7 +100,7 @@ class TestVerifyRealization:
 
 class TestExhaustiveSmallOrders:
     def test_every_valid_sequence_realizes(self):
-        for n in range(0, 8):
+        for n in range(0, 9):
             for seq in all_valid_imbalance_sequences(n):
                 rep = max_realization(seq)
                 assert verify_realization(seq, rep), seq
@@ -148,6 +148,3 @@ class TestRandomizedOrders:
             seq = Digraph(n, arcs).imbalance_sequence()
             rep = max_realization(seq)
             assert verify_realization(seq, rep)
-
-    def test_greedy_never_needed_repair(self):
-        assert imbalanceset.realize.repair_invocations == 0

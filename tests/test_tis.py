@@ -1,12 +1,15 @@
 import itertools
 
+import numpy as np
 import pytest
 
+import imbalanceset.tis
 from conftest import triangle_cycle
 from imbalanceset import (
     REFUSAL_MIXED_PARITY,
     REFUSAL_NO_ODD_EQUAL_SUM,
     REFUSAL_ONE_SIDED,
+    Digraph,
     EqualSumWitness,
     ImbalanceSet,
     ResourceLimitError,
@@ -63,6 +66,14 @@ class TestDecide:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             decide_tis({10**6, -2}, order_cap=10**5)
+
+    def test_matrix_cap_is_checked_before_the_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the equal-sum search must not start")
+
+        monkeypatch.setattr(imbalanceset.tis, "min_odd_equal_sum", no_search)
+        with pytest.raises(ResourceLimitError, match="matrix cells"):
+            realize_imbalance_set({4, -39998})
 
     def test_decision_without_certificate_is_fast_and_bare(self):
         d = decide_tis({9, 7, -5, -9})
@@ -166,6 +177,17 @@ class TestAddArcs:
     def test_degenerate_witness_matches_the_apex_construction(self):
         report = max_realization([0, 0, 0, 0])
         assert add_arcs(report, EqualSumWitness((0,), (), 0)) == add_apex_zero(report)
+
+
+class TestCertificateCheck:
+    def test_rejects_opposing_arcs_that_degree_checks_accept(self):
+        adj = np.zeros((4, 4), dtype=np.uint8)
+        for u, v in [(0, 1), (1, 0), (2, 3), (3, 2), (0, 3), (1, 2)]:
+            adj[u, v] = 1
+        forged = Digraph.from_matrix(adj, validate=False)
+        assert forged.is_tournament() and forged.imbalance_set() == {1, -1}
+        with pytest.raises(AssertionError, match="opposing"):
+            imbalanceset.tis._verified_certificate(forged, frozenset({1, -1}), 4)
 
 
 class TestOrderBounds:
