@@ -16,7 +16,7 @@ from .equalsum import (
     power_of_two_check,
     solve_esseq,
 )
-from .errors import ResourceLimitError
+from .errors import DoubledPairError, ResourceLimitError
 from .oracle import (
     EnumerationBudget,
     brute_min_order,
@@ -60,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckFailure",
     "Digraph",
+    "DoubledPairError",
     "EnumerationBudget",
     "EqualSumWitness",
     "ImbalanceSet",

@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from .equalsum import solve_esseq
-from .errors import DEFAULT_ORDER_CAP, ResourceLimitError
+from .errors import DEFAULT_ORDER_CAP, DoubledPairError, ResourceLimitError
 from .formats import FORMATS, detect_format, emit, parse
 from .oracle import brute_min_order, brute_zero_sum_min_odd
 from .sequences import (
@@ -202,14 +202,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     kind = detect_format(text, args.graph_path)
     try:
         graph = parse(text, kind)
-    except ValueError as exc:
-        if "opposing arcs" in str(exc) or "duplicate arc" in str(exc):
-            print(f"structural failure: doubled pair ({exc})")
-            return EXIT_NO
-        raise
+    except DoubledPairError as exc:
+        print(f"structural failure: doubled pair ({exc})")
+        return EXIT_NO
     if not graph.is_tournament():
-        pair = graph.non_neighbour_pairs()
-        where = f" {pair[0]}" if pair else ""
+        pair = graph.first_non_neighbour_pair()
+        where = f" {pair}" if pair else ""
         print(f"structural failure: missing pair{where}")
         return EXIT_NO
     got = graph.imbalance_set()

@@ -9,16 +9,22 @@ even order).
 
 Graphs are backed by a dense adjacency matrix because all algorithms
 here touch most vertex pairs and orders stay in the low tens of
-thousands.  Instances are immutable after construction; construction
-of large graphs goes through :meth:`Digraph.from_matrix`.
+thousands.  Instances are immutable after construction.  There are two
+entry points: :meth:`Digraph.from_arcs` takes the arcs as two integer
+arrays (sources, targets) and checks them in whole-array passes, and
+:meth:`Digraph.from_matrix` wraps a finished adjacency matrix.
+``Digraph(n, arcs)`` is a convenience that delegates to ``from_arcs``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from .errors import DoubledPairError, check_matrix_order
 
 # Row-block size for pair checks on large matrices, keeps temporaries small.
 _BLOCK = 4096
@@ -46,21 +52,51 @@ class Digraph:
     __slots__ = ("_adj",)
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+        try:
+            pairs = np.array(list(arcs), dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"arc id out of range for order {n}") from None
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("arcs must be (source, target) pairs")
+        self._adj = Digraph.from_arcs(n, pairs[:, 0], pairs[:, 1])._adj
+
+    @classmethod
+    def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Digraph":
+        """Build the graph on ``0 .. n-1`` with arcs ``src[i] -> dst[i]``.
+
+        The arcs are checked in whole-array passes, and the fault
+        reported is the one at the first bad arc in array order: an id
+        out of range, a self-loop, or a pair joined twice
+        (:class:`DoubledPairError`, for a duplicate or an opposing arc).
+        The order is checked against the matrix cap before allocation.
+        """
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        check_matrix_order(n)
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        if src.shape != dst.shape:
+            raise ValueError("source and target arrays differ in length")
+        # Arcs before the first out-of-range or self-loop one are "good".
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+        good = int(bad.argmax()) if bad.any() else src.size
         adj = np.zeros((n, n), dtype=np.uint8)
-        for u, v in arcs:
+        flat = adj.reshape(-1)
+        s, d = src[:good], dst[:good]
+        flat[s * n + d] = 1
+        # Fewer cells than arcs means a duplicate; a set reverse cell, an
+        # opposing pair.  Either way, find the first one in array order.
+        if np.count_nonzero(flat) < good or flat[d * n + s].any():
+            raise _first_doubled_pair(n, s, d)
+        if good < src.size:
+            u, v = int(src[good]), int(dst[good])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for order {n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if adj[v, u]:
-                raise ValueError(f"opposing arcs between {u} and {v}")
-            if adj[u, v]:
-                raise ValueError(f"duplicate arc ({u}, {v})")
-            adj[u, v] = 1
-        adj.flags.writeable = False
-        self._adj = adj
+            raise ValueError(f"self-loop at vertex {u}")
+        return cls.from_matrix(adj, validate=False)
 
     @classmethod
     def from_matrix(cls, adj: np.ndarray, *, validate: bool = True) -> "Digraph":
@@ -203,6 +239,23 @@ class Digraph:
         out.sort()
         return tuple(out)
 
+    def first_non_neighbour_pair(self) -> tuple[int, int] | None:
+        """The smallest unjoined pair (u, v), u < v, or None if there is none.
+
+        Scans row blocks and stops at the first block with a gap, so a
+        graph missing a pair near the top costs one block, not n^2 / 2
+        pair tuples.
+        """
+        n = self.n
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            joined = self._adj[lo:hi, :] | self._adj[:, lo:hi].T
+            gap = np.triu(joined == 0, lo + 1)  # columns right of the diagonal
+            if gap.any():
+                r, c = divmod(int(gap.argmax()), n)
+                return (r + lo, c)
+        return None
+
     # -- plumbing ----------------------------------------------------------
 
     def _check_vertex(self, v: int) -> None:
@@ -219,6 +272,25 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _first_doubled_pair(n: int, src: np.ndarray, dst: np.ndarray) -> DoubledPairError:
+    """The error for the first arc whose unordered pair an earlier arc joined.
+
+    A stable sort by pair groups the arcs of each pair in array order;
+    every arc after the first of its group repeats a pair, and the
+    earliest of those is the one reported.
+    """
+    key = np.minimum(src, dst) * n + np.maximum(src, dst)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    at = int(order[repeats].min())
+    first = int(order[np.searchsorted(ranked, key[at])])
+    u, v = int(src[at]), int(dst[at])
+    if int(src[first]) == v:
+        return DoubledPairError(f"opposing arcs between {u} and {v}")
+    return DoubledPairError(f"duplicate arc ({u}, {v})")
 
 
 def _validate_matrix(adj: np.ndarray) -> None:

@@ -11,6 +11,10 @@ class ResourceLimitError(RuntimeError):
     """An input is structurally fine but exceeds the configured size cap."""
 
 
+class DoubledPairError(ValueError):
+    """A list of arcs joins some vertex pair twice (duplicate or opposing arcs)."""
+
+
 def check_matrix_order(order: int) -> None:
     """Refuse a dense matrix of this order before it is allocated."""
     if order * order > MATRIX_CELL_CAP:

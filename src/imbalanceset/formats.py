@@ -4,12 +4,25 @@ Emission is canonical (arcs sorted by source then target, fixed header
 and key order), so emit -> parse -> emit is byte-identical.  Vertex ids
 are 0-based contiguous integers and survive every round trip; vertices
 that touch no arc are written explicitly so the order is never lost.
+
+A certificate has Theta(n^2) arcs, so neither direction makes a Python
+object per arc.  Emission writes one string per adjacency row, joining
+the row's targets from a table of id strings.  Parsing checks the whole
+body with one ``re.sub`` that deletes runs of good lines, anchored at
+line starts (whatever it leaves over are the bad lines), and then
+converts every id in one ``np.fromstring`` call.
+Lines break wherever ``str.splitlines`` breaks them, surrounding
+whitespace is ignored, blank lines are skipped, and ids are ASCII
+decimal digits (``-`` allowed in edge lists, so a negative id is
+reported as out of range).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -17,8 +30,33 @@ from .digraph import Digraph
 
 FORMATS = ("dot", "edgelist", "json")
 
-_DOT_ARC = re.compile(r"^\s*(\d+)\s*->\s*(\d+)\s*;\s*$")
-_DOT_NODE = re.compile(r"^\s*(\d+)\s*;\s*$")
+# _lines() rewrites every str.splitlines break to "\n" and every other
+# whitespace to a space, so inside a line only spaces and tabs remain,
+# both of which np.fromstring skips.
+_BREAKS = re.compile(r"\r\n|[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_ODD_SPACE = re.compile(r"[^\S\n\t ]")
+_S = r"[ \t]"
+_DIGIT = re.compile(r"[0-9]")
+
+
+def _line_blocks(line: str) -> re.Pattern:
+    """Runs of up to 256 whole lines of one grammar, from a line start.
+
+    ``re.sub`` with this pattern deletes every good line and leaves the
+    bad ones.  A block per match is cheaper than a match per line, and
+    the bound keeps the engine's backtracking record small (an unbounded
+    run over the whole body would hold one record per line).
+    """
+    return re.compile(rf"^(?:{line}\n){{1,256}}", re.MULTILINE)
+
+
+_DOT_FRAME = re.compile(rf"\s*digraph[^\n]*\n(.*\n)?{_S}*\}}\s*", re.DOTALL)
+_DOT_LINES = _line_blocks(rf"{_S}*(?:[0-9]+{_S}*(?:->{_S}*[0-9]+{_S}*)?;)?{_S}*")
+_DOT_NODE = re.compile(rf"^{_S}*([0-9]+){_S}*;{_S}*$", re.MULTILINE)
+_DOT_PUNCT = str.maketrans("->;", "   ")
+
+_EDGE_HEAD = re.compile(rf"\s*#{_S}*tournament{_S}+n=([0-9]+){_S}*\n")
+_EDGE_LINES = _line_blocks(rf"{_S}*(?:-?[0-9]+{_S}+-?[0-9]+)?{_S}*")
 
 
 def emit(graph: Digraph, kind: str) -> str:
@@ -59,82 +97,134 @@ def detect_format(text: str, filename: str | None = None) -> str:
     return "edgelist"
 
 
+# -- shared row and token passes ---------------------------------------
+
+
+def _rows(graph: Digraph, head: str, sep: str, tail: str) -> list[str]:
+    """One string per vertex with out-arcs: ``head + t1 + sep + t2 ... + tail``.
+
+    ``head`` and ``sep`` may hold ``{u}`` for the row's source id; the
+    targets come from a table of id strings, in increasing order.
+    """
+    adj = graph.matrix()
+    ids = np.array([str(v) for v in range(graph.n)], dtype=object)
+    out = []
+    for u in np.flatnonzero(adj.any(axis=1)):
+        name = ids[u]
+        targets = ids[np.flatnonzero(adj[u])].tolist()
+        out.append(head.format(u=name) + sep.format(u=name).join(targets) + tail)
+    return out
+
+
+def _lines(text: str) -> str:
+    """``text`` with every line ending in "\\n", the last one too, where
+    str.splitlines would end it, and only " " or "\\t" as whitespace
+    inside a line."""
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f"):
+        text = _ODD_SPACE.sub(" ", _BREAKS.sub("\n", text))
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _check_lines(blocks: re.Pattern, body: str, kind: str) -> None:
+    """Raise for the first line of ``body`` outside the grammar of ``blocks``."""
+    bad = blocks.sub("", body)
+    if bad:
+        first = bad[: bad.index("\n")].strip()
+        raise ValueError(f"unparseable {kind} line: {first!r}")
+
+
+def _ids(body: str) -> np.ndarray:
+    """Every decimal id in a checked body, in order, as one int64 array.
+
+    Ids beyond the int64 range clamp to its ends, which are out of range
+    for any order the matrix cap allows.
+    """
+    if _DIGIT.search(body) is None:  # np.fromstring reads a blank string as [0]
+        return np.zeros(0, dtype=np.int64)
+    return np.fromstring(body, dtype=np.int64, sep=" ")
+
+
 # -- dot ---------------------------------------------------------------
 
 
 def emit_dot(graph: Digraph) -> str:
-    lines = ["digraph {"]
     degrees = graph.out_degrees() + graph.in_degrees()
-    for v in np.flatnonzero(degrees == 0):
-        lines.append(f"  {int(v)};")
-    for u, v in graph.arcs():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"  {int(v)};\n" for v in np.flatnonzero(degrees == 0)]
+    rows = _rows(graph, "  {u} -> ", ";\n  {u} -> ", ";\n")
+    return "".join(["digraph {\n", *nodes, *rows, "}\n"])
 
 
 def parse_dot(text: str) -> Digraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("digraph") or lines[-1] != "}":
+    frame = _DOT_FRAME.fullmatch(_lines(text))
+    if frame is None:
         raise ValueError("not a dot digraph document")
-    arcs: list[tuple[int, int]] = []
+    body = frame.group(1) or ""
+    _check_lines(_DOT_LINES, body, "dot")
     seen = -1
-    for ln in lines[1:-1]:
-        m = _DOT_ARC.match(ln)
-        if m:
-            u, v = int(m.group(1)), int(m.group(2))
-            arcs.append((u, v))
-            seen = max(seen, u, v)
-            continue
-        m = _DOT_NODE.match(ln)
-        if m:
-            seen = max(seen, int(m.group(1)))
-            continue
-        raise ValueError(f"unparseable dot line: {ln!r}")
-    return Digraph(seen + 1, arcs)
+    if body.count(";") != body.count("->"):  # some node lines ("  7;")
+        seen = max(int(v) for v in _DOT_NODE.findall(body))
+        body = _DOT_NODE.sub("", body)
+    ids = _ids(body.translate(_DOT_PUNCT))
+    if ids.size:
+        seen = max(seen, int(ids.max()))
+    return Digraph.from_arcs(seen + 1, ids[0::2], ids[1::2])
 
 
 # -- edge list ---------------------------------------------------------
 
 
 def emit_edgelist(graph: Digraph) -> str:
-    lines = [f"# tournament n={graph.n}"]
-    lines.extend(f"{u} {v}" for u, v in graph.arcs())
-    return "\n".join(lines) + "\n"
+    return "".join([f"# tournament n={graph.n}\n", *_rows(graph, "{u} ", "\n{u} ", "\n")])
 
 
 def parse_edgelist(text: str) -> Digraph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list document")
-    header = re.match(r"^#\s*tournament\s+n=(\d+)$", lines[0])
+    text = _lines(text)
+    header = _EDGE_HEAD.match(text)
     if not header:
+        if not text.strip():
+            raise ValueError("empty edge-list document")
         raise ValueError("edge list must start with '# tournament n=<n>'")
-    n = int(header.group(1))
-    arcs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"unparseable edge-list line: {ln!r}")
-        arcs.append((int(parts[0]), int(parts[1])))
-    return Digraph(n, arcs)
+    body = text[header.end():]
+    _check_lines(_EDGE_LINES, body, "edge-list")
+    ids = _ids(body)
+    return Digraph.from_arcs(int(header.group(1)), ids[0::2], ids[1::2])
 
 
 # -- json --------------------------------------------------------------
 
 
 def emit_json(graph: Digraph) -> str:
-    doc = {
-        "n": graph.n,
-        "arcs": [[u, v] for u, v in graph.arcs()],
-        "imbalance_sequence": list(graph.imbalance_sequence()),
-        "imbalance_set": sorted(graph.imbalance_set(), reverse=True),
-    }
-    return json.dumps(doc, indent=None, separators=(", ", ": ")) + "\n"
+    arcs = ", ".join(_rows(graph, "[{u}, ", "], [{u}, ", "]"))
+    return (
+        f'{{"n": {graph.n}, "arcs": [{arcs}], '
+        f'"imbalance_sequence": {json.dumps(list(graph.imbalance_sequence()))}, '
+        f'"imbalance_set": {json.dumps(sorted(graph.imbalance_set(), reverse=True))}}}\n'
+    )
 
 
 def parse_json(text: str) -> Digraph:
-    doc = json.loads(text)
+    # json.loads makes a list per arc and no cycles, so pausing the cyclic
+    # collector (which would rescan the growing heap) loses nothing.  The
+    # switch is process-wide; another thread at worst runs unpaused or
+    # paused for as long as this call.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        doc = json.loads(text)
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise ValueError("json document must carry 'n' and 'arcs'")
-    return Digraph(int(doc["n"]), [(int(u), int(v)) for u, v in doc["arcs"]])
+    arcs = doc["arcs"]
+    try:
+        pairs = set(map(len, arcs)) <= {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        raise ValueError("json 'arcs' must be a list of [source, target] pairs")
+    try:
+        ids = np.fromiter(chain.from_iterable(arcs), dtype=np.int64, count=2 * len(arcs))
+    except OverflowError:
+        raise ValueError(f"json arc id out of range for order {doc['n']}") from None
+    return Digraph.from_arcs(int(doc["n"]), ids[0::2], ids[1::2])

@@ -126,6 +126,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "0")
         assert code == 2 and "missing pair" in out
 
+    def test_missing_pair_of_a_large_arc_free_file_is_the_first(self, tmp_path, capsys):
+        path = tmp_path / "empty.edges"
+        path.write_text("# tournament n=2000\n")
+        code, out, _ = run(capsys, "verify", str(path), "0")
+        assert code == 2 and "missing pair (0, 1)" in out
+
     def test_doubled_pair_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.dot"
         path.write_text("digraph {\n  0 -> 1;\n  1 -> 0;\n}\n")

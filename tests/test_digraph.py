@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import square_cycle, triangle_cycle, triangle_transitive
-from imbalanceset import Digraph, VertexImbalance
+from imbalanceset import Digraph, DoubledPairError, ResourceLimitError, VertexImbalance
 
 
 @st.composite
@@ -46,6 +46,54 @@ class TestConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Digraph(2, [(0, 2)])
+
+    def test_doubled_pairs_raise_the_typed_error(self):
+        with pytest.raises(DoubledPairError, match="opposing arcs between 1 and 0"):
+            Digraph(2, [(0, 1), (1, 0)])
+        with pytest.raises(DoubledPairError, match=r"duplicate arc \(0, 1\)"):
+            Digraph(2, [(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(0, 1), (1, 2), (0, 1), (2, 1)], r"duplicate arc \(0, 1\)"),
+            ([(0, 1), (1, 2), (2, 1), (0, 1)], "opposing arcs between 2 and 1"),
+            ([(0, 0), (0, 1), (0, 1)], "self-loop at vertex 0"),
+            ([(0, 1), (0, 1), (0, 5)], r"duplicate arc \(0, 1\)"),
+            ([(1, 2), (2, 9), (2, 2), (2, 1)], r"arc \(2, 9\) out of range for order 3"),
+            ([(1, 2), (-1, 0)], r"arc \(-1, 0\) out of range"),
+        ],
+    )
+    def test_reports_the_first_bad_arc_in_order(self, arcs, message):
+        with pytest.raises(ValueError, match=message):
+            Digraph(3, arcs)
+
+    def test_ids_beyond_int64_are_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Digraph(3, [(0, 10**20)])
+
+    def test_from_arcs_takes_arrays(self):
+        g = Digraph.from_arcs(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
+        assert g == triangle_cycle()
+        assert Digraph.from_arcs(2, [], []) == Digraph(2)
+
+    def test_from_arcs_rejects_uneven_arrays(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Digraph.from_arcs(3, np.array([0, 1]), np.array([1]))
+
+    def test_arcs_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Digraph(3, [(0, 1, 2)])
+
+    def test_order_is_checked_against_the_matrix_cap(self):
+        with pytest.raises(ResourceLimitError):
+            Digraph(10**6)
+
+    @given(digraphs())
+    @settings(max_examples=60)
+    def test_from_arcs_rebuilds_any_graph(self, g: Digraph):
+        src, dst = np.nonzero(g.matrix())
+        assert Digraph.from_arcs(g.n, src, dst) == g
 
     def test_empty_graph_is_legal(self):
         g = Digraph(0)
@@ -119,6 +167,18 @@ class TestPredicates:
     def test_two_isolated_vertices_form_a_near_tournament(self):
         # Boundary case: each of the two vertices misses exactly one.
         assert Digraph(2).is_near_tournament()
+
+    @given(digraphs())
+    @settings(max_examples=60)
+    def test_first_non_neighbour_pair_is_the_smallest(self, g: Digraph):
+        pairs = g.non_neighbour_pairs()
+        assert g.first_non_neighbour_pair() == (pairs[0] if pairs else None)
+
+    def test_first_non_neighbour_pair_of_a_late_gap(self):
+        n = 5000  # more rows than one scan block
+        adj = np.triu(np.ones((n, n), dtype=np.uint8), 1)
+        adj[4999 - 1, 4999] = 0
+        assert Digraph.from_matrix(adj).first_non_neighbour_pair() == (4998, 4999)
 
     def test_non_neighbours(self):
         assert square_cycle().non_neighbours(0) == [2]
