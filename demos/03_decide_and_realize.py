@@ -23,11 +23,11 @@ EXAMPLES = [
 
 for members in EXAMPLES:
     shown = sorted(members, reverse=True)
-    decision = decide_tis(members)
+    decision = decide_tis(members, with_certificate=True)
     if not decision.verdict:
         print(f"  {shown}: no ({decision.refusal})")
         continue
-    graph = realize_imbalance_set(members)
+    graph = decision.certificate
     line = f"  {shown}: yes, built order {graph.n}"
     line += f", guaranteed <= {order_upper_bound(members)}"
     if decision.witness is not None:

@@ -3,16 +3,13 @@
 The bounded variant looks for nonempty sequences from two sets with
 equal sums under a repetition cap.  The odd-total variant drives the
 even case of the realization pipeline: it wants the shortest pair
-whose combined number of terms is odd, and such a pair always has
-fewer terms than the canonical expansion length when it exists at all.
+whose combined number of terms is odd.  Such a pair exists exactly when
+the members do not all share one 2-adic valuation ({6, -10} shares
+valuation 1, so every pair has even total), and it has fewer terms than
+the canonical expansion length.
 """
 
-from imbalanceset import (
-    ImbalanceSet,
-    min_odd_equal_sum,
-    power_of_two_check,
-    solve_esseq,
-)
+from imbalanceset import min_odd_equal_sum, solve_esseq
 
 print("== bounded equal-sum sequences ==")
 for xs, ys, cap in [({3}, {2}, 1), ({3}, {2}, 3), ({2}, {2}, 1), ({5, 7}, {3}, 4)]:
@@ -32,12 +29,3 @@ for xs, ys in [({4}, {2}), ({2}, {2}), ({2}, {4}), ({6}, {10}), ({2, 8}, {6})]:
     else:
         print(f"  X={sorted(xs)} |Y|={sorted(ys)}: {list(witness.xs)} ~ "
               f"{list(witness.ys)}, total length {witness.total_length}")
-
-print()
-print("== a quick sufficient condition: powers of two ==")
-# A member +/-2^p plus an opposite member of different 2-adic valuation
-# settles realizability without any search.
-for members in [{4, -6}, {2, -2}, {2, -6}, {6, -10}, {16, -10}]:
-    parts = ImbalanceSet.from_values(members)
-    print(f"  {sorted(members, reverse=True)}: "
-          f"{'realizable (shortcut)' if power_of_two_check(parts) else 'inconclusive'}")

@@ -10,12 +10,7 @@ oracles for independent verification.
 """
 
 from .digraph import Digraph, VertexImbalance
-from .equalsum import (
-    EqualSumWitness,
-    min_odd_equal_sum,
-    power_of_two_check,
-    solve_esseq,
-)
+from .equalsum import EqualSumWitness, min_odd_equal_sum, solve_esseq
 from .errors import DoubledPairError, ResourceLimitError
 from .oracle import (
     EnumerationBudget,
@@ -89,7 +84,6 @@ __all__ = [
     "max_realization",
     "min_odd_equal_sum",
     "order_upper_bound",
-    "power_of_two_check",
     "realize_imbalance_set",
     "scores_from_imbalances",
     "solve_esseq",

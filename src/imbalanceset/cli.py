@@ -22,7 +22,7 @@ from .sequences import (
     landau_failure,
     tournament_imbalance_failure,
 )
-from .tis import _order_bound, decide_tis
+from .tis import _order_bound, _refusal, decide_tis
 
 EXIT_YES = 0
 EXIT_USAGE = 1
@@ -223,11 +223,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     members = _parse_set(args.set_literal)
-    decision = decide_tis(members, order_cap=args.max_n)
-    if not decision.verdict:
-        print(f"no: {decision.refusal}", file=sys.stderr)
+    refusal = _refusal(members)
+    if refusal is not None:
+        print(f"no: {refusal}", file=sys.stderr)
         return EXIT_NO
-    bound = _order_bound(members)
+    bound = _order_bound(members, args.max_n)
     extra = {}
     if args.budget is not None:
         extra["exact_min_order"] = brute_min_order(members, min(bound, args.budget))

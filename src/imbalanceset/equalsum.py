@@ -1,4 +1,4 @@
-"""Equal-sum sequence search by reachable-sum dynamic programming.
+"""Equal-sum sequence searches.
 
 Two related searches live here.
 
@@ -8,22 +8,54 @@ drawn from each side with equal sums.  It runs reachable-sum DP per
 side (bitmask tables over achievable sums) and reconstructs a canonical
 witness.
 
-:func:`min_odd_equal_sum` is the search that drives the even case of
-the tournament decision: among pairs of sequences with equal sums drawn
-from the two sides of an even imbalance set, find one minimizing the
-total number of terms subject to that total being odd.  Key facts that
-keep it pseudo-polynomial:
+:func:`min_odd_equal_sum` drives the even case of the tournament
+decision: among pairs of sequences with equal sums drawn from the two
+sides X and |Y| of an even imbalance set without 0, find one with the
+least total number of terms k subject to k being odd; ties go to the
+smallest common sum S, then the lexicographically smallest xs, then
+ys.  Such a pair is the same thing as an odd zero-sum multiset over
+Z = X u -Y, with S the sum of its positive terms.  Three facts make
+this cheap.
 
-* if any odd-total witness exists, a minimal one has fewer than
-  n = l*M + m*L terms, so the layered search can stop at n - 1 layers;
-* a witness sum S satisfies S <= a * max(X) and S <= b * max(|Y|), so
-  sums never need to exceed (n - 1) * min(max(X), max(|Y|)).
+1. *Verdict (2-adic rule).*  An odd zero-sum multiset over Z exists iff
+   the members of Z do not all share one 2-adic valuation.  Only if:
+   when every member is 2^v times an odd number, divide by 2^v; a zero
+   sum of odd numbers has an even number of terms.  If: were every x in
+   X of the valuation of every y in |Y|, all members would share one,
+   as both sides are nonempty; so some x and y differ.  With
+   g = gcd(x, y) the cofactors x/g and y/g are coprime and differ in
+   valuation, so exactly one is even and (x + y)/g is odd; y/g copies
+   of x against x/g copies of y is an odd witness.  This costs O(|Z|).
 
-The DP state is (sum, term-count parity) per side; minimal length per
-state is recovered by expanding in layers of one term each.  Exact
-per-count reachability tables (bitmask rows, one per term count) are
-rebuilt afterwards only over the chosen sum to reconstruct the witness
-deterministically.
+2. *Steinitz window.*  Any zero-sum sequence over Z can be reordered so
+   that a positive term follows every partial sum <= 0 and a negative
+   term every partial sum > 0: if the partial sum s is <= 0 the
+   remaining terms sum to -s >= 0, so a positive term remains unless
+   none remains at all, and if s > 0 they sum to -s < 0, so a negative
+   term remains.  Each step then keeps the partial sum in
+   (-max|Y|, max X]: from s <= 0 a step of at most max X, from s > 0 a
+   step down of less than s + max|Y|.  So odd zero-sum multisets are
+   exactly the odd closed walks from 0 in the graph on states
+   (partial sum in the window, parity of the number of terms) whose
+   steps obey that rule, and k is a breadth-first distance over at
+   most 2 * (max X + max|Y|) states.
+
+3. *Least common sum.*  Every prefix of a shortest closed walk is a
+   shortest path to the state it reaches: the steps allowed from a
+   state depend only on its partial sum, so a shorter way into that
+   state followed by the rest of the walk would be a shorter odd
+   closed walk.  Hence the least positive-part sum over shortest walks
+   into a state is the minimum, over its predecessors in the previous
+   breadth-first layer, of theirs plus the step's positive part, and
+   keeping that value per state along the layers yields the least
+   common sum S among all minimal witnesses.  The reordering of fact 2
+   maps every minimal witness to such a walk, so none is missed.
+
+The witness itself is rebuilt from (k, S) with exact per-count
+reachability tables (bitmask rows, one per term count), which fix the
+lexicographic tie-break.  They take about k * S bits; their size is
+checked against :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP`
+before they are built.
 """
 
 from __future__ import annotations
@@ -31,11 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .errors import DP_CELL_CAP, ESSEQ_SUM_CAP, ResourceLimitError
-
-_INF = np.iinfo(np.int64).max // 4
+from .errors import ESSEQ_SUM_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -74,40 +102,6 @@ def _validate_side(values: Iterable[int], name: str, *, even: bool) -> tuple[int
     if even and any(v % 2 for v in vals):
         raise ValueError(f"{name} must contain even integers only")
     return vals
-
-
-def _min_counts_by_parity(
-    values: Sequence[int], sum_cap: int, layer_cap: int
-) -> np.ndarray:
-    """dist[p, s] = least number of terms with count parity p summing to s.
-
-    Layered breadth-first expansion over (sum, parity); one layer adds
-    one term.  Stops after layer_cap layers or when no new state
-    appears.  Unreached states hold a large sentinel.
-    """
-    dist = np.full((2, sum_cap + 1), _INF, dtype=np.int64)
-    dist[0, 0] = 0
-    frontier = np.zeros((2, sum_cap + 1), dtype=bool)
-    frontier[0, 0] = True
-    seen = frontier.copy()
-    for layer in range(1, layer_cap + 1):
-        nxt = np.zeros_like(frontier)
-        for p in (0, 1):
-            src = frontier[1 - p]
-            if not src.any():
-                continue
-            for v in values:
-                if v == 0:
-                    nxt[p] |= src
-                elif v <= sum_cap:
-                    nxt[p, v:] |= src[: sum_cap + 1 - v]
-        nxt &= ~seen
-        if not nxt.any():
-            break
-        dist[nxt] = layer
-        seen |= nxt
-        frontier = nxt
-    return dist
 
 
 def _exact_count_rows(values: Sequence[int], max_count: int, sum_bits: int) -> list[int]:
@@ -159,6 +153,61 @@ def _lex_min_terms(
     return tuple(out)
 
 
+def _mixed_valuations(values: Iterable[int]) -> bool:
+    """True when the nonzero values do not all share one 2-adic valuation.
+
+    The lowest set bit of v (``v & -v``, also for negative v) is
+    2 ** valuation.  By fact 1 of the module docstring this decides
+    whether an even set without 0 has an odd equal-sum pair.
+    """
+    return len({v & -v for v in values if v}) > 1
+
+
+def _shortest_odd_zero_sum(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int]:
+    """(k, S) for ascending positive xs and ys whose valuations are mixed.
+
+    k is the least odd number of terms of a zero-sum multiset over xs
+    and the negated ys, and S the least sum of the positive terms among
+    those of length k: a breadth-first search over the Steinitz window
+    (facts 2 and 3 of the module docstring).  Fact 1 guarantees that
+    such a multiset exists.
+    """
+    # A partial sum s in (-max|Y|, max X] is stored at offset s + zero.
+    zero = ys[-1] - 1
+    width = zero + xs[-1] + 1
+    # seen[p][off]: reached at a shorter length of parity p.  Marking the
+    # origin at length 0 prunes even returns to it, never shortest.
+    seen = (bytearray(width), bytearray(width))
+    seen[0][zero] = 1
+    frontier = {zero: 0}  # offset -> least positive-part sum
+    length = 0
+    while frontier:
+        length += 1
+        mark = seen[length & 1]
+        layer: dict[int, int] = {}
+        for off, pos in frontier.items():
+            if off <= zero:
+                for x in xs:
+                    t = off + x
+                    if not mark[t]:
+                        old = layer.get(t)
+                        if old is None or pos + x < old:
+                            layer[t] = pos + x
+            else:
+                for y in ys:
+                    t = off - y
+                    if not mark[t]:
+                        old = layer.get(t)
+                        if old is None or pos < old:
+                            layer[t] = pos
+        if length & 1 and zero in layer:
+            return length, layer[zero]
+        for t in layer:
+            mark[t] = 1
+        frontier = layer
+    raise AssertionError("the 2-adic rule promised an odd zero-sum multiset")
+
+
 def min_odd_equal_sum(
     x_values: Iterable[int], y_abs_values: Iterable[int]
 ) -> EqualSumWitness | None:
@@ -172,41 +221,28 @@ def min_odd_equal_sum(
     then the lexicographically smallest xs, then the smallest ys.
 
     A zero in x short-circuits to the one-term witness ([0], []), the
-    degenerate odd-length pair.
+    degenerate odd-length pair.  Raises :class:`ResourceLimitError`
+    before building the witness tables when they would exceed
+    :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP` bits.
     """
     xs = _validate_side(x_values, "x side", even=True)
     ys = _validate_side(y_abs_values, "y side", even=True)
     if any(v == 0 for v in ys):
         raise ValueError("y side magnitudes must be positive")
-
-    big_l = sum(xs)
-    big_m = sum(ys)
-    order = len(xs) * big_m + len(ys) * big_l
-
     if 0 in xs:
-        witness = EqualSumWitness((0,), (), 0)
-        assert witness.total_length < order
-        return witness
+        return EqualSumWitness((0,), (), 0)
 
-    # Any witness sum fits under each side's per-term maximum.
-    sum_cap = (order - 1) * min(xs[-1], ys[-1])
-    if 4 * (sum_cap + 1) > DP_CELL_CAP:
-        raise ResourceLimitError(
-            f"equal-sum search needs {4 * (sum_cap + 1)} DP cells "
-            f"(cap {DP_CELL_CAP})"
-        )
-
-    dist_x = _min_counts_by_parity(xs, sum_cap, order - 1)
-    dist_y = _min_counts_by_parity(ys, sum_cap, order - 1)
-
-    totals = np.minimum(dist_x[0] + dist_y[1], dist_x[1] + dist_y[0])
-    totals[0] = _INF
-    best = int(totals.min())
-    if best >= order:
+    if not _mixed_valuations(xs + ys):
         return None
-    k = best
-    common = int(np.flatnonzero(totals == k)[0])
+    k, common = _shortest_odd_zero_sum(xs, ys)
 
+    # Two tables of k rows, each row at most common + 1 bits.
+    bits = 2 * k * (common + 1)
+    if bits > WITNESS_TABLE_BIT_CAP:
+        raise ResourceLimitError(
+            f"equal-sum witness of length {k} and sum {common} needs {bits} "
+            f"table bits (cap {WITNESS_TABLE_BIT_CAP})"
+        )
     rows_x = _exact_count_rows(xs, k - 1, common + 1)
     rows_y = _exact_count_rows(ys, k - 1, common + 1)
     a_options = [
@@ -218,45 +254,8 @@ def min_odd_equal_sum(
     witness_ys = _lex_min_terms(ys, rows_y, common, [k - len(witness_xs)])
 
     witness = EqualSumWitness(witness_xs, witness_ys, common)
-    assert witness.total_length == k and k % 2 == 1
-    assert witness.total_length < order
+    assert witness.total_length == k
     return witness
-
-
-def _two_adic_valuation(v: int) -> int:
-    return (v & -v).bit_length() - 1
-
-
-def power_of_two_check(parts) -> bool:
-    """Sufficient condition: a power of two with an unmatched companion.
-
-    True when some member is +/- 2^p (p >= 1) and the opposite side
-    holds a member whose 2-adic valuation differs from p.  Writing that
-    companion's magnitude as r * 2^q with r odd, equal sums come from
-    r copies of 2^p against 2^(p-q) copies of the companion (or the
-    mirrored multiples when q > p); exactly one of the two counts is
-    even, so the total length is odd and the set is realizable.  With
-    matching valuations (the lone pair {2^p, -2^p}, but also e.g.
-    {2, -6}) every equal-sum pair has even total length, so such
-    members never qualify.  False is inconclusive.  Requires both signs
-    present, all members even, and 0 absent.
-    """
-    pos = parts.non_negative
-    neg = parts.negative_abs
-    if not pos or not neg:
-        raise ValueError("both signs must be present")
-    if 0 in pos:
-        raise ValueError("0 must not be a member")
-    if any(v % 2 for v in pos) or any(v % 2 for v in neg):
-        raise ValueError("all members must be even")
-    for side, other in ((pos, neg), (neg, pos)):
-        for e in side:
-            if e & (e - 1):
-                continue
-            p = _two_adic_valuation(e)
-            if any(_two_adic_valuation(f) != p for f in other):
-                return True
-    return False
 
 
 def _bounded_sum_rows(values: Sequence[int], max_repeats: int, sum_bits: int) -> int:

@@ -3,8 +3,8 @@ the memory it guards is allocated or the search it bounds starts."""
 
 DEFAULT_ORDER_CAP = 10**6  # canonical expansion order (order_cap, --max-n)
 MATRIX_CELL_CAP = 1_000_000_000  # dense adjacency matrix cells
-DP_CELL_CAP = 400_000_000  # odd-total equal-sum search table cells
-ESSEQ_SUM_CAP = DP_CELL_CAP // 8  # bounded equal-sum search: largest sum
+WITNESS_TABLE_BIT_CAP = 2**32  # odd-total equal-sum witness tables, in bits
+ESSEQ_SUM_CAP = 50_000_000  # bounded equal-sum search: largest sum
 
 
 class ResourceLimitError(RuntimeError):

@@ -13,7 +13,9 @@ The decision pipeline, in order:
 5. A set of even members expands to a near tournament of order n (even,
    so a tournament of that order is impossible).  It completes to a
    tournament exactly when an equal-sum pair of sequences with odd
-   total length exists over the two sides; a zero member supplies the
+   total length exists over the two sides, that is, when 0 is a member
+   or the members do not all share one 2-adic valuation (proved in
+   :mod:`imbalanceset.equalsum`).  A zero member supplies the
    degenerate one-term pair and an extra apex vertex finishes the job,
    otherwise the pair's members join as new vertices via
    :func:`add_arcs`.
@@ -43,7 +45,12 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph, _validate_matrix
-from .equalsum import EqualSumWitness, min_odd_equal_sum
+from .equalsum import (
+    EqualSumWitness,
+    _mixed_valuations,
+    _shortest_odd_zero_sum,
+    min_odd_equal_sum,
+)
 from .errors import DEFAULT_ORDER_CAP, ResourceLimitError, check_matrix_order
 from .realize import RealizationReport, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
@@ -60,7 +67,7 @@ class TisDecision:
     ``order`` is the order of the tournament the pipeline constructs
     (present on every yes, even when the certificate itself was not
     requested).  ``witness`` carries the equal-sum pair backing an
-    even-case yes.
+    even-case yes when the certificate was requested.
     """
 
     verdict: bool
@@ -81,32 +88,26 @@ def decide_tis(
     Refusals name the first failing condition: "one-sided" (missing a
     positive or negative member), "mixed-parity", or
     "no-odd-equal-sum" (even members admit no odd-total equal-sum
-    pair).  With ``with_certificate`` a realizing tournament is built
-    and verified once, here, before returning.  Inputs whose canonical
+    pair).  The verdict takes O(|Z|) and never searches.  On a yes the
+    order comes from a breadth-first search over the Steinitz window
+    (see :mod:`imbalanceset.equalsum`).  With ``with_certificate`` the
+    equal-sum witness is rebuilt and a realizing tournament is built
+    and verified once, here, before returning.  A yes whose canonical
     expansion exceeds ``order_cap``, or whose base matrix exceeds the
-    matrix cap when a certificate is wanted, raise
+    matrix cap when a certificate is wanted, raises
     :class:`ResourceLimitError` before any search starts.
     """
     members = frozenset(int(v) for v in values)
-    if not members:
-        raise ValueError("the input set must be nonempty")
+    refusal = _refusal(members)
+    if refusal is not None:
+        return TisDecision(False, refusal=refusal)
 
     if members == {0}:
         cert = _verified_certificate(Digraph(1), members, 1) if with_certificate else None
         return TisDecision(True, order=1, certificate=cert)
 
-    if not any(v > 0 for v in members) or not any(v < 0 for v in members):
-        return TisDecision(False, refusal=REFUSAL_ONE_SIDED)
-
-    if len({v % 2 for v in members}) > 1:
-        return TisDecision(False, refusal=REFUSAL_MIXED_PARITY)
-
-    parts = ImbalanceSet.from_values(members)
+    parts = _checked_parts(members, order_cap)
     n = parts.canonical_length
-    if n > order_cap:
-        raise ResourceLimitError(
-            f"canonical expansion of order {n} exceeds the cap {order_cap}"
-        )
     if with_certificate:
         check_matrix_order(n)
 
@@ -119,19 +120,22 @@ def decide_tis(
             cert = _verified_certificate(report.graph, members, n)
         return TisDecision(True, order=n, certificate=cert)
 
+    if not with_certificate:
+        if 0 in members:
+            return TisDecision(True, order=n + 1)
+        k, _ = _shortest_odd_zero_sum(parts.non_negative[::-1], parts.negative_abs)
+        return TisDecision(True, order=n + k)
+
     witness = min_odd_equal_sum(parts.non_negative, parts.negative_abs)
-    if witness is None:
-        return TisDecision(False, refusal=REFUSAL_NO_ODD_EQUAL_SUM)
+    assert witness is not None
     order = n + witness.total_length
-    cert = None
-    if with_certificate:
-        report = max_realization(canonical_sequence(parts))
-        assert report.is_near_tournament
-        if witness.ys == ():
-            grown = add_apex_zero(report)
-        else:
-            grown = add_arcs(report, witness)
-        cert = _verified_certificate(grown, members, order)
+    report = max_realization(canonical_sequence(parts))
+    assert report.is_near_tournament
+    if witness.ys == ():
+        grown = add_apex_zero(report)
+    else:
+        grown = add_arcs(report, witness)
+    cert = _verified_certificate(grown, members, order)
     return TisDecision(True, order=order, certificate=cert, witness=witness)
 
 
@@ -151,20 +155,50 @@ def order_upper_bound(values: Iterable[int]) -> int:
 
     Odd members: exactly n = l*M + m*L.  Even with a zero member:
     n + 1.  Even without zero: 2n - 1 (the completion adds fewer than
-    n vertices).  The lone set {0}: 1.
+    n vertices).  The lone set {0}: 1.  Needs only the O(|Z|) verdict.
     """
     members = frozenset(int(v) for v in values)
-    decision = decide_tis(members)
-    if not decision.verdict:
-        raise ValueError(f"not a tournament imbalance set ({decision.refusal})")
+    refusal = _refusal(members)
+    if refusal is not None:
+        raise ValueError(f"not a tournament imbalance set ({refusal})")
     return _order_bound(members)
 
 
-def _order_bound(members: frozenset[int]) -> int:
+def _refusal(members: frozenset[int]) -> str | None:
+    """The first failing condition of the characterization, None on a yes.
+
+    O(|Z|): sign, parity, and for even sets without 0 the 2-adic rule
+    (fact 1 of the :mod:`imbalanceset.equalsum` docstring).
+    """
+    if not members:
+        raise ValueError("the input set must be nonempty")
+    if members == {0}:
+        return None
+    if not any(v > 0 for v in members) or not any(v < 0 for v in members):
+        return REFUSAL_ONE_SIDED
+    if len({v % 2 for v in members}) > 1:
+        return REFUSAL_MIXED_PARITY
+    if next(iter(members)) % 2 == 0 and 0 not in members and not _mixed_valuations(members):
+        return REFUSAL_NO_ODD_EQUAL_SUM
+    return None
+
+
+def _checked_parts(members: frozenset[int], order_cap: int) -> ImbalanceSet:
+    """The two sides of a yes set, refused when its expansion exceeds order_cap."""
+    parts = ImbalanceSet.from_values(members)
+    n = parts.canonical_length
+    if n > order_cap:
+        raise ResourceLimitError(
+            f"canonical expansion of order {n} exceeds the cap {order_cap}"
+        )
+    return parts
+
+
+def _order_bound(members: frozenset[int], order_cap: int = DEFAULT_ORDER_CAP) -> int:
     """The bound of :func:`order_upper_bound` for a set already decided yes."""
     if members == {0}:
         return 1
-    n = ImbalanceSet.from_values(members).canonical_length
+    n = _checked_parts(members, order_cap).canonical_length
     if next(iter(members)) % 2:
         return n
     if 0 in members:

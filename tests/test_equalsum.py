@@ -1,13 +1,16 @@
 import itertools
+import time
 
 import pytest
 
 from imbalanceset import (
+    REFUSAL_NO_ODD_EQUAL_SUM,
     EqualSumWitness,
     ImbalanceSet,
+    ResourceLimitError,
     brute_zero_sum_min_odd,
+    decide_tis,
     min_odd_equal_sum,
-    power_of_two_check,
     solve_esseq,
 )
 
@@ -133,43 +136,45 @@ class TestMinOddEqualSum:
         assert w == min_odd_equal_sum({2, 4, 6}, {6})  # deterministic
 
 
-class TestPowerOfTwo:
-    def test_power_with_companion(self):
-        assert power_of_two_check(ImbalanceSet.from_values({4, -6}))
+class TestTwoAdicRule:
+    """An even set without 0 has an odd-total equal-sum pair exactly
+    when its members do not all share one 2-adic valuation."""
 
-    def test_lone_power_pair_is_excluded(self):
-        assert not power_of_two_check(ImbalanceSet.from_values({2, -2}))
-        assert not power_of_two_check(ImbalanceSet.from_values({8, -8}))
+    @pytest.mark.parametrize(
+        "members", [{2, -6}, {6, -10}, {8, -8}], ids=["2,-6", "6,-10", "8,-8"]
+    )
+    def test_shared_valuation_is_no(self, members):
+        parts = ImbalanceSet.from_values(members)
+        assert min_odd_equal_sum(parts.non_negative, parts.negative_abs) is None
+        assert decide_tis(members).refusal == REFUSAL_NO_ODD_EQUAL_SUM
 
-    def test_no_power_is_inconclusive(self):
-        assert not power_of_two_check(ImbalanceSet.from_values({6, -10}))
+    @pytest.mark.parametrize(
+        "members", [{4, -6}, {6, -4}, {12, -8, -24}], ids=["4,-6", "6,-4", "12,-8,-24"]
+    )
+    def test_differing_valuations_are_yes(self, members):
+        parts = ImbalanceSet.from_values(members)
+        witness = min_odd_equal_sum(parts.non_negative, parts.negative_abs)
+        assert witness is not None and witness.total_length % 2 == 1
+        assert decide_tis(members).verdict
 
-    def test_same_valuation_companion_does_not_qualify(self):
-        # 6 = 3 * 2 shares the valuation of 2, so every equal-sum pair
-        # over {2, -6} has even total length; the check must say false.
-        assert not power_of_two_check(ImbalanceSet.from_values({2, -6}))
-        assert min_odd_equal_sum({2}, {6}) is None
-
-    def test_negative_power_counts(self):
-        assert power_of_two_check(ImbalanceSet.from_values({6, -4}))
-
-    def test_distinct_powers_are_fine(self):
-        assert power_of_two_check(ImbalanceSet.from_values({4, -2}))
-
-    def test_zero_member_is_rejected(self):
-        with pytest.raises(ValueError, match="0"):
-            power_of_two_check(ImbalanceSet.from_values({4, 0, -2}))
-
-    def test_odd_members_are_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            power_of_two_check(ImbalanceSet.from_values({3, -2}))
-
-    def test_true_implies_a_witness_exists(self):
-        pool = (2, 4, 6, 8, 10, 12, 16)
-        for x in pool:
-            for y in pool:
-                parts = ImbalanceSet.from_values({x, -y})
-                if x == y and not power_of_two_check(parts):
+    def test_agrees_with_brute_force_on_a_grid(self):
+        # Every mixed-sign set of 2-3 members from +-{2, 4, ..., 20}.
+        pool = [v for v in range(2, 21, 2)] + [-v for v in range(2, 21, 2)]
+        checked = 0
+        for r in (2, 3):
+            for combo in itertools.combinations(pool, r):
+                if not (min(combo) < 0 < max(combo)):
                     continue
-                if power_of_two_check(parts):
-                    assert min_odd_equal_sum({x}, {y}) is not None, (x, y)
+                order = ImbalanceSet.from_values(combo).canonical_length
+                brute = brute_zero_sum_min_odd(combo, order - 1)
+                assert decide_tis(combo).verdict == (brute is not None), combo
+                checked += 1
+        assert checked == 1_000
+
+
+class TestWitnessTableCap:
+    def test_oversized_tables_are_refused_before_they_are_built(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="table bits"):
+            min_odd_equal_sum({20000}, {60004})
+        assert time.perf_counter() - t0 < 1.0

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestDecide:
         assert decide_tis({2, -2}).refusal == REFUSAL_NO_ODD_EQUAL_SUM
 
     def test_three_member_even_set(self):
-        d = decide_tis({4, 2, -2})
+        d = decide_tis({4, 2, -2}, with_certificate=True)
         assert d.verdict and d.order == 13
         assert d.witness == EqualSumWitness((4,), (2, 2), 4)
 
@@ -67,6 +68,10 @@ class TestDecide:
         with pytest.raises(ResourceLimitError):
             decide_tis({10**6, -2}, order_cap=10**5)
 
+    def test_refusal_does_not_depend_on_the_order_cap(self):
+        d = decide_tis({2, -2000002}, order_cap=10**5)
+        assert d.refusal == REFUSAL_NO_ODD_EQUAL_SUM
+
     def test_matrix_cap_is_checked_before_the_search(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("the equal-sum search must not start")
@@ -74,6 +79,18 @@ class TestDecide:
         monkeypatch.setattr(imbalanceset.tis, "min_odd_equal_sum", no_search)
         with pytest.raises(ResourceLimitError, match="matrix cells"):
             realize_imbalance_set({4, -39998})
+
+    def test_large_yes_needs_no_witness_tables(self):
+        # The witness tables would take about 10^13 bits; the order
+        # needs only the search over the Steinitz window.
+        t0 = time.perf_counter()
+        d = decide_tis({20000, -60004})
+        assert time.perf_counter() - t0 < 1.0
+        assert d.verdict and d.order == 100005 and d.witness is None
+
+    def test_large_yes_certificate_is_refused_on_the_matrix_cap(self):
+        with pytest.raises(ResourceLimitError, match="matrix cells"):
+            realize_imbalance_set({20000, -60004})
 
     def test_decision_without_certificate_is_fast_and_bare(self):
         d = decide_tis({9, 7, -5, -9})
