@@ -172,6 +172,27 @@ class TestTwoAdicRule:
         assert checked == 1_000
 
 
+class TestPowerOfTwo:
+    """A power of two with a companion of another 2-adic valuation is the
+    special case of the rule above that an earlier shortcut decided."""
+
+    def test_distinct_powers_are_fine(self):
+        witness = min_odd_equal_sum({4}, {2})
+        assert witness is not None and witness.total_length % 2 == 1
+        assert decide_tis({4, -2}).verdict
+
+    def test_true_implies_a_witness_exists(self):
+        pool = (2, 4, 6, 8, 10, 12, 16)
+        for x in pool:
+            for y in pool:
+                witness = min_odd_equal_sum({x}, {y})
+                if (x & -x) != (y & -y):
+                    assert witness is not None, (x, y)
+                    assert witness.total_length % 2 == 1, (x, y)
+                else:
+                    assert witness is None, (x, y)
+
+
 class TestWitnessTableCap:
     def test_oversized_tables_are_refused_before_they_are_built(self):
         t0 = time.perf_counter()
