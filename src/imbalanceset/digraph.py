@@ -108,6 +108,9 @@ class Digraph:
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if adj.dtype != np.uint8:
+            # The cast would wrap 256 to 0 and truncate 1.9 to 1.
+            if validate and not ((adj == 0) | (adj == 1)).all():
+                raise ValueError("adjacency entries must be 0 or 1")
             adj = adj.astype(np.uint8)
         if validate:
             _validate_matrix(adj)

@@ -231,11 +231,20 @@ def min_odd_equal_sum(
         raise ValueError("y side magnitudes must be positive")
     if 0 in xs:
         return EqualSumWitness((0,), (), 0)
-
     if not _mixed_valuations(xs + ys):
         return None
-    k, common = _shortest_odd_zero_sum(xs, ys)
+    return _lex_min_witness(xs, ys, *_shortest_odd_zero_sum(xs, ys))
 
+
+def _lex_min_witness(
+    xs: Sequence[int], ys: Sequence[int], k: int, common: int
+) -> EqualSumWitness:
+    """The lex-least witness of k terms and common sum S, which must exist.
+
+    xs and ys are ascending; (1, 0) is the pair ([0], []) of a side with 0.
+    """
+    if common == 0:
+        return EqualSumWitness((0,), (), 0)
     # Two tables of k rows, each row at most common + 1 bits.
     bits = 2 * k * (common + 1)
     if bits > WITNESS_TABLE_BIT_CAP:
@@ -338,29 +347,28 @@ def _bounded_walk(
 ) -> tuple[int, ...] | None:
     """Lex-min multiset with exactly `count` terms and bounded repeats.
 
-    Values are scanned ascending and the smaller value is always tried
-    first, with as many copies as feasible, which yields the
-    lexicographically smallest nondecreasing tuple.
+    Values are scanned ascending and each first takes as many copies as
+    feasible, one fewer on each backtrack, which yields the
+    lexicographically smallest nondecreasing tuple.  The search keeps an
+    explicit stack, so long witnesses do not hit the recursion limit.
     """
-
-    dead: set[tuple[int, int, int]] = set()
-
-    def go(remaining: int, left: int, idx: int, used: int) -> tuple[int, ...] | None:
-        if left == 0:
-            return () if remaining == 0 else None
-        if idx >= len(values):
-            return None
-        key = (remaining, left, idx)
-        if used == 0 and key in dead:
-            return None
-        v = values[idx]
-        if used < max_repeats and v <= remaining:
-            rest = go(remaining - v, left - 1, idx, used + 1)
-            if rest is not None:
-                return (v,) + rest
-        found = go(remaining, left, idx + 1, 0)
-        if found is None and used == 0:
-            dead.add(key)
-        return found
-
-    return go(target, count, 0, 0)
+    dead: set[tuple[int, int, int]] = set()  # (remaining, left, idx) that fail
+    # (idx, copies of values[idx], remaining and left before those copies)
+    frames: list[tuple[int, int, int, int]] = []
+    remaining, left, idx = target, count, 0
+    while left or remaining:
+        if left and idx < len(values) and (remaining, left, idx) not in dead:
+            copies = min(max_repeats, remaining // values[idx], left)
+        else:
+            while frames and not frames[-1][1]:
+                i, _, rem_in, left_in = frames.pop()
+                dead.add((rem_in, left_in, i))
+            if not frames:
+                return None
+            idx, copies, remaining, left = frames.pop()
+            copies -= 1
+        frames.append((idx, copies, remaining, left))
+        remaining -= copies * values[idx]
+        left -= copies
+        idx += 1
+    return tuple(v for i, c, _, _ in frames for v in (values[i],) * c)

@@ -7,18 +7,16 @@ The decision pipeline, in order:
    least one negative member (a zero-sum multiset needs both ends).
 3. All members must share one parity (every vertex imbalance in a
    tournament has the parity of n - 1).
-4. A set of odd members is always realizable: its canonical expansion
-   passes the tournament sequence check and the maximum-arc builder
-   returns a tournament of order n = l*M + m*L directly.
-5. A set of even members expands to a near tournament of order n (even,
-   so a tournament of that order is impossible).  It completes to a
-   tournament exactly when an equal-sum pair of sequences with odd
-   total length exists over the two sides, that is, when 0 is a member
-   or the members do not all share one 2-adic valuation (proved in
-   :mod:`imbalanceset.equalsum`).  A zero member supplies the
-   degenerate one-term pair and an extra apex vertex finishes the job,
-   otherwise the pair's members join as new vertices via
-   :func:`add_arcs`.
+4. Every yes is built one way: realize the canonical expansion of
+   order n = l*M + m*L with the most arcs, then add k new vertices via
+   :func:`add_arcs`, the members of an equal-sum pair of sequences with
+   odd total length k over the two sides.
+5. Odd members need k = 0: the expansion is a tournament already.  Even
+   members expand to a near tournament (n is even), which completes
+   exactly when such a pair exists: when 0 is a member, by the pair
+   ([0], []) with k = 1, or when the members do not all share one
+   2-adic valuation, with k the least odd zero-sum length (proved in
+   :mod:`imbalanceset.equalsum`).
 
 Completion mechanics (:func:`add_arcs`): the k = a + b new vertices
 first form a rotational regular tournament among themselves (k is odd).
@@ -34,7 +32,8 @@ the half-and-half counterbalancing pattern that exactly cancels the
 pair arc's +1/-1.  Feasibility is guaranteed: the couple load per pair
 is at most ceil(S/n) <= min(a, b) <= (k-1)/2, and each new vertex's
 pair demand x/2 (or y/2) is under n/2 because every member's magnitude
-is below n.
+is below n.  For ([0], []) there are no couples, and the one new vertex
+beats v and loses to v' in every pair: the apex of :func:`add_apex_zero`.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ import numpy as np
 from .digraph import Digraph, _validate_matrix
 from .equalsum import (
     EqualSumWitness,
+    _lex_min_witness,
     _mixed_valuations,
     _shortest_odd_zero_sum,
-    min_odd_equal_sum,
 )
 from .errors import DEFAULT_ORDER_CAP, ResourceLimitError, check_matrix_order
 from .realize import RealizationReport, max_realization
@@ -93,9 +92,10 @@ def decide_tis(
     (see :mod:`imbalanceset.equalsum`).  With ``with_certificate`` the
     equal-sum witness is rebuilt and a realizing tournament is built
     and verified once, here, before returning.  A yes whose canonical
-    expansion exceeds ``order_cap``, or whose base matrix exceeds the
-    matrix cap when a certificate is wanted, raises
-    :class:`ResourceLimitError` before any search starts.
+    expansion exceeds ``order_cap`` raises :class:`ResourceLimitError`
+    before any search starts.  When a certificate is wanted, so does a
+    base matrix over the matrix cap, and a final order n + k over it
+    raises before the witness tables and the base matrix are built.
     """
     members = frozenset(int(v) for v in values)
     refusal = _refusal(members)
@@ -110,33 +110,24 @@ def decide_tis(
     n = parts.canonical_length
     if with_certificate:
         check_matrix_order(n)
-
+    # The completing odd equal-sum pair: k terms, common sum S.
     if next(iter(members)) % 2:
-        # Odd members: both signs present is already sufficient.
-        cert = None
-        if with_certificate:
-            report = max_realization(canonical_sequence(parts))
-            assert report.is_tournament
-            cert = _verified_certificate(report.graph, members, n)
-        return TisDecision(True, order=n, certificate=cert)
-
+        k, common = 0, 0
+    elif 0 in members:
+        k, common = 1, 0  # the pair ([0], [])
+    else:
+        k, common = _shortest_odd_zero_sum(parts.non_negative[::-1], parts.negative_abs)
     if not with_certificate:
-        if 0 in members:
-            return TisDecision(True, order=n + 1)
-        k, _ = _shortest_odd_zero_sum(parts.non_negative[::-1], parts.negative_abs)
         return TisDecision(True, order=n + k)
 
-    witness = min_odd_equal_sum(parts.non_negative, parts.negative_abs)
-    assert witness is not None
-    order = n + witness.total_length
+    check_matrix_order(n + k)
+    witness = None
+    if k:
+        witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
     report = max_realization(canonical_sequence(parts))
-    assert report.is_near_tournament
-    if witness.ys == ():
-        grown = add_apex_zero(report)
-    else:
-        grown = add_arcs(report, witness)
-    cert = _verified_certificate(grown, members, order)
-    return TisDecision(True, order=order, certificate=cert, witness=witness)
+    graph = add_arcs(report, witness) if witness else report.graph
+    cert = _verified_certificate(graph, members, n + k)
+    return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
 
 def realize_imbalance_set(
@@ -211,20 +202,9 @@ def add_apex_zero(near: RealizationReport) -> Digraph:
 
     Every unjoined pair (v, v') gains the arc v -> v', the apex beats
     v and loses to v', so all original imbalances survive and the apex
-    nets zero.
+    nets zero: :func:`add_arcs` with the degenerate witness ([0], []).
     """
-    if not near.is_near_tournament:
-        raise ValueError("base graph must be a near tournament")
-    n = near.graph.n
-    check_matrix_order(n + 1)
-    adj = np.zeros((n + 1, n + 1), dtype=np.uint8)
-    adj[:n, :n] = near.graph.matrix()
-    lo = np.fromiter((p for p, _ in near.non_neighbour_pairing), dtype=np.int64)
-    hi = np.fromiter((q for _, q in near.non_neighbour_pairing), dtype=np.int64)
-    adj[lo, hi] = 1
-    adj[hi, n] = 1
-    adj[n, lo] = 1
-    return Digraph.from_matrix(adj, validate=False)
+    return add_arcs(near, EqualSumWitness((0,), (), 0))
 
 
 def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:

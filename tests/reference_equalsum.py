@@ -7,6 +7,9 @@ rebuilds the witness from exact per-count reachability tables.  The
 helpers are copied rather than imported, so a change to the program's
 witness reconstruction shows up as a difference.  Behaviour is exactly
 the replaced code's, without its resource cap.
+
+:func:`bounded_walk` is the recursive walk that ``solve_esseq`` used
+before its walk kept an explicit stack.
 """
 
 from __future__ import annotations
@@ -137,3 +140,36 @@ def min_odd_equal_sum(
     witness_xs = _lex_min_terms(xs, rows_x, common, a_options)
     witness_ys = _lex_min_terms(ys, rows_y, common, [k - len(witness_xs)])
     return EqualSumWitness(witness_xs, witness_ys, common)
+
+
+def bounded_walk(
+    values: Sequence[int], max_repeats: int, target: int, count: int
+) -> tuple[int, ...] | None:
+    """Lex-min multiset with exactly `count` terms and bounded repeats.
+
+    Values are scanned ascending and the smaller value is always tried
+    first, with as many copies as feasible, which yields the
+    lexicographically smallest nondecreasing tuple.
+    """
+
+    dead: set[tuple[int, int, int]] = set()
+
+    def go(remaining: int, left: int, idx: int, used: int) -> tuple[int, ...] | None:
+        if left == 0:
+            return () if remaining == 0 else None
+        if idx >= len(values):
+            return None
+        key = (remaining, left, idx)
+        if used == 0 and key in dead:
+            return None
+        v = values[idx]
+        if used < max_repeats and v <= remaining:
+            rest = go(remaining - v, left - 1, idx, used + 1)
+            if rest is not None:
+                return (v,) + rest
+        found = go(remaining, left, idx + 1, 0)
+        if found is None and used == 0:
+            dead.add(key)
+        return found
+
+    return go(target, count, 0, 0)

@@ -187,6 +187,15 @@ class TestEqualSum:
         code, out, _ = run(capsys, "equal-sum", "3", "2", "--k", "3", "--json")
         assert json.loads(out)["witness"]["common_sum"] == 6
 
+    def test_long_witness(self, capsys):
+        code, out, _ = run(capsys, "equal-sum", "1", "1000", "--k", "1000", "--json")
+        assert code == 0
+        assert json.loads(out)["witness"] == {
+            "xs": [1] * 1000,
+            "ys": [1000],
+            "common_sum": 1000,
+        }
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

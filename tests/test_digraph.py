@@ -110,6 +110,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="opposing"):
             Digraph.from_matrix(bad)
 
+    @pytest.mark.parametrize("entry", [256, 257, 0.5, 1.9])
+    def test_from_matrix_rejects_entries_the_cast_would_hide(self, entry):
+        # As uint8, 256 and 0.5 would read "no arc", 257 and 1.9 an arc.
+        bad = np.zeros((2, 2), dtype=np.float64 if entry % 1 else np.int64)
+        bad[0, 1] = entry
+        with pytest.raises(ValueError, match="0 or 1"):
+            Digraph.from_matrix(bad)
+
 
 class TestImbalance:
     def test_single_arc(self):

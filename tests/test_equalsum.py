@@ -75,6 +75,12 @@ class TestSolveEsseq:
         w = solve_esseq({2, 6}, {3}, 3)
         assert w == EqualSumWitness((6,), (3, 3), 6)
 
+    def test_long_witness_needs_no_deep_recursion(self):
+        # A thousand copies of one value: the walk was one recursion
+        # level per term and raised RecursionError.
+        w = solve_esseq({1}, {1000}, 1000)
+        assert w.xs == (1,) * 1000 and w.ys == (1000,) and w.common_sum == 1000
+
 
 class TestMinOddEqualSum:
     def test_one_against_two(self):

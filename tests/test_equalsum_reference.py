@@ -4,7 +4,8 @@
 over every sum up to (n - 1) * min(max X, max |Y|).  The program's
 search must return the same whole witness (xs, ys and common sum, or
 None) on every set of the grid, and its length must be the one the
-brute-force oracle finds.
+brute-force oracle finds.  The bounded walk of ``solve_esseq`` must
+return what the recursive walk it replaced returns.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from imbalanceset import (
     min_odd_equal_sum,
 )
 from imbalanceset.cli import main
+from imbalanceset.equalsum import _bounded_walk
 
 
 def _grid():
@@ -38,6 +40,20 @@ def test_witnesses_match_the_replaced_search():
         new = min_odd_equal_sum(parts.non_negative, parts.negative_abs)
         old = reference_equalsum.min_odd_equal_sum(parts.non_negative, parts.negative_abs)
         assert new == old, parts.members()
+
+
+def test_bounded_walk_matches_the_recursive_walk():
+    found = 0
+    for r in (1, 2, 3):
+        for values in itertools.combinations((1, 2, 3, 5, 7, 8), r):
+            for max_repeats, target, count in itertools.product(
+                (1, 2, 3), range(21), range(7)
+            ):
+                new = _bounded_walk(values, max_repeats, target, count)
+                old = reference_equalsum.bounded_walk(values, max_repeats, target, count)
+                assert new == old, (values, max_repeats, target, count)
+                found += new is not None
+    assert found > 1000
 
 
 def test_lengths_match_the_oracle():

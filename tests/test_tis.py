@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import imbalanceset.tis
+import reference_apex
 from conftest import triangle_cycle
 from imbalanceset import (
     REFUSAL_MIXED_PARITY,
@@ -76,9 +77,22 @@ class TestDecide:
         def no_search(*args):
             raise AssertionError("the equal-sum search must not start")
 
-        monkeypatch.setattr(imbalanceset.tis, "min_odd_equal_sum", no_search)
+        monkeypatch.setattr(imbalanceset.tis, "_shortest_odd_zero_sum", no_search)
+        monkeypatch.setattr(imbalanceset.tis, "_lex_min_witness", no_search)
         with pytest.raises(ResourceLimitError, match="matrix cells"):
             realize_imbalance_set({4, -39998})
+
+    def test_final_order_is_capped_before_the_base_matrix(self, monkeypatch):
+        # Base order 30006 fits the matrix cap; the completed order
+        # 30006 + 15003 does not, and is refused before any matrix.
+        def no_matrix(*args):
+            raise AssertionError("no base matrix may be built")
+
+        monkeypatch.setattr(imbalanceset.tis, "max_realization", no_matrix)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="order 45009 "):
+            realize_imbalance_set({4, -30002})
+        assert time.perf_counter() - t0 < 1.0
 
     def test_large_yes_needs_no_witness_tables(self):
         # The witness tables would take about 10^13 bits; the order
@@ -192,8 +206,13 @@ class TestAddArcs:
             add_arcs(report, EqualSumWitness((6,), (2, 4), 6))
 
     def test_degenerate_witness_matches_the_apex_construction(self):
-        report = max_realization([0, 0, 0, 0])
-        assert add_arcs(report, EqualSumWitness((0,), (), 0)) == add_apex_zero(report)
+        for seq in (
+            [0, 0, 0, 0],
+            canonical_sequence(ImbalanceSet.from_values({2, 0, -2})),
+            canonical_sequence(ImbalanceSet.from_values({0, 2, -3470})),  # order 6943
+        ):
+            report = max_realization(seq)
+            assert add_apex_zero(report) == reference_apex.add_apex_zero(report), len(seq)
 
 
 class TestCertificateCheck:
