@@ -13,8 +13,8 @@ import sys
 from typing import Sequence
 
 from .equalsum import solve_esseq
-from .errors import DEFAULT_ORDER_CAP, DoubledPairError, ResourceLimitError
-from .formats import FORMATS, detect_format, emit, parse
+from .errors import DoubledPairError, ResourceLimitError
+from .formats import FORMATS, detect_format, parse, write
 from .oracle import brute_min_order, brute_zero_sum_min_odd
 from .sequences import (
     CheckFailure,
@@ -22,7 +22,7 @@ from .sequences import (
     landau_failure,
     tournament_imbalance_failure,
 )
-from .tis import _order_bound, _refusal, decide_tis
+from .tis import _refusal, decide_tis, order_upper_bound
 
 EXIT_YES = 0
 EXIT_USAGE = 1
@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     decide = sub.add_parser("decide", help="decide realizability of a set")
     decide.add_argument("set_literal", help="comma-separated integers, e.g. '4,2,-2'")
     decide.add_argument("--json", action="store_true", dest="as_json")
-    decide.add_argument("--max-n", type=int, default=DEFAULT_ORDER_CAP)
     decide.add_argument(
         "--budget",
         type=int,
@@ -87,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     realize.add_argument("set_literal")
     realize.add_argument("--format", choices=FORMATS, default="dot")
     realize.add_argument("--out", default=None, help="output path (default stdout)")
-    realize.add_argument("--max-n", type=int, default=DEFAULT_ORDER_CAP)
 
     check = sub.add_parser("check", help="test a sequence condition")
     check.add_argument("seq_literal")
@@ -103,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     bound = sub.add_parser("bound", help="order bound for a realizable set")
     bound.add_argument("set_literal")
     bound.add_argument("--json", action="store_true", dest="as_json")
-    bound.add_argument("--max-n", type=int, default=DEFAULT_ORDER_CAP)
     bound.add_argument(
         "--budget",
         type=int,
@@ -122,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     members = _parse_set(args.set_literal)
-    decision = decide_tis(members, order_cap=args.max_n)
+    decision = decide_tis(members)
     extra = {}
     if args.budget is not None:
         extra["brute_zero_sum_min_odd"] = brute_zero_sum_min_odd(members, args.budget)
@@ -148,18 +145,17 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     members = _parse_set(args.set_literal)
-    decision = decide_tis(members, with_certificate=True, order_cap=args.max_n)
+    decision = decide_tis(members, with_certificate=True)
     if not decision.verdict:
         print(f"no: {decision.refusal}", file=sys.stderr)
         return EXIT_NO
     graph = decision.certificate
     assert graph is not None
-    payload = emit(graph, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            write(graph, args.format, fh)
     else:
-        sys.stdout.write(payload)
+        write(graph, args.format, sys.stdout)
     seq = ",".join(str(t) for t in graph.imbalance_sequence())
     print(f"order {graph.n}; imbalance sequence {seq}", file=sys.stderr if not args.out else sys.stdout)
     return EXIT_YES
@@ -227,7 +223,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if refusal is not None:
         print(f"no: {refusal}", file=sys.stderr)
         return EXIT_NO
-    bound = _order_bound(members, args.max_n)
+    bound = order_upper_bound(members)
     extra = {}
     if args.budget is not None:
         extra["exact_min_order"] = brute_min_order(members, min(bound, args.budget))

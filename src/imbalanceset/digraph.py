@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -52,15 +53,14 @@ class Digraph:
     __slots__ = ("_adj",)
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        try:
-            pairs = np.array(list(arcs), dtype=np.int64)
+        arcs = list(arcs)
+        if any(len(arc) != 2 for arc in arcs):
+            raise ValueError("arcs must be (source, target) pairs")
+        try:  # operator.index refuses 0.5, which an int64 cast reads as 0
+            ids = np.fromiter(map(operator.index, chain.from_iterable(arcs)), np.int64, 2 * len(arcs))
         except OverflowError:
             raise ValueError(f"arc id out of range for order {n}") from None
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("arcs must be (source, target) pairs")
-        self._adj = Digraph.from_arcs(n, pairs[:, 0], pairs[:, 1])._adj
+        self._adj = Digraph.from_arcs(n, ids[0::2], ids[1::2])._adj
 
     @classmethod
     def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Digraph":
@@ -70,14 +70,18 @@ class Digraph:
         reported is the one at the first bad arc in array order: an id
         out of range, a self-loop, or a pair joined twice
         (:class:`DoubledPairError`, for a duplicate or an opposing arc).
-        The order is checked against the matrix cap before allocation.
+        Non-integer id arrays are refused, and the order is checked
+        against the matrix cap before allocation.
         """
         n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         check_matrix_order(n)
-        src = np.asarray(src, dtype=np.int64).reshape(-1)
-        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        src, dst = np.asarray(src), np.asarray(dst)
+        if any(a.size and a.dtype.kind not in "biu" for a in (src, dst)):
+            raise ValueError("arc ids must be integers")  # not cast: 0.5 would read 0
+        src = src.astype(np.int64, copy=False).reshape(-1)
+        dst = dst.astype(np.int64, copy=False).reshape(-1)
         if src.shape != dst.shape:
             raise ValueError("source and target arrays differ in length")
         # Arcs before the first out-of-range or self-loop one are "good".

@@ -15,7 +15,7 @@ least total number of terms k subject to k being odd; ties go to the
 smallest common sum S, then the lexicographically smallest xs, then
 ys.  Such a pair is the same thing as an odd zero-sum multiset over
 Z = X u -Y, with S the sum of its positive terms.  Three facts make
-this cheap.
+this cheap, and a fourth bounds its cost.
 
 1. *Verdict (2-adic rule).*  An odd zero-sum multiset over Z exists iff
    the members of Z do not all share one 2-adic valuation.  Only if:
@@ -51,6 +51,14 @@ this cheap.
    common sum S among all minimal witnesses.  The reordering of fact 2
    maps every minimal witness to such a walk, so none is missed.
 
+4. *Work bound.*  Let W = |X| * max|Y| + |Y| * max X.  Of the window's
+   partial sums, max|Y| are <= 0 and step by the |X| members, and
+   max X are > 0 and step by the |Y| members.  A state joins a layer
+   only while unmarked, so each parity expands it at most once: at
+   most 2 * W steps, and 2 * (max X + max|Y|) <= 2 * W table bytes.
+   And W <= n = l*M + m*L, as l = |X|, m = |Y|, M >= max|Y| and
+   L >= max X, so a cap on W refuses no set with n up to the cap.
+
 The witness itself is rebuilt from (k, S) with exact per-count
 reachability tables (bitmask rows, one per term count), which fix the
 lexicographic tie-break.  They take about k * S bits; their size is
@@ -60,10 +68,11 @@ before they are built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ESSEQ_SUM_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
+from .errors import ESSEQ_SUM_CAP, SEARCH_WORK_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class EqualSumWitness:
 
 
 def _validate_side(values: Iterable[int], name: str, *, even: bool) -> tuple[int, ...]:
-    vals = tuple(sorted(set(int(v) for v in values)))
+    vals = tuple(sorted(set(map(operator.index, values))))
     if not vals:
         raise ValueError(f"{name} must be nonempty")
     if any(v < 0 for v in vals):
@@ -170,8 +179,11 @@ def _shortest_odd_zero_sum(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, i
     and the negated ys, and S the least sum of the positive terms among
     those of length k: a breadth-first search over the Steinitz window
     (facts 2 and 3 of the module docstring).  Fact 1 guarantees that
-    such a multiset exists.
+    such a multiset exists.  The work bound W of fact 4 is capped first.
     """
+    work = len(xs) * ys[-1] + len(ys) * xs[-1]
+    if work > SEARCH_WORK_CAP:
+        raise ResourceLimitError(f"odd zero-sum search of work {work} exceeds the cap")
     # A partial sum s in (-max|Y|, max X] is stored at offset s + zero.
     zero = ys[-1] - 1
     width = zero + xs[-1] + 1
@@ -222,7 +234,7 @@ def min_odd_equal_sum(
 
     A zero in x short-circuits to the one-term witness ([0], []), the
     degenerate odd-length pair.  Raises :class:`ResourceLimitError`
-    before building the witness tables when they would exceed
+    before a search or witness tables over ``SEARCH_WORK_CAP`` or
     :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP` bits.
     """
     xs = _validate_side(x_values, "x side", even=True)

@@ -6,11 +6,12 @@ are 0-based contiguous integers and survive every round trip; vertices
 that touch no arc are written explicitly so the order is never lost.
 
 A certificate has Theta(n^2) arcs, so neither direction makes a Python
-object per arc.  Emission writes one string per adjacency row, joining
-the row's targets from a table of id strings.  Parsing checks the whole
-body with one ``re.sub`` that deletes runs of good lines, anchored at
-line starts (whatever it leaves over are the bad lines), and then
-converts every id in one ``np.fromstring`` call.
+object per arc.  Emission yields one string per adjacency row, joining
+the row's targets from a table of id strings; :func:`write` writes them
+one by one, :func:`emit` joins them.  Parsing checks the whole body
+with one ``re.sub`` that deletes runs of good lines, anchored at line
+starts (whatever it leaves over are the bad lines), and then converts
+every id in one ``np.fromstring`` call.  JSON floats are refused.
 Lines break wherever ``str.splitlines`` breaks them, surrounding
 whitespace is ignored, blank lines are skipped, and ids are ASCII
 decimal digits (``-`` allowed in edge lists, so a negative id is
@@ -23,6 +24,7 @@ import gc
 import json
 import re
 from itertools import chain
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -60,13 +62,12 @@ _EDGE_LINES = _line_blocks(rf"{_S}*(?:-?[0-9]+{_S}+-?[0-9]+)?{_S}*")
 
 
 def emit(graph: Digraph, kind: str) -> str:
-    if kind == "dot":
-        return emit_dot(graph)
-    if kind == "edgelist":
-        return emit_edgelist(graph)
-    if kind == "json":
-        return emit_json(graph)
-    raise ValueError(f"unknown format {kind!r}")
+    return "".join(_pieces(graph, kind))
+
+
+def write(graph: Digraph, kind: str, fh: TextIO) -> None:
+    """Write what :func:`emit` returns to ``fh``, one row at a time."""
+    fh.writelines(_pieces(graph, kind))
 
 
 def parse(text: str, kind: str) -> Digraph:
@@ -100,7 +101,31 @@ def detect_format(text: str, filename: str | None = None) -> str:
 # -- shared row and token passes ---------------------------------------
 
 
-def _rows(graph: Digraph, head: str, sep: str, tail: str) -> list[str]:
+def _pieces(graph: Digraph, kind: str) -> Iterator[str]:
+    """The document in pieces: its head, one piece per row, its tail."""
+    between = ""
+    if kind == "dot":
+        degrees = graph.out_degrees() + graph.in_degrees()
+        head = "digraph {\n" + "".join(f"  {v};\n" for v in np.flatnonzero(degrees == 0))
+        rows, tail = ("  {u} -> ", ";\n  {u} -> ", ";\n"), "}\n"
+    elif kind == "edgelist":
+        head, rows, tail = f"# tournament n={graph.n}\n", ("{u} ", "\n{u} ", "\n"), ""
+    elif kind == "json":
+        head, rows, between = f'{{"n": {graph.n}, "arcs": [', ("[{u}, ", "], [{u}, ", "]"), ", "
+        tail = (
+            f'], "imbalance_sequence": {json.dumps(list(graph.imbalance_sequence()))}, '
+            f'"imbalance_set": {json.dumps(sorted(graph.imbalance_set(), reverse=True))}}}\n'
+        )
+    else:
+        raise ValueError(f"unknown format {kind!r}")
+    yield head
+    rows = _rows(graph, *rows)
+    yield next(rows, "")
+    yield from (between + row for row in rows)
+    yield tail
+
+
+def _rows(graph: Digraph, head: str, sep: str, tail: str) -> Iterator[str]:
     """One string per vertex with out-arcs: ``head + t1 + sep + t2 ... + tail``.
 
     ``head`` and ``sep`` may hold ``{u}`` for the row's source id; the
@@ -108,12 +133,10 @@ def _rows(graph: Digraph, head: str, sep: str, tail: str) -> list[str]:
     """
     adj = graph.matrix()
     ids = np.array([str(v) for v in range(graph.n)], dtype=object)
-    out = []
     for u in np.flatnonzero(adj.any(axis=1)):
         name = ids[u]
         targets = ids[np.flatnonzero(adj[u])].tolist()
-        out.append(head.format(u=name) + sep.format(u=name).join(targets) + tail)
-    return out
+        yield head.format(u=name) + sep.format(u=name).join(targets) + tail
 
 
 def _lines(text: str) -> str:
@@ -147,13 +170,6 @@ def _ids(body: str) -> np.ndarray:
 # -- dot ---------------------------------------------------------------
 
 
-def emit_dot(graph: Digraph) -> str:
-    degrees = graph.out_degrees() + graph.in_degrees()
-    nodes = [f"  {int(v)};\n" for v in np.flatnonzero(degrees == 0)]
-    rows = _rows(graph, "  {u} -> ", ";\n  {u} -> ", ";\n")
-    return "".join(["digraph {\n", *nodes, *rows, "}\n"])
-
-
 def parse_dot(text: str) -> Digraph:
     frame = _DOT_FRAME.fullmatch(_lines(text))
     if frame is None:
@@ -173,10 +189,6 @@ def parse_dot(text: str) -> Digraph:
 # -- edge list ---------------------------------------------------------
 
 
-def emit_edgelist(graph: Digraph) -> str:
-    return "".join([f"# tournament n={graph.n}\n", *_rows(graph, "{u} ", "\n{u} ", "\n")])
-
-
 def parse_edgelist(text: str) -> Digraph:
     text = _lines(text)
     header = _EDGE_HEAD.match(text)
@@ -193,15 +205,6 @@ def parse_edgelist(text: str) -> Digraph:
 # -- json --------------------------------------------------------------
 
 
-def emit_json(graph: Digraph) -> str:
-    arcs = ", ".join(_rows(graph, "[{u}, ", "], [{u}, ", "]"))
-    return (
-        f'{{"n": {graph.n}, "arcs": [{arcs}], '
-        f'"imbalance_sequence": {json.dumps(list(graph.imbalance_sequence()))}, '
-        f'"imbalance_set": {json.dumps(sorted(graph.imbalance_set(), reverse=True))}}}\n'
-    )
-
-
 def parse_json(text: str) -> Digraph:
     # json.loads makes a list per arc and no cycles, so pausing the cyclic
     # collector (which would rescan the growing heap) loses nothing.  The
@@ -210,7 +213,7 @@ def parse_json(text: str) -> Digraph:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)
     finally:
         if collecting:
             gc.enable()
@@ -228,3 +231,8 @@ def parse_json(text: str) -> Digraph:
     except OverflowError:
         raise ValueError(f"json arc id out of range for order {doc['n']}") from None
     return Digraph.from_arcs(int(doc["n"]), ids[0::2], ids[1::2])
+
+
+def _not_an_id(token: str) -> NoReturn:
+    """Reject a JSON float or constant, which int() would silently truncate."""
+    raise ValueError(f"json numbers must be integers, not {token}")

@@ -26,6 +26,7 @@ the canonical expansion length) used throughout the package.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -157,8 +158,8 @@ class ImbalanceSet:
     __slots__ = ("non_negative", "negative_abs")
 
     def __init__(self, non_negative: Iterable[int], negative_abs: Iterable[int]):
-        pos = tuple(sorted(set(int(x) for x in non_negative), reverse=True))
-        neg = tuple(sorted(set(int(y) for y in negative_abs)))
+        pos = tuple(sorted(set(map(operator.index, non_negative)), reverse=True))
+        neg = tuple(sorted(set(map(operator.index, negative_abs))))
         if any(x < 0 for x in pos):
             raise ValueError("non-negative part contains a negative value")
         if any(y <= 0 for y in neg):
@@ -168,7 +169,7 @@ class ImbalanceSet:
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "ImbalanceSet":
-        members = set(int(v) for v in values)
+        members = set(map(operator.index, values))
         if not members:
             raise ValueError("imbalance set must be nonempty")
         return cls(

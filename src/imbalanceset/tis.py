@@ -15,8 +15,8 @@ The decision pipeline, in order:
    members expand to a near tournament (n is even), which completes
    exactly when such a pair exists: when 0 is a member, by the pair
    ([0], []) with k = 1, or when the members do not all share one
-   2-adic valuation, with k the least odd zero-sum length (proved in
-   :mod:`imbalanceset.equalsum`).
+   2-adic valuation, with k the least odd zero-sum length (found by a
+   search capped on its work, at most n; proofs in :mod:`imbalanceset.equalsum`).
 
 Completion mechanics (:func:`add_arcs`): the k = a + b new vertices
 first form a rotational regular tournament among themselves (k is odd).
@@ -38,6 +38,7 @@ beats v and loses to v' in every pair: the apex of :func:`add_apex_zero`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,7 +51,7 @@ from .equalsum import (
     _mixed_valuations,
     _shortest_odd_zero_sum,
 )
-from .errors import DEFAULT_ORDER_CAP, ResourceLimitError, check_matrix_order
+from .errors import check_matrix_order
 from .realize import RealizationReport, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
 
@@ -76,28 +77,23 @@ class TisDecision:
     witness: EqualSumWitness | None = None
 
 
-def decide_tis(
-    values: Iterable[int],
-    *,
-    with_certificate: bool = False,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> TisDecision:
+def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisDecision:
     """Decide whether a finite integer set is a tournament imbalance set.
 
     Refusals name the first failing condition: "one-sided" (missing a
-    positive or negative member), "mixed-parity", or
-    "no-odd-equal-sum" (even members admit no odd-total equal-sum
-    pair).  The verdict takes O(|Z|) and never searches.  On a yes the
-    order comes from a breadth-first search over the Steinitz window
-    (see :mod:`imbalanceset.equalsum`).  With ``with_certificate`` the
-    equal-sum witness is rebuilt and a realizing tournament is built
-    and verified once, here, before returning.  A yes whose canonical
-    expansion exceeds ``order_cap`` raises :class:`ResourceLimitError`
-    before any search starts.  When a certificate is wanted, so does a
-    base matrix over the matrix cap, and a final order n + k over it
-    raises before the witness tables and the base matrix are built.
+    positive or negative member), "mixed-parity", or "no-odd-equal-sum"
+    (even members admit no odd-total equal-sum pair).  The verdict takes
+    O(|Z|) and never searches; only an even yes without 0 takes its
+    order from a breadth-first search over the Steinitz window (see
+    :mod:`imbalanceset.equalsum`).  With ``with_certificate`` the
+    equal-sum witness is rebuilt and a realizing tournament is built and
+    verified once, here, before returning.  Members must be integers:
+    1.5 raises TypeError.  Caps bound work, not answers: only the search
+    for k (on its work, at most n by fact 4 there) and, for a
+    certificate, the orders n and n + k and the witness tables raise
+    :class:`ResourceLimitError`, each before the work it bounds.
     """
-    members = frozenset(int(v) for v in values)
+    members = frozenset(map(operator.index, values))
     refusal = _refusal(members)
     if refusal is not None:
         return TisDecision(False, refusal=refusal)
@@ -106,7 +102,7 @@ def decide_tis(
         cert = _verified_certificate(Digraph(1), members, 1) if with_certificate else None
         return TisDecision(True, order=1, certificate=cert)
 
-    parts = _checked_parts(members, order_cap)
+    parts = ImbalanceSet.from_values(members)
     n = parts.canonical_length
     if with_certificate:
         check_matrix_order(n)
@@ -130,11 +126,9 @@ def decide_tis(
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
 
-def realize_imbalance_set(
-    values: Iterable[int], *, order_cap: int = DEFAULT_ORDER_CAP
-) -> Digraph:
+def realize_imbalance_set(values: Iterable[int]) -> Digraph:
     """Build a tournament whose imbalance set is exactly the input."""
-    decision = decide_tis(values, with_certificate=True, order_cap=order_cap)
+    decision = decide_tis(values, with_certificate=True)
     if not decision.verdict:
         raise ValueError(f"not a tournament imbalance set ({decision.refusal})")
     assert decision.certificate is not None
@@ -148,11 +142,18 @@ def order_upper_bound(values: Iterable[int]) -> int:
     n + 1.  Even without zero: 2n - 1 (the completion adds fewer than
     n vertices).  The lone set {0}: 1.  Needs only the O(|Z|) verdict.
     """
-    members = frozenset(int(v) for v in values)
+    members = frozenset(map(operator.index, values))
     refusal = _refusal(members)
     if refusal is not None:
         raise ValueError(f"not a tournament imbalance set ({refusal})")
-    return _order_bound(members)
+    if members == {0}:
+        return 1
+    n = ImbalanceSet.from_values(members).canonical_length
+    if next(iter(members)) % 2:
+        return n
+    if 0 in members:
+        return n + 1
+    return 2 * n - 1
 
 
 def _refusal(members: frozenset[int]) -> str | None:
@@ -172,29 +173,6 @@ def _refusal(members: frozenset[int]) -> str | None:
     if next(iter(members)) % 2 == 0 and 0 not in members and not _mixed_valuations(members):
         return REFUSAL_NO_ODD_EQUAL_SUM
     return None
-
-
-def _checked_parts(members: frozenset[int], order_cap: int) -> ImbalanceSet:
-    """The two sides of a yes set, refused when its expansion exceeds order_cap."""
-    parts = ImbalanceSet.from_values(members)
-    n = parts.canonical_length
-    if n > order_cap:
-        raise ResourceLimitError(
-            f"canonical expansion of order {n} exceeds the cap {order_cap}"
-        )
-    return parts
-
-
-def _order_bound(members: frozenset[int], order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    """The bound of :func:`order_upper_bound` for a set already decided yes."""
-    if members == {0}:
-        return 1
-    n = _checked_parts(members, order_cap).canonical_length
-    if next(iter(members)) % 2:
-        return n
-    if 0 in members:
-        return n + 1
-    return 2 * n - 1
 
 
 def add_apex_zero(near: RealizationReport) -> Digraph:

@@ -30,7 +30,7 @@ from imbalanceset import (
     realize_imbalance_set,
 )
 from imbalanceset.cli import main as cli_main
-from imbalanceset.formats import emit_dot
+from imbalanceset.formats import emit
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,7 +83,7 @@ def test_01_three_member_even_set_realizes_at_order_13(tmp_path):
         assert graph.imbalance_sequence() == (
             4, 4, 4, 2, 2, -2, -2, -2, -2, -2, -2, -2, -2,
         )
-        assert emit_dot(graph) == out_path.read_text()
+        assert emit(graph, "dot") == out_path.read_text()
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
 

@@ -1,8 +1,9 @@
 import json
+import time
 
-from imbalanceset import Digraph
+from imbalanceset import Digraph, order_upper_bound
 from imbalanceset.cli import main
-from imbalanceset.formats import emit_dot, parse, parse_dot
+from imbalanceset.formats import emit, parse, parse_dot
 
 
 def run(capsys, *argv):
@@ -51,8 +52,22 @@ class TestDecide:
         assert code == 1 and "duplicates" in err
 
     def test_resource_cap(self, capsys):
-        code, _, err = run(capsys, "decide", "1000000,-2", "--max-n", "1000")
-        assert code == 3 and "resource cap" in err
+        # Both need the odd zero-sum search, whose work exceeds its cap.
+        for literal in ("1000000,-2", "4,-1999998"):
+            code, _, err = run(capsys, "decide", literal)
+            assert code == 3 and "resource cap" in err and "search" in err
+
+    def test_answers_that_need_no_search_are_not_capped(self, capsys):
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "decide", "1,-1000001")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and "order 1000002" in out
+        code, out, _ = run(capsys, "decide", "0,2,-1000000")
+        assert code == 0 and "order 2000003" in out
+
+    def test_a_no_is_never_capped(self, capsys):
+        code, out, _ = run(capsys, "decide", "2,-2000002")
+        assert code == 2 and "no-odd-equal-sum" in out
 
 
 class TestRealize:
@@ -116,13 +131,13 @@ class TestVerify:
 
     def test_cyclic_triangle_is_zero_set(self, tmp_path, capsys):
         path = tmp_path / "c3.dot"
-        path.write_text(emit_dot(Digraph(3, [(0, 1), (1, 2), (2, 0)])))
+        path.write_text(emit(Digraph(3, [(0, 1), (1, 2), (2, 0)]), "dot"))
         code, out, _ = run(capsys, "verify", str(path), "0")
         assert code == 0
 
     def test_missing_pair_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "c4.dot"
-        path.write_text(emit_dot(Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))
+        path.write_text(emit(Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), "dot"))
         code, out, _ = run(capsys, "verify", str(path), "0")
         assert code == 2 and "missing pair" in out
 
@@ -140,7 +155,7 @@ class TestVerify:
 
     def test_imbalance_mismatch_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "c3.dot"
-        path.write_text(emit_dot(Digraph(3, [(0, 1), (1, 2), (2, 0)])))
+        path.write_text(emit(Digraph(3, [(0, 1), (1, 2), (2, 0)]), "dot"))
         code, out, _ = run(capsys, "verify", str(path), "1,-1")
         assert code == 2 and "mismatch" in out
 
@@ -159,9 +174,10 @@ class TestBound:
         code, _, err = run(capsys, "bound", "2,-2")
         assert code == 2
 
-    def test_max_n_applies_to_the_decision(self, capsys):
-        code, out, _ = run(capsys, "bound", "1,-1000001", "--max-n", "2000000")
+    def test_large_odd_set_is_not_capped(self, capsys):
+        code, out, _ = run(capsys, "bound", "1,-1000001")
         assert code == 0 and out.strip() == "1000002"
+        assert order_upper_bound({1, -1000001}) == 1000002
 
     def test_budget_searches_exact_minimum(self, capsys):
         code, out, _ = run(capsys, "bound", "4,2,-2", "--json", "--budget", "13")

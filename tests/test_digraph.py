@@ -77,6 +77,16 @@ class TestConstruction:
         assert g == triangle_cycle()
         assert Digraph.from_arcs(2, [], []) == Digraph(2)
 
+    def test_ids_must_be_integers(self):
+        with pytest.raises(TypeError):
+            Digraph(3, [(0.5, 1)])
+        with pytest.raises(ValueError, match="must be integers"):
+            Digraph.from_arcs(3, np.array([0.5]), np.array([1]))
+        with pytest.raises(ValueError, match="must be integers"):
+            Digraph.from_arcs(3, np.array([0]), np.array([1.0]))
+        assert Digraph(3, [(np.int32(0), 1)]) == Digraph(3, [(0, 1)])
+        assert Digraph.from_arcs(2, np.array([True]), np.array([False])) == Digraph(2, [(1, 0)])
+
     def test_from_arcs_rejects_uneven_arrays(self):
         with pytest.raises(ValueError, match="differ in length"):
             Digraph.from_arcs(3, np.array([0, 1]), np.array([1]))

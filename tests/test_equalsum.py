@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from imbalanceset import (
@@ -205,3 +206,22 @@ class TestWitnessTableCap:
         with pytest.raises(ResourceLimitError, match="table bits"):
             min_odd_equal_sum({20000}, {60004})
         assert time.perf_counter() - t0 < 1.0
+
+
+class TestSearchWorkCap:
+    def test_oversized_search_is_refused_before_it_starts(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="search of work 10000002 "):
+            min_odd_equal_sum([4], [10**7 - 2])
+        assert time.perf_counter() - t0 < 0.1
+
+
+class TestIntegerInputs:
+    def test_sides_must_be_integers(self):
+        with pytest.raises(TypeError):
+            solve_esseq([1.5], [1], 1)
+        with pytest.raises(TypeError):
+            min_odd_equal_sum([4.0], [2])
+
+    def test_numpy_integers_are_integers(self):
+        assert solve_esseq(np.array([3]), [np.int32(2)], 3) == solve_esseq([3], [2], 3)

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,11 @@ from imbalanceset import Digraph, realize_imbalance_set
 from imbalanceset.formats import (
     detect_format,
     emit,
-    emit_dot,
-    emit_edgelist,
-    emit_json,
     parse,
     parse_dot,
     parse_edgelist,
     parse_json,
+    write,
 )
 
 
@@ -33,11 +33,11 @@ def digraphs(draw, max_n: int = 7):
 
 class TestDot:
     def test_emit_shape(self):
-        text = emit_dot(Digraph(2, [(0, 1)]))
+        text = emit(Digraph(2, [(0, 1)]), "dot")
         assert text == "digraph {\n  0 -> 1;\n}\n"
 
     def test_isolated_vertices_are_kept(self):
-        text = emit_dot(Digraph(1))
+        text = emit(Digraph(1), "dot")
         assert text == "digraph {\n  0;\n}\n"
         assert parse_dot(text).n == 1
 
@@ -50,7 +50,7 @@ class TestDot:
 
 class TestEdgelist:
     def test_emit_shape(self):
-        text = emit_edgelist(triangle_cycle())
+        text = emit(triangle_cycle(), "edgelist")
         assert text == "# tournament n=3\n0 1\n1 2\n2 0\n"
 
     def test_header_is_required(self):
@@ -60,7 +60,7 @@ class TestEdgelist:
 
 class TestJson:
     def test_document_fields(self):
-        text = emit_json(square_cycle())
+        text = emit(square_cycle(), "json")
         assert (
             text
             == '{"n": 4, "arcs": [[0, 1], [1, 2], [2, 3], [3, 0]], '
@@ -86,6 +86,22 @@ class TestRoundTrips:
         g = realize_imbalance_set({4, 2, -2})
         for kind in ("dot", "edgelist", "json"):
             assert parse(emit(g, kind), kind) == g
+
+
+class TestWrite:
+    @given(digraphs())
+    @settings(max_examples=50)
+    def test_write_gives_the_emitted_text(self, g: Digraph):
+        for kind in ("dot", "edgelist", "json"):
+            fh = io.StringIO()
+            write(g, kind, fh)
+            assert fh.getvalue() == emit(g, kind)
+
+    def test_unknown_format_writes_nothing(self):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="unknown format"):
+            write(Digraph(1), "gml", fh)
+        assert fh.getvalue() == ""
 
 
 class TestDetect:

@@ -138,7 +138,7 @@ def json_documents(draw) -> str:
     pair = st.tuples(ident, ident).map(list)
     odd = st.one_of(
         st.lists(ident, max_size=3),
-        st.tuples(ident, st.sampled_from(("1", "x", 1.0, True))).map(list),
+        st.tuples(ident, st.sampled_from(("1", "x", True))).map(list),
     )
     entry = _pick((12, pair), (1, odd))
     arcs = draw(st.lists(entry, max_size=10))
@@ -285,4 +285,26 @@ class TestDeliberateDifferences:
         with pytest.raises(TypeError):
             ref.parse_json(text)
         with pytest.raises(ValueError, match=r"\[source, target\] pairs"):
+            parse_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "arcs": [[1.9, 0]]}',
+            '{"n": 3, "arcs": [[1.0, 0]]}',
+            '{"n": 3, "arcs": [[1, 2e0]]}',
+            '{"n": 2.7, "arcs": []}',
+        ],
+    )
+    def test_json_numbers_must_be_integers(self, text):
+        assert ref.parse_json(text).n in (2, 3)
+        with pytest.raises(ValueError, match="json numbers must be integers"):
+            parse_json(text)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_json_constants_are_not_integers(self, constant):
+        text = f'{{"n": {constant}, "arcs": []}}'
+        with pytest.raises((ValueError, OverflowError)):
+            ref.parse_json(text)
+        with pytest.raises(ValueError, match=f"integers, not {constant}"):
             parse_json(text)

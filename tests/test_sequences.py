@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,6 +152,14 @@ class TestImbalanceSetParts:
     def test_empty_is_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             ImbalanceSet.from_values([])
+
+    def test_members_must_be_integers(self):
+        with pytest.raises(TypeError):
+            ImbalanceSet.from_values([1.5, -1])
+        with pytest.raises(TypeError):
+            ImbalanceSet([2.0], [1])
+        parts = ImbalanceSet.from_values(np.array([4, 2, -2]))
+        assert parts.non_negative == (4, 2) and parts.canonical_length == 10
 
 
 class TestCanonicalSequence:

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import imbalanceset.tis
 import reference_apex
@@ -23,6 +25,7 @@ from imbalanceset import (
     order_upper_bound,
     realize_imbalance_set,
 )
+from imbalanceset.errors import SEARCH_WORK_CAP
 
 
 class TestDecide:
@@ -66,12 +69,55 @@ class TestDecide:
             decide_tis(set())
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            decide_tis({10**6, -2}, order_cap=10**5)
+        # The search's work 1 * 2 + 1 * 10**6 exceeds SEARCH_WORK_CAP.
+        with pytest.raises(ResourceLimitError, match="search"):
+            decide_tis({10**6, -2})
 
-    def test_refusal_does_not_depend_on_the_order_cap(self):
-        d = decide_tis({2, -2000002}, order_cap=10**5)
+    def test_refusal_needs_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a no must not search")
+
+        monkeypatch.setattr(imbalanceset.tis, "_shortest_odd_zero_sum", no_search)
+        d = decide_tis({2, -2000002})
         assert d.refusal == REFUSAL_NO_ODD_EQUAL_SUM
+
+    def test_orders_that_need_no_search_are_not_capped(self):
+        assert decide_tis({1, -1000001}).order == 1000002
+        assert decide_tis({0, 2, -1000000}).order == 2000003
+        assert decide_tis({1, -(10**30 + 1)}).order == 10**30 + 2
+        assert order_upper_bound({1, -1000001}) == 1000002
+
+    def test_search_at_the_cap_runs(self):
+        # Work |X| * max|Y| + |Y| * max X = n = 999998, just under the cap.
+        assert decide_tis({500000, -499998}).order == 999998 + 499999
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 30).map(lambda v: 2 * v), min_size=2, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_search_cap_spares_every_set_of_order_up_to_the_cap(self, magnitudes, data):
+        # Fact 4 of the equalsum docstring: the search's work is at most
+        # n.  A mixed-valuation set scaled by f keeps k and multiplies n
+        # by f, so scaling to just under the cap must still decide it.
+        cut = data.draw(st.integers(1, len(magnitudes) - 1))
+        small = frozenset(magnitudes[:cut]) | frozenset(-v for v in magnitudes[cut:])
+        assume(decide_tis(small).verdict)
+        n_small = ImbalanceSet.from_values(small).canonical_length
+        scale = SEARCH_WORK_CAP // n_small
+        members = frozenset(scale * v for v in small)
+        n = ImbalanceSet.from_values(members).canonical_length
+        assert SEARCH_WORK_CAP - n_small < n <= SEARCH_WORK_CAP
+        k = decide_tis(members).order - n
+        assert k == decide_tis(small).order - n_small
+
+    def test_members_must_be_integers(self):
+        with pytest.raises(TypeError):
+            decide_tis({1.5, -1.2}, with_certificate=True)
+        with pytest.raises(TypeError):
+            order_upper_bound({1.5, -1.5})
+        assert decide_tis(np.array([4, 2, -2])).order == 13
+        assert order_upper_bound(np.array([4, 2, -2])) == 19
 
     def test_matrix_cap_is_checked_before_the_search(self, monkeypatch):
         def no_search(*args):
