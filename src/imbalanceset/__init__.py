@@ -13,7 +13,6 @@ from .digraph import Digraph, VertexImbalance
 from .equalsum import EqualSumWitness, min_odd_equal_sum, solve_esseq
 from .errors import DoubledPairError, ResourceLimitError
 from .oracle import (
-    EnumerationBudget,
     brute_min_order,
     brute_zero_sum_min_odd,
     enumerate_tournaments,
@@ -56,7 +55,6 @@ __all__ = [
     "CheckFailure",
     "Digraph",
     "DoubledPairError",
-    "EnumerationBudget",
     "EqualSumWitness",
     "ImbalanceSet",
     "RealizationError",

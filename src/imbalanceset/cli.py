@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="also run the brute-force zero-sum oracle up to this length",
+        metavar="LENGTH",
+        help="also search odd zero sums of up to LENGTH terms by brute force",
     )
 
     realize = sub.add_parser("realize", help="build a realizing tournament")
@@ -105,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="also search the exact minimal order up to this bound",
+        metavar="ORDER",
+        help="also search orders up to ORDER (and the bound) by brute force",
     )
 
     equal = sub.add_parser("equal-sum", help="equal-sum sequences from two sets")
@@ -132,13 +134,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             **extra,
         }
         print(json.dumps(doc))
-    elif decision.verdict:
-        print(f"yes: realizable by a tournament of order {decision.order}")
-        if "brute_zero_sum_min_odd" in extra:
-            print(f"brute-force minimal odd zero-sum length: {extra['brute_zero_sum_min_odd']}")
     else:
-        print(f"no: {decision.refusal}")
-        if "brute_zero_sum_min_odd" in extra:
+        yes = f"yes: realizable by a tournament of order {decision.order}"
+        print(yes if decision.verdict else f"no: {decision.refusal}")
+        if extra:
             print(f"brute-force minimal odd zero-sum length: {extra['brute_zero_sum_min_odd']}")
     return EXIT_YES if decision.verdict else EXIT_NO
 

@@ -80,8 +80,8 @@ class Digraph:
         src, dst = np.asarray(src), np.asarray(dst)
         if any(a.size and a.dtype.kind not in "biu" for a in (src, dst)):
             raise ValueError("arc ids must be integers")  # not cast: 0.5 would read 0
-        src = src.astype(np.int64, copy=False).reshape(-1)
-        dst = dst.astype(np.int64, copy=False).reshape(-1)
+        raw = src.reshape(-1), dst.reshape(-1)  # for messages: uint64 ids wrap in the cast
+        src, dst = (a.astype(np.int64, copy=False) for a in raw)
         if src.shape != dst.shape:
             raise ValueError("source and target arrays differ in length")
         # Arcs before the first out-of-range or self-loop one are "good".
@@ -96,7 +96,7 @@ class Digraph:
         if np.count_nonzero(flat) < good or flat[d * n + s].any():
             raise _first_doubled_pair(n, s, d)
         if good < src.size:
-            u, v = int(src[good]), int(dst[good])
+            u, v = int(raw[0][good]), int(raw[1][good])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for order {n}")
             raise ValueError(f"self-loop at vertex {u}")

@@ -8,52 +8,61 @@ affordable at tiny orders (2^(n(n-1)/2) labeled tournaments), so
 :func:`brute_min_order` works at the sequence level through the
 tournament feasibility check, whose own validity the enumeration tier
 establishes for orders up to 5.
+
+No search is cut short.  Before each layer of an enumeration, the count
+of cases up to and including it is checked against
+:data:`~imbalanceset.errors.ORACLE_WORK_CAP`: 2^(n(n-1)/2) tournaments
+of order n, C(m + k, k) multisets of at most k terms over m members,
+C(n, n - m) for orders up to n.  A count over it raises
+:class:`ResourceLimitError`, so a call that answers early is never
+refused and None means that no answer exists within the given limit.
+
+*Length bound.*  An odd zero-sum multiset over Z, if any, has at most
+max Z - min Z terms (one if 0 is in Z).  Let 0 not be in Z.  A zero sum
+then needs both signs.  Were each positive x of the 2-adic valuation v
+of each negative -y, dividing by 2^v would leave a zero sum of odd
+numbers, whose length is even.  So some x and -y differ in valuation,
+and with g = gcd(x, y) exactly one of the coprime x/g and y/g is even:
+y/g copies of x and x/g copies of -y are an odd zero sum of
+(x + y)/g <= max Z - min Z terms.  This is fact 1 of
+:mod:`imbalanceset.equalsum` for all integers, proved afresh so that
+the oracle shares no code with the fast path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator
 
 from .digraph import Digraph
+from .errors import ORACLE_WORK_CAP, ResourceLimitError
 from .sequences import check_tournament_imbalance
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Hard limits keeping exhaustive searches affordable.
-
-    max_order 7 keeps labeled-tournament enumeration at 2^21 graphs.
-    """
-
-    max_order: int = 7
-    max_sequence_length: int = 64
-    max_abs_value: int = 64
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_order <= 7:
-            raise ValueError("max_order must be between 1 and 7")
-        if self.max_sequence_length < 1 or self.max_abs_value < 1:
-            raise ValueError("budget limits must be positive")
+def _check_work(cases: int, what: str) -> None:
+    if cases > ORACLE_WORK_CAP:
+        raise ResourceLimitError(f"brute force over {what}: {cases} cases, cap {ORACLE_WORK_CAP}")
 
 
-DEFAULT_BUDGET = EnumerationBudget()
-
-
-def enumerate_tournaments(
-    n: int, budget: EnumerationBudget = DEFAULT_BUDGET
-) -> Iterator[Digraph]:
+def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     """Yield every labeled tournament of order n exactly once.
 
     Orientations are encoded as bits over the C(n, 2) vertex pairs in
     lexicographic order, lowest pair in the lowest bit; streams are
     reproducible.
     """
-    if not 1 <= n <= budget.max_order:
-        raise ValueError(f"order {n} outside the enumeration budget")
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("order must be positive")
+    # 2^e exceeds the cap exactly when e reaches the cap's bit length;
+    # comparing exponents avoids building a huge integer.
+    e = n * (n - 1) // 2
+    if e >= ORACLE_WORK_CAP.bit_length():
+        raise ResourceLimitError(f"order {n} has 2^{e} tournaments, cap {ORACLE_WORK_CAP}")
     pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
+    for code in range(1 << e):
         arcs = [
             (u, v) if not code >> k & 1 else (v, u)
             for k, (u, v) in enumerate(pairs)
@@ -61,49 +70,40 @@ def enumerate_tournaments(
         yield Digraph(n, arcs)
 
 
-def brute_zero_sum_min_odd(
-    values: Iterable[int],
-    len_max: int,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> int | None:
+def brute_zero_sum_min_odd(values: Iterable[int], len_max: int) -> int | None:
     """Smallest odd k <= len_max with a k-term zero-sum multiset.
 
     Terms are drawn from the value set with repetition; plain
-    enumeration over multisets, independent of the dynamic-programming
-    search it cross-checks.
+    enumeration over multisets, independent of the search it
+    cross-checks.  Lengths past the bound proved above are not searched.
     """
-    members = sorted(set(int(v) for v in values))
+    members = sorted(set(map(operator.index, values)))
     if not members:
         raise ValueError("the value set must be nonempty")
+    len_max = operator.index(len_max)
     if len_max < 1:
         raise ValueError("len_max must be positive")
-    if max(abs(v) for v in members) > budget.max_abs_value:
-        raise ValueError("values outside the enumeration budget")
-    for k in range(1, min(len_max, budget.max_sequence_length) + 1, 2):
+    len_max = min(len_max, 1 if 0 in members else members[-1] - members[0])
+    for k in range(1, len_max + 1, 2):
+        _check_work(comb(len(members) + k, k), f"zero sums of up to {k} terms")
         for combo in combinations_with_replacement(members, k):
             if sum(combo) == 0:
                 return k
     return None
 
 
-def brute_min_order(
-    values: Iterable[int],
-    n_max: int,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> int | None:
+def brute_min_order(values: Iterable[int], n_max: int) -> int | None:
     """Exact minimal tournament order realizing the set, or None.
 
     Searches every multiset of each size that uses all members at least
     once, at the sequence level: a multiset works iff its nonincreasing
     arrangement passes the tournament imbalance check.
     """
-    members = sorted(set(int(v) for v in values), reverse=True)
+    members = sorted(set(map(operator.index, values)), reverse=True)
     if not members:
         raise ValueError("the value set must be nonempty")
-    if max(abs(v) for v in members) > budget.max_abs_value:
-        raise ValueError("values outside the enumeration budget")
-    n_max = min(n_max, budget.max_sequence_length)
-    for n in range(len(members), n_max + 1):
+    for n in range(len(members), operator.index(n_max) + 1):
+        _check_work(comb(n, n - len(members)), f"orders up to {n}")
         for extra in combinations_with_replacement(members, n - len(members)):
             seq = tuple(sorted(members + list(extra), reverse=True))
             if check_tournament_imbalance(seq):

@@ -43,6 +43,21 @@ class TestDecide:
         assert code == 2
         assert json.loads(out)["brute_zero_sum_min_odd"] is None
 
+    def test_budget_is_a_length_not_a_magnitude_limit(self, capsys):
+        code, out, _ = run(capsys, "decide", "66,-2", "--budget", "3")
+        assert code == 2
+        assert out.splitlines() == [
+            "no: no-odd-equal-sum",
+            "brute-force minimal odd zero-sum length: None",
+        ]
+
+    def test_budget_over_the_oracle_cap_exits_3_at_once(self, capsys):
+        members = "18,14,10,6,2,-2,-6,-10,-14,-18"
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "decide", members, "--budget", "63")
+        assert code == 3 and "resource cap exceeded" in err
+        assert time.perf_counter() - t0 < 2.0
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "decide", "4,,2")
         assert code == 1 and "cannot parse" in err
@@ -183,6 +198,11 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "4,2,-2", "--json", "--budget", "13")
         assert code == 0
         assert json.loads(out)["exact_min_order"] == 5
+
+    def test_budget_searches_past_length_64(self, capsys):
+        code, out, _ = run(capsys, "bound", "64,-2", "--budget", "200")
+        assert code == 0
+        assert out.splitlines()[1] == "exact minimal order (searched): 99"
 
 
 class TestEqualSum:

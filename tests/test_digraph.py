@@ -72,6 +72,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Digraph(3, [(0, 10**20)])
 
+    def test_uint64_ids_are_reported_uncast(self):
+        big = np.array([2**64 - 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match=rf"arc \({2**64 - 1}, 0\) out of range for order 3"):
+            Digraph.from_arcs(3, big, np.zeros(1, dtype=np.uint64))
+
     def test_from_arcs_takes_arrays(self):
         g = Digraph.from_arcs(3, np.array([0, 1, 2]), np.array([1, 2, 0]))
         assert g == triangle_cycle()

@@ -58,8 +58,9 @@ def test_bounded_walk_matches_the_recursive_walk():
 
 def test_lengths_match_the_oracle():
     # On a yes the oracle searches up to the found length, which checks
-    # both that it is reachable and that no shorter odd length is; on a
-    # no it searches every length below the canonical order.
+    # both that it is reachable and that no shorter odd length is.  On a
+    # no it searches the lengths below the canonical order only up to
+    # max Z - min Z, as its docstring proves no shortest one is longer.
     for parts in _grid():
         members = parts.members()
         witness = min_odd_equal_sum(parts.non_negative, parts.negative_abs)

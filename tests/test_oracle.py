@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from imbalanceset import (
-    EnumerationBudget,
+    ResourceLimitError,
     brute_min_order,
     brute_zero_sum_min_odd,
     enumerate_tournaments,
@@ -23,16 +25,12 @@ class TestEnumeration:
             seen.add(tuple(g.arcs()))
         assert len(seen) == 64
 
-    def test_budget_guard(self):
-        with pytest.raises(ValueError, match="budget"):
+    def test_work_cap_allows_order_7_and_refuses_8(self):
+        assert next(enumerate_tournaments(7)).is_tournament()
+        with pytest.raises(ResourceLimitError, match="2\\^28"):
             next(enumerate_tournaments(8))
-        tight = EnumerationBudget(max_order=3)
-        with pytest.raises(ValueError, match="budget"):
-            next(enumerate_tournaments(4, tight))
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError, match="max_order"):
-            EnumerationBudget(max_order=9)
+        with pytest.raises(ResourceLimitError):
+            next(enumerate_tournaments(10**6))
 
 
 class TestBruteZeroSum:
@@ -47,6 +45,37 @@ class TestBruteZeroSum:
 
     def test_zero_member_gives_length_one(self):
         assert brute_zero_sum_min_odd({2, 0, -2}, 9) == 1
+
+    def test_searches_past_length_64(self):
+        # 64 copies of 63 against 63 of -64.
+        assert brute_zero_sum_min_odd({63, -64}, 200) == 127
+
+    def test_members_must_be_integers(self):
+        with pytest.raises(TypeError):
+            brute_zero_sum_min_odd({2.7, -1.2}, 9)
+        with pytest.raises(TypeError):
+            brute_min_order({2.0, -2.0}, 9)
+
+    def test_work_cap_refuses_instead_of_answering_none(self):
+        members = {18, 14, 10, 6, 2, -2, -6, -10, -14, -18}
+        with pytest.raises(ResourceLimitError):
+            brute_zero_sum_min_odd(members, 63)
+
+    def test_length_clamp_changes_no_answer(self):
+        # Every 2-3 member set from [-12, 12], mixed parity included,
+        # against a plain loop over every length up to 49, which keeps
+        # the sums of all k-term multisets.
+        def unclamped(members, len_max):
+            sums = {0}
+            for k in range(1, len_max + 1):
+                sums = {s + v for s in sums for v in members}
+                if k % 2 and 0 in sums:
+                    return k
+            return None
+
+        for r in (2, 3):
+            for combo in itertools.combinations(range(-12, 13), r):
+                assert brute_zero_sum_min_odd(combo, 49) == unclamped(combo, 49), combo
 
     def test_agrees_with_dp_search(self):
         cases = [({4}, {2}), ({2}, {4}), ({8}, {6}), ({2, 4}, {6}), ({6}, {10})]
@@ -73,6 +102,9 @@ class TestBruteMinOrder:
         exact = brute_min_order({4, 2, -2}, 13)
         assert exact == 5
         assert exact <= 13
+
+    def test_searches_past_order_64(self):
+        assert brute_min_order({64, -2}, 131) == 99
 
     def test_unrealizable_has_none(self):
         assert brute_min_order({6, -10}, 20) is None
