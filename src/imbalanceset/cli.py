@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .equalsum import solve_esseq
 from .errors import DoubledPairError, ResourceLimitError
@@ -68,6 +68,34 @@ def _failure_text(failure: CheckFailure) -> str:
     return "total sum misses its forced value"
 
 
+def _print_answer(
+    args: argparse.Namespace,
+    doc: dict,
+    line: str,
+    key: str,
+    label: str,
+    oracle: Callable[[], object],
+) -> None:
+    """Print the fast path's answer, then the oracle's when --budget asks.
+
+    The answer is printed before the oracle runs, so an oracle refused
+    by its work cap (ResourceLimitError, exit 3) loses only its own line
+    in text, or its own key in the JSON document.
+    """
+    if not args.as_json:
+        print(line)
+        if args.budget is not None:
+            print(f"{label}: {oracle()}")
+        return
+    if args.budget is not None:
+        try:
+            doc[key] = oracle()
+        except ResourceLimitError:
+            print(json.dumps(doc))
+            raise
+    print(json.dumps(doc))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="imbalanceset")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -122,23 +150,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_decide(args: argparse.Namespace) -> int:
     members = _parse_set(args.set_literal)
     decision = decide_tis(members)
-    extra = {}
-    if args.budget is not None:
-        extra["brute_zero_sum_min_odd"] = brute_zero_sum_min_odd(members, args.budget)
-    if args.as_json:
-        doc = {
-            "set": sorted(members, reverse=True),
-            "verdict": "yes" if decision.verdict else "no",
-            "refusal": decision.refusal,
-            "order": decision.order,
-            **extra,
-        }
-        print(json.dumps(doc))
-    else:
-        yes = f"yes: realizable by a tournament of order {decision.order}"
-        print(yes if decision.verdict else f"no: {decision.refusal}")
-        if extra:
-            print(f"brute-force minimal odd zero-sum length: {extra['brute_zero_sum_min_odd']}")
+    doc = {
+        "set": sorted(members, reverse=True),
+        "verdict": "yes" if decision.verdict else "no",
+        "refusal": decision.refusal,
+        "order": decision.order,
+    }
+    yes = f"yes: realizable by a tournament of order {decision.order}"
+    _print_answer(
+        args,
+        doc,
+        yes if decision.verdict else f"no: {decision.refusal}",
+        "brute_zero_sum_min_odd",
+        "brute-force minimal odd zero-sum length",
+        lambda: brute_zero_sum_min_odd(members, args.budget),
+    )
     return EXIT_YES if decision.verdict else EXIT_NO
 
 
@@ -223,15 +249,14 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         print(f"no: {refusal}", file=sys.stderr)
         return EXIT_NO
     bound = order_upper_bound(members)
-    extra = {}
-    if args.budget is not None:
-        extra["exact_min_order"] = brute_min_order(members, min(bound, args.budget))
-    if args.as_json:
-        print(json.dumps({"set": sorted(members, reverse=True), "bound": bound, **extra}))
-    else:
-        print(bound)
-        if "exact_min_order" in extra:
-            print(f"exact minimal order (searched): {extra['exact_min_order']}")
+    _print_answer(
+        args,
+        {"set": sorted(members, reverse=True), "bound": bound},
+        str(bound),
+        "exact_min_order",
+        "exact minimal order (searched)",
+        lambda: brute_min_order(members, min(bound, args.budget)),
+    )
     return EXIT_YES
 
 

@@ -29,6 +29,8 @@ from .errors import DoubledPairError, check_matrix_order
 
 # Row-block size for pair checks on large matrices, keeps temporaries small.
 _BLOCK = 4096
+# Square tile side for the opposing-pair test, small enough to stay in cache.
+_TILE = 512
 
 
 @dataclass(frozen=True)
@@ -301,16 +303,26 @@ def _first_doubled_pair(n: int, src: np.ndarray, dst: np.ndarray) -> DoubledPair
 
 
 def _validate_matrix(adj: np.ndarray) -> None:
+    """Refuse entries other than 0 or 1, self-loops and opposing pairs.
+
+    Each row block is checked for all three, in that order, before the
+    next.  A pair is tested in the block of its smaller endpoint, one
+    tile against its mirror tile, so each transposed read is a small
+    square; the diagonal is zero by then, so tiles crossing it report
+    only pairs.
+    """
     n = adj.shape[0]
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         block = adj[lo:hi, :]
         if (block > 1).any():
             raise ValueError("adjacency entries must be 0 or 1")
-        opposing = block & adj[:, lo:hi].T
         rows = np.arange(hi - lo)
         if block[rows, rows + lo].any():
             raise ValueError("self-loops are not allowed")
-        opposing[rows, rows + lo] = 0
-        if opposing.any():
-            raise ValueError("opposing arc pairs are not allowed")
+        for a in range(lo, hi, _TILE):
+            a_end = min(a + _TILE, hi)
+            for b in range(a, n, _TILE):
+                b_end = min(b + _TILE, n)
+                if (adj[a:a_end, b:b_end] & adj[b:b_end, a:a_end].T).any():
+                    raise ValueError("opposing arc pairs are not allowed")

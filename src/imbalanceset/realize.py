@@ -17,6 +17,28 @@ residual in-demand (ties to the lower id), and the remaining candidates
 send arcs in.  Candidates whose residual demand forces a direction are
 honoured first.
 
+The steps run over runs, not vertices.  Equal entries get equal
+quotas, and a step treats the vertices of one state alike except at a
+cut, so the unprocessed vertices form runs of consecutive ids with
+equal state (residual out-quota, residual in-quota, free slot), kept
+in plain lists.  A step takes its vertex off the head run, splits off
+the partner, takes flexible runs whole in (in-demand descending, start
+ascending) order and splits at most the run where its out-quota ends,
+which picks the same receivers as ranking single vertices; it writes
+row and column of the vertex as one slice per stretch of one
+direction and merges neighbouring runs of equal state.  With R runs
+the build costs O(n * R) list work plus the n^2 / 2 matrix bytes it
+writes.  A canonical expansion has at most |Z| distinct entries, and
+no step saw more than 6 runs on the expansions of every realizable 2-
+or 3-member set from {-16..16} and of {4,-998}, {2,0,-1998},
+{3,1,-2001}, {2,-3300}, {5652,-2}, {0,2,-3470} and {12,-8,-24}.  The
+worst case has every entry distinct (R = n - i at step i): timed in
+process on a 2-core Xeon host (Python 3.11.7, numpy 2.4.6), the
+transitive sequence took 0.47-0.50 s at order 1000 and 4.2-5.1 s at
+3000, against 0.04-0.05 s and 0.23-0.24 s for the per-vertex numpy
+pass this replaced, while a random tournament's sequence of order 3000
+(158 distinct entries) took 0.03-0.05 s against 0.31-0.35 s.
+
 Why the greedy finishes.  Call a state completable when some maximum
 realization extends every arc and pairing fixed so far.  The start is
 completable: the theorem above gives a realization with these quotas.
@@ -50,6 +72,7 @@ Outputs are deterministic, which the golden-file tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -108,85 +131,126 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     in_quota = joined_quota - out_quota
 
     adj = np.zeros((n, n), dtype=np.uint8)
-    rem_out = out_quota.copy()
-    rem_in = in_quota.copy()
-    skip_free = ~parity_match
-    skip_partner = np.full(n, -1, dtype=np.int64)
+    # The unprocessed vertices as maximal runs [start, stop) of equal
+    # state (rem_out, rem_in, free), in id order; vertex i heads runs[0].
+    runs: list[tuple[int, int, int, int, bool]] = []
+    start = 0
+    states = zip(out_quota.tolist(), in_quota.tolist(), (~parity_match).tolist())
+    for state, group in groupby(states):
+        stop = start + sum(1 for _ in group)
+        runs.append((start, stop, *state))
+        start = stop
+    pairing: list[tuple[int, int]] = []
+    residual = 0  # quotas the vertices keep after their own steps
 
     for i in range(n):
+        _, stop, need_recv, need_send, free = runs[0]
         unproc = n - 1 - i
-        assert rem_out[i] + rem_in[i] + int(skip_free[i]) == unproc
+        assert need_recv + need_send + free == unproc
+        if stop == i + 1:
+            del runs[0]
+        else:
+            runs[0] = (i + 1, *runs[0][1:])
 
         partner = -1
-        if skip_free[i]:
-            free = np.flatnonzero(skip_free[i + 1 :])
-            if free.size == 0:
+        if free:
+            at = next((k for k, run in enumerate(runs) if run[4]), None)
+            if at is None:
                 raise RealizationError(f"no free non-neighbour slot for vertex {i}")
-            partner = i + 1 + int(free[0])
-            skip_free[i] = False
-            skip_free[partner] = False
-            skip_partner[i] = partner
-            skip_partner[partner] = i
+            partner, p_stop, p_out, p_in, _ = runs[at]
+            tail = [(partner + 1, p_stop, p_out, p_in, True)] if p_stop > partner + 1 else []
+            runs[at : at + 1] = [(partner, partner + 1, p_out, p_in, False), *tail]
+            pairing.append((i, partner))
 
-        cand = np.arange(i + 1, n, dtype=np.int64)
-        if partner >= 0:
-            cand = cand[cand != partner]
-        if cand.size == 0:
+        cand_size = unproc - (partner >= 0)
+        if cand_size == 0:
+            residual += need_recv + need_send
             continue
+        assert need_recv + need_send == cand_size
 
-        need_recv = int(rem_out[i])
-        need_send = int(rem_in[i])
-        assert need_recv + need_send == cand.size
-
-        # A candidate with both residuals exhausted could take no arc at
-        # all; the per-vertex bookkeeping identity rules that out here.
-        assert not ((rem_out[cand] == 0) & (rem_in[cand] == 0)).any()
-
-        forced_recv = cand[rem_out[cand] == 0]
-        flex = cand[(rem_out[cand] > 0) & (rem_in[cand] > 0)]
-        extra = need_recv - forced_recv.size
-        # extra > flex.size means the forced senders overfill the in-quota.
-        if extra < 0 or extra > flex.size:
+        forced = flex_size = 0
+        flex = []
+        for s, e, o, r, _ in runs:
+            if s == partner:
+                continue
+            # Neither residual left would let the run take no arc at all;
+            # the per-vertex bookkeeping identity rules that out here.
+            assert o or r
+            if o == 0:
+                forced += e - s
+            elif r:
+                flex.append((-r, s, e))
+                flex_size += e - s
+        extra = need_recv - forced
+        # extra > flex_size means the forced senders overfill the in-quota.
+        if extra < 0 or extra > flex_size:
             raise RealizationError(f"vertex {i} could not be balanced")
-        if extra == 0:
-            chosen = flex[:0]
-        elif extra == flex.size:
-            chosen = flex
-        else:
-            # Largest residual in-demand first, lowest id on ties.
-            key = rem_in[flex] * np.int64(n + 1) + (n - flex)
-            chosen = flex[np.argpartition(-key, extra - 1)[:extra]]
+        # Largest residual in-demand first, lowest id on ties: flexible
+        # runs ranked above the cut run (in-demand cut_r, start cut_s)
+        # receive whole, the cut run its lowest cut_take ids, the rest
+        # send.  A cut of in-demand 0 takes every flexible run, one of n
+        # none.
+        cut_r, cut_s, cut_take = (0, 0, 0) if extra == flex_size else (n, 0, 0)
+        if 0 < extra < flex_size:
+            for neg_r, s, e in sorted(flex):
+                if extra <= e - s:
+                    cut_r, cut_s, cut_take = -neg_r, s, extra
+                    break
+                extra -= e - s
 
-        recv_mask = np.zeros(n, dtype=bool)
-        recv_mask[forced_recv] = True
-        recv_mask[chosen] = True
-        receivers = cand[recv_mask[cand]]
-        senders = cand[~recv_mask[cand]]
+        # Split each run into its receivers [s, t) and senders [t, e),
+        # merging neighbours of equal state; writes holds the stretches
+        # [lo, hi) of one direction, the partner's breaking them.
+        new: list[tuple[int, int, int, int, bool]] = []
+        writes: list[list] = []
+        for s, e, o, r, f in runs:
+            if s == partner:
+                pieces = ((s, e, o, r, None),)
+            else:
+                if o == 0:
+                    t = e
+                elif r == 0:
+                    t = s
+                elif r > cut_r or (r == cut_r and s < cut_s):
+                    t = e
+                elif r == cut_r and s == cut_s:
+                    t = s + cut_take
+                else:
+                    t = s
+                pieces = ((s, t, o, r - 1, True), (t, e, o - 1, r, False))
+            for lo, hi, po, pr, receives in pieces:
+                if lo == hi:
+                    continue
+                if writes and writes[-1][2] is receives:
+                    writes[-1][1] = hi
+                else:
+                    writes.append([lo, hi, receives])
+                last = new[-1] if new else None
+                if last and last[2] == po and last[3] == pr and last[4] == f:
+                    new[-1] = (last[0], hi, po, pr, f)
+                else:
+                    new.append((lo, hi, po, pr, f))
+        runs = new
+        for lo, hi, receives in writes:
+            if receives:
+                adj[i, lo:hi] = 1
+            elif receives is not None:
+                adj[lo:hi, i] = 1
+        left = need_send - (cand_size - need_recv)
+        assert left == 0
+        residual += abs(left)
 
-        adj[i, receivers] = 1
-        adj[senders, i] = 1
-        rem_in[receivers] -= 1
-        rem_out[senders] -= 1
-        rem_out[i] -= receivers.size
-        rem_in[i] -= senders.size
-        assert rem_out[i] == 0 and rem_in[i] == 0
-
-    if rem_out.any() or rem_in.any() or skip_free.any():
+    if residual:
         raise RealizationError("residual quotas did not close")
     graph = Digraph.from_matrix(adj, validate=False)
 
-    pairing = tuple(
-        (int(v), int(skip_partner[v]))
-        for v in range(n)
-        if skip_partner[v] > v
-    )
     arc_count = int(out_quota.sum())
     return RealizationReport(
         graph=graph,
         arc_count=arc_count,
         is_tournament=bool(parity_match.all()),
         is_near_tournament=bool(n >= 2 and n % 2 == 0 and not parity_match.any()),
-        non_neighbour_pairing=pairing,
+        non_neighbour_pairing=tuple(pairing),
     )
 
 

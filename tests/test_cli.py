@@ -58,6 +58,23 @@ class TestDecide:
         assert code == 3 and "resource cap exceeded" in err
         assert time.perf_counter() - t0 < 2.0
 
+    def test_verdict_survives_a_refused_oracle(self, capsys):
+        members = "18,14,10,6,2,-2,-6,-10,-14,-18"
+        code, out, err = run(capsys, "decide", members, "--budget", "63")
+        assert code == 3 and "resource cap exceeded" in err
+        assert out.splitlines() == ["no: no-odd-equal-sum"]
+
+    def test_json_verdict_survives_a_refused_oracle(self, capsys):
+        members = "18,14,10,6,2,-2,-6,-10,-14,-18"
+        code, out, err = run(capsys, "decide", members, "--budget", "63", "--json")
+        assert code == 3 and "resource cap exceeded" in err
+        assert json.loads(out) == {
+            "set": [18, 14, 10, 6, 2, -2, -6, -10, -14, -18],
+            "verdict": "no",
+            "refusal": "no-odd-equal-sum",
+            "order": None,
+        }
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "decide", "4,,2")
         assert code == 1 and "cannot parse" in err
@@ -203,6 +220,20 @@ class TestBound:
         code, out, _ = run(capsys, "bound", "64,-2", "--budget", "200")
         assert code == 0
         assert out.splitlines()[1] == "exact minimal order (searched): 99"
+
+
+    def test_bound_survives_a_refused_oracle(self, capsys, monkeypatch):
+        # The true minimum 99 lies past the orders a cap of 100 cases allows.
+        monkeypatch.setattr("imbalanceset.oracle.ORACLE_WORK_CAP", 100)
+        code, out, err = run(capsys, "bound", "64,-2", "--budget", "200")
+        assert code == 3 and "resource cap exceeded" in err
+        assert out.splitlines() == [str(order_upper_bound({64, -2}))]
+
+    def test_json_bound_survives_a_refused_oracle(self, capsys, monkeypatch):
+        monkeypatch.setattr("imbalanceset.oracle.ORACLE_WORK_CAP", 100)
+        code, out, err = run(capsys, "bound", "64,-2", "--budget", "200", "--json")
+        assert code == 3 and "resource cap exceeded" in err
+        assert json.loads(out) == {"set": [64, -2], "bound": order_upper_bound({64, -2})}
 
 
 class TestEqualSum:
