@@ -5,7 +5,7 @@ SEARCH_WORK_CAP = 10**6  # odd zero-sum search: |X|*max|Y| + |Y|*max X
 MATRIX_CELL_CAP = 1_000_000_000  # dense adjacency matrix cells
 WITNESS_TABLE_BIT_CAP = 2**32  # odd-total equal-sum witness tables, in bits
 ESSEQ_SUM_CAP = 50_000_000  # bounded equal-sum search: largest sum
-ORACLE_WORK_CAP = 2**21  # brute-force oracles: cases through the next layer
+ORACLE_WORK_CAP = 2**21  # brute-force oracles: cases through the next layer, terms in brute_min_order
 
 
 class ResourceLimitError(RuntimeError):

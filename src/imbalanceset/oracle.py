@@ -9,13 +9,17 @@ affordable at tiny orders (2^(n(n-1)/2) labeled tournaments), so
 tournament feasibility check, whose own validity the enumeration tier
 establishes for orders up to 5.
 
-No search is cut short.  Before each layer of an enumeration, the count
-of cases up to and including it is checked against
-:data:`~imbalanceset.errors.ORACLE_WORK_CAP`: 2^(n(n-1)/2) tournaments
-of order n, C(m + k, k) multisets of at most k terms over m members,
-C(n, n - m) for orders up to n.  A count over it raises
-:class:`ResourceLimitError`, so a call that answers early is never
-refused and None means that no answer exists within the given limit.
+No search is cut short.  Before each layer of an enumeration, its work
+up to and including that layer is checked against
+:data:`~imbalanceset.errors.ORACLE_WORK_CAP`.  The unit is one case:
+2^(n(n-1)/2) tournaments of order n, C(m + k, k) multisets of at most k
+terms over m members.  :func:`brute_min_order` is the exception: a case
+of order j sorts and checks j terms, so it counts j, and the work
+through order n is the sum of j * C(j - 1, m - 1) over j <= n, which is
+m * C(n + 1, m + 1) because j * C(j - 1, m - 1) = m * C(j, m).  Work
+over the cap raises :class:`ResourceLimitError`, so a call that answers
+early is never refused and None means that no answer exists within the
+given limit.
 
 *Length bound.*  An odd zero-sum multiset over Z, if any, has at most
 max Z - min Z terms (one if 0 is in Z).  Let 0 not be in Z.  A zero sum
@@ -41,9 +45,9 @@ from .errors import ORACLE_WORK_CAP, ResourceLimitError
 from .sequences import check_tournament_imbalance
 
 
-def _check_work(cases: int, what: str) -> None:
-    if cases > ORACLE_WORK_CAP:
-        raise ResourceLimitError(f"brute force over {what}: {cases} cases, cap {ORACLE_WORK_CAP}")
+def _check_work(work: int, what: str) -> None:
+    if work > ORACLE_WORK_CAP:
+        raise ResourceLimitError(f"brute force over {what}: work {work}, cap {ORACLE_WORK_CAP}")
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
@@ -102,9 +106,10 @@ def brute_min_order(values: Iterable[int], n_max: int) -> int | None:
     members = sorted(set(map(operator.index, values)), reverse=True)
     if not members:
         raise ValueError("the value set must be nonempty")
-    for n in range(len(members), operator.index(n_max) + 1):
-        _check_work(comb(n, n - len(members)), f"orders up to {n}")
-        for extra in combinations_with_replacement(members, n - len(members)):
+    m = len(members)
+    for n in range(m, operator.index(n_max) + 1):
+        _check_work(m * comb(n + 1, m + 1), f"orders up to {n}")
+        for extra in combinations_with_replacement(members, n - m):
             seq = tuple(sorted(members + list(extra), reverse=True))
             if check_tournament_imbalance(seq):
                 return n

@@ -19,21 +19,37 @@ The decision pipeline, in order:
    search capped on its work, at most n; proofs in :mod:`imbalanceset.equalsum`).
 
 Completion mechanics (:func:`add_arcs`): the k = a + b new vertices
-first form a rotational regular tournament among themselves (k is odd).
-All unjoined pairs (v, v') of the base get their arc v -> v'.  Each
-new vertex with positive target x must beat both endpoints of x/2
-pairs, and each with negative target -y must lose to both endpoints of
-y/2 pairs; these unit claims are coupled (one x-unit with one y-unit)
-and dealt round-robin over the pairs, so a pair may host several
-couples when the common sum exceeds the number of pairs.  A pair
-hosting c couples is touched by 2c new vertices whose effects cancel
-pairwise; the remaining k - 2c new vertices (an odd count) join it in
-the half-and-half counterbalancing pattern that exactly cancels the
-pair arc's +1/-1.  Feasibility is guaranteed: the couple load per pair
-is at most ceil(S/n) <= min(a, b) <= (k-1)/2, and each new vertex's
-pair demand x/2 (or y/2) is under n/2 because every member's magnitude
-is below n.  For ([0], []) there are no couples, and the one new vertex
-beats v and loses to v' in every pair: the apex of :func:`add_apex_zero`.
+first form a rotational regular tournament among themselves (k is odd):
+row i of that block is the window pattern[k - i : 2k - i] of a 0/1
+pattern of period k, so no k x k index array is built.  All unjoined
+pairs (v, v') of the base get their arc v -> v'.  Each new vertex with
+positive target x must beat both endpoints of x/2 pairs, and each with
+negative target -y must lose to both endpoints of y/2 pairs; these unit
+claims are coupled (one x-unit with one y-unit) and dealt round-robin
+over the pairs, so a pair may host several couples when the common sum
+exceeds the number of pairs.  A pair hosting c couples is touched by 2c
+new vertices whose effects cancel pairwise; the remaining m = k - 2c
+new vertices (an odd count, the free ones) join it in the half-and-half
+counterbalancing pattern that exactly cancels the pair arc's +1/-1:
+ranked by id, the first (m-1)/2 and the last beat v and lose to v'
+(role a), the middle (m-1)/2 do the reverse (role b).  Feasibility is
+guaranteed: the couple load per pair is at most ceil(S/n) <= min(a, b)
+<= (k-1)/2, and each new vertex's pair demand x/2 (or y/2) is under n/2
+because every member's magnitude is below n.  For ([0], []) there are
+no couples, and the one new vertex beats v and loses to v' in every
+pair: the apex of :func:`add_apex_zero`.
+
+The base -> new block is filled one block of pairs at a time, at most
+about ``_BLOCK`` (pair, new vertex) cells each: the couples, sorted by
+pair, give each block its owners, a cumulative sum ranks the free new
+vertices, and the two whole rows of each pair are written at once.  The
+new -> base block needs no roles of its own.  Every (base, new) pair is
+joined exactly once by then, since an x-owner beats both ends of its
+pair, a y-owner loses to both, and each free new vertex takes role a or
+role b; so that block is 1 minus the transposed base -> new block,
+copied in square tiles.  The peak memory of a completion is the final
+matrix, the base matrix it copies from, O(n + S) of pair and couple indices
+and O(``_BLOCK``) of block temporaries (about 6 bytes a cell).
 """
 
 from __future__ import annotations
@@ -43,8 +59,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .digraph import Digraph, _validate_matrix
+from .digraph import _TILE, Digraph, _validate_matrix
 from .equalsum import (
     EqualSumWitness,
     _lex_min_witness,
@@ -54,6 +71,9 @@ from .equalsum import (
 from .errors import check_matrix_order
 from .realize import RealizationReport, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
+
+# Cells of (pair, new vertex) roles that add_arcs lays out at once.
+_BLOCK = 1 << 20
 
 REFUSAL_ONE_SIDED = "one-sided"
 REFUSAL_MIXED_PARITY = "mixed-parity"
@@ -218,11 +238,11 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     adj[:n, :n] = near.graph.matrix()
 
     # New clique: rotational regular tournament (k odd), vertex i beats
-    # the next (k - 1) / 2 vertices cyclically.
-    new_ids = n + np.arange(k, dtype=np.int64)
-    offsets = np.arange(k, dtype=np.int64)
-    gap = (offsets[None, :] - offsets[:, None]) % k
-    adj[n:, n:] = ((gap >= 1) & (gap <= (k - 1) // 2)).astype(np.uint8)
+    # the next (k - 1) / 2 vertices cyclically; row i is the window
+    # pattern[k - i : 2k - i] of a 0/1 pattern of period k.
+    period = np.zeros(k, dtype=np.uint8)
+    period[1 : (k - 1) // 2 + 1] = 1
+    adj[n:, n:] = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
 
     lo = np.fromiter((p for p, _ in near.non_neighbour_pairing), dtype=np.int64)
     hi = np.fromiter((q for _, q in near.non_neighbour_pairing), dtype=np.int64)
@@ -231,32 +251,46 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     # Couple j pairs the j-th positive half-unit with the j-th negative
     # one; couples are dealt round-robin over the pairs, so one owner's
     # units land on distinct pairs (its demand is at most n/2 units).
+    # Sorted by pair, each block of pairs owns one range of couples.
     x_owner = np.repeat(np.arange(len(xs)), np.asarray(xs, dtype=np.int64) // 2)
-    y_owner = np.repeat(np.arange(len(ys)), np.asarray(ys, dtype=np.int64) // 2)
+    y_owner = np.repeat(np.arange(len(xs), k), np.asarray(ys, dtype=np.int64) // 2)
     assert x_owner.size == couples and y_owner.size == couples
-    cpair = np.arange(couples) % max(n_pairs, 1)
+    cpair = np.arange(couples) % n_pairs
+    by_pair = np.argsort(cpair, kind="stable")
+    cpair, x_owner, y_owner = cpair[by_pair], x_owner[by_pair], y_owner[by_pair]
 
-    adj[n + x_owner, lo[cpair]] = 1
-    adj[n + x_owner, hi[cpair]] = 1
-    adj[lo[cpair], n + len(xs) + y_owner] = 1
-    adj[hi[cpair], n + len(xs) + y_owner] = 1
+    # Base -> new, one block of pairs at a time.  A pair's x-owners beat
+    # both its ends and its y-owners lose to both; of its m = k - 2c
+    # free new vertices, lo beats role b (ranks (m-1)/2 + 1 .. m - 1)
+    # and hi beats role a (the other ranks).  So row lo beats the
+    # y-owners and role b, row hi the y-owners and role a.
+    step = max(1, _BLOCK // k)
+    for p0 in range(0, n_pairs, step):
+        p1 = min(p0 + step, n_pairs)
+        c0, c1 = np.searchsorted(cpair, (p0, p1))
+        at = cpair[c0:c1] - p0
+        xcol, ycol = x_owner[c0:c1], y_owner[c0:c1]
+        rank = np.ones((p1 - p0, k), dtype=np.int32)
+        rank[at, xcol] = 0
+        rank[at, ycol] = 0
+        np.cumsum(rank, axis=1, out=rank)  # a free vertex's 1-based rank
+        m = (k - 2 * np.bincount(at, minlength=p1 - p0))[:, None]
+        beaten = rank > (m - 1) // 2
+        beaten &= rank < m
+        del rank
+        for row in (lo, hi):
+            beaten[at, xcol] = False
+            beaten[at, ycol] = True
+            adj[row[p0:p1], n:] = beaten.view(np.uint8)
+            np.logical_not(beaten, out=beaten)  # free: role b -> role a
 
-    owners = np.zeros((n_pairs, k), dtype=bool)
-    owners[cpair, x_owner] = True
-    owners[cpair, len(xs) + y_owner] = True
-
-    # Counterbalance each pair with its non-owner new vertices: ranked
-    # by id, the first (m-1)/2 and the last push one way, the middle
-    # (m-1)/2 the other, which exactly cancels the pair arc's +1/-1.
-    rank = np.cumsum(~owners, axis=1, dtype=np.int64) - 1
-    m_per_pair = k - 2 * np.bincount(cpair, minlength=n_pairs)
-    half = (m_per_pair - 1) // 2
-    role_a = ~owners & ((rank < half[:, None]) | (rank == (m_per_pair - 1)[:, None]))
-    role_b = ~owners & ~role_a & (rank < (m_per_pair - 1)[:, None])
-    adj[np.ix_(new_ids, lo)] |= role_a.T
-    adj[np.ix_(hi, new_ids)] |= role_a
-    adj[np.ix_(lo, new_ids)] |= role_b
-    adj[np.ix_(new_ids, hi)] |= role_b.T
+    # New -> base: each (base, new) pair was joined exactly once above
+    # (owners by their couple, the free by role a or b), so this block
+    # is the complement of the transposed base -> new block.
+    for a in range(0, n, _TILE):
+        a_end = min(a + _TILE, n)
+        for b in range(n, total, _TILE):
+            np.subtract(1, adj[a:a_end, b : b + _TILE].T, out=adj[b : b + _TILE, a:a_end])
 
     return Digraph.from_matrix(adj, validate=False)
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -108,6 +109,15 @@ class TestBruteMinOrder:
 
     def test_unrealizable_has_none(self):
         assert brute_min_order({6, -10}, 20) is None
+
+    def test_work_counts_the_terms_of_each_case(self):
+        # Work through order n is m * C(n + 1, m + 1): 3 * C(66, 4) =
+        # 2,162,160 passes the cap at order 65.  Counting cases reached
+        # the cap only at order 234, after more than a minute.
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="orders up to 65: work 2162160,"):
+            brute_min_order({3, 1, -301}, 1000)
+        assert time.perf_counter() - t0 < 10
 
     def test_minimum_is_within_the_guaranteed_bound(self):
         for values in ({3, -1}, {1, -1}, {2, 0, -2}, {4, -6}, {4, 2, -2}):

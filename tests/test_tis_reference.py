@@ -1,0 +1,176 @@
+"""The blocked completion against the whole-array completion it replaced.
+
+``reference_tis.add_arcs`` lays out the roles of every (pair, new
+vertex) cell at once; ``tis.add_arcs`` fills the base -> new block one
+block of pairs at a time and writes the new -> base block as its
+transposed complement.  Both must return the same matrix bytes, or fail
+with the same exception type and message.  Every input also runs with
+``tis._BLOCK`` patched small, so that many blocks run and block
+boundaries cut through the run of pairs one owner's couples land on.
+The inputs are the even sets the pipeline completes (with and without
+0), large ones included, and random near tournaments with a random
+pairing whose witnesses deal more couples than there are pairs.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference_tis
+from imbalanceset import (
+    Digraph,
+    EqualSumWitness,
+    ImbalanceSet,
+    RealizationReport,
+    canonical_sequence,
+    decide_tis,
+    max_realization,
+    tis,
+)
+
+# The program's block, then blocks of one pair, of a few pairs, and of
+# one pair for k >= 8 but several for small k.
+BLOCKS = (tis._BLOCK, 1, 20, 7)
+
+
+def _digest(complete, report, witness):
+    try:
+        graph = complete(report, witness)
+    except Exception as exc:  # the type and message are compared
+        return "failed", type(exc), str(exc)
+    return "built", graph.n, hashlib.sha256(graph.matrix().tobytes()).hexdigest()
+
+
+def _assert_same_for_every_block(report, witness):
+    """Compare under each block size; return how many of them split
+    some owner's couples over two blocks."""
+    expected = _digest(reference_tis.add_arcs, report, witness)
+    splits = 0
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tis, "_BLOCK", block)
+            assert _digest(tis.add_arcs, report, witness) == expected, (witness, block)
+        splits += _splits_an_owner(report.graph.n // 2, witness, block)
+    return expected, splits
+
+
+def _splits_an_owner(n_pairs, witness, block):
+    """Whether the pairs of some owner's couples fall in two blocks."""
+    step = max(1, block // witness.total_length)
+    start = 0
+    for half in (witness.xs, witness.ys):
+        for v in half:
+            pairs = np.arange(start, start + v // 2) % n_pairs
+            start += v // 2
+            if len(set((pairs // step).tolist())) > 1:
+                return True
+        start = 0
+    return False
+
+
+def _completion_input(members):
+    """The base report and witness that the pipeline completes."""
+    parts = ImbalanceSet.from_values(members)
+    if 0 in members:
+        witness = EqualSumWitness((0,), (), 0)
+    else:
+        witness = decide_tis(members, with_certificate=True).witness
+    return max_realization(canonical_sequence(parts)), witness
+
+
+def test_every_small_even_set():
+    built = splits = 0
+    for r in (2, 3):
+        for combo in itertools.combinations(range(-16, 17, 2), r):
+            if not decide_tis(combo).verdict:
+                continue
+            outcome, split = _assert_same_for_every_block(*_completion_input(frozenset(combo)))
+            assert outcome[0] == "built", combo
+            built += 1
+            splits += split
+    assert built > 400 and splits > 100
+
+
+@pytest.mark.parametrize(
+    "members",
+    [{4, -998}, {2, 0, -1998}, {2, -3300}, {5652, -2}, {0, 2, -3470}, {12, -8, -24}],
+)
+def test_large_even_sets(members):
+    outcome, _ = _assert_same_for_every_block(*_completion_input(frozenset(members)))
+    assert outcome[0] == "built"
+
+
+def _near_tournament(n, seed):
+    """A random near tournament of even order n with a random pairing."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    pairing = sorted((min(u, v), max(u, v)) for u, v in zip(perm[0::2].tolist(), perm[1::2].tolist()))
+    forward = np.triu(rng.integers(0, 2, size=(n, n)), 1).astype(bool)
+    adj = (forward | np.tril(~forward.T, -1)).astype(np.uint8)
+    for u, v in pairing:
+        adj[u, v] = adj[v, u] = 0
+    graph = Digraph.from_matrix(adj)
+    return RealizationReport(
+        graph=graph,
+        arc_count=graph.arc_count,
+        is_tournament=False,
+        is_near_tournament=True,
+        non_neighbour_pairing=tuple(pairing),
+    )
+
+
+@st.composite
+def _crowded_witness(draw, n_pairs):
+    """An odd-total equal-sum pair of even entries that fit the pairs,
+    dealing more couples than there are pairs."""
+    k = draw(st.sampled_from([3, 5, 7, 9]))
+    a = draw(st.integers(1, k - 1))
+    b = k - a
+    x_halves = draw(st.lists(st.integers(1, n_pairs), min_size=a, max_size=a))
+    couples = sum(x_halves)
+    assume(n_pairs < couples and b <= couples <= b * n_pairs)
+    y_halves, left = [], couples
+    for i in range(b - 1, -1, -1):  # i parts remain after this one
+        y = draw(st.integers(max(1, left - i * n_pairs), min(n_pairs, left - i)))
+        y_halves.append(y)
+        left -= y
+    return EqualSumWitness(
+        tuple(sorted(2 * x for x in x_halves)), tuple(sorted(2 * y for y in y_halves)), 2 * couples
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+def test_random_near_tournaments_with_crowded_pairs(n_pairs, seed, data):
+    report = _near_tournament(2 * n_pairs, seed)
+    witness = data.draw(_crowded_witness(n_pairs))
+    outcome, _ = _assert_same_for_every_block(report, witness)
+    assert outcome[0] == "built"
+
+
+def _forged_witness(xs, ys, common):
+    """A witness whose common sum disagrees with its sides, which the
+    constructor refuses; only such a witness can overload the clique
+    (see the feasibility argument of the tis docstring)."""
+    witness = EqualSumWitness(xs, ys, sum(xs))
+    object.__setattr__(witness, "common_sum", common)
+    return witness
+
+
+@pytest.mark.parametrize(
+    "seq, witness, message",
+    [
+        ([0, 0, 0, 0], EqualSumWitness((2,), (2,), 2), "odd total length"),
+        ([0, 0, 0, 0], EqualSumWitness((3,), (1, 2), 3), "must be even"),
+        ([0, 0, 0, 0], EqualSumWitness((6,), (2, 4), 6), "pair capacity"),
+        ([0, 0, 0, 0], _forged_witness((2,), (2, 0), 100), "couple load"),
+        ([2, 0, -2], EqualSumWitness((0,), (), 0), "near tournament"),
+    ],
+)
+def test_invalid_input_fails_alike(seq, witness, message):
+    outcome, _ = _assert_same_for_every_block(max_realization(seq), witness)
+    assert outcome[:2] == ("failed", ValueError) and message in outcome[2]
