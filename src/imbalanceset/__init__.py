@@ -7,84 +7,76 @@ of some tournament and, when it is, constructs an explicit tournament
 realizing it, together with the sequence-level feasibility checks, the
 equal-sum sequence search that powers the even case, and brute-force
 oracles for independent verification.
+
+Import boundary: the verdict is arithmetic (sign, parity, the 2-adic
+rule and a search over small integers), so numpy is loaded only by code
+that builds, writes, reads or checks a matrix: :mod:`.digraph`,
+:mod:`.formats` and :mod:`.oracle` at import, and
+:func:`~imbalanceset.realize.max_realization`, ``add_arcs`` and the
+certificate check of ``decide_tis`` when they run.  The names below are
+exported lazily (PEP 562): ``import imbalanceset`` loads no submodule,
+and each name loads only its own module on first use.  So
+``decide_tis`` without a certificate, ``order_upper_bound`` and the CLI
+commands other than ``realize`` and ``verify`` (or ``--budget``) never
+import numpy.
 """
 
-from .digraph import Digraph, VertexImbalance
-from .equalsum import EqualSumWitness, min_odd_equal_sum, solve_esseq
-from .errors import DoubledPairError, ResourceLimitError
-from .oracle import (
-    brute_min_order,
-    brute_zero_sum_min_odd,
-    enumerate_tournaments,
-)
-from .realize import (
-    RealizationError,
-    RealizationReport,
-    max_arc_count,
-    max_realization,
-    verify_realization,
-)
-from .sequences import (
-    CheckFailure,
-    ImbalanceSet,
-    canonical_sequence,
-    check_digraph_imbalance,
-    check_landau,
-    check_tournament_imbalance,
-    digraph_imbalance_failure,
-    imbalances_from_scores,
-    landau_failure,
-    scores_from_imbalances,
-    tournament_imbalance_failure,
-)
-from .tis import (
-    REFUSAL_MIXED_PARITY,
-    REFUSAL_NO_ODD_EQUAL_SUM,
-    REFUSAL_ONE_SIDED,
-    TisDecision,
-    add_apex_zero,
-    add_arcs,
-    decide_tis,
-    order_upper_bound,
-    realize_imbalance_set,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckFailure",
-    "Digraph",
-    "DoubledPairError",
-    "EqualSumWitness",
-    "ImbalanceSet",
-    "RealizationError",
-    "RealizationReport",
-    "REFUSAL_MIXED_PARITY",
-    "REFUSAL_NO_ODD_EQUAL_SUM",
-    "REFUSAL_ONE_SIDED",
-    "ResourceLimitError",
-    "TisDecision",
-    "VertexImbalance",
-    "add_apex_zero",
-    "add_arcs",
-    "brute_min_order",
-    "brute_zero_sum_min_odd",
-    "canonical_sequence",
-    "check_digraph_imbalance",
-    "check_landau",
-    "check_tournament_imbalance",
-    "decide_tis",
-    "digraph_imbalance_failure",
-    "enumerate_tournaments",
-    "imbalances_from_scores",
-    "landau_failure",
-    "max_arc_count",
-    "max_realization",
-    "min_odd_equal_sum",
-    "order_upper_bound",
-    "realize_imbalance_set",
-    "scores_from_imbalances",
-    "solve_esseq",
-    "tournament_imbalance_failure",
-    "verify_realization",
-]
+# Public name -> the submodule that defines it.  Each submodule named
+# here also resolves as an attribute, as when these were eager imports.
+_EXPORTS = {
+    "CheckFailure": "sequences",
+    "Digraph": "digraph",
+    "DoubledPairError": "errors",
+    "EqualSumWitness": "equalsum",
+    "ImbalanceSet": "sequences",
+    "RealizationError": "realize",
+    "RealizationReport": "realize",
+    "REFUSAL_MIXED_PARITY": "tis",
+    "REFUSAL_NO_ODD_EQUAL_SUM": "tis",
+    "REFUSAL_ONE_SIDED": "tis",
+    "ResourceLimitError": "errors",
+    "TisDecision": "tis",
+    "VertexImbalance": "digraph",
+    "add_apex_zero": "tis",
+    "add_arcs": "tis",
+    "brute_min_order": "oracle",
+    "brute_zero_sum_min_odd": "oracle",
+    "canonical_sequence": "sequences",
+    "check_digraph_imbalance": "sequences",
+    "check_landau": "sequences",
+    "check_tournament_imbalance": "sequences",
+    "decide_tis": "tis",
+    "digraph_imbalance_failure": "sequences",
+    "enumerate_tournaments": "oracle",
+    "imbalances_from_scores": "sequences",
+    "landau_failure": "sequences",
+    "max_arc_count": "realize",
+    "max_realization": "realize",
+    "min_odd_equal_sum": "equalsum",
+    "order_upper_bound": "tis",
+    "realize_imbalance_set": "tis",
+    "scores_from_imbalances": "sequences",
+    "solve_esseq": "equalsum",
+    "tournament_imbalance_failure": "sequences",
+    "verify_realization": "realize",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _EXPORTS.values():
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

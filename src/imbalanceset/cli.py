@@ -2,7 +2,9 @@
 
 Subcommands: decide, realize, check, verify, bound, equal-sum.  Exit
 codes: 0 yes/pass, 2 no/fail, 1 usage or parse error, 3 resource cap
-exceeded.
+exceeded.  Only ``realize`` and ``verify`` make a matrix, so only they
+import :mod:`imbalanceset.formats` (and with it numpy); the brute-force
+oracles are imported only when ``--budget`` runs them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ import sys
 from typing import Callable, Sequence
 
 from .equalsum import solve_esseq
-from .errors import DoubledPairError, ResourceLimitError
-from .formats import FORMATS, detect_format, parse, write
-from .oracle import brute_min_order, brute_zero_sum_min_odd
+from .errors import FORMATS, DoubledPairError, ResourceLimitError
 from .sequences import (
     CheckFailure,
     digraph_imbalance_failure,
@@ -66,6 +66,13 @@ def _failure_text(failure: CheckFailure) -> str:
     if failure.kind == "prefix":
         return f"prefix inequality violated at index {failure.index}"
     return "total sum misses its forced value"
+
+
+def _oracle():
+    """The brute-force oracles, imported only when ``--budget`` runs one."""
+    from . import oracle
+
+    return oracle
 
 
 def _print_answer(
@@ -163,12 +170,14 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         yes if decision.verdict else f"no: {decision.refusal}",
         "brute_zero_sum_min_odd",
         "brute-force minimal odd zero-sum length",
-        lambda: brute_zero_sum_min_odd(members, args.budget),
+        lambda: _oracle().brute_zero_sum_min_odd(members, args.budget),
     )
     return EXIT_YES if decision.verdict else EXIT_NO
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from .formats import write
+
     members = _parse_set(args.set_literal)
     decision = decide_tis(members, with_certificate=True)
     if not decision.verdict:
@@ -214,6 +223,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .formats import detect_format, parse
+
     members = _parse_set(args.set_literal)
     try:
         with open(args.graph_path, "r", encoding="utf-8") as fh:
@@ -255,7 +266,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         str(bound),
         "exact_min_order",
         "exact minimal order (searched)",
-        lambda: brute_min_order(members, min(bound, args.budget)),
+        lambda: _oracle().brute_min_order(members, min(bound, args.budget)),
     )
     return EXIT_YES
 

@@ -1,11 +1,15 @@
-"""Shared exception types and every resource cap, the oracles' included.  Caps bound
-work, not answers: each is checked before the memory it guards or the search it bounds."""
+"""Shared exception types, every resource cap (the oracles' included) and the
+graph file format names.  Caps bound work, not answers: each is checked before the
+memory it guards or the search it bounds.  Nothing here loads numpy, so the CLI
+parser can list the formats without importing :mod:`imbalanceset.formats`."""
 
 SEARCH_WORK_CAP = 10**6  # odd zero-sum search: |X|*max|Y| + |Y|*max X
 MATRIX_CELL_CAP = 1_000_000_000  # dense adjacency matrix cells
 WITNESS_TABLE_BIT_CAP = 2**32  # odd-total equal-sum witness tables, in bits
 ESSEQ_SUM_CAP = 50_000_000  # bounded equal-sum search: largest sum
 ORACLE_WORK_CAP = 2**21  # brute-force oracles: cases through the next layer, terms in brute_min_order
+
+FORMATS = ("dot", "edgelist", "json")  # graph file formats, re-exported by formats
 
 
 class ResourceLimitError(RuntimeError):

@@ -29,8 +29,7 @@ from typing import Iterator, NoReturn, TextIO
 import numpy as np
 
 from .digraph import Digraph
-
-FORMATS = ("dot", "edgelist", "json")
+from .errors import FORMATS  # noqa: F401  (re-exported)
 
 # _lines() rewrites every str.splitlines break to "\n" and every other
 # whitespace to a space, so inside a line only spaces and tabs remain,

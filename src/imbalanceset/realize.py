@@ -67,19 +67,21 @@ unit from its tail's out-quota and its head's in-quota, so the closing
 guard that every residual quota is zero proves the built imbalances.
 
 Outputs are deterministic, which the golden-file tests rely on.
+Only :func:`max_realization` builds a matrix, so it alone imports numpy
+and :mod:`imbalanceset.digraph`; importing this module loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .digraph import Digraph
 from .errors import check_matrix_order
 from .sequences import digraph_imbalance_failure
+
+if TYPE_CHECKING:
+    from .digraph import Digraph
 
 
 class RealizationError(RuntimeError):
@@ -118,6 +120,10 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     n - 1, and a near tournament when every entry misses it (so n is
     even); mixed parities leave both flags false.
     """
+    import numpy as np
+
+    from .digraph import Digraph
+
     failure = digraph_imbalance_failure(seq)
     if failure is not None:
         raise ValueError(f"not a digraph imbalance sequence ({failure.kind})")

@@ -56,12 +56,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-from .digraph import _TILE, Digraph, _validate_matrix
 from .equalsum import (
     EqualSumWitness,
     _lex_min_witness,
@@ -71,6 +67,9 @@ from .equalsum import (
 from .errors import check_matrix_order
 from .realize import RealizationReport, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
+
+if TYPE_CHECKING:
+    from .digraph import Digraph
 
 # Cells of (pair, new vertex) roles that add_arcs lays out at once.
 _BLOCK = 1 << 20
@@ -119,7 +118,11 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         return TisDecision(False, refusal=refusal)
 
     if members == {0}:
-        cert = _verified_certificate(Digraph(1), members, 1) if with_certificate else None
+        cert = None
+        if with_certificate:
+            from .digraph import Digraph
+
+            cert = _verified_certificate(Digraph(1), members, 1)
         return TisDecision(True, order=1, certificate=cert)
 
     parts = ImbalanceSet.from_values(members)
@@ -214,6 +217,11 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     the construction; it degenerates to the single-apex picture when
     the witness is the trivial ([0], []).
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .digraph import _TILE, Digraph
+
     if not near.is_near_tournament:
         raise ValueError("base graph must be a near tournament")
     xs, ys = witness.xs, witness.ys
@@ -299,16 +307,29 @@ def _verified_certificate(
     graph: Digraph, members: frozenset[int], order: int
 ) -> Digraph:
     """The one check of every certificate: order, simple oriented graph,
-    every pair joined, and the exact imbalance set."""
+    every pair joined, and the exact imbalance set.
+
+    Degrees need one pass over the matrix, for the out-degrees.  Once
+    :func:`~imbalanceset.digraph._validate_matrix` passes, every entry
+    is 0 or 1, the diagonal is zero and no pair carries two opposing
+    arcs, so each of the n(n-1)/2 unordered pairs holds at most one arc.
+    The arc count, the sum of the out-degrees, is therefore at most
+    n(n-1)/2, with equality exactly when every pair holds one arc: when
+    the graph is a tournament.  In a tournament each vertex is joined
+    once to each of the n - 1 others, so its in-degree is n - 1 - out
+    and its imbalance out - in is 2 * out - (n - 1).
+    """
+    from .digraph import _validate_matrix
+
     if graph.n != order:
         raise AssertionError(f"certificate order {graph.n}, expected {order}")
     try:
         _validate_matrix(graph.matrix())
     except ValueError as exc:
         raise AssertionError(f"certificate is not a simple oriented graph: {exc}") from None
-    out_deg, in_deg = graph.out_degrees(), graph.in_degrees()
-    if not (out_deg + in_deg == order - 1).all():
+    out_deg = graph.out_degrees()
+    if int(out_deg.sum()) != order * (order - 1) // 2:
         raise AssertionError("certificate is not a tournament")
-    if frozenset(np.unique(out_deg - in_deg).tolist()) != members:
+    if frozenset((2 * out_deg - (order - 1)).tolist()) != members:
         raise AssertionError("certificate imbalance set mismatch")
     return graph

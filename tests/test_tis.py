@@ -292,6 +292,15 @@ class TestCertificateCheck:
         with pytest.raises(AssertionError, match="opposing"):
             imbalanceset.tis._verified_certificate(forged, frozenset({1, -1}), 4)
 
+    def test_rejects_a_missing_pair(self):
+        # A transitive tournament of order 4 without its arc 0 -> 3: a
+        # simple oriented graph whose out-degrees sum to one short of 6.
+        adj = np.triu(np.ones((4, 4), dtype=np.uint8), 1)
+        adj[0, 3] = 0
+        forged = Digraph.from_matrix(adj)
+        with pytest.raises(AssertionError, match="certificate is not a tournament"):
+            imbalanceset.tis._verified_certificate(forged, frozenset({2, 1, -1, -3}), 4)
+
 
 class TestOrderBounds:
     def test_odd_set_exact(self):
