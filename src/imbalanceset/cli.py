@@ -227,13 +227,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     members = _parse_set(args.set_literal)
     try:
-        with open(args.graph_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.graph_path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph_path}: {exc}") from None
-    kind = detect_format(text, args.graph_path)
+    kind = detect_format(data, args.graph_path)
     try:
-        graph = parse(text, kind)
+        graph = parse(data, kind)
     except DoubledPairError as exc:
         print(f"structural failure: doubled pair ({exc})")
         return EXIT_NO

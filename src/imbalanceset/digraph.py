@@ -82,26 +82,11 @@ class Digraph:
         src, dst = np.asarray(src), np.asarray(dst)
         if any(a.size and a.dtype.kind not in "biu" for a in (src, dst)):
             raise ValueError("arc ids must be integers")  # not cast: 0.5 would read 0
-        raw = src.reshape(-1), dst.reshape(-1)  # for messages: uint64 ids wrap in the cast
-        src, dst = (a.astype(np.int64, copy=False) for a in raw)
+        src, dst = src.reshape(-1), dst.reshape(-1)
         if src.shape != dst.shape:
             raise ValueError("source and target arrays differ in length")
-        # Arcs before the first out-of-range or self-loop one are "good".
-        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
-        good = int(bad.argmax()) if bad.any() else src.size
         adj = np.zeros((n, n), dtype=np.uint8)
-        flat = adj.reshape(-1)
-        s, d = src[:good], dst[:good]
-        flat[s * n + d] = 1
-        # Fewer cells than arcs means a duplicate; a set reverse cell, an
-        # opposing pair.  Either way, find the first one in array order.
-        if np.count_nonzero(flat) < good or flat[d * n + s].any():
-            raise _first_doubled_pair(n, s, d)
-        if good < src.size:
-            u, v = int(raw[0][good]), int(raw[1][good])
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for order {n}")
-            raise ValueError(f"self-loop at vertex {u}")
+        _place_arcs(adj.reshape(-1), n, src, dst)
         return cls.from_matrix(adj, validate=False)
 
     @classmethod
@@ -134,9 +119,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return int(self._adj.sum(dtype=np.int64))
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self._adj[u, v])
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Yield arcs as (source, target), sorted lexicographically."""
@@ -283,13 +265,58 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-def _first_doubled_pair(n: int, src: np.ndarray, dst: np.ndarray) -> DoubledPairError:
-    """The error for the first arc whose unordered pair an earlier arc joined.
+def _place_arcs(flat: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Set the arcs ``src[i] -> dst[i]`` in the flat order-n matrix, or
+    raise for the first bad arc in array order.
 
-    A stable sort by pair groups the arcs of each pair in array order;
-    every arc after the first of its group repeats a pair, and the
-    earliest of those is the one reported.
+    The arcs come after those of earlier calls on the same matrix, and
+    the fault raised is the first doubled pair (:class:`DoubledPairError`,
+    for a duplicate or an opposing arc) before the first arc out of
+    range or looping, else that arc.  A pair is doubled if its cell is
+    set before the scatter, if its reverse cell is set after it, or if
+    a cell is written twice (keys in increasing order, as files list
+    them, cannot repeat).  Ids are read as int64; messages quote them as
+    given, so a uint64 id that wraps in the cast is quoted unwrapped.
     """
+    s64, d64 = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
+    bad = (s64.view(np.uint64) >= n) | (d64.view(np.uint64) >= n) | (s64 == d64)  # negatives wrap
+    good = int(bad.argmax()) if bad.any() else src.size
+    s, d = s64[:good], d64[:good]
+    keys, reverse = s * n + d, d * n + s
+    before = flat[keys]
+    flat[keys] = 1
+    if before.any() or flat[reverse].any() or not _distinct(keys):
+        flat[keys] = before
+        raise _first_doubled_pair(n, s, d, before.astype(bool), flat[reverse].astype(bool))
+    if good < src.size:
+        u, v = int(src[good]), int(dst[good])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) out of range for order {n}")
+        raise ValueError(f"self-loop at vertex {u}")
+
+
+def _distinct(keys: np.ndarray) -> bool:
+    if (keys[1:] > keys[:-1]).all():
+        return True
+    ranked = np.sort(keys)
+    return not (ranked[1:] == ranked[:-1]).any()
+
+
+def _first_doubled_pair(
+    n: int, src: np.ndarray, dst: np.ndarray, forward: np.ndarray, backward: np.ndarray
+) -> DoubledPairError:
+    """The error for the first arc whose unordered pair an earlier arc joined,
+    given which cells (u, v) and (v, u) of each arc earlier calls set.
+
+    The earlier arcs of those pairs go in front, one per pair.  A stable
+    sort by pair then groups the arcs of each pair in order; every arc
+    after the first of its group repeats a pair, and the earliest of
+    those is the one reported.
+    """
+    at = np.flatnonzero(forward | backward)
+    es, ed = np.where(forward[at], src[at], dst[at]), np.where(forward[at], dst[at], src[at])
+    _, once = np.unique(np.minimum(es, ed) * n + np.maximum(es, ed), return_index=True)
+    src, dst = np.concatenate((es[once], src)), np.concatenate((ed[once], dst))
     key = np.minimum(src, dst) * n + np.maximum(src, dst)
     order = np.argsort(key, kind="stable")
     ranked = key[order]

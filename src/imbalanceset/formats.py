@@ -8,56 +8,86 @@ that touch no arc are written explicitly so the order is never lost.
 A certificate has Theta(n^2) arcs, so neither direction makes a Python
 object per arc.  Emission yields one string per adjacency row, joining
 the row's targets from a table of id strings; :func:`write` writes them
-one by one, :func:`emit` joins them.  Parsing checks the whole body
-with one ``re.sub`` that deletes runs of good lines, anchored at line
-starts (whatever it leaves over are the bad lines), and then converts
-every id in one ``np.fromstring`` call.  JSON floats are refused.
+one by one, :func:`emit` joins them.
+
+Parsing reads the document as bytes (a ``str`` is encoded first) and
+walks its body once, in chunks of about ``_CHUNK`` bytes that each end
+at a line end, or in JSON at the ``]`` that closes an arc.  In each
+chunk:
+
+1. numpy marks where tokens start (a digit run, ``->``, ``;``, a line
+   end; in JSON ``[``, ``,`` and ``]``), and vectorized comparisons of
+   each token with the one or two before it check the grammar.  The
+   first bad line is found by bisecting the chunk.
+2. Each digit run is decoded from the eight bytes that start it, read
+   as one integer (see :func:`_ids`).
+3. The ids are scattered straight into the ``uint8`` matrix, where a
+   doubled pair finds a cell of its pair already set.
+
+A grammar fault is raised at once; an arc fault is held until the rest
+of the body has passed the grammar, so grammar faults still come first,
+and an arc fault is the first in file order, with the messages of
+:meth:`Digraph.from_arcs`.  The matrix cap is checked before the matrix
+is allocated.  A DOT document does not state its order, which is its
+largest id plus one, so its matrix grows with the ids (by at least a
+quarter each time, each order checked against the cap first), and its
+arc faults also wait until the last id shows that the cap holds.
+
 Lines break wherever ``str.splitlines`` breaks them, surrounding
 whitespace is ignored, blank lines are skipped, and ids are ASCII
 decimal digits (``-`` allowed in edge lists, so a negative id is
-reported as out of range).
+reported as out of range).  A document with any other line break or
+whitespace, or with non-ASCII text, is first rewritten to "\\n" line
+ends and spaces, then scanned the same way.
+
+In JSON only the ``arcs`` array is scanned: the rest of the document is
+cut out and read by ``json.loads``, which refuses floats.  A document
+whose arcs are not all plain integer pairs, or whose ``arcs`` key the
+scan cannot place (a second one, say), is read by ``json.loads`` whole,
+as before, and its ids are scattered by the same code.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import re
 from itertools import chain
-from typing import Iterator, NoReturn, TextIO
+from math import isqrt
+from typing import Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .digraph import Digraph
-from .errors import FORMATS  # noqa: F401  (re-exported)
+from .digraph import Digraph, _place_arcs
+from .errors import FORMATS, MATRIX_CELL_CAP, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
+
+# Bytes per scanned chunk.  The scan holds a few temporaries of this size
+# and int64 ones of about a third of it; at 256 KiB they stay a few MB.
+_CHUNK = 1 << 18
 
 # _lines() rewrites every str.splitlines break to "\n" and every other
-# whitespace to a space, so inside a line only spaces and tabs remain,
-# both of which np.fromstring skips.
+# whitespace to a space, so inside a line only spaces and tabs remain.
 _BREAKS = re.compile(r"\r\n|[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 _ODD_SPACE = re.compile(r"[^\S\n\t ]")
-_S = r"[ \t]"
-_DIGIT = re.compile(r"[0-9]")
+_ODD_BYTES = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII ones it rewrites
 
+_DOT_HEAD = re.compile(rb"[ \t\n]*digraph[^\n\r\x0b\x0c\x1c-\x1f]*\n")
+_EDGE_HEAD = re.compile(rb"[ \t\n]*#[ \t]*tournament[ \t]+n=([0-9]+)[ \t]*\n")
+_WS = rb"[ \t\n\r]*"  # JSON whitespace
+_JSON_HEAD = re.compile(rb'%s\{%s(?:"n"%s:%s-?[0-9]+%s,%s)?"arcs"%s:%s\[' % ((_WS,) * 8))
 
-def _line_blocks(line: str) -> re.Pattern:
-    """Runs of up to 256 whole lines of one grammar, from a line start.
+# Bytes between tokens.  In edge lists and JSON a sign is one too, and
+# is checked on its own: right before a digit and, in edge lists, not
+# right after one.  A dot "->" is one token, its "-".
+_SPACES = {"dot": b" \t", "edgelist": b" \t-", "json": b" \t\n\r-"}
+# JSON arcs are "[u, v]"; each arc after the first begins with its ",",
+# so with a "," put in front of the first, the tokens repeat this period
+# ("0" standing for an id).
+_JSON_ARC = np.frombuffer(b",[0,0]", dtype=np.uint8)
+_JSON_DIGITS = 18  # an id of at most 18 digits fits int64
 
-    ``re.sub`` with this pattern deletes every good line and leaves the
-    bad ones.  A block per match is cheaper than a match per line, and
-    the bound keeps the engine's backtracking record small (an unbounded
-    run over the whole body would hold one record per line).
-    """
-    return re.compile(rf"^(?:{line}\n){{1,256}}", re.MULTILINE)
-
-
-_DOT_FRAME = re.compile(rf"\s*digraph[^\n]*\n(.*\n)?{_S}*\}}\s*", re.DOTALL)
-_DOT_LINES = _line_blocks(rf"{_S}*(?:[0-9]+{_S}*(?:->{_S}*[0-9]+{_S}*)?;)?{_S}*")
-_DOT_NODE = re.compile(rf"^{_S}*([0-9]+){_S}*;{_S}*$", re.MULTILINE)
-_DOT_PUNCT = str.maketrans("->;", "   ")
-
-_EDGE_HEAD = re.compile(rf"\s*#{_S}*tournament{_S}+n=([0-9]+){_S}*\n")
-_EDGE_LINES = _line_blocks(rf"{_S}*(?:-?[0-9]+{_S}+-?[0-9]+)?{_S}*")
+_NAMES = {"dot": "dot", "edgelist": "edge-list"}
+_INT64_MAX = 2**63 - 1
+_MAX_ORDER = isqrt(MATRIX_CELL_CAP)
 
 
 def emit(graph: Digraph, kind: str) -> str:
@@ -69,7 +99,7 @@ def write(graph: Digraph, kind: str, fh: TextIO) -> None:
     fh.writelines(_pieces(graph, kind))
 
 
-def parse(text: str, kind: str) -> Digraph:
+def parse(text: str | bytes, kind: str) -> Digraph:
     if kind == "dot":
         return parse_dot(text)
     if kind == "edgelist":
@@ -79,7 +109,7 @@ def parse(text: str, kind: str) -> Digraph:
     raise ValueError(f"unknown format {kind!r}")
 
 
-def detect_format(text: str, filename: str | None = None) -> str:
+def detect_format(text: str | bytes, filename: str | None = None) -> str:
     """Guess the format from the filename extension, then the content."""
     if filename:
         lowered = filename.lower()
@@ -89,7 +119,7 @@ def detect_format(text: str, filename: str | None = None) -> str:
             return "json"
         if lowered.endswith((".edges", ".edgelist", ".txt")):
             return "edgelist"
-    head = text.lstrip()[:16]
+    head = _head(text)
     if head.startswith("digraph"):
         return "dot"
     if head.startswith("{"):
@@ -138,84 +168,338 @@ def _rows(graph: Digraph, head: str, sep: str, tail: str) -> Iterator[str]:
         yield head.format(u=name) + sep.format(u=name).join(targets) + tail
 
 
-def _lines(text: str) -> str:
-    """``text`` with every line ending in "\\n", the last one too, where
-    str.splitlines would end it, and only " " or "\\t" as whitespace
-    inside a line."""
-    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x1f"):
-        text = _ODD_SPACE.sub(" ", _BREAKS.sub("\n", text))
-    return text if text.endswith("\n") else text + "\n"
+def _head(text: str | bytes) -> str:
+    """The first 16 characters of ``text`` after its leading whitespace."""
+    for lo in range(0, len(text), _CHUNK):
+        piece = text[lo : lo + _CHUNK + 16]
+        if not isinstance(piece, str):
+            piece = bytes(piece).decode("utf-8", "replace")
+        if piece.lstrip():
+            return piece.lstrip()[:16]
+    return ""
 
 
-def _check_lines(blocks: re.Pattern, body: str, kind: str) -> None:
-    """Raise for the first line of ``body`` outside the grammar of ``blocks``."""
-    bad = blocks.sub("", body)
-    if bad:
-        first = bad[: bad.index("\n")].strip()
-        raise ValueError(f"unparseable {kind} line: {first!r}")
+def _ascii(text: str | bytes) -> bytes | None:
+    """The document's bytes if it is all ASCII, else None."""
+    if isinstance(text, str):
+        return text.encode("ascii") if text.isascii() else None
+    data = bytes(text)
+    return data if data.isascii() else None
 
 
-def _ids(body: str) -> np.ndarray:
-    """Every decimal id in a checked body, in order, as one int64 array.
+def _lines(text: str | bytes) -> bytes:
+    """The document as UTF-8 with every line ending in "\\n", the last one
+    too, where str.splitlines would end it, and only " " or "\\t" as
+    whitespace inside a line."""
+    if not isinstance(text, str):
+        text = bytes(text).decode("utf-8")
+    data = _ODD_SPACE.sub(" ", _BREAKS.sub("\n", text)).encode("utf-8", "surrogatepass")
+    return data if data.endswith(b"\n") else data + b"\n"
 
-    Ids beyond the int64 range clamp to its ends, which are out of range
-    for any order the matrix cap allows.
+
+def _text_document(scan: Callable[[bytes], Digraph], text: str | bytes) -> Digraph:
+    """``scan`` the document as it is if it is plain ASCII, else rewritten by _lines().
+
+    The scanners take no byte that _lines() rewrites, so an ASCII
+    document that holds one fails as it is, and only then is rewritten.
     """
-    if _DIGIT.search(body) is None:  # np.fromstring reads a blank string as [0]
-        return np.zeros(0, dtype=np.int64)
-    return np.fromstring(body, dtype=np.int64, sep=" ")
+    data = _ascii(text)
+    if data is not None:
+        try:
+            return scan(data if data.endswith(b"\n") else data + b"\n")
+        except ValueError:
+            if not any(c in data for c in _ODD_BYTES):
+                raise
+    return scan(_lines(text))
+
+
+def _chunks(data: bytes, lo: int, hi: int, end: bytes) -> Iterator[tuple[int, int]]:
+    """Split ``data[lo:hi]``, which ends with ``end``, into runs of about
+    ``_CHUNK`` bytes that each end with ``end`` (a longer line is one run)."""
+    while lo < hi:
+        cut = data.rfind(end, lo, min(lo + _CHUNK, hi)) + 1
+        if cut <= lo:
+            cut = data.find(end, lo + _CHUNK, hi) + 1
+        yield lo, cut
+        lo = cut
+
+
+def _tokens(view: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The offsets and first bytes of the tokens of a chunk, or None if a
+    sign or an arrow is out of place.
+
+    A token starts at every byte but a space, a digit right after a
+    digit and the ">" of a dot "->".
+    """
+    digit = (view - ord("0")) < 10  # bytes below "0" wrap around to 207 and up
+    space = view == ord(" ")
+    for byte in _SPACES[kind][1:]:
+        space |= view == byte
+    dash = view[:-1] == ord("-")  # a chunk ends with its line end or "]"
+    if kind == "dot":
+        arrow = view == ord(">")
+        if arrow[0] or not np.array_equal(dash, arrow[1:]):
+            return None
+        space |= arrow
+    elif (dash & ~digit[1:]).any() or (kind == "edgelist" and (dash[1:] & digit[:-2]).any()):
+        return None
+    start = ~space
+    start[1:] &= ~(digit[1:] & digit[:-1])
+    at = np.flatnonzero(start)
+    return at, view.take(at)
+
+
+def _before(mask: np.ndarray, k: int, start: bool) -> np.ndarray:
+    """``mask`` of the token k places back, ``start`` where there is none."""
+    out = np.empty_like(mask)
+    out[:k] = start
+    out[k:] = mask[:-k]
+    return out
+
+
+def _grammar(view: np.ndarray, kind: str, first: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """The tokens of a chunk (as from :func:`_tokens`) if it is in the
+    grammar, else None.  JSON tokens come six to an arc.
+
+    Text chunks are whole lines.  Each rule says which token may come
+    before which.  In a dot line ("", "u;" or "u->v;") an id follows a
+    line start or "->", ";" an id, "->" an id at the line start, and the
+    line end ";" or the line start, which admits no other line.  An
+    edge-list line ("" or "u v") holds two ids or none.  A chunk of JSON
+    arcs holds whole arcs; ``first`` if it holds the first.
+    """
+    tokens = _tokens(view, kind)
+    if tokens is None:
+        return None
+    at, b = tokens
+    if kind == "json":
+        if first:  # stand in for the "," before the first arc
+            at, b = np.insert(at, 0, 0), np.insert(b, 0, ord(","))
+        if b.size % 6:
+            return None
+        arcs = b.reshape(-1, 6)
+        for i, byte in enumerate(_JSON_ARC):
+            if not (arcs[:, i] == byte if i not in (2, 4) else (arcs[:, i] - ord("0")) < 10).all():
+                return None
+        return at, b
+    digit, end = (b - ord("0")) < 10, b == ord("\n")
+    digit_1, digit_2 = _before(digit, 1, False), _before(digit, 2, False)
+    start_1, start_2 = _before(end, 1, True), _before(end, 2, True)  # a chunk starts a line
+    if kind == "dot":
+        dash, semi = b == ord("-"), b == ord(";")
+        ok = (
+            (digit | end | dash | semi)
+            & (~end | start_1 | _before(semi, 1, False))
+            & (~digit | start_1 | _before(dash, 1, False))
+            & (~semi | digit_1)
+            & (~dash | (digit_1 & start_2))
+        )
+    else:
+        ok = (digit | end) & (~digit | start_1 | (digit_1 & start_2)) & (~end | start_1 | (digit_1 & digit_2))
+    return tokens if ok.all() else None
+
+
+def _first_bad_line(data: bytes, lo: int, hi: int, kind: str) -> str:
+    """The first line of a chunk outside the grammar, found by bisecting
+    the chunk's lines (a run of lines is good iff each line is)."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    ends = lo + 1 + np.flatnonzero(arr[lo:hi] == ord("\n"))
+    good, bad = 0, len(ends) - 1  # lines before `good` pass; lines up to `bad` fail
+    while good < bad:
+        mid = (good + bad) // 2
+        if _grammar(arr[lo : ends[mid]], kind) is None:
+            bad = mid
+        else:
+            good = mid + 1
+    start = ends[good - 1] if good else lo
+    return data[start : ends[good] - 1].strip(b" \t").decode("utf-8", "surrogatepass")
+
+
+def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The values and lengths (up to 255) of the digit runs that start at
+    the increasing offsets ``at`` of ``arr`` and end before ``hi``.
+
+    A run of at most 6 digits is read from the 8 bytes that start it, as
+    one little-endian integer.  Its first byte that is not a digit sets
+    the top bit of its place when "0" is subtracted (a byte below it) or
+    0x46 added (one above "9"); carries only move up, so the lowest set
+    top bit gives the run's length.  Shifting the run to the top leaves
+    its digits in place-value order behind leading zeros, and three
+    multiply-shifts join their low nibbles pairwise, then the pairs,
+    then the quads.  Longer runs, and runs too near the end of the
+    document for 8 bytes, are read by ``int``; values beyond int64 clamp
+    to its largest, as ``np.fromstring`` read them.  ``signed`` negates
+    an id after a ``-``.
+    """
+    words = np.ndarray((max(arr.size - 7, 0),), dtype=np.dtype("<u8"), buffer=arr, strides=(1,))
+    near_end = at.size - np.searchsorted(at, arr.size - 8, "right")  # runs with fewer than 8 bytes left
+    w = words[np.minimum(at, arr.size - 8) if near_end else at]  # a document with ids has 8 bytes
+    stop = ((w - 0x3030303030303030) | (w + 0x4646464646464646)) & 0x8080808080808080
+    bits = np.bitwise_count(stop ^ (stop - 1))  # 8 per digit, 8 more for the stop; 64: 7 digits or more
+    x = w << (72 - bits)
+    x = (x & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8  # 10 * 256 + 1
+    x = (x & 0x00FF00FF00FF00FF) * 6553601 >> 16  # 100 * 2**16 + 1
+    x = (x & 0x0000FFFF0000FFFF) * 42949672960001 >> 32  # 10**4 * 2**32 + 1
+    ids, size = x.view(np.int64), (bits >> 3) - 1
+    negative = arr[at - 1] == ord("-") if signed else np.zeros(0, dtype=bool)
+    if negative.any():
+        np.negative(ids, out=ids, where=negative)
+    long = np.flatnonzero(bits == 64)
+    for i in np.concatenate((long, np.arange(at.size - near_end, at.size))):
+        digits = int(np.argmax((arr[at[i] : hi] - ord("0")) >= 10))
+        text = arr[at[i] - (signed and negative[i]) : at[i] + digits].tobytes()
+        value = int(text) if len(text.lstrip(b"-0")) <= 19 else _INT64_MAX
+        ids[i] = value if -(2**63) <= value <= _INT64_MAX else _INT64_MAX
+        size[i] = min(digits, 255)
+    return ids, size
+
+
+def _scan(data: bytes, lo: int, hi: int, kind: str, n: int | None) -> Digraph | None:
+    """Check the grammar of each chunk of the body ``data[lo:hi]``, decode
+    its ids and scatter its arcs into the matrix.
+
+    A text chunk outside the grammar raises at once, and a JSON one (or
+    a JSON id that is not a plain int64 integer) returns None.  Any other
+    fault is held, and no more arcs placed, until the whole body is
+    checked, so a grammar fault comes first wherever it is.  ``n`` is
+    the order, or None for DOT, whose order is its largest id plus one:
+    the matrix then grows to hold each id as it appears, until an order
+    would pass the cap, which is raised with the last order before any
+    arc fault, as from_arcs does.
+    """
+    arr = np.frombuffer(data, dtype=np.uint8)
+    adj, fault, seen = _zeros(0), None, -1
+    if n is not None:
+        try:
+            adj = _zeros(n)
+        except (ValueError, ResourceLimitError) as exc:
+            fault = exc
+    for a, b in _chunks(data, lo, hi, b"]" if kind == "json" else b"\n"):
+        tokens = _grammar(arr[a:b], kind, first=a == lo)
+        if tokens is None:
+            if kind == "json":
+                return None
+            raise ValueError(f"unparseable {_NAMES[kind]} line: {_first_bad_line(data, a, b, kind)!r}")
+        at, t = tokens
+        which = np.flatnonzero((t - ord("0")) < 10)  # the tokens that are ids
+        at, t, dash = at.take(which), t.take(which), t == ord("-")
+        ids, size = _ids(arr, a + at, b, signed=kind != "dot" and data.find(b"-", a, b) >= 0)
+        if kind == "json" and ((size > _JSON_DIGITS) | ((t == ord("0")) & (size > 1))).any():
+            return None  # not a JSON integer, or not one int64 holds
+        if kind == "dot":
+            seen = max(seen, int(ids.max(initial=-1)))
+            if 2 * np.count_nonzero(dash) != ids.size:  # drop the ids of vertex lines ("u;")
+                ids = ids[(_before(dash, 1, False) | np.append(dash[1:], False)).take(which)]
+        if fault is not None or seen >= _MAX_ORDER:
+            continue
+        if seen >= len(adj):  # only in DOT, where the order is not known
+            adj = _grown(adj, max(seen + 1, min(len(adj) * 5 // 4, _MAX_ORDER)))
+        try:
+            _place_arcs(adj.reshape(-1), len(adj), ids[0::2], ids[1::2])
+        except ValueError as exc:
+            fault = exc
+    if kind == "dot":
+        check_matrix_order(seen + 1)
+        adj = adj[: seen + 1, : seen + 1].copy() if len(adj) > seen + 1 else adj
+    if fault is not None:
+        raise fault
+    return Digraph.from_matrix(adj, validate=False)
+
+
+def _zeros(n: int) -> np.ndarray:
+    """The empty order-n matrix, refused before allocation as from_arcs does."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    check_matrix_order(n)
+    return np.zeros((n, n), dtype=np.uint8)
+
+
+def _grown(adj: np.ndarray, order: int) -> np.ndarray:
+    grown = _zeros(order)
+    grown[: len(adj), : len(adj)] = adj
+    return grown
 
 
 # -- dot ---------------------------------------------------------------
 
 
-def parse_dot(text: str) -> Digraph:
-    frame = _DOT_FRAME.fullmatch(_lines(text))
-    if frame is None:
+def parse_dot(text: str | bytes) -> Digraph:
+    return _text_document(_scan_dot, text)
+
+
+def _scan_dot(data: bytes) -> Digraph:
+    head = _DOT_HEAD.match(data)
+    lo = head.end() if head else 0
+    hi = _closing_line(data, lo)
+    if head is None or hi is None:
         raise ValueError("not a dot digraph document")
-    body = frame.group(1) or ""
-    _check_lines(_DOT_LINES, body, "dot")
-    seen = -1
-    if body.count(";") != body.count("->"):  # some node lines ("  7;")
-        seen = max(int(v) for v in _DOT_NODE.findall(body))
-        body = _DOT_NODE.sub("", body)
-    ids = _ids(body.translate(_DOT_PUNCT))
-    if ids.size:
-        seen = max(seen, int(ids.max()))
-    return Digraph.from_arcs(seen + 1, ids[0::2], ids[1::2])
+    return _scan(data, lo, hi, "dot", None)
+
+
+def _closing_line(data: bytes, lo: int) -> int | None:
+    """Where the last non-blank line of ``data[lo:]`` starts, if it is ``}``."""
+    end = len(data)
+    while end > lo:
+        tail = data[max(lo, end - _CHUNK) : end]
+        kept = len(tail.rstrip(b" \t\n"))
+        end -= len(tail) - kept
+        if kept:
+            break
+    start = max(lo, data.rfind(b"\n", lo, end) + 1)
+    return start if end > lo and data[start:end].strip(b" \t") == b"}" else None
 
 
 # -- edge list ---------------------------------------------------------
 
 
-def parse_edgelist(text: str) -> Digraph:
-    text = _lines(text)
-    header = _EDGE_HEAD.match(text)
+def parse_edgelist(text: str | bytes) -> Digraph:
+    return _text_document(_scan_edgelist, text)
+
+
+def _scan_edgelist(data: bytes) -> Digraph:
+    header = _EDGE_HEAD.match(data)
     if not header:
-        if not text.strip():
+        if not data.strip(b" \t\n"):
             raise ValueError("empty edge-list document")
         raise ValueError("edge list must start with '# tournament n=<n>'")
-    body = text[header.end():]
-    _check_lines(_EDGE_LINES, body, "edge-list")
-    ids = _ids(body)
-    return Digraph.from_arcs(int(header.group(1)), ids[0::2], ids[1::2])
+    return _scan(data, header.end(), len(data), "edgelist", int(header.group(1)))
 
 
 # -- json --------------------------------------------------------------
 
 
-def parse_json(text: str) -> Digraph:
-    # json.loads makes a list per arc and no cycles, so pausing the cyclic
-    # collector (which would rescan the growing heap) loses nothing.  The
-    # switch is process-wide; another thread at worst runs unpaused or
-    # paused for as long as this call.
-    collecting = gc.isenabled()
-    gc.disable()
+def parse_json(text: str | bytes) -> Digraph:
+    data = _ascii(text)
+    graph = None if data is None else _scan_json(data)
+    return graph if graph is not None else _load_json(text)
+
+
+def _scan_json(data: bytes) -> Digraph | None:
+    """Scan the arcs of a JSON document and ``json.loads`` the rest, or
+    return None if the arcs are not all plain integer pairs or the rest
+    is not a plain object that holds them once."""
+    head = _JSON_HEAD.match(data)
+    if head is None:
+        return None
+    lo = head.end()  # just after the "[" of the arcs
+    # The "]" closing the arcs.  Arcs that pass the scan hold "]]" only at
+    # their end, and a key follows them, so a later "]]" fails the scan.
+    hi = data.rfind(b"]]", lo) + 1
+    if hi < lo or b'"arcs"' in data[hi:] or b"\\" in data[hi:]:
+        return None
     try:
-        doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)
-    finally:
-        if collecting:
-            gc.enable()
+        rest = json.loads(data[: lo - 1] + b"0" + data[hi + 1 :], parse_float=_not_an_id, parse_constant=_not_an_id)
+        n = int(rest["n"])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return _scan(data, lo, hi, "json", n)
+
+
+def _load_json(text: str | bytes) -> Digraph:
+    """Read the whole document with ``json.loads`` and place its arcs."""
+    if not isinstance(text, str):
+        text = bytes(text).decode("utf-8")
+    doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise ValueError("json document must carry 'n' and 'arcs'")
     arcs = doc["arcs"]

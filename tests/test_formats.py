@@ -119,3 +119,19 @@ class TestDetect:
     def test_unknown_kind_is_an_error(self):
         with pytest.raises(ValueError, match="unknown format"):
             emit(triangle_cycle(), "gml")
+
+
+class TestBytes:
+    @given(digraphs())
+    @settings(max_examples=50)
+    def test_bytes_parse_as_their_text(self, g: Digraph):
+        for kind in ("dot", "edgelist", "json"):
+            text = emit(g, kind)
+            assert parse(text.encode(), kind) == parse(text, kind) == g
+            assert detect_format(text.encode()) == detect_format(text) == kind
+
+    def test_non_ascii_bytes_are_read_as_utf8(self):
+        text = "digraph {\u2028  0 -> 1;\n}\n"  # a line break str.splitlines knows
+        assert parse_dot(text.encode()) == parse_dot(text) == Digraph(2, [(0, 1)])
+        with pytest.raises(UnicodeDecodeError):
+            parse_dot(b"digraph {\n  0 -> 1;\xff\n}\n")

@@ -5,7 +5,8 @@ document both parsers must accept or both reject; a rejection must be of
 the same kind (and, for faults in the arcs themselves, carry the same
 message); an accepted document must give the same graph.  Emitters must
 agree byte for byte.  The deliberate differences are tested on their
-own at the end.
+own, and last come the same checks with the parsers' chunk size patched
+small, so that chunk boundaries fall between every pair of lines.
 """
 
 import json
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_formats as ref
-from imbalanceset import Digraph, DoubledPairError, ResourceLimitError, realize_imbalance_set
+from imbalanceset import Digraph, DoubledPairError, ResourceLimitError, formats, realize_imbalance_set
 from imbalanceset.formats import emit, parse, parse_dot, parse_edgelist, parse_json
 
 DATA = Path(__file__).parent / "data"
@@ -308,3 +309,96 @@ class TestDeliberateDifferences:
             ref.parse_json(text)
         with pytest.raises(ValueError, match=f"integers, not {constant}"):
             parse_json(text)
+
+
+# -- chunk boundaries ----------------------------------------------------
+
+# The program's chunk, then chunks of one byte (so one line or arc each),
+# of a few bytes and of a few lines.
+CHUNKS = (formats._CHUNK, 1, 7, 64)
+_DOCUMENTS = {"dot": dot_documents(), "edgelist": edgelist_documents(), "json": json_documents()}
+
+
+def _exact(kind: str, text: str):
+    try:
+        return "ok", parse(text, kind)
+    except (ValueError, ResourceLimitError) as exc:
+        return "error", type(exc), str(exc)
+
+
+def _assert_same_for_every_chunk(kind: str, text: str) -> None:
+    """Under each chunk size: the outcome agrees with the reference as in
+    TestParsersAgree, and the graph, or the exception type and message,
+    is exactly the one under the program's chunk."""
+    expected = _exact(kind, text)
+    for chunk in CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK", chunk)
+            assert _exact(kind, text) == expected, (chunk, text)
+            _assert_agree(kind, text)
+
+
+def _arc_lines(kind: str, n: int, arcs) -> str:
+    if kind == "dot":
+        return "digraph {\n" + "".join(f"  {u} -> {v};\n" for u, v in arcs) + "}\n"
+    if kind == "edgelist":
+        return f"# tournament n={n}\n" + "".join(f"{u} {v}\n" for u, v in arcs)
+    return json.dumps({"n": n, "arcs": arcs})
+
+
+_FILLER = [(0, v) for v in range(2, 40)]  # long enough to put what follows in a later chunk
+
+
+class TestChunkBoundaries:
+    @_generated
+    @given(st.sampled_from(KINDS), st.data())
+    def test_generated_documents(self, kind, data):
+        _assert_same_for_every_chunk(kind, data.draw(_DOCUMENTS[kind]))
+
+    @_generated
+    @given(st.sampled_from(KINDS), st.data())
+    def test_documents_with_arc_faults(self, kind, data):
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        ident = st.integers(min_value=-1 if kind != "dot" else 0, max_value=n)
+        arcs = data.draw(st.lists(st.tuples(ident, ident), max_size=40))
+        _assert_same_for_every_chunk(kind, _arc_lines(kind, n, arcs))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("early", [[(0, 1), (1, 0)], [(0, 1), (0, 1)], [(1, 1)], [(0, 99)]])
+    def test_an_early_arc_fault_yields_to_a_later_grammar_fault(self, kind, early):
+        text = _arc_lines(kind, 40, early + _FILLER)
+        if kind == "json":
+            text = text[:-2] + ', [0, "x"]]}'
+        else:
+            text = text.replace("  0 -> 39;\n", "  0 -> 39;\n  junk\n").replace("0 39\n", "0 39\njunk\n")
+        _assert_same_for_every_chunk(kind, text)
+        with pytest.raises(ValueError, match="unparseable|invalid literal"):
+            parse(text, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("late", [(1, 0), (0, 1), (39, 0), (0, 39)])
+    def test_a_pair_doubled_across_chunks(self, kind, late):
+        text = _arc_lines(kind, 40, [(0, 1)] + _FILLER + [late])
+        _assert_same_for_every_chunk(kind, text)
+        with pytest.raises(DoubledPairError):
+            parse(text, kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_growing_ids(self, kind):
+        # DOT learns its order from its ids, so its matrix grows chunk by chunk.
+        path = [(v, v + 1) for v in range(300)]
+        _assert_same_for_every_chunk(kind, _arc_lines(kind, 301, path))
+        _assert_same_for_every_chunk(kind, _arc_lines(kind, 301, path + [(150, 0), (300, 299)]))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"arcs": [[0, 1], [1, 2]], "n": 3, "imbalance_set": [1]}',
+            '{"arcs": [[0, 1]], "n": 3, "arcs": [[1, 2], [2, 0]]}',
+            '{"n": 3, "arcs": [[0, 1], [1, 0]], "arcs": [[1, 2]]}',
+            '{"n": 3, "arcs": [[1, 2]], "extra": [[0, 1]], "arcs": [[2, 1], [1, 2]]}',
+            '{"n": 3, "arcs": [[0, 1]], "note": "\\"arcs\\": [[1, 0]]"}',
+        ],
+    )
+    def test_json_arcs_not_last_or_twice(self, text):
+        _assert_same_for_every_chunk("json", text)

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_tis
@@ -124,27 +124,42 @@ def _near_tournament(n, seed):
 
 
 @st.composite
+def _parts(draw, total, count, largest):
+    """``count`` parts of 1..largest that sum to ``total``, which they can."""
+    parts, left = [], total
+    for i in range(count - 1, -1, -1):  # i parts remain after this one
+        part = draw(st.integers(max(1, left - i * largest), min(largest, left - i)))
+        parts.append(part)
+        left -= part
+    return parts
+
+
+@st.composite
 def _crowded_witness(draw, n_pairs):
     """An odd-total equal-sum pair of even entries that fit the pairs,
-    dealing more couples than there are pairs."""
-    k = draw(st.sampled_from([3, 5, 7, 9]))
-    a = draw(st.integers(1, k - 1))
+    dealing more couples than there are pairs.
+
+    With a entries on one side and b on the other, each half an entry
+    in 1..n_pairs, such a witness exists exactly when its couple count
+    lies in [max(a, b, n_pairs + 1), min(a, b) * n_pairs], so only
+    shapes (k, a) with a nonempty range are drawn, and no draw is
+    rejected.
+    """
+    shapes = [
+        (k, a) for k in (3, 5, 7, 9) for a in range(1, k) if max(a, k - a, n_pairs + 1) <= min(a, k - a) * n_pairs
+    ]
+    k, a = draw(st.sampled_from(shapes))
     b = k - a
-    x_halves = draw(st.lists(st.integers(1, n_pairs), min_size=a, max_size=a))
-    couples = sum(x_halves)
-    assume(n_pairs < couples and b <= couples <= b * n_pairs)
-    y_halves, left = [], couples
-    for i in range(b - 1, -1, -1):  # i parts remain after this one
-        y = draw(st.integers(max(1, left - i * n_pairs), min(n_pairs, left - i)))
-        y_halves.append(y)
-        left -= y
+    couples = draw(st.integers(max(a, b, n_pairs + 1), min(a, b) * n_pairs))
+    x_halves = draw(_parts(couples, a, n_pairs))
+    y_halves = draw(_parts(couples, b, n_pairs))
     return EqualSumWitness(
         tuple(sorted(2 * x for x in x_halves)), tuple(sorted(2 * y for y in y_halves)), 2 * couples
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.data())
 def test_random_near_tournaments_with_crowded_pairs(n_pairs, seed, data):
     report = _near_tournament(2 * n_pairs, seed)
     witness = data.draw(_crowded_witness(n_pairs))
