@@ -223,6 +223,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .digraph import _tournament_imbalances
     from .formats import detect_format, parse
 
     members = _parse_set(args.set_literal)
@@ -237,12 +238,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except DoubledPairError as exc:
         print(f"structural failure: doubled pair ({exc})")
         return EXIT_NO
-    if not graph.is_tournament():
+    # parse refused doubled pairs and self-loops, so one out-degree pass
+    # decides the tournament and gives the imbalances.
+    imbalances = _tournament_imbalances(graph)
+    if imbalances is None:
         pair = graph.first_non_neighbour_pair()
         where = f" {pair}" if pair else ""
         print(f"structural failure: missing pair{where}")
         return EXIT_NO
-    got = graph.imbalance_set()
+    got = frozenset(imbalances.tolist())
     if got != members:
         print(
             "imbalance mismatch: graph has "

@@ -336,13 +336,17 @@ def _validate_matrix(adj: np.ndarray) -> None:
     next.  A pair is tested in the block of its smaller endpoint, one
     tile against its mirror tile, so each transposed read is a small
     square; the diagonal is zero by then, so tiles crossing it report
-    only pairs.
+    only pairs.  No temporary grows with n: the entry test is a
+    reduction (``max``) over the block, the self-loop test makes two
+    ``_BLOCK``-long index arrays and a gather of the block's diagonal
+    cells (72 KiB), and the pair test one ``_TILE`` x ``_TILE`` tile
+    product (256 KiB).
     """
     n = adj.shape[0]
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         block = adj[lo:hi, :]
-        if (block > 1).any():
+        if block.max() > 1:
             raise ValueError("adjacency entries must be 0 or 1")
         rows = np.arange(hi - lo)
         if block[rows, rows + lo].any():
@@ -353,3 +357,24 @@ def _validate_matrix(adj: np.ndarray) -> None:
                 b_end = min(b + _TILE, n)
                 if (adj[a:a_end, b:b_end] & adj[b:b_end, a:a_end].T).any():
                     raise ValueError("opposing arc pairs are not allowed")
+
+
+def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:
+    """Each vertex's imbalance, by id, if the graph is a tournament, else None.
+
+    The graph must be a simple oriented graph: every entry 0 or 1, the
+    diagonal zero and no pair carrying two opposing arcs, as
+    :func:`_validate_matrix` checks and :meth:`Digraph.from_arcs`
+    ensures.  Then each of the n(n-1)/2 unordered pairs holds at most
+    one arc, so the arc count, the sum of the out-degrees, is at most
+    n(n-1)/2, with equality exactly when every pair holds one arc: when
+    the graph is a tournament.  In a tournament each vertex is joined
+    once to each of the n - 1 others, so its in-degree is n - 1 - out
+    and its imbalance out - in is 2 * out - (n - 1).  So one pass over
+    the matrix, for the out-degrees, gives both answers.
+    """
+    n = graph.n
+    out_deg = graph.out_degrees()
+    if int(out_deg.sum()) != n * (n - 1) // 2:
+        return None
+    return 2 * out_deg - (n - 1)

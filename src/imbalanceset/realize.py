@@ -81,6 +81,8 @@ from .errors import check_matrix_order
 from .sequences import digraph_imbalance_failure
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .digraph import Digraph
 
 
@@ -113,12 +115,18 @@ def max_arc_count(seq: Sequence[int]) -> int:
     return sum((n - 1 + t) // 2 for t in seq)
 
 
-def max_realization(seq: Sequence[int]) -> RealizationReport:
+def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> RealizationReport:
     """Build a maximum-arc simple digraph realizing the sequence.
 
     The result is a tournament when every entry matches the parity of
     n - 1, and a near tournament when every entry misses it (so n is
     even); mixed parities leave both flags false.
+
+    ``_out`` is private to :func:`imbalanceset.tis.decide_tis`: a zeroed
+    square uint8 matrix of order at least n, whose top-left n x n block
+    the greedy writes instead of a matrix of its own.  The report's
+    graph is then a view of that block, so later writes to ``_out``
+    change it.
     """
     import numpy as np
 
@@ -136,7 +144,7 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     joined_quota = np.where(parity_match, n - 1, n - 2)
     in_quota = joined_quota - out_quota
 
-    adj = np.zeros((n, n), dtype=np.uint8)
+    adj = np.zeros((n, n), dtype=np.uint8) if _out is None else _out[:n, :n]
     # The unprocessed vertices as maximal runs [start, stop) of equal
     # state (rem_out, rem_in, free), in id order; vertex i heads runs[0].
     runs: list[tuple[int, int, int, int, bool]] = []

@@ -8,9 +8,9 @@ The decision pipeline, in order:
 3. All members must share one parity (every vertex imbalance in a
    tournament has the parity of n - 1).
 4. Every yes is built one way: realize the canonical expansion of
-   order n = l*M + m*L with the most arcs, then add k new vertices via
-   :func:`add_arcs`, the members of an equal-sum pair of sequences with
-   odd total length k over the two sides.
+   order n = l*M + m*L with the most arcs, then add k new vertices as
+   :func:`add_arcs` does, the members of an equal-sum pair of sequences
+   with odd total length k over the two sides.
 5. Odd members need k = 0: the expansion is a tournament already.  Even
    members expand to a near tournament (n is even), which completes
    exactly when such a pair exists: when 0 is a member, by the pair
@@ -47,9 +47,16 @@ new -> base block needs no roles of its own.  Every (base, new) pair is
 joined exactly once by then, since an x-owner beats both ends of its
 pair, a y-owner loses to both, and each free new vertex takes role a or
 role b; so that block is 1 minus the transposed base -> new block,
-copied in square tiles.  The peak memory of a completion is the final
-matrix, the base matrix it copies from, O(n + S) of pair and couple indices
-and O(``_BLOCK``) of block temporaries (about 6 bytes a cell).
+copied in square tiles.
+
+One matrix per certificate: :func:`decide_tis` allocates the final
+(n + k) x (n + k) matrix once, :func:`max_realization` writes the base
+into its top-left block and :func:`_complete_in_place` fills the rest
+there.  So the peak of an even build is that matrix, O(n + S) of pair
+and couple indices and O(``_BLOCK``) of block temporaries (about 6
+bytes a cell); the certificate check adds no matrix-sized temporary.
+Public :func:`add_arcs` takes a finished base report, so it copies the
+base into a new matrix first and holds both.
 """
 
 from __future__ import annotations
@@ -69,9 +76,11 @@ from .realize import RealizationReport, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .digraph import Digraph
 
-# Cells of (pair, new vertex) roles that add_arcs lays out at once.
+# Cells of (pair, new vertex) roles that _complete_in_place lays out at once.
 _BLOCK = 1 << 20
 
 REFUSAL_ONE_SIDED = "one-sided"
@@ -140,12 +149,23 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         return TisDecision(True, order=n + k)
 
     check_matrix_order(n + k)
-    witness = None
-    if k:
-        witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
-    report = max_realization(canonical_sequence(parts))
-    graph = add_arcs(report, witness) if witness else report.graph
-    cert = _verified_certificate(graph, members, n + k)
+    seq = canonical_sequence(parts)
+    if not k:
+        cert = _verified_certificate(max_realization(seq).graph, members, n)
+        return TisDecision(True, order=n, certificate=cert)
+
+    import numpy as np
+
+    from .digraph import Digraph
+
+    witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
+    # One matrix: the base is built in its top-left block and completed
+    # in place.  The base report is a view of that block, which the
+    # completion overwrites, so only its pairing is kept.
+    adj = np.zeros((n + k, n + k), dtype=np.uint8)
+    pairing = max_realization(seq, _out=adj).non_neighbour_pairing
+    _complete_in_place(adj, pairing, witness)
+    cert = _verified_certificate(Digraph.from_matrix(adj, validate=False), members, n + k)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
 
@@ -215,12 +235,12 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     imbalances come out as the xs and the negated ys, while every
     original vertex keeps its imbalance.  See the module docstring for
     the construction; it degenerates to the single-apex picture when
-    the witness is the trivial ([0], []).
+    the witness is the trivial ([0], []).  The base is copied into a new
+    matrix, which :func:`_complete_in_place` completes.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
-    from .digraph import _TILE, Digraph
+    from .digraph import Digraph
 
     if not near.is_near_tournament:
         raise ValueError("base graph must be a near tournament")
@@ -233,8 +253,7 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
 
     n = near.graph.n
     n_pairs = n // 2
-    common = witness.common_sum
-    couples = common // 2
+    couples = witness.common_sum // 2
     if any(x // 2 > n_pairs for x in xs) or any(y // 2 > n_pairs for y in ys):
         raise ValueError("a witness entry exceeds the base graph's pair capacity")
     if couples and -(-couples // n_pairs) > (k - 1) // 2:
@@ -244,6 +263,31 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     check_matrix_order(total)
     adj = np.zeros((total, total), dtype=np.uint8)
     adj[:n, :n] = near.graph.matrix()
+    _complete_in_place(adj, near.non_neighbour_pairing, witness)
+    return Digraph.from_matrix(adj, validate=False)
+
+
+def _complete_in_place(
+    adj: np.ndarray, pairing: tuple[tuple[int, int], ...], witness: EqualSumWitness
+) -> None:
+    """Complete the near tournament in the top-left block of ``adj``.
+
+    ``adj`` is the final zeroed (n + k) x (n + k) uint8 matrix with the
+    base written in its top-left n x n block, ``pairing`` the base's
+    unjoined pairs and ``witness`` one that :func:`add_arcs` accepts;
+    the other cells are filled as the module docstring describes.
+    """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from .digraph import _TILE
+
+    xs, ys = witness.xs, witness.ys
+    k = len(xs) + len(ys)
+    total = adj.shape[0]
+    n = total - k
+    n_pairs = n // 2
+    couples = witness.common_sum // 2
 
     # New clique: rotational regular tournament (k odd), vertex i beats
     # the next (k - 1) / 2 vertices cyclically; row i is the window
@@ -252,8 +296,8 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     period[1 : (k - 1) // 2 + 1] = 1
     adj[n:, n:] = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
 
-    lo = np.fromiter((p for p, _ in near.non_neighbour_pairing), dtype=np.int64)
-    hi = np.fromiter((q for _, q in near.non_neighbour_pairing), dtype=np.int64)
+    lo = np.fromiter((p for p, _ in pairing), dtype=np.int64)
+    hi = np.fromiter((q for _, q in pairing), dtype=np.int64)
     adj[lo, hi] = 1
 
     # Couple j pairs the j-th positive half-unit with the j-th negative
@@ -300,8 +344,6 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
         for b in range(n, total, _TILE):
             np.subtract(1, adj[a:a_end, b : b + _TILE].T, out=adj[b : b + _TILE, a:a_end])
 
-    return Digraph.from_matrix(adj, validate=False)
-
 
 def _verified_certificate(
     graph: Digraph, members: frozenset[int], order: int
@@ -309,17 +351,11 @@ def _verified_certificate(
     """The one check of every certificate: order, simple oriented graph,
     every pair joined, and the exact imbalance set.
 
-    Degrees need one pass over the matrix, for the out-degrees.  Once
-    :func:`~imbalanceset.digraph._validate_matrix` passes, every entry
-    is 0 or 1, the diagonal is zero and no pair carries two opposing
-    arcs, so each of the n(n-1)/2 unordered pairs holds at most one arc.
-    The arc count, the sum of the out-degrees, is therefore at most
-    n(n-1)/2, with equality exactly when every pair holds one arc: when
-    the graph is a tournament.  In a tournament each vertex is joined
-    once to each of the n - 1 others, so its in-degree is n - 1 - out
-    and its imbalance out - in is 2 * out - (n - 1).
+    Once :func:`~imbalanceset.digraph._validate_matrix` passes, the
+    tournament test and the imbalances take one pass over the matrix,
+    by :func:`~imbalanceset.digraph._tournament_imbalances`.
     """
-    from .digraph import _validate_matrix
+    from .digraph import _tournament_imbalances, _validate_matrix
 
     if graph.n != order:
         raise AssertionError(f"certificate order {graph.n}, expected {order}")
@@ -327,9 +363,9 @@ def _verified_certificate(
         _validate_matrix(graph.matrix())
     except ValueError as exc:
         raise AssertionError(f"certificate is not a simple oriented graph: {exc}") from None
-    out_deg = graph.out_degrees()
-    if int(out_deg.sum()) != order * (order - 1) // 2:
+    imbalances = _tournament_imbalances(graph)
+    if imbalances is None:
         raise AssertionError("certificate is not a tournament")
-    if frozenset((2 * out_deg - (order - 1)).tolist()) != members:
+    if frozenset(imbalances.tolist()) != members:
         raise AssertionError("certificate imbalance set mismatch")
     return graph

@@ -1,7 +1,7 @@
 import json
 import time
 
-from imbalanceset import Digraph, order_upper_bound
+from imbalanceset import Digraph, digraph, order_upper_bound
 from imbalanceset.cli import main
 from imbalanceset.formats import emit, parse, parse_dot
 
@@ -190,6 +190,25 @@ class TestVerify:
         path.write_text(emit(Digraph(3, [(0, 1), (1, 2), (2, 0)]), "dot"))
         code, out, _ = run(capsys, "verify", str(path), "1,-1")
         assert code == 2 and "mismatch" in out
+
+    def test_only_missing_pair_near_the_end_is_named(self, tmp_path, capsys, monkeypatch):
+        # A transitive tournament of order 12 without its arc 9 -> 11:
+        # the degrees sum one short, and with row blocks of 4 the pair
+        # lies in the last block.
+        monkeypatch.setattr(digraph, "_BLOCK", 4)
+        arcs = [(u, v) for u in range(12) for v in range(u + 1, 12) if (u, v) != (9, 11)]
+        path = tmp_path / "gap.edges"
+        path.write_text(emit(Digraph(12, arcs), "edgelist"))
+        code, out, err = run(capsys, "verify", str(path), "11,9,7,5,3,1,-1,-3,-5,-7,-9,-11")
+        assert (code, out, err) == (2, "structural failure: missing pair (9, 11)\n", "")
+
+    def test_imbalance_mismatch_names_both_sets(self, tmp_path, capsys):
+        arcs = [(u, v) for u in range(4) for v in range(u + 1, 4)]  # transitive
+        path = tmp_path / "t4.json"
+        path.write_text(emit(Digraph(4, arcs), "json"))
+        code, out, err = run(capsys, "verify", str(path), "3,1,-1")
+        expected = "imbalance mismatch: graph has [3, 1, -1, -3], stated [3, 1, -1]\n"
+        assert (code, out, err) == (2, expected, "")
 
     def test_unreadable_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/x.dot", "0")

@@ -1,0 +1,83 @@
+"""The one-matrix even build against the public copying path.
+
+``decide_tis`` allocates the final matrix once, has ``max_realization``
+write the base into its top-left block (the private ``_out`` array) and
+completes it in place.  The public path builds the base matrix on its
+own and ``add_arcs`` copies it into a new one.  Both must give the same
+certificate bytes, and ``max_realization`` must report the same base
+either way.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import imbalanceset.tis
+from imbalanceset import (
+    ImbalanceSet,
+    add_arcs,
+    canonical_sequence,
+    decide_tis,
+    max_realization,
+)
+
+# The golden set, pair sets (one whose couples outnumber the pairs),
+# sets with 0 and three-member sets of mixed 2-adic valuation.
+EVEN_SETS = [
+    {4, 2, -2},
+    {4, -6},
+    {2, -300},
+    {56, -2},
+    {0, 2, -40},
+    {0, 4, -2},
+    {12, -8, -24},
+    {6, -4, -10},
+]
+
+
+@pytest.mark.parametrize("members", EVEN_SETS, ids=str)
+def test_certificate_matches_the_copying_path(members):
+    decision = decide_tis(members, with_certificate=True)
+    assert decision.witness is not None
+    parts = ImbalanceSet.from_values(members)
+    copied = add_arcs(max_realization(canonical_sequence(parts)), decision.witness)
+    assert decision.certificate.n == copied.n == decision.order
+    assert decision.certificate.matrix().tobytes() == copied.matrix().tobytes()
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [canonical_sequence(ImbalanceSet.from_values(m)) for m in EVEN_SETS]
+    + [[3, 1, -1, -3], [2, 1, 0, -1, -2], [1, 1, 0, 0, -1, -1], []],
+    ids=lambda seq: f"order{len(seq)}",
+)
+def test_output_array_gives_the_same_base(seq):
+    alone = max_realization(seq)
+    n = len(seq)
+    out = np.zeros((n + 3, n + 3), dtype=np.uint8)
+    into = max_realization(seq, _out=out)
+    assert into.graph.matrix().tobytes() == alone.graph.matrix().tobytes()
+    assert into.non_neighbour_pairing == alone.non_neighbour_pairing
+    assert into.arc_count == alone.arc_count
+    assert into.is_tournament == alone.is_tournament
+    assert into.is_near_tournament == alone.is_near_tournament
+    assert not out[n:].any() and not out[:, n:].any()  # only the top-left block
+
+
+def test_even_build_peaks_at_one_matrix_plus_one_block():
+    # Traced peak <= final matrix + 8 bytes for each of the _BLOCK
+    # (pair, new vertex) cells one completion block lays out.  Order
+    # 5013 from a base of order 3342: 25.1 + 8.4 MB; a separate base
+    # matrix (11.2 MB) or a 4096-row bool temporary in the certificate
+    # check (20.5 MB) would not fit.
+    decide_tis({2, -8}, with_certificate=True)  # imports outside the trace
+    tracemalloc.start()
+    try:
+        decision = decide_tis({2, -3340}, with_certificate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = decision.order
+    assert total == 5013
+    assert peak <= total * total + 8 * imbalanceset.tis._BLOCK
