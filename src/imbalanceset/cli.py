@@ -176,6 +176,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
+    from .digraph import _tournament_imbalances
     from .formats import write
 
     members = _parse_set(args.set_literal)
@@ -190,7 +191,8 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             write(graph, args.format, fh)
     else:
         write(graph, args.format, sys.stdout)
-    seq = ",".join(str(t) for t in graph.imbalance_sequence())
+    # A certificate is a verified tournament: one out-degree pass.
+    seq = ",".join(map(str, sorted(_tournament_imbalances(graph).tolist(), reverse=True)))
     print(f"order {graph.n}; imbalance sequence {seq}", file=sys.stderr if not args.out else sys.stdout)
     return EXIT_YES
 
@@ -228,13 +230,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     members = _parse_set(args.set_literal)
     try:
-        with open(args.graph_path, "rb") as fh:
-            data = fh.read()
+        with open(args.graph_path, "rb") as fh:  # parsed in blocks, not read whole
+            graph = parse(fh, detect_format(fh, args.graph_path))
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph_path}: {exc}") from None
-    kind = detect_format(data, args.graph_path)
-    try:
-        graph = parse(data, kind)
     except DoubledPairError as exc:
         print(f"structural failure: doubled pair ({exc})")
         return EXIT_NO

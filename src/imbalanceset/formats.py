@@ -10,19 +10,26 @@ object per arc.  Emission yields one string per adjacency row, joining
 the row's targets from a table of id strings; :func:`write` writes them
 one by one, :func:`emit` joins them.
 
-Parsing reads the document as bytes (a ``str`` is encoded first) and
-walks its body once, in chunks of about ``_CHUNK`` bytes that each end
-at a line end, or in JSON at the ``]`` that closes an arc.  In each
-chunk:
+Parsing reads the document from a binary file (a ``str`` or ``bytes`` is
+wrapped in ``io.BytesIO``), ``_CHUNK`` bytes at a time, and never holds
+it whole.  The head is read from the start; the DOT closing ``}`` line
+and the JSON ``]]`` that closes the arcs are found by reading back from
+the end.  The body between them is then read once, each block cut at its
+last line end, or in JSON at the ``]`` that closes an arc, with the rest
+carried into the next read.  In each block:
 
 1. numpy marks where tokens start (a digit run, ``->``, ``;``, a line
    end; in JSON ``[``, ``,`` and ``]``), and vectorized comparisons of
    each token with the one or two before it check the grammar.  The
-   first bad line is found by bisecting the chunk.
+   first bad line is found by bisecting the block.
 2. Each digit run is decoded from the eight bytes that start it, read
    as one integer (see :func:`_ids`).
 3. The ids are scattered straight into the ``uint8`` matrix, where a
    doubled pair finds a cell of its pair already set.
+
+So the peak is the matrix plus O(``_CHUNK``), a few temporaries of the
+block's size, unless a line is longer than a block or JSON holds much
+outside ``arcs`` (the rest is read whole by ``json.loads``).
 
 A grammar fault is raised at once; an arc fault is held until the rest
 of the body has passed the grammar, so grammar faults still come first,
@@ -36,33 +43,37 @@ arc faults also wait until the last id shows that the cap holds.
 Lines break wherever ``str.splitlines`` breaks them, surrounding
 whitespace is ignored, blank lines are skipped, and ids are ASCII
 decimal digits (``-`` allowed in edge lists, so a negative id is
-reported as out of range).  A document with any other line break or
-whitespace, or with non-ASCII text, is first rewritten to "\\n" line
-ends and spaces, then scanned the same way.
+reported as out of range).  The scan takes only ASCII without other
+line breaks or whitespace; a document it refuses that holds any other
+byte is read whole, rewritten to "\\n" line ends and spaces, and scanned
+again.
 
 In JSON only the ``arcs`` array is scanned: the rest of the document is
 cut out and read by ``json.loads``, which refuses floats.  A document
-whose arcs are not all plain integer pairs, or whose ``arcs`` key the
-scan cannot place (a second one, say), is read by ``json.loads`` whole,
-as before, and its ids are scattered by the same code.
+whose arcs are not all plain integer pairs, whose ``arcs`` key the scan
+cannot place (a second one, say), or that is not ASCII, is read by
+``json.loads`` whole, and its ids are scattered by the same code.
 """
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import re
 from itertools import chain
 from math import isqrt
-from typing import Callable, Iterator, NoReturn, TextIO
+from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
 from .digraph import Digraph, _place_arcs
 from .errors import FORMATS, MATRIX_CELL_CAP, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
 
-# Bytes per scanned chunk.  The scan holds a few temporaries of this size
-# and int64 ones of about a third of it; at 256 KiB they stay a few MB.
-_CHUNK = 1 << 18
+# Bytes per read, and so about per scanned chunk.  The scan holds a few
+# temporaries of this size and int64 ones of about a third of it; at
+# 64 KiB they stay near 1 MB, and parsing is no slower than at 256 KiB.
+_CHUNK = 1 << 16
 
 # _lines() rewrites every str.splitlines break to "\n" and every other
 # whitespace to a space, so inside a line only spaces and tabs remain.
@@ -99,7 +110,7 @@ def write(graph: Digraph, kind: str, fh: TextIO) -> None:
     fh.writelines(_pieces(graph, kind))
 
 
-def parse(text: str | bytes, kind: str) -> Digraph:
+def parse(text: str | bytes | BinaryIO, kind: str) -> Digraph:
     if kind == "dot":
         return parse_dot(text)
     if kind == "edgelist":
@@ -109,8 +120,9 @@ def parse(text: str | bytes, kind: str) -> Digraph:
     raise ValueError(f"unknown format {kind!r}")
 
 
-def detect_format(text: str | bytes, filename: str | None = None) -> str:
-    """Guess the format from the filename extension, then the content."""
+def detect_format(text: str | bytes | BinaryIO, filename: str | None = None) -> str:
+    """Guess the format from the filename extension, then the content
+    (``text`` may be an open binary file, read from its start)."""
     if filename:
         lowered = filename.lower()
         if lowered.endswith((".dot", ".gv")):
@@ -119,7 +131,7 @@ def detect_format(text: str | bytes, filename: str | None = None) -> str:
             return "json"
         if lowered.endswith((".edges", ".edgelist", ".txt")):
             return "edgelist"
-    head = _head(text)
+    head = _head(_open(text))
     if head.startswith("digraph"):
         return "dot"
     if head.startswith("{"):
@@ -141,9 +153,10 @@ def _pieces(graph: Digraph, kind: str) -> Iterator[str]:
         head, rows, tail = f"# tournament n={graph.n}\n", ("{u} ", "\n{u} ", "\n"), ""
     elif kind == "json":
         head, rows, between = f'{{"n": {graph.n}, "arcs": [', ("[{u}, ", "], [{u}, ", "]"), ", "
+        imbalances = graph.imbalances()
         tail = (
-            f'], "imbalance_sequence": {json.dumps(list(graph.imbalance_sequence()))}, '
-            f'"imbalance_set": {json.dumps(sorted(graph.imbalance_set(), reverse=True))}}}\n'
+            f'], "imbalance_sequence": {json.dumps(np.sort(imbalances)[::-1].tolist())}, '
+            f'"imbalance_set": {json.dumps(np.unique(imbalances)[::-1].tolist())}}}\n'
         )
     else:
         raise ValueError(f"unknown format {kind!r}")
@@ -168,23 +181,78 @@ def _rows(graph: Digraph, head: str, sep: str, tail: str) -> Iterator[str]:
         yield head.format(u=name) + sep.format(u=name).join(targets) + tail
 
 
-def _head(text: str | bytes) -> str:
-    """The first 16 characters of ``text`` after its leading whitespace."""
-    for lo in range(0, len(text), _CHUNK):
-        piece = text[lo : lo + _CHUNK + 16]
-        if not isinstance(piece, str):
-            piece = bytes(piece).decode("utf-8", "replace")
-        if piece.lstrip():
-            return piece.lstrip()[:16]
-    return ""
+def _open(source: str | bytes | BinaryIO) -> BinaryIO:
+    """``source`` as a binary file: a ``str`` is encoded, bytes are wrapped (not copied)."""
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        return io.BytesIO(source)
+    return source
 
 
-def _ascii(text: str | bytes) -> bytes | None:
-    """The document's bytes if it is all ASCII, else None."""
-    if isinstance(text, str):
-        return text.encode("ascii") if text.isascii() else None
-    data = bytes(text)
-    return data if data.isascii() else None
+def _whole(source: str | bytes | BinaryIO, fh: BinaryIO) -> str | bytes:
+    """The whole document: ``source`` itself if it is a ``str``, else the file's bytes."""
+    if isinstance(source, str):
+        return source
+    fh.seek(0)
+    return fh.read()
+
+
+def _head(fh: BinaryIO) -> str:
+    """The first 16 characters of the document after its leading whitespace."""
+    fh.seek(0)
+    decode = codecs.getincrementaldecoder("utf-8")("replace").decode
+    head = ""
+    while len(head) < 16:
+        block = fh.read(_CHUNK)
+        head = (head + decode(block, final=not block)).lstrip()
+        if not block:
+            break
+    return head[:16]
+
+
+def _prefix(fh: BinaryIO, done: Callable[[bytes], bool]) -> bytes:
+    """The document's first blocks, read until ``done`` holds for them or the file ends."""
+    fh.seek(0)
+    data = b""
+    while not done(data):
+        block = fh.read(_CHUNK)
+        if not block:
+            break
+        data += block
+    return data
+
+
+def _head_line(fh: BinaryIO) -> bytes:
+    """The start of a text document, through the line end after its first
+    byte that is not " ", "\\t" or "\\n" (a "\\n" is added at the end of a
+    document that lacks one).  A text head ends there."""
+
+    def done(data: bytes) -> bool:
+        return data.find(b"\n", len(data) - len(data.lstrip(b" \t\n"))) >= 0
+
+    data = _prefix(fh, done)
+    return data if data.endswith(b"\n") else data + b"\n"
+
+
+def _backwards(fh: BinaryIO, lo: int) -> Iterator[tuple[int, bytes]]:
+    """The file from ``lo`` to its end, in blocks read from the end back:
+    pairs of offset and bytes."""
+    hi = fh.seek(0, io.SEEK_END)
+    while hi > lo:
+        start = max(lo, hi - _CHUNK)
+        fh.seek(start)
+        yield start, fh.read(hi - start)
+        hi = start
+
+
+def _plain(fh: BinaryIO) -> bool:
+    """Whether the document is ASCII and holds no byte that _lines() rewrites."""
+    fh.seek(0)
+    while block := fh.read(_CHUNK):
+        if not block.isascii() or any(c in block for c in _ODD_BYTES):
+            return False
+    return True
 
 
 def _lines(text: str | bytes) -> bytes:
@@ -192,36 +260,56 @@ def _lines(text: str | bytes) -> bytes:
     too, where str.splitlines would end it, and only " " or "\\t" as
     whitespace inside a line."""
     if not isinstance(text, str):
-        text = bytes(text).decode("utf-8")
+        text = text.decode("utf-8")
     data = _ODD_SPACE.sub(" ", _BREAKS.sub("\n", text)).encode("utf-8", "surrogatepass")
     return data if data.endswith(b"\n") else data + b"\n"
 
 
-def _text_document(scan: Callable[[bytes], Digraph], text: str | bytes) -> Digraph:
-    """``scan`` the document as it is if it is plain ASCII, else rewritten by _lines().
+def _text_document(scan: Callable[[BinaryIO], Digraph], source: str | bytes | BinaryIO) -> Digraph:
+    """``scan`` the document as it is, or, if that fails and the document
+    is not plain ASCII, rewritten by _lines().
 
-    The scanners take no byte that _lines() rewrites, so an ASCII
-    document that holds one fails as it is, and only then is rewritten.
+    The scanners take no byte that _lines() rewrites and no non-ASCII
+    byte, so such a document fails as it is, and only then is read whole
+    and rewritten.
     """
-    data = _ascii(text)
-    if data is not None:
-        try:
-            return scan(data if data.endswith(b"\n") else data + b"\n")
-        except ValueError:
-            if not any(c in data for c in _ODD_BYTES):
-                raise
-    return scan(_lines(text))
+    fh = _open(source)
+    try:
+        return scan(fh)
+    except ValueError:
+        if _plain(fh):
+            raise
+    return scan(io.BytesIO(_lines(_whole(source, fh))))
 
 
-def _chunks(data: bytes, lo: int, hi: int, end: bytes) -> Iterator[tuple[int, int]]:
-    """Split ``data[lo:hi]``, which ends with ``end``, into runs of about
-    ``_CHUNK`` bytes that each end with ``end`` (a longer line is one run)."""
+def _blocks(fh: BinaryIO, lo: int, hi: int, end: bytes) -> Iterator[tuple[bytes, int]]:
+    """The body ``[lo, hi)`` of the file in runs that each end with
+    ``end`` (a body that does not is given one at its end): pairs
+    ``(buf, cut)``, where ``buf[:cut]`` is the run and the rest of
+    ``buf`` is what follows it in the file.
+
+    Each read takes ``_CHUNK`` bytes.  A run is cut at the last ``end``
+    that leaves 7 bytes after it, so that every id in it has the 8 bytes
+    :func:`_ids` reads, and the rest is carried into the next read; a
+    line longer than a block keeps reading.  The last run, at the end of
+    the file, is padded with 7 spaces instead.
+    """
+    fh.seek(lo)
+    buf = b""
     while lo < hi:
-        cut = data.rfind(end, lo, min(lo + _CHUNK, hi)) + 1
-        if cut <= lo:
-            cut = data.find(end, lo + _CHUNK, hi) + 1
-        yield lo, cut
-        lo = cut
+        more = fh.read(_CHUNK)
+        buf += more
+        if not more:  # the file ends: the rest of the body is one run
+            cut = min(hi - lo, len(buf))
+            if not buf.endswith(end, 0, cut):
+                buf, cut = buf[:cut] + end, cut + 1
+            yield buf + b"       ", cut
+            return
+        limit = min(hi - lo, len(buf) - 7)
+        cut = buf.rfind(end, 0, limit) + 1 if limit > 0 else 0
+        if cut:
+            yield buf, cut
+            buf, lo = buf[cut:], lo + cut
 
 
 def _tokens(view: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -299,25 +387,25 @@ def _grammar(view: np.ndarray, kind: str, first: bool = False) -> tuple[np.ndarr
     return tokens if ok.all() else None
 
 
-def _first_bad_line(data: bytes, lo: int, hi: int, kind: str) -> str:
+def _first_bad_line(view: np.ndarray, kind: str) -> str:
     """The first line of a chunk outside the grammar, found by bisecting
     the chunk's lines (a run of lines is good iff each line is)."""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    ends = lo + 1 + np.flatnonzero(arr[lo:hi] == ord("\n"))
+    ends = 1 + np.flatnonzero(view == ord("\n"))
     good, bad = 0, len(ends) - 1  # lines before `good` pass; lines up to `bad` fail
     while good < bad:
         mid = (good + bad) // 2
-        if _grammar(arr[lo : ends[mid]], kind) is None:
+        if _grammar(view[: ends[mid]], kind) is None:
             bad = mid
         else:
             good = mid + 1
-    start = ends[good - 1] if good else lo
-    return data[start : ends[good] - 1].strip(b" \t").decode("utf-8", "surrogatepass")
+    start = ends[good - 1] if good else 0
+    return view[start : ends[good] - 1].tobytes().strip(b" \t").decode("utf-8", "surrogatepass")
 
 
 def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
     """The values and lengths (up to 255) of the digit runs that start at
-    the increasing offsets ``at`` of ``arr`` and end before ``hi``.
+    the offsets ``at`` of ``arr`` and end before ``hi``, which ``arr``
+    passes by at least 7 bytes.
 
     A run of at most 6 digits is read from the 8 bytes that start it, as
     one little-endian integer.  Its first byte that is not a digit sets
@@ -326,14 +414,12 @@ def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.nda
     top bit gives the run's length.  Shifting the run to the top leaves
     its digits in place-value order behind leading zeros, and three
     multiply-shifts join their low nibbles pairwise, then the pairs,
-    then the quads.  Longer runs, and runs too near the end of the
-    document for 8 bytes, are read by ``int``; values beyond int64 clamp
-    to its largest, as ``np.fromstring`` read them.  ``signed`` negates
-    an id after a ``-``.
+    then the quads.  Longer runs are read by ``int``; values beyond
+    int64 clamp to its largest, as ``np.fromstring`` read them.
+    ``signed`` negates an id after a ``-``.
     """
-    words = np.ndarray((max(arr.size - 7, 0),), dtype=np.dtype("<u8"), buffer=arr, strides=(1,))
-    near_end = at.size - np.searchsorted(at, arr.size - 8, "right")  # runs with fewer than 8 bytes left
-    w = words[np.minimum(at, arr.size - 8) if near_end else at]  # a document with ids has 8 bytes
+    words = np.ndarray((arr.size - 7,), dtype=np.dtype("<u8"), buffer=arr, strides=(1,))
+    w = words[at]
     stop = ((w - 0x3030303030303030) | (w + 0x4646464646464646)) & 0x8080808080808080
     bits = np.bitwise_count(stop ^ (stop - 1))  # 8 per digit, 8 more for the stop; 64: 7 digits or more
     x = w << (72 - bits)
@@ -341,11 +427,11 @@ def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.nda
     x = (x & 0x00FF00FF00FF00FF) * 6553601 >> 16  # 100 * 2**16 + 1
     x = (x & 0x0000FFFF0000FFFF) * 42949672960001 >> 32  # 10**4 * 2**32 + 1
     ids, size = x.view(np.int64), (bits >> 3) - 1
-    negative = arr[at - 1] == ord("-") if signed else np.zeros(0, dtype=bool)
+    # A chunk starts a line, so no sign comes before its offset 0.
+    negative = arr[np.maximum(at, 1) - 1] == ord("-") if signed else np.zeros(0, dtype=bool)
     if negative.any():
         np.negative(ids, out=ids, where=negative)
-    long = np.flatnonzero(bits == 64)
-    for i in np.concatenate((long, np.arange(at.size - near_end, at.size))):
+    for i in np.flatnonzero(bits == 64):
         digits = int(np.argmax((arr[at[i] : hi] - ord("0")) >= 10))
         text = arr[at[i] - (signed and negative[i]) : at[i] + digits].tobytes()
         value = int(text) if len(text.lstrip(b"-0")) <= 19 else _INT64_MAX
@@ -354,9 +440,9 @@ def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.nda
     return ids, size
 
 
-def _scan(data: bytes, lo: int, hi: int, kind: str, n: int | None) -> Digraph | None:
-    """Check the grammar of each chunk of the body ``data[lo:hi]``, decode
-    its ids and scatter its arcs into the matrix.
+def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None) -> Digraph | None:
+    """Check the grammar of each chunk of the body ``[lo, hi)`` of the
+    file, decode its ids and scatter its arcs into the matrix.
 
     A text chunk outside the grammar raises at once, and a JSON one (or
     a JSON id that is not a plain int64 integer) returns None.  Any other
@@ -367,23 +453,25 @@ def _scan(data: bytes, lo: int, hi: int, kind: str, n: int | None) -> Digraph | 
     would pass the cap, which is raised with the last order before any
     arc fault, as from_arcs does.
     """
-    arr = np.frombuffer(data, dtype=np.uint8)
     adj, fault, seen = _zeros(0), None, -1
     if n is not None:
         try:
             adj = _zeros(n)
         except (ValueError, ResourceLimitError) as exc:
             fault = exc
-    for a, b in _chunks(data, lo, hi, b"]" if kind == "json" else b"\n"):
-        tokens = _grammar(arr[a:b], kind, first=a == lo)
+    first = True
+    for buf, cut in _blocks(fh, lo, hi, b"]" if kind == "json" else b"\n"):
+        arr = np.frombuffer(buf, dtype=np.uint8)
+        tokens = _grammar(arr[:cut], kind, first)
         if tokens is None:
             if kind == "json":
                 return None
-            raise ValueError(f"unparseable {_NAMES[kind]} line: {_first_bad_line(data, a, b, kind)!r}")
+            raise ValueError(f"unparseable {_NAMES[kind]} line: {_first_bad_line(arr[:cut], kind)!r}")
+        first = False
         at, t = tokens
         which = np.flatnonzero((t - ord("0")) < 10)  # the tokens that are ids
         at, t, dash = at.take(which), t.take(which), t == ord("-")
-        ids, size = _ids(arr, a + at, b, signed=kind != "dot" and data.find(b"-", a, b) >= 0)
+        ids, size = _ids(arr, at, cut, signed=kind != "dot" and buf.find(b"-", 0, cut) >= 0)
         if kind == "json" and ((size > _JSON_DIGITS) | ((t == ord("0")) & (size > 1))).any():
             return None  # not a JSON integer, or not one int64 holds
         if kind == "dot":
@@ -423,82 +511,114 @@ def _grown(adj: np.ndarray, order: int) -> np.ndarray:
 # -- dot ---------------------------------------------------------------
 
 
-def parse_dot(text: str | bytes) -> Digraph:
+def parse_dot(text: str | bytes | BinaryIO) -> Digraph:
     return _text_document(_scan_dot, text)
 
 
-def _scan_dot(data: bytes) -> Digraph:
-    head = _DOT_HEAD.match(data)
+def _scan_dot(fh: BinaryIO) -> Digraph:
+    head = _DOT_HEAD.match(_head_line(fh))
     lo = head.end() if head else 0
-    hi = _closing_line(data, lo)
-    if head is None or hi is None:
+    hi = _closing_line(fh, lo)
+    # A head line that _lines() would rewrite (one with a non-ASCII line
+    # break or space) fails here, so that it is read rewritten.
+    if head is None or hi is None or _lines(head[0]) != head[0]:
         raise ValueError("not a dot digraph document")
-    return _scan(data, lo, hi, "dot", None)
+    return _scan(fh, lo, hi, "dot", None)
 
 
-def _closing_line(data: bytes, lo: int) -> int | None:
-    """Where the last non-blank line of ``data[lo:]`` starts, if it is ``}``."""
-    end = len(data)
-    while end > lo:
-        tail = data[max(lo, end - _CHUNK) : end]
-        kept = len(tail.rstrip(b" \t\n"))
-        end -= len(tail) - kept
-        if kept:
-            break
-    start = max(lo, data.rfind(b"\n", lo, end) + 1)
-    return start if end > lo and data[start:end].strip(b" \t") == b"}" else None
+def _closing_line(fh: BinaryIO, lo: int) -> int | None:
+    """Where the last non-blank line of the file after ``lo`` starts, if
+    it is ``}``; read from the end back."""
+    brace = False
+    for start, block in _backwards(fh, lo):
+        if not brace:
+            block = block.rstrip(b" \t\n")
+            if not block:
+                continue
+            if not block.endswith(b"}"):
+                return None
+            brace, block = True, block[:-1]
+        block = block.rstrip(b" \t")
+        if block:
+            return start + len(block) if block.endswith(b"\n") else None
+    return lo if brace else None
 
 
 # -- edge list ---------------------------------------------------------
 
 
-def parse_edgelist(text: str | bytes) -> Digraph:
+def parse_edgelist(text: str | bytes | BinaryIO) -> Digraph:
     return _text_document(_scan_edgelist, text)
 
 
-def _scan_edgelist(data: bytes) -> Digraph:
-    header = _EDGE_HEAD.match(data)
+def _scan_edgelist(fh: BinaryIO) -> Digraph:
+    head = _head_line(fh)
+    header = _EDGE_HEAD.match(head)
     if not header:
-        if not data.strip(b" \t\n"):
+        if not head.strip(b" \t\n"):
             raise ValueError("empty edge-list document")
         raise ValueError("edge list must start with '# tournament n=<n>'")
-    return _scan(data, header.end(), len(data), "edgelist", int(header.group(1)))
+    return _scan(fh, header.end(), fh.seek(0, io.SEEK_END), "edgelist", int(header.group(1)))
 
 
 # -- json --------------------------------------------------------------
 
 
-def parse_json(text: str | bytes) -> Digraph:
-    data = _ascii(text)
-    graph = None if data is None else _scan_json(data)
-    return graph if graph is not None else _load_json(text)
+def parse_json(text: str | bytes | BinaryIO) -> Digraph:
+    fh = _open(text)
+    graph = _scan_json(fh)
+    return graph if graph is not None else _load_json(_whole(text, fh))
 
 
-def _scan_json(data: bytes) -> Digraph | None:
+def _scan_json(fh: BinaryIO) -> Digraph | None:
     """Scan the arcs of a JSON document and ``json.loads`` the rest, or
-    return None if the arcs are not all plain integer pairs or the rest
-    is not a plain object that holds them once."""
+    return None if the arcs are not all plain integer pairs, the rest is
+    not a plain ASCII object that holds them once, or the document is
+    not ASCII."""
+    data = _prefix(fh, _arcs_opened)
     head = _JSON_HEAD.match(data)
     if head is None:
         return None
     lo = head.end()  # just after the "[" of the arcs
     # The "]" closing the arcs.  Arcs that pass the scan hold "]]" only at
     # their end, and a key follows them, so a later "]]" fails the scan.
-    hi = data.rfind(b"]]", lo) + 1
-    if hi < lo or b'"arcs"' in data[hi:] or b"\\" in data[hi:]:
+    hi = _last_pair_end(fh, lo) + 1
+    if hi < lo:
+        return None
+    fh.seek(hi)
+    tail = fh.read()
+    if not tail.isascii() or b'"arcs"' in tail or b"\\" in tail:
         return None
     try:
-        rest = json.loads(data[: lo - 1] + b"0" + data[hi + 1 :], parse_float=_not_an_id, parse_constant=_not_an_id)
+        rest = json.loads(data[: lo - 1] + b"0" + tail[1:], parse_float=_not_an_id, parse_constant=_not_an_id)
         n = int(rest["n"])
     except (KeyError, TypeError, ValueError):
         return None
-    return _scan(data, lo, hi, "json", n)
+    return _scan(fh, lo, hi, "json", n)
+
+
+def _arcs_opened(data: bytes) -> bool:
+    """Whether ``data`` holds a "[" after its first ``"arcs"``, where a
+    head that :data:`_JSON_HEAD` matches ends."""
+    at = data.find(b'"arcs"')
+    return at >= 0 and data.find(b"[", at) >= 0
+
+
+def _last_pair_end(fh: BinaryIO, lo: int) -> int:
+    """The offset of the last "]]" of the file at or after ``lo``, or -1."""
+    after = b""
+    for start, block in _backwards(fh, lo):
+        at = (block + after).rfind(b"]]")
+        if at >= 0:
+            return start + at
+        after = block[:1]
+    return -1
 
 
 def _load_json(text: str | bytes) -> Digraph:
     """Read the whole document with ``json.loads`` and place its arcs."""
     if not isinstance(text, str):
-        text = bytes(text).decode("utf-8")
+        text = text.decode("utf-8")
     doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise ValueError("json document must carry 'n' and 'arcs'")

@@ -1,7 +1,10 @@
+import io
 import json
 import time
 
-from imbalanceset import Digraph, digraph, order_upper_bound
+import pytest
+
+from imbalanceset import Digraph, cli, digraph, formats, order_upper_bound
 from imbalanceset.cli import main
 from imbalanceset.formats import emit, parse, parse_dot
 
@@ -213,6 +216,69 @@ class TestVerify:
     def test_unreadable_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/x.dot", "0")
         assert code == 1 and "cannot read" in err
+
+    def test_read_error_mid_parse(self, tmp_path, capsys, monkeypatch):
+        # The file is parsed from the open file, so a read can fail after
+        # the first block has been scanned.
+        class Failing(io.BytesIO):
+            reads = 0
+
+            def read(self, size=-1):
+                Failing.reads += 1
+                if Failing.reads > 3:
+                    raise OSError(5, "Input/output error")
+                return super().read(size)
+
+        path = tmp_path / "t.edges"
+        path.write_text(emit(Digraph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)]), "edgelist"))
+        monkeypatch.setattr(formats, "_CHUNK", 64)
+        monkeypatch.setattr(cli, "open", lambda name, mode: Failing(path.read_bytes()), raising=False)
+        code, out, err = run(capsys, "verify", str(path), "39,-39")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read {path}: [Errno 5] Input/output error\n"
+
+    @pytest.mark.parametrize(
+        "name, fault, expected",
+        [
+            ("late.edges", "junk\n", (1, "", "error: unparseable edge-list line: 'junk'\n")),
+            ("late.edges", "30 2\n", (2, "structural failure: doubled pair (opposing arcs between 30 and 2)\n", "")),
+            ("late.dot", "  30 -> 2;\n", (2, "structural failure: doubled pair (opposing arcs between 30 and 2)\n", "")),
+        ],
+    )
+    def test_fault_past_the_first_block(self, tmp_path, capsys, monkeypatch, name, fault, expected):
+        # A transitive tournament of order 40, with the fault put in front
+        # of row 30, some ten 64-byte blocks into the file.
+        dot = name.endswith(".dot")
+        text = emit(Digraph(40, [(u, v) for u in range(40) for v in range(u + 1, 40)]), "dot" if dot else "edgelist")
+        cut = text.rindex("\n", 0, text.index("30 -> 31" if dot else "30 31")) + 1
+        assert cut > 10 * 64
+        path = tmp_path / name
+        path.write_text(text[:cut] + fault + text[cut:])
+        monkeypatch.setattr(formats, "_CHUNK", 64)
+        assert run(capsys, "verify", str(path), "39,-39") == expected
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("nbsp.dot", "digraph {\n\u00a00 -> 1;\u2028  1 -> 2;\n  0 -> 2;\n}\n"),
+            ("head.dot", "digraph \u00e9 {\u2028  0 -> 1;\n  1 -> 2;\n  0 -> 2;\n}\n"),
+            ("note.json", '{"n": 3, "arcs": [[0, 1], [1, 2], [0, 2]], "note": "\u00e9"}'),
+            ("ids.edges", "# tournament n=3\n0 1\n1 2\n0 \u0032\n"),
+        ],
+    )
+    def test_non_ascii_document_reads_as_its_text(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        graph = formats.parse(text, formats.detect_format(text, name))
+        assert graph == Digraph(3, [(0, 1), (1, 2), (0, 2)])
+        expected = (0, "ok: tournament of order 3 with the stated imbalance set\n", "")
+        assert run(capsys, "verify", str(path), "2,0,-2") == expected
+
+    def test_dot_closing_line_followed_by_blank_lines(self, tmp_path, capsys):
+        path = tmp_path / "blank.dot"
+        path.write_text("digraph {\n  0 -> 1;\n  2 -> 0;\n  2 -> 1;\n}\n\n  \n\t\n\n")
+        expected = (0, "ok: tournament of order 3 with the stated imbalance set\n", "")
+        assert run(capsys, "verify", str(path), "2,0,-2") == expected
 
 
 class TestBound:

@@ -6,9 +6,11 @@ the same kind (and, for faults in the arcs themselves, carry the same
 message); an accepted document must give the same graph.  Emitters must
 agree byte for byte.  The deliberate differences are tested on their
 own, and last come the same checks with the parsers' chunk size patched
-small, so that chunk boundaries fall between every pair of lines.
+small, so that chunk boundaries fall between every pair of lines, each
+also read from an open file.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -329,13 +331,16 @@ def _exact(kind: str, text: str):
 def _assert_same_for_every_chunk(kind: str, text: str) -> None:
     """Under each chunk size: the outcome agrees with the reference as in
     TestParsersAgree, and the graph, or the exception type and message,
-    is exactly the one under the program's chunk."""
+    is exactly the one under the program's chunk; read from an open
+    file, it is exactly the one read from the same bytes."""
     expected = _exact(kind, text)
+    data = text.encode()
     for chunk in CHUNKS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(formats, "_CHUNK", chunk)
             assert _exact(kind, text) == expected, (chunk, text)
             _assert_agree(kind, text)
+            assert _exact(kind, io.BytesIO(data)) == _exact(kind, data), (chunk, text)
 
 
 def _arc_lines(kind: str, n: int, arcs) -> str:
@@ -382,6 +387,15 @@ class TestChunkBoundaries:
         _assert_same_for_every_chunk(kind, text)
         with pytest.raises(DoubledPairError):
             parse(text, kind)
+
+    def test_signed_zero_ids_at_block_starts(self):
+        # "-0" is id 0.  A block starts a line, so the byte before its first
+        # id is not in it: the last byte read ahead of it, a "-" here at
+        # chunk size 1, must not sign that id.
+        arcs = [(u, v) for u in range(12) for v in range(u)]
+        text = "# tournament n=12\n" + "".join(f"{u} -{v}\n" if v == 0 else f"{u} {v}\n" for u, v in arcs)
+        _assert_same_for_every_chunk("edgelist", text)
+        assert parse(text, "edgelist") == Digraph(12, arcs)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_growing_ids(self, kind):
