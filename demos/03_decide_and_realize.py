@@ -38,7 +38,6 @@ print()
 print("The order-13 certificate for {4, 2, -2} in full:")
 graph = realize_imbalance_set({4, 2, -2})
 print(f"  imbalance sequence: {graph.imbalance_sequence()}")
-for v in range(graph.n):
-    balance = graph.vertex_balance(v)
-    print(f"  vertex {v}: out {balance.out_degree}, in {balance.in_degree}, "
-          f"imbalance {balance.imbalance:+d}")
+rows = zip(graph.out_degrees(), graph.in_degrees(), graph.imbalances())
+for v, (out, inn, imbalance) in enumerate(rows):
+    print(f"  vertex {v}: out {out}, in {inn}, imbalance {imbalance:+d}")

@@ -40,7 +40,6 @@ _EXPORTS = {
     "REFUSAL_ONE_SIDED": "tis",
     "ResourceLimitError": "errors",
     "TisDecision": "tis",
-    "VertexImbalance": "digraph",
     "add_apex_zero": "tis",
     "add_arcs": "tis",
     "brute_min_order": "oracle",

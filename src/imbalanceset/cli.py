@@ -60,6 +60,17 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse sequence literal {text!r}") from None
 
 
+def _budget(text: str) -> int:
+    """An ``int`` of at least 1, for ``--budget``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _failure_text(failure: CheckFailure) -> str:
     if failure.kind == "parity":
         return f"parity mismatch at position {failure.index}"
@@ -112,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--json", action="store_true", dest="as_json")
     decide.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=None,
         metavar="LENGTH",
         help="also search odd zero sums of up to LENGTH terms by brute force",
@@ -139,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--json", action="store_true", dest="as_json")
     bound.add_argument(
         "--budget",
-        type=int,
+        type=_budget,
         default=None,
         metavar="ORDER",
         help="also search orders up to ORDER (and the bound) by brute force",
@@ -187,8 +198,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     graph = decision.certificate
     assert graph is not None
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write(graph, args.format, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                write(graph, args.format, fh)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
         write(graph, args.format, sys.stdout)
     # A certificate is a verified tournament: one out-degree pass.

@@ -19,7 +19,6 @@ arrays (sources, targets) and checks them in whole-array passes, and
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -31,16 +30,6 @@ from .errors import DoubledPairError, check_matrix_order
 _BLOCK = 4096
 # Square tile side for the opposing-pair test, small enough to stay in cache.
 _TILE = 512
-
-
-@dataclass(frozen=True)
-class VertexImbalance:
-    """Degree record for one vertex; imbalance is out_degree - in_degree."""
-
-    vertex: int
-    out_degree: int
-    in_degree: int
-    imbalance: int
 
 
 class Digraph:
@@ -129,16 +118,6 @@ class Digraph:
         """Read-only view of the adjacency matrix."""
         return self._adj
 
-    def with_arc(self, u: int, v: int) -> "Digraph":
-        """Return a copy with the arc u -> v inserted."""
-        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-            raise ValueError(f"invalid arc ({u}, {v})")
-        if self._adj[u, v] or self._adj[v, u]:
-            raise ValueError(f"pair {{{u}, {v}}} is already joined")
-        adj = self._adj.copy()
-        adj[u, v] = 1
-        return Digraph.from_matrix(adj, validate=False)
-
     # -- degrees and imbalances ------------------------------------------
 
     def out_degrees(self) -> np.ndarray:
@@ -146,25 +125,6 @@ class Digraph:
 
     def in_degrees(self) -> np.ndarray:
         return self._adj.sum(axis=0, dtype=np.int64)
-
-    def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._adj[v].sum(dtype=np.int64))
-
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self._adj[:, v].sum(dtype=np.int64))
-
-    def imbalance(self, v: int) -> int:
-        """Out-degree minus in-degree of v."""
-        self._check_vertex(v)
-        return self.out_degree(v) - self.in_degree(v)
-
-    def vertex_balance(self, v: int) -> VertexImbalance:
-        self._check_vertex(v)
-        out = self.out_degree(v)
-        inn = self.in_degree(v)
-        return VertexImbalance(v, out, inn, out - inn)
 
     def imbalances(self) -> np.ndarray:
         """Per-vertex imbalance, indexed by vertex id."""
@@ -179,23 +139,14 @@ class Digraph:
         """The deduplicated set of vertex imbalances."""
         return frozenset(int(x) for x in np.unique(self.imbalances()))
 
-    def score_sequence(self) -> tuple[int, ...]:
-        """Out-degrees sorted nondecreasing; only defined for tournaments."""
-        if not self.is_tournament():
-            raise ValueError("score sequence is only defined for tournaments")
-        return tuple(int(x) for x in np.sort(self.out_degrees()))
-
     # -- structural predicates -------------------------------------------
 
     def is_tournament(self) -> bool:
         """True iff every unordered pair carries exactly one arc.
 
-        Construction guarantees at most one arc per pair, so it suffices
-        that every vertex is joined to all n - 1 others.
+        Decided by the arc-count rule proved in :func:`_tournament_imbalances`.
         """
-        n = self.n
-        joined = self.out_degrees() + self.in_degrees()
-        return bool((joined == n - 1).all())
+        return _tournament_imbalances(self) is not None
 
     def is_near_tournament(self) -> bool:
         """True iff n is even, n >= 2, and every vertex misses exactly one.
@@ -208,13 +159,6 @@ class Digraph:
             return False
         joined = self.out_degrees() + self.in_degrees()
         return bool((joined == n - 2).all())
-
-    def non_neighbours(self, v: int) -> list[int]:
-        """Vertices not joined with v (v itself excluded)."""
-        self._check_vertex(v)
-        joined = self._adj[v, :].astype(bool) | self._adj[:, v].astype(bool)
-        joined[v] = True
-        return [int(u) for u in np.flatnonzero(~joined)]
 
     def non_neighbour_pairs(self) -> tuple[tuple[int, int], ...]:
         """All unjoined pairs {u, v}, normalized as (min, max) and sorted."""
@@ -248,10 +192,6 @@ class Digraph:
         return None
 
     # -- plumbing ----------------------------------------------------------
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for order {self.n}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):

@@ -157,7 +157,7 @@ def test_05_checks_agree_with_exhaustive_enumeration():
             scores = set()
             imbalances = set()
             for g in enumerate_tournaments(n):
-                scores.add(g.score_sequence())
+                scores.add(tuple(sorted(g.out_degrees().tolist())))
                 imbalances.add(g.imbalance_sequence())
             landau_accepted = {
                 combo
@@ -215,8 +215,8 @@ def test_06_random_realizations_hit_the_maximum_arc_count():
             report = max_realization(seq)
             assert report.arc_count == max_arc_count(seq)
             assert report.graph.imbalance_sequence() == seq
-            for v in range(report.graph.n):
-                assert len(report.graph.non_neighbours(v)) <= 1
+            g = report.graph
+            assert (g.out_degrees() + g.in_degrees() >= g.n - 2).all()
             if trial % 2 == 1:
                 assert report.is_near_tournament
                 m = len(seq)

@@ -104,6 +104,12 @@ class TestDecide:
         code, out, _ = run(capsys, "decide", "2,-2000002")
         assert code == 2 and "no-odd-equal-sum" in out
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "decide", "4,2,-2", "--budget", budget)
+        assert code == 1 and out == ""
+        assert f"error: argument --budget: must be at least 1, got {budget}" in err
+
 
 class TestRealize:
     def test_writes_dot_file(self, tmp_path, capsys):
@@ -128,6 +134,17 @@ class TestRealize:
         )
         assert code == 2 and "no-odd-equal-sum" in err
         assert not (tmp_path / "never.dot").exists()
+
+    def test_missing_directory_is_a_write_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "realize", "4,2,-2", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}: [Errno 2] ")
+
+    def test_directory_path_is_a_write_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "realize", "4,2,-2", "--out", str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: [Errno 21] ")
 
 
 class TestCheck:
@@ -319,6 +336,12 @@ class TestBound:
         code, out, err = run(capsys, "bound", "64,-2", "--budget", "200", "--json")
         assert code == 3 and "resource cap exceeded" in err
         assert json.loads(out) == {"set": [64, -2], "bound": order_upper_bound({64, -2})}
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "bound", "4,2,-2", "--budget", budget)
+        assert code == 1 and out == ""
+        assert f"error: argument --budget: must be at least 1, got {budget}" in err
 
 
 class TestEqualSum:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import square_cycle, triangle_cycle, triangle_transitive
-from imbalanceset import Digraph, DoubledPairError, ResourceLimitError, VertexImbalance
+from conftest import all_simple_digraphs, square_cycle, triangle_cycle, triangle_transitive
+from imbalanceset import Digraph, DoubledPairError, ResourceLimitError
+from imbalanceset.digraph import _tournament_imbalances
 
 
 @st.composite
@@ -137,19 +138,11 @@ class TestConstruction:
 class TestImbalance:
     def test_single_arc(self):
         g = Digraph(2, [(0, 1)])
-        assert g.imbalance(0) == 1
-        assert g.imbalance(1) == -1
+        assert g.imbalances()[0] == 1
+        assert g.imbalances()[1] == -1
 
     def test_cycle_vertex_is_balanced(self):
-        assert triangle_cycle().imbalance(0) == 0
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            triangle_cycle().imbalance(3)
-
-    def test_vertex_balance_record(self):
-        g = triangle_transitive()
-        assert g.vertex_balance(0) == VertexImbalance(0, 2, 0, 2)
+        assert triangle_cycle().imbalances()[0] == 0
 
     def test_imbalance_sequence_transitive(self):
         assert triangle_transitive().imbalance_sequence() == (2, 0, -2)
@@ -179,6 +172,17 @@ class TestPredicates:
         assert Digraph(0).is_tournament()
         assert not Digraph(0).is_near_tournament()
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_arc_count_rule_on_every_graph(self, n):
+        # Against the per-vertex rule: each vertex joined to all n - 1 others.
+        for g in all_simple_digraphs(n):
+            got = _tournament_imbalances(g)
+            joined_to_all = bool((g.out_degrees() + g.in_degrees() == n - 1).all())
+            assert (got is not None) == joined_to_all == g.is_tournament()
+            if got is not None:
+                assert (got == g.imbalances()).all()
+                assert (got == 2 * g.out_degrees() - (n - 1)).all()
+
     def test_square_cycle_is_near_tournament(self):
         g = square_cycle()
         assert g.is_near_tournament()
@@ -203,25 +207,6 @@ class TestPredicates:
         adj[4999 - 1, 4999] = 0
         assert Digraph.from_matrix(adj).first_non_neighbour_pair() == (4998, 4999)
 
-    def test_non_neighbours(self):
-        assert square_cycle().non_neighbours(0) == [2]
-        assert triangle_cycle().non_neighbours(0) == []
-
-
-class TestScores:
-    def test_transitive_scores(self):
-        assert triangle_transitive().score_sequence() == (0, 1, 2)
-
-    def test_regular_scores(self):
-        assert triangle_cycle().score_sequence() == (1, 1, 1)
-
-    def test_single_arc_scores(self):
-        assert Digraph(2, [(0, 1)]).score_sequence() == (0, 1)
-
-    def test_score_sequence_requires_tournament(self):
-        with pytest.raises(ValueError, match="tournament"):
-            square_cycle().score_sequence()
-
 
 class TestInvariants:
     @given(digraphs())
@@ -240,22 +225,7 @@ class TestInvariants:
     def test_tournament_imbalance_score_relation(self, g: Digraph):
         if not g.is_tournament():
             return
-        for v in range(g.n):
-            assert g.imbalance(v) == 2 * g.out_degree(v) - (g.n - 1)
-
-    @given(digraphs())
-    @settings(max_examples=60)
-    def test_arc_insertion_shifts_one_unit(self, g: Digraph):
-        free = g.non_neighbour_pairs()
-        if not free:
-            return
-        u, v = free[0]
-        grown = g.with_arc(u, v)
-        assert grown.imbalance(u) == g.imbalance(u) + 1
-        assert grown.imbalance(v) == g.imbalance(v) - 1
-        others = [w for w in range(g.n) if w not in (u, v)]
-        for w in others:
-            assert grown.imbalance(w) == g.imbalance(w)
+        assert (g.imbalances() == 2 * g.out_degrees() - (g.n - 1)).all()
 
     def test_equality_and_hash(self):
         assert triangle_cycle() == Digraph(3, [(1, 2), (2, 0), (0, 1)])

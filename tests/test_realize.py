@@ -35,7 +35,7 @@ class TestMaxRealization:
         rep = max_realization([2, 0, -2])
         assert rep.is_tournament and not rep.is_near_tournament
         assert rep.arc_count == 3
-        assert rep.graph.score_sequence() == (0, 1, 2)
+        assert sorted(rep.graph.out_degrees().tolist()) == [0, 1, 2]
         assert rep.non_neighbour_pairing == ()
 
     def test_all_even_order_four(self):
@@ -128,8 +128,7 @@ class TestExhaustiveSmallOrders:
     def test_at_most_one_non_neighbour_each(self):
         for seq in all_valid_imbalance_sequences(5):
             g = max_realization(seq).graph
-            for v in range(g.n):
-                assert len(g.non_neighbours(v)) <= 1
+            assert (g.out_degrees() + g.in_degrees() >= g.n - 2).all()
 
 
 class TestRandomizedOrders:
