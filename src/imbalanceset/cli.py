@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -204,11 +205,28 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from None
     else:
-        write(graph, args.format, sys.stdout)
+        try:
+            write(graph, args.format, sys.stdout)
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say
+            _silence_stdout()
+            raise ValueError(f"cannot write standard output: {exc}") from None
     # A certificate is a verified tournament: one out-degree pass.
     seq = ",".join(map(str, sorted(_tournament_imbalances(graph).tolist(), reverse=True)))
     print(f"order {graph.n}; imbalance sequence {seq}", file=sys.stderr if not args.out else sys.stdout)
     return EXIT_YES
+
+
+def _silence_stdout() -> None:
+    """Point standard output at the null device, so that the rest still
+    buffered for it cannot fail again when the interpreter flushes it at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file, as under a capture
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -9,16 +9,32 @@ even order).
 
 Graphs are backed by a dense adjacency matrix because all algorithms
 here touch most vertex pairs and orders stay in the low tens of
-thousands.  Instances are immutable after construction.  There are two
-entry points: :meth:`Digraph.from_arcs` takes the arcs as two integer
-arrays (sources, targets) and checks them in whole-array passes, and
-:meth:`Digraph.from_matrix` wraps a finished adjacency matrix.
+thousands.  The matrix is stored as bit-packed rows, as
+``np.packbits(adj, axis=1, bitorder="little")`` makes them: bit j of
+byte c in row u is cell (u, 8c + j), and the bits past column n - 1 are
+zero, so an order-n graph takes n * ceil(n / 8) bytes.  Instances are
+immutable after construction.  There are two entry points:
+:meth:`Digraph.from_arcs` takes the arcs as two integer arrays (sources,
+targets) and checks them in whole-array passes, and
+:meth:`Digraph.from_matrix` packs a finished ``uint8`` adjacency matrix.
 ``Digraph(n, arcs)`` is a convenience that delegates to ``from_arcs``.
+:meth:`Digraph.matrix` unpacks a copy for callers that want cells.
+
+Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
+packed rows is byte C of rows 8R .. 8R + 7, and :func:`_transpose8`
+transposes every block of an array with three delta swaps.  Row bands of
+``_TILE`` rows use it for the transposed reads the program makes:
+:func:`_mirror` writes each lower cell (v, u) as 1 - (u, v), so the
+graph constructions write only the upper triangle, one row at a time;
+:func:`_check_packed` and :func:`_validate_matrix` test opposing pairs
+through :func:`_clash`; and the unjoined-pair scans read columns
+through it.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -26,11 +42,14 @@ import numpy as np
 
 from .errors import DoubledPairError, check_matrix_order
 
-# Row-block size for pair checks on large matrices, keeps temporaries small.
+# Row-block size of the checks on an unpacked matrix, keeps temporaries small.
 _BLOCK = 4096
-# Square tile side for the opposing-pair test, small enough to stay in cache.
+# Tile side of those checks' opposing-pair test, and row-band height (rounded
+# down to whole 8 x 8 blocks) of the passes on packed rows; small enough to
+# stay in cache.
 _TILE = 512
-
+# Cells unpacked at once where rows are read as cells (arcs, degrees).
+_CELLS = 1 << 20
 
 class Digraph:
     """Immutable simple oriented graph on vertices ``0 .. n-1``.
@@ -41,7 +60,7 @@ class Digraph:
     or backward.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_bits",)
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         arcs = list(arcs)
@@ -51,7 +70,7 @@ class Digraph:
             ids = np.fromiter(map(operator.index, chain.from_iterable(arcs)), np.int64, 2 * len(arcs))
         except OverflowError:
             raise ValueError(f"arc id out of range for order {n}") from None
-        self._adj = Digraph.from_arcs(n, ids[0::2], ids[1::2])._adj
+        self._bits = Digraph.from_arcs(n, ids[0::2], ids[1::2])._bits
 
     @classmethod
     def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray) -> "Digraph":
@@ -80,10 +99,11 @@ class Digraph:
 
     @classmethod
     def from_matrix(cls, adj: np.ndarray, *, validate: bool = True) -> "Digraph":
-        """Wrap an adjacency matrix (uint8, square) as a Digraph.
+        """Pack a square adjacency matrix (uint8) as a Digraph.
 
-        The array is taken over without copying and frozen; callers must
-        not keep a writable reference.
+        With ``validate``, entries other than 0 or 1, self-loops and
+        opposing pairs are refused first; without it, the caller vouches
+        for them.  The array itself is not kept.
         """
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
@@ -94,37 +114,68 @@ class Digraph:
             adj = adj.astype(np.uint8)
         if validate:
             _validate_matrix(adj)
+        return cls._from_bits(_pack(adj))
+
+    @classmethod
+    def _from_bits(cls, bits: np.ndarray) -> "Digraph":
+        """Wrap packed rows (n rows of ceil(n / 8) bytes, as the module
+        docstring lays them out) without a check, and freeze them.  The
+        array may be a view: writes through its base still show."""
         g = object.__new__(cls)
-        adj.flags.writeable = False
-        g._adj = adj
+        bits.flags.writeable = False
+        g._bits = bits
         return g
 
     # -- basic accessors ------------------------------------------------
 
     @property
     def n(self) -> int:
-        return self._adj.shape[0]
+        return self._bits.shape[0]
 
     @property
     def arc_count(self) -> int:
-        return int(self._adj.sum(dtype=np.int64))
+        return int(self.out_degrees().sum())
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Yield arcs as (source, target), sorted lexicographically."""
-        for u, v in np.argwhere(self._adj):
-            yield int(u), int(v)
+        for lo, block in self._row_blocks():
+            rows, cols = np.nonzero(block)
+            yield from zip((rows + lo).tolist(), cols.tolist())
 
     def matrix(self) -> np.ndarray:
-        """Read-only view of the adjacency matrix."""
-        return self._adj
+        """The adjacency matrix as a read-only ``uint8`` array of 0s and 1s.
+
+        Unpacked on each call, so it allocates one n x n array; passes
+        over the whole graph use the packed rows instead.
+        """
+        adj = np.unpackbits(self._bits, axis=1, count=self.n, bitorder="little")
+        adj.flags.writeable = False
+        return adj
+
+    def _row_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Pairs of a first row and its block of rows unpacked to cells,
+        blocks of about ``_CELLS`` cells in row order."""
+        n = self.n
+        step = max(1, _CELLS // max(n, 1))
+        for lo in range(0, n, step):
+            yield lo, np.unpackbits(self._bits[lo : lo + step], axis=1, count=n, bitorder="little")
 
     # -- degrees and imbalances ------------------------------------------
 
     def out_degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=1, dtype=np.int64)
+        """Row bit counts, ``_TILE`` rows at a time."""
+        n, step = self.n, _TILE
+        out = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, step):
+            np.add.reduce(np.bitwise_count(self._bits[lo : lo + step]), axis=1, out=out[lo : lo + step])
+        return out
 
     def in_degrees(self) -> np.ndarray:
-        return self._adj.sum(axis=0, dtype=np.int64)
+        """Column sums of the rows, unpacked a block at a time."""
+        out = np.zeros(self.n, dtype=np.int64)
+        for _, block in self._row_blocks():
+            out += block.sum(axis=0, dtype=np.int64)
+        return out
 
     def imbalances(self) -> np.ndarray:
         """Per-vertex imbalance, indexed by vertex id."""
@@ -137,7 +188,7 @@ class Digraph:
 
     def imbalance_set(self) -> frozenset[int]:
         """The deduplicated set of vertex imbalances."""
-        return frozenset(int(x) for x in np.unique(self.imbalances()))
+        return frozenset(self.imbalances().tolist())
 
     # -- structural predicates -------------------------------------------
 
@@ -162,44 +213,32 @@ class Digraph:
 
     def non_neighbour_pairs(self) -> tuple[tuple[int, int], ...]:
         """All unjoined pairs {u, v}, normalized as (min, max) and sorted."""
-        n = self.n
-        out: list[tuple[int, int]] = []
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            joined = self._adj[lo:hi, :] | self._adj[:, lo:hi].T
-            rows, cols = np.nonzero(joined == 0)
-            keep = cols > rows + lo
-            for r, c in zip(rows[keep], cols[keep]):
-                out.append((int(r) + lo, int(c)))
-        out.sort()
-        return tuple(out)
+        return tuple(self._unjoined_pairs())
 
     def first_non_neighbour_pair(self) -> tuple[int, int] | None:
         """The smallest unjoined pair (u, v), u < v, or None if there is none.
 
-        Scans row blocks and stops at the first block with a gap, so a
-        graph missing a pair near the top costs one block, not n^2 / 2
+        Scans row bands and stops at the first band with a gap, so a
+        graph missing a pair near the top costs one band, not n^2 / 2
         pair tuples.
         """
-        n = self.n
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            joined = self._adj[lo:hi, :] | self._adj[:, lo:hi].T
-            gap = np.triu(joined == 0, lo + 1)  # columns right of the diagonal
-            if gap.any():
-                r, c = divmod(int(gap.argmax()), n)
-                return (r + lo, c)
-        return None
+        return next(self._unjoined_pairs(), None)
+
+    def _unjoined_pairs(self) -> Iterator[tuple[int, int]]:
+        """The unjoined pairs (u, v), u < v, in order, a row band at a time."""
+        for r0 in range(0, self._bits.shape[1], _band()):
+            rows, cols = _set_cells(_unjoined(self._bits, r0))
+            yield from zip((rows + 8 * r0).tolist(), (cols + 8 * r0).tolist())
 
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self._adj, other._adj))
+        return self.n == other.n and bool(np.array_equal(self._bits, other._bits))
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj.tobytes()))
+        return hash((self.n, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
@@ -274,13 +313,14 @@ def _validate_matrix(adj: np.ndarray) -> None:
 
     Each row block is checked for all three, in that order, before the
     next.  A pair is tested in the block of its smaller endpoint, one
-    tile against its mirror tile, so each transposed read is a small
-    square; the diagonal is zero by then, so tiles crossing it report
-    only pairs.  No temporary grows with n: the entry test is a
-    reduction (``max``) over the block, the self-loop test makes two
-    ``_BLOCK``-long index arrays and a gather of the block's diagonal
-    cells (72 KiB), and the pair test one ``_TILE`` x ``_TILE`` tile
-    product (256 KiB).
+    tile against its mirror tile, both packed to bits as they are read
+    (the mirror tile by its low bit, as ``&`` reads a raw entry) and
+    tested by :func:`_clash`; the diagonal is zero by then, so tiles
+    crossing it report only pairs.  No temporary grows with n: the entry
+    test is a reduction (``max``) over the block, the self-loop test
+    makes two ``_BLOCK``-long index arrays and a gather of the block's
+    diagonal cells (72 KiB), and the pair test packs two ``_TILE`` x
+    ``_TILE`` tiles (a few times 32 KiB).
     """
     n = adj.shape[0]
     for lo in range(0, n, _BLOCK):
@@ -295,8 +335,149 @@ def _validate_matrix(adj: np.ndarray) -> None:
             a_end = min(a + _TILE, hi)
             for b in range(a, n, _TILE):
                 b_end = min(b + _TILE, n)
-                if (adj[a:a_end, b:b_end] & adj[b:b_end, a:a_end].T).any():
+                if _clash(_pack(adj[a:a_end, b:b_end]), _pack(adj[b:b_end, a:a_end] & 1)):
                     raise ValueError("opposing arc pairs are not allowed")
+
+
+def _check_packed(bits: np.ndarray) -> None:
+    """Refuse self-loops, then opposing pairs, in packed rows (whose
+    entries are bits, so 0 or 1).
+
+    The diagonal is one gather of n bytes.  Opposing pairs are tested
+    band by band: the rows of a band from its diagonal block on against
+    its columns below, by :func:`_clash`, so each pair is tested once
+    with its smaller endpoint in the band, on band-sized temporaries.
+    """
+    n, width = bits.shape
+    v = np.arange(n)
+    if (bits[v, v >> 3] >> (v & 7) & 1).any():
+        raise ValueError("self-loops are not allowed")
+    step = _band()
+    for r0 in range(0, width, step):
+        if _clash(bits[8 * r0 : 8 * (r0 + step), r0:], bits[8 * r0 :, r0 : r0 + step]):
+            raise ValueError("opposing arc pairs are not allowed")
+
+
+def _mirror(bits: np.ndarray, start: int = 0) -> None:
+    """Set each lower cell (v, u), v > u, to 1 - (u, v), in the packed
+    rows from ``8 * (start // 8)`` on.
+
+    Rows before ``start`` are left alone, and rows from 8 * (start // 8)
+    to ``start`` must already hold the mirror of their upper cells, which
+    are rewritten with the same values.  Band by band, the band's upper
+    cells are copied as 8 x 8 blocks, transposed by :func:`_transpose8`
+    and complemented into its columns below; in the band's own square
+    the upper cells and the diagonal are kept.  So every write is a
+    whole byte, no temporary is larger than a band, and no cell is
+    written twice.
+    """
+    n, width = bits.shape
+    step, first = _band(), start // 8
+    for r0 in chain(range(0, first, step), range(first, width, step)):
+        r1 = min(r0 + step, first if r0 < first else width)
+        c0 = max(r0, first)
+        h = r1 - r0
+        low = np.empty((width - c0, 8, h), dtype=np.uint8)
+        np.invert(_transpose8(_blocks(bits[8 * r0 : 8 * r1, c0:])).transpose(2, 1, 0), out=low)
+        target = bits[8 * c0 :, r0:r1]
+        if c0 == r0:
+            keep = _upper(h, diagonal=True)
+            low[:h] &= ~keep
+            low[:h] |= _blocks(target[: 8 * h]) & keep
+        target[...] = low.reshape(-1, h)[: len(target)]
+
+
+def _unjoined(bits: np.ndarray, r0: int) -> np.ndarray:
+    """The cells (u, v), v > u, that no arc joins, of the rows of the
+    band at block row ``r0``: packed rows from byte column ``r0`` on."""
+    n, width = bits.shape
+    h = min(_band(), width - r0)
+    below = _transpose8(_blocks(bits[8 * r0 :, r0 : r0 + h])).transpose(2, 1, 0)
+    free = ~(_blocks(bits[8 * r0 : 8 * (r0 + h), r0:]) | below)
+    free[:, :, :h] &= _upper(h, diagonal=False)
+    if n % 8:
+        free[:, :, -1] &= (1 << n % 8) - 1  # the columns past n - 1
+    return free.reshape(8 * h, -1)[: n - 8 * r0]
+
+
+def _clash(upper: np.ndarray, lower: np.ndarray) -> bool:
+    """Whether some cell (i, j) of the packed rows ``upper`` and cell
+    (j, i) of the packed rows ``lower`` are both set.
+
+    For ``a`` rows of ``upper`` and ``b`` of ``lower``, ``upper`` has
+    ceil(b / 8) bytes a row and ``lower`` ceil(a / 8).  The blocks of
+    ``upper`` are transposed and laid out as the blocks of its
+    transpose, which ``lower`` must not meet.
+    """
+    return bool((_transpose8(_blocks(upper)).transpose(2, 1, 0) & _blocks(lower)).any())
+
+
+def _transpose8(x: np.ndarray) -> np.ndarray:
+    """Transpose in place each 8 x 8 bit block of ``x``, a contiguous
+    (blocks, 8, bytes) array as from :func:`_blocks`, and return it.
+
+    In a block, bit j of row i is cell (i, j).  Three delta swaps
+    exchange cells (i, j + s) and (i + s, j) for every i and j with bit s
+    clear, s = 1, 2, 4: first across the diagonal of each 2 x 2 square,
+    then of each 4 x 4 square of 2 x 2 squares, then of the whole block.
+    Row i + s is the partner row; the mask holds the bits j of each
+    swap (0x55, 0x33, 0x0F).
+    """
+    h, _, w = x.shape
+    for s, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
+        pairs = x.reshape(h, 4 // s, 2, s, w)
+        top, bottom = pairs[:, :, 0], pairs[:, :, 1]
+        t = top >> s
+        t ^= bottom
+        t &= mask
+        bottom ^= t
+        t <<= s
+        top ^= t
+    return x
+
+
+def _blocks(rows: np.ndarray) -> np.ndarray:
+    """Packed rows as a new (ceil(rows / 8), 8, bytes) array of 8 x 8
+    blocks, padded with zero rows."""
+    r, width = rows.shape
+    out = np.zeros((-(-r // 8), 8, width), dtype=np.uint8)
+    out.reshape(-1, width)[:r] = rows
+    return out
+
+
+@cache
+def _upper(h: int, *, diagonal: bool) -> np.ndarray:
+    """The read-only mask, as h x h blocks, of the cells (u, v) of a
+    square on the diagonal with v > u, and v == u if ``diagonal``."""
+    mask = np.zeros((h, 8, h), dtype=np.uint8)
+    r, c = np.triu_indices(h, 1)
+    mask[r, :, c] = 0xFF
+    d = np.arange(h)
+    mask[d, :, d] = ((0xFF if diagonal else 0xFE) << np.arange(8)) & 0xFF
+    mask.flags.writeable = False
+    return mask
+
+
+def _set_cells(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the set cells of packed rows, in row-major order."""
+    r, c = np.nonzero(bits)
+    at, j = np.nonzero(np.unpackbits(bits[r, c][:, None], axis=1, bitorder="little"))
+    return r[at], 8 * c[at] + j
+
+
+def _pack(adj: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 cells as packed rows (any nonzero cell reads 1)."""
+    return np.packbits(adj, axis=1, bitorder="little")
+
+
+def _bit(col: np.ndarray) -> np.ndarray:
+    """The bit of each column within its byte, as ``uint8`` masks."""
+    return np.left_shift(1, col & 7).astype(np.uint8)
+
+
+def _band() -> int:
+    """Block rows (8 rows each) of a band of the passes on packed rows."""
+    return max(1, _TILE // 8)
 
 
 def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:

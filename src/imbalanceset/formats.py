@@ -6,9 +6,10 @@ are 0-based contiguous integers and survive every round trip; vertices
 that touch no arc are written explicitly so the order is never lost.
 
 A certificate has Theta(n^2) arcs, so neither direction makes a Python
-object per arc.  Emission yields one string per adjacency row, joining
-the row's targets from a table of id strings; :func:`write` writes them
-one by one, :func:`emit` joins them.
+object per arc.  Emission unpacks the graph's bit-packed rows a block at
+a time and yields one string per row, joining the row's targets from a
+table of id strings; :func:`write` writes them one by one, :func:`emit`
+joins them.
 
 Parsing reads the document from a binary file (a ``str`` or ``bytes`` is
 wrapped in ``io.BytesIO``), ``_CHUNK`` bytes at a time, and never holds
@@ -24,12 +25,14 @@ carried into the next read.  In each block:
    first bad line is found by bisecting the block.
 2. Each digit run is decoded from the eight bytes that start it, read
    as one integer (see :func:`_ids`).
-3. The ids are scattered straight into the ``uint8`` matrix, where a
-   doubled pair finds a cell of its pair already set.
+3. The ids are scattered straight into a ``uint8`` matrix, where a
+   doubled pair finds a cell of its pair already set.  The finished
+   matrix is packed once into the graph's rows.
 
-So the peak is the matrix plus O(``_CHUNK``), a few temporaries of the
-block's size, unless a line is longer than a block or JSON holds much
-outside ``arcs`` (the rest is read whole by ``json.loads``).
+So the peak is the matrix and its packed copy plus O(``_CHUNK``), a few
+temporaries of the block's size, unless a line is longer than a block
+or JSON holds much outside ``arcs`` (the rest is read whole by
+``json.loads``).
 
 A grammar fault is raised at once; an arc fault is held until the rest
 of the body has passed the grammar, so grammar faults still come first,
@@ -156,7 +159,7 @@ def _pieces(graph: Digraph, kind: str) -> Iterator[str]:
         imbalances = graph.imbalances()
         tail = (
             f'], "imbalance_sequence": {json.dumps(np.sort(imbalances)[::-1].tolist())}, '
-            f'"imbalance_set": {json.dumps(np.unique(imbalances)[::-1].tolist())}}}\n'
+            f'"imbalance_set": {json.dumps(sorted(set(imbalances.tolist()), reverse=True))}}}\n'
         )
     else:
         raise ValueError(f"unknown format {kind!r}")
@@ -173,12 +176,12 @@ def _rows(graph: Digraph, head: str, sep: str, tail: str) -> Iterator[str]:
     ``head`` and ``sep`` may hold ``{u}`` for the row's source id; the
     targets come from a table of id strings, in increasing order.
     """
-    adj = graph.matrix()
     ids = np.array([str(v) for v in range(graph.n)], dtype=object)
-    for u in np.flatnonzero(adj.any(axis=1)):
-        name = ids[u]
-        targets = ids[np.flatnonzero(adj[u])].tolist()
-        yield head.format(u=name) + sep.format(u=name).join(targets) + tail
+    for lo, block in graph._row_blocks():
+        for r in np.flatnonzero(block.any(axis=1)):
+            name = ids[lo + r]
+            targets = ids[np.flatnonzero(block[r])].tolist()
+            yield head.format(u=name) + sep.format(u=name).join(targets) + tail
 
 
 def _open(source: str | bytes | BinaryIO) -> BinaryIO:

@@ -24,13 +24,22 @@ equal state (residual out-quota, residual in-quota, free slot), kept
 in plain lists.  A step takes its vertex off the head run, splits off
 the partner, takes flexible runs whole in (in-demand descending, start
 ascending) order and splits at most the run where its out-quota ends,
-which picks the same receivers as ranking single vertices; it writes
-row and column of the vertex as one slice per stretch of one
-direction and merges neighbouring runs of equal state.  With R runs
-the build costs O(n * R) list work plus the n^2 / 2 matrix bytes it
-writes.  A canonical expansion has at most |Z| distinct entries, and
-no step saw more than 6 runs on the expansions of every realizable 2-
-or 3-member set from {-16..16} and of {4,-998}, {2,0,-1998},
+which picks the same receivers as ranking single vertices, and merges
+neighbouring runs of equal state.
+
+Rows are written once, then mirrored.  Step i writes only row i's
+upper cells: one slice of ones per stretch of receivers, in a strip of
+``_STRIP`` unpacked rows that is packed into the matrix (bit-packed
+rows, see :mod:`imbalanceset.digraph`) each time it fills.  Then one
+:func:`~imbalanceset.digraph._mirror` pass sets every lower cell
+(c, i) to 1 - (i, c): 1 for each sender c, 0 for each receiver, and 1
+for the partner, whose pair is then cleared.  With R runs the build
+costs O(n * R) list work, about n^2 / 2 strip bytes and one pass over
+the n^2 / 8 packed bytes.
+
+A canonical expansion has at most |Z| distinct entries, and no step
+saw more than 6 runs on the expansions of every realizable 2- or
+3-member set from {-16..16} and of {4,-998}, {2,0,-1998},
 {3,1,-2001}, {2,-3300}, {5652,-2}, {0,2,-3470} and {12,-8,-24}.  The
 worst case has every entry distinct (R = n - i at step i): timed in
 process on a 2-core Xeon host (Python 3.11.7, numpy 2.4.6), the
@@ -85,6 +94,9 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
+# Rows of the unpacked strip that max_realization writes before packing them.
+_STRIP = 64
+
 
 class RealizationError(RuntimeError):
     """The greedy builder could not complete a feasible sequence."""
@@ -122,15 +134,15 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
     n - 1, and a near tournament when every entry misses it (so n is
     even); mixed parities leave both flags false.
 
-    ``_out`` is private to :func:`imbalanceset.tis.decide_tis`: a zeroed
-    square uint8 matrix of order at least n, whose top-left n x n block
-    the greedy writes instead of a matrix of its own.  The report's
-    graph is then a view of that block, so later writes to ``_out``
-    change it.
+    ``_out`` is private to :func:`imbalanceset.tis.decide_tis`: the
+    zeroed packed rows of a matrix of order at least n, whose top-left
+    n x n block the greedy writes and mirrors instead of a matrix of
+    its own.  The report's graph is then a view of that block, so later
+    writes to ``_out`` change it.
     """
     import numpy as np
 
-    from .digraph import Digraph
+    from .digraph import Digraph, _bit, _mirror
 
     failure = digraph_imbalance_failure(seq)
     if failure is not None:
@@ -144,7 +156,17 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
     joined_quota = np.where(parity_match, n - 1, n - 2)
     in_quota = joined_quota - out_quota
 
-    adj = np.zeros((n, n), dtype=np.uint8) if _out is None else _out[:n, :n]
+    width = -(-n // 8)
+    bits = np.zeros((n, width), dtype=np.uint8) if _out is None else _out[:n, :width]
+    strip = np.zeros((_STRIP, n), dtype=np.uint8)
+
+    def pack(stop: int) -> None:
+        """Pack the strip's rows up to ``stop`` and clear it; their
+        cells left of the strip's first row are lower, so left zero."""
+        start = (stop - 1) // _STRIP * _STRIP
+        bits[start:stop, start // 8 :] = np.packbits(strip[: stop - start, start:], axis=1, bitorder="little")
+        strip[:, start:] = 0
+
     # The unprocessed vertices as maximal runs [start, stop) of equal
     # state (rem_out, rem_in, free), in id order; vertex i heads runs[0].
     runs: list[tuple[int, int, int, int, bool]] = []
@@ -158,6 +180,8 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
     residual = 0  # quotas the vertices keep after their own steps
 
     for i in range(n):
+        if i and i % _STRIP == 0:
+            pack(i)
         _, stop, need_recv, need_send, free = runs[0]
         unproc = n - 1 - i
         assert need_recv + need_send + free == unproc
@@ -213,13 +237,13 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
                 extra -= e - s
 
         # Split each run into its receivers [s, t) and senders [t, e),
-        # merging neighbours of equal state; writes holds the stretches
-        # [lo, hi) of one direction, the partner's breaking them.
+        # merging neighbours of equal state; recv holds the stretches
+        # [lo, hi) of receivers, row i's arcs out.
         new: list[tuple[int, int, int, int, bool]] = []
-        writes: list[list] = []
+        recv: list[list[int]] = []
         for s, e, o, r, f in runs:
             if s == partner:
-                pieces = ((s, e, o, r, None),)
+                pieces = ((s, e, o, r, False),)
             else:
                 if o == 0:
                     t = e
@@ -235,28 +259,32 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
             for lo, hi, po, pr, receives in pieces:
                 if lo == hi:
                     continue
-                if writes and writes[-1][2] is receives:
-                    writes[-1][1] = hi
-                else:
-                    writes.append([lo, hi, receives])
+                if receives and recv and recv[-1][1] == lo:
+                    recv[-1][1] = hi
+                elif receives:
+                    recv.append([lo, hi])
                 last = new[-1] if new else None
                 if last and last[2] == po and last[3] == pr and last[4] == f:
                     new[-1] = (last[0], hi, po, pr, f)
                 else:
                     new.append((lo, hi, po, pr, f))
         runs = new
-        for lo, hi, receives in writes:
-            if receives:
-                adj[i, lo:hi] = 1
-            elif receives is not None:
-                adj[lo:hi, i] = 1
+        row = strip[i % _STRIP]
+        for lo, hi in recv:
+            row[lo:hi] = 1
         left = need_send - (cand_size - need_recv)
         assert left == 0
         residual += abs(left)
 
     if residual:
         raise RealizationError("residual quotas did not close")
-    graph = Digraph.from_matrix(adj, validate=False)
+    if n:
+        pack(n)
+    _mirror(bits)
+    if pairing:
+        lo, hi = np.array(pairing).T
+        bits[hi, lo >> 3] &= ~_bit(lo)  # the mirror joined each as hi -> lo
+    graph = Digraph._from_bits(bits)
 
     arc_count = int(out_quota.sum())
     return RealizationReport(

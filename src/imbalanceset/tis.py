@@ -39,24 +39,30 @@ because every member's magnitude is below n.  For ([0], []) there are
 no couples, and the one new vertex beats v and loses to v' in every
 pair: the apex of :func:`add_apex_zero`.
 
-The base -> new block is filled one block of pairs at a time, at most
-about ``_BLOCK`` (pair, new vertex) cells each: the couples, sorted by
-pair, give each block its owners, a cumulative sum ranks the free new
-vertices, and the two whole rows of each pair are written at once.  The
-new -> base block needs no roles of its own.  Every (base, new) pair is
-joined exactly once by then, since an x-owner beats both ends of its
-pair, a y-owner loses to both, and each free new vertex takes role a or
-role b; so that block is 1 minus the transposed base -> new block,
-copied in square tiles.
+The matrix holds bit-packed rows (see :mod:`imbalanceset.digraph`).
+Rows are written, then mirrored: the pair arcs v -> v', the new
+clique's rows, and the base -> new block, one block of pairs at a time,
+at most about ``_BLOCK`` (pair, new vertex) cells each: the couples,
+sorted by pair, give each block its owners, a cumulative sum ranks the
+free new vertices, and the two whole rows of each pair are packed and
+written at once.  The lower cells of the new rows, new -> base, need no
+roles of their own.  Every (base, new) pair is joined exactly once by
+then, since an x-owner beats both ends of its pair, a y-owner loses to
+both, and each free new vertex takes role a or role b; and the new
+clique is a tournament.  So every lower cell of the new rows is 1 minus
+its mirror cell, which one :func:`~imbalanceset.digraph._mirror` pass
+over the new rows writes (in the clique, the same cells again).
 
 One matrix per certificate: :func:`decide_tis` allocates the final
-(n + k) x (n + k) matrix once, :func:`max_realization` writes the base
-into its top-left block and :func:`_complete_in_place` fills the rest
-there.  So the peak of an even build is that matrix, O(n + S) of pair
-and couple indices and O(``_BLOCK``) of block temporaries (about 6
-bytes a cell); the certificate check adds no matrix-sized temporary.
-Public :func:`add_arcs` takes a finished base report, so it copies the
-base into a new matrix first and holds both.
+packed (n + k)-order matrix once, :func:`max_realization` writes the
+base rows into its top-left block, once, and mirrors them, and
+:func:`_complete_in_place` fills the rest there.  So the peak of an even
+build is that matrix ((n + k) * ceil((n + k) / 8) bytes), the greedy's
+strip of 64 unpacked rows, O(n + S) of pair and couple indices and
+O(``_BLOCK``) of block temporaries (about 7 bytes a cell); the mirror
+and the certificate check add band-sized temporaries only.  Public
+:func:`add_arcs` takes a finished base report, so it copies the base
+into a new matrix first and holds both.
 """
 
 from __future__ import annotations
@@ -80,8 +86,10 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
-# Cells of (pair, new vertex) roles that _complete_in_place lays out at once.
-_BLOCK = 1 << 20
+# Cells of (pair, new vertex) roles that _complete_in_place lays out at once;
+# their temporaries (about 7 bytes a cell, 1.8 MB) stay well under the packed
+# matrix of a large certificate (9.2 MB at order 8577).
+_BLOCK = 1 << 18
 
 REFUSAL_ONE_SIDED = "one-sided"
 REFUSAL_MIXED_PARITY = "mixed-parity"
@@ -162,10 +170,10 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     # One matrix: the base is built in its top-left block and completed
     # in place.  The base report is a view of that block, which the
     # completion overwrites, so only its pairing is kept.
-    adj = np.zeros((n + k, n + k), dtype=np.uint8)
-    pairing = max_realization(seq, _out=adj).non_neighbour_pairing
-    _complete_in_place(adj, pairing, witness)
-    cert = _verified_certificate(Digraph.from_matrix(adj, validate=False), members, n + k)
+    bits = np.zeros((n + k, -(-(n + k) // 8)), dtype=np.uint8)
+    pairing = max_realization(seq, _out=bits).non_neighbour_pairing
+    _complete_in_place(bits, pairing, witness)
+    cert = _verified_certificate(Digraph._from_bits(bits), members, n + k)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
 
@@ -235,8 +243,8 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     imbalances come out as the xs and the negated ys, while every
     original vertex keeps its imbalance.  See the module docstring for
     the construction; it degenerates to the single-apex picture when
-    the witness is the trivial ([0], []).  The base is copied into a new
-    matrix, which :func:`_complete_in_place` completes.
+    the witness is the trivial ([0], []).  The base's packed rows are
+    copied into a new matrix, which :func:`_complete_in_place` completes.
     """
     import numpy as np
 
@@ -261,44 +269,54 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
 
     total = n + k
     check_matrix_order(total)
-    adj = np.zeros((total, total), dtype=np.uint8)
-    adj[:n, :n] = near.graph.matrix()
-    _complete_in_place(adj, near.non_neighbour_pairing, witness)
-    return Digraph.from_matrix(adj, validate=False)
+    base = near.graph._bits
+    bits = np.zeros((total, -(-total // 8)), dtype=np.uint8)
+    bits[:n, : base.shape[1]] = base
+    _complete_in_place(bits, near.non_neighbour_pairing, witness)
+    return Digraph._from_bits(bits)
 
 
 def _complete_in_place(
-    adj: np.ndarray, pairing: tuple[tuple[int, int], ...], witness: EqualSumWitness
+    bits: np.ndarray, pairing: tuple[tuple[int, int], ...], witness: EqualSumWitness
 ) -> None:
-    """Complete the near tournament in the top-left block of ``adj``.
+    """Complete the near tournament in the top-left block of ``bits``.
 
-    ``adj`` is the final zeroed (n + k) x (n + k) uint8 matrix with the
-    base written in its top-left n x n block, ``pairing`` the base's
-    unjoined pairs and ``witness`` one that :func:`add_arcs` accepts;
-    the other cells are filled as the module docstring describes.
+    ``bits`` is the final zeroed packed (n + k)-order matrix with the
+    base, a near tournament whose unjoined pairs are ``pairing``,
+    written in its top-left n x n block, and ``witness`` one that
+    :func:`add_arcs` accepts; the other cells are filled as the module
+    docstring describes.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from .digraph import _TILE
+    from .digraph import _bit, _mirror
 
     xs, ys = witness.xs, witness.ys
     k = len(xs) + len(ys)
-    total = adj.shape[0]
+    total = bits.shape[0]
     n = total - k
     n_pairs = n // 2
     couples = witness.common_sum // 2
+    # The new columns start at bit `shift` of byte `col`; each block of
+    # their cells is laid out `shift` cells right, then packed from there.
+    col, shift = divmod(n, 8)
 
     # New clique: rotational regular tournament (k odd), vertex i beats
     # the next (k - 1) / 2 vertices cyclically; row i is the window
     # pattern[k - i : 2k - i] of a 0/1 pattern of period k.
     period = np.zeros(k, dtype=np.uint8)
     period[1 : (k - 1) // 2 + 1] = 1
-    adj[n:, n:] = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
+    windows = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
+    step = max(1, _BLOCK // k)
+    for a in range(0, k, step):
+        rows = np.zeros((min(step, k - a), shift + k), dtype=np.uint8)
+        rows[:, shift:] = windows[a : a + step]
+        bits[n + a : n + a + step, col:] = np.packbits(rows, axis=1, bitorder="little")
 
     lo = np.fromiter((p for p, _ in pairing), dtype=np.int64)
     hi = np.fromiter((q for _, q in pairing), dtype=np.int64)
-    adj[lo, hi] = 1
+    bits[lo, hi >> 3] |= _bit(hi)
 
     # Couple j pairs the j-th positive half-unit with the j-th negative
     # one; couples are dealt round-robin over the pairs, so one owner's
@@ -327,22 +345,19 @@ def _complete_in_place(
         rank[at, ycol] = 0
         np.cumsum(rank, axis=1, out=rank)  # a free vertex's 1-based rank
         m = (k - 2 * np.bincount(at, minlength=p1 - p0))[:, None]
-        beaten = rank > (m - 1) // 2
+        cells = np.zeros((p1 - p0, shift + k), dtype=bool)
+        beaten = cells[:, shift:]
+        np.greater(rank, (m - 1) // 2, out=beaten)
         beaten &= rank < m
         del rank
         for row in (lo, hi):
             beaten[at, xcol] = False
             beaten[at, ycol] = True
-            adj[row[p0:p1], n:] = beaten.view(np.uint8)
+            bits[row[p0:p1], col:] |= np.packbits(cells, axis=1, bitorder="little")
             np.logical_not(beaten, out=beaten)  # free: role b -> role a
 
-    # New -> base: each (base, new) pair was joined exactly once above
-    # (owners by their couple, the free by role a or b), so this block
-    # is the complement of the transposed base -> new block.
-    for a in range(0, n, _TILE):
-        a_end = min(a + _TILE, n)
-        for b in range(n, total, _TILE):
-            np.subtract(1, adj[a:a_end, b : b + _TILE].T, out=adj[b : b + _TILE, a:a_end])
+    # New -> base and the clique's lower half: see the module docstring.
+    _mirror(bits, n)
 
 
 def _verified_certificate(
@@ -351,16 +366,17 @@ def _verified_certificate(
     """The one check of every certificate: order, simple oriented graph,
     every pair joined, and the exact imbalance set.
 
-    Once :func:`~imbalanceset.digraph._validate_matrix` passes, the
-    tournament test and the imbalances take one pass over the matrix,
-    by :func:`~imbalanceset.digraph._tournament_imbalances`.
+    Once :func:`~imbalanceset.digraph._check_packed` passes on the
+    packed rows (no self-loop, no opposing pair), the tournament test
+    and the imbalances take one pass of bit counts over the rows, by
+    :func:`~imbalanceset.digraph._tournament_imbalances`.
     """
-    from .digraph import _tournament_imbalances, _validate_matrix
+    from .digraph import _check_packed, _tournament_imbalances
 
     if graph.n != order:
         raise AssertionError(f"certificate order {graph.n}, expected {order}")
     try:
-        _validate_matrix(graph.matrix())
+        _check_packed(graph._bits)
     except ValueError as exc:
         raise AssertionError(f"certificate is not a simple oriented graph: {exc}") from None
     imbalances = _tournament_imbalances(graph)

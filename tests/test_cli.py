@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,24 @@ class TestRealize:
         assert code == 2 and "no-odd-equal-sum" in err
         assert not (tmp_path / "never.dot").exists()
 
+    def test_closed_pipe_is_a_write_error(self):
+        # The reader stops after 20 bytes of an order-1503 DOT document:
+        # one error line, exit 1, and no traceback, also not at exit.
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "imbalanceset", "realize", "4,-998"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        head = child.stdout.read(20)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert head.startswith(b"digraph {\n")
+        assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
     def test_missing_directory_is_a_write_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.dot"
         code, out, err = run(capsys, "realize", "4,2,-2", "--out", str(path))
@@ -213,9 +235,9 @@ class TestVerify:
 
     def test_only_missing_pair_near_the_end_is_named(self, tmp_path, capsys, monkeypatch):
         # A transitive tournament of order 12 without its arc 9 -> 11:
-        # the degrees sum one short, and with row blocks of 4 the pair
-        # lies in the last block.
-        monkeypatch.setattr(digraph, "_BLOCK", 4)
+        # the degrees sum one short, and with row bands of 8 the pair
+        # lies in the last band.
+        monkeypatch.setattr(digraph, "_TILE", 8)
         arcs = [(u, v) for u in range(12) for v in range(u + 1, 12) if (u, v) != (9, 11)]
         path = tmp_path / "gap.edges"
         path.write_text(emit(Digraph(12, arcs), "edgelist"))

@@ -1,8 +1,8 @@
 """The one-matrix even build against the public copying path.
 
 ``decide_tis`` allocates the final matrix once, has ``max_realization``
-write the base into its top-left block (the private ``_out`` array) and
-completes it in place.  The public path builds the base matrix on its
+write the base into its top-left block (the private ``_out`` array of
+packed rows) and completes it in place.  The public path builds the base matrix on its
 own and ``add_arcs`` copies it into a new one.  Both must give the same
 certificate bytes, and ``max_realization`` must report the same base
 either way.
@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import imbalanceset.realize
 import imbalanceset.tis
 from imbalanceset import (
     ImbalanceSet,
@@ -55,8 +56,9 @@ def test_certificate_matches_the_copying_path(members):
 def test_output_array_gives_the_same_base(seq):
     alone = max_realization(seq)
     n = len(seq)
-    out = np.zeros((n + 3, n + 3), dtype=np.uint8)
-    into = max_realization(seq, _out=out)
+    packed = np.zeros((n + 3, (n + 10) // 8), dtype=np.uint8)  # order n + 3
+    into = max_realization(seq, _out=packed)
+    out = np.unpackbits(packed, axis=1, count=n + 3, bitorder="little")
     assert into.graph.matrix().tobytes() == alone.graph.matrix().tobytes()
     assert into.non_neighbour_pairing == alone.non_neighbour_pairing
     assert into.arc_count == alone.arc_count
@@ -66,11 +68,12 @@ def test_output_array_gives_the_same_base(seq):
 
 
 def test_even_build_peaks_at_one_matrix_plus_one_block():
-    # Traced peak <= final matrix + 8 bytes for each of the _BLOCK
-    # (pair, new vertex) cells one completion block lays out.  Order
-    # 5013 from a base of order 3342: 25.1 + 8.4 MB; a separate base
-    # matrix (11.2 MB) or a 4096-row bool temporary in the certificate
-    # check (20.5 MB) would not fit.
+    # Traced peak <= final packed matrix + the greedy's strip of
+    # unpacked rows + 8 bytes for each of the _BLOCK (pair, new vertex)
+    # cells one completion block lays out.  Order 5013 from a base of
+    # order 3342: 3.1 + 0.3 + 2.1 MB; the unpacked matrix (25.1 MB) or
+    # a matrix-sized temporary in the check or the mirror (3.1 MB)
+    # would not fit.
     decide_tis({2, -8}, with_certificate=True)  # imports outside the trace
     tracemalloc.start()
     try:
@@ -80,4 +83,5 @@ def test_even_build_peaks_at_one_matrix_plus_one_block():
         tracemalloc.stop()
     total = decision.order
     assert total == 5013
-    assert peak <= total * total + 8 * imbalanceset.tis._BLOCK
+    strip = imbalanceset.realize._STRIP * total
+    assert peak <= total * -(-total // 8) + strip + 8 * imbalanceset.tis._BLOCK

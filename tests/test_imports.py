@@ -70,6 +70,14 @@ class TestImportBoundary:
         assert _fresh(CLI_CALL.format(argv=argv)) == {"code": 0, "numpy": True}
         assert out.read_bytes() == GOLDEN.read_bytes()
 
+    def test_json_realize_loads_numpy_but_not_numpy_ma(self, tmp_path):
+        # Emit dedupes the imbalances in a Python set; np.unique would load numpy.ma.
+        out = tmp_path / "built.json"
+        argv = ["realize", "4,2,-2", "--format", "json", "--out", str(out)]
+        probe = 'print(json.dumps([code, [m for m in ("numpy", "numpy.ma") if m in sys.modules]]))\n'
+        assert _fresh(CLI_CALL.format(argv=argv) + probe) == [0, ["numpy"]]
+        assert json.loads(out.read_text())["imbalance_set"] == [4, 2, -2]
+
 
 class TestPackageSurface:
     def test_every_export_is_its_submodules_object(self):

@@ -1,0 +1,125 @@
+"""The bit-packed adjacency rows and the 8 x 8 bit-block kernel.
+
+``digraph._transpose8`` is checked against ``np.transpose`` block by
+block; the mirror, the certificate check and the passes that read
+columns (in-degrees, unjoined pairs) against plain ``uint8`` matrix
+arithmetic, on orders that are not multiples of 8 and with the band
+height patched small, so that bands, bytes and tiles all end ragged.
+Forged certificates put each fault at a byte or band boundary.
+"""
+
+import numpy as np
+import pytest
+
+from imbalanceset import Digraph, digraph
+from imbalanceset.tis import _verified_certificate
+
+ORDERS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70)
+TILES = (8, 16, 24, 512)  # bands of 1, 2, 3 and 64 block rows
+
+
+def _pack(adj):
+    return np.packbits(adj, axis=1, bitorder="little")
+
+
+def _unpack(bits, n):
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little")
+
+
+def _tournament(rng, n):
+    upper = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+    return upper + np.tril(1 - upper.T, -1)
+
+
+def test_transpose8_matches_np_transpose_on_random_blocks():
+    rng = np.random.default_rng(8)
+    cells = rng.integers(0, 2, size=(5, 8, 3, 8), dtype=np.uint8)  # blocks (R, C) of 8 x 8 cells
+    x = np.ascontiguousarray(_pack(cells.reshape(40, 24)).reshape(5, 8, 3))
+    digraph._transpose8(x)
+    got = _unpack(x.reshape(40, 3), 24).reshape(5, 8, 3, 8)
+    assert (got == cells.transpose(0, 3, 2, 1)).all()  # each block transposed in place
+
+
+def test_clash_finds_exactly_the_opposing_cells():
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        a, b = (int(v) for v in rng.integers(1, 20, size=2))
+        upper = (rng.random((a, b)) < 0.1).astype(np.uint8)
+        lower = (rng.random((b, a)) < 0.1).astype(np.uint8)
+        assert digraph._clash(_pack(upper), _pack(lower)) == bool((upper & lower.T).any())
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("n", ORDERS)
+def test_mirror_fills_every_lower_cell(monkeypatch, n, tile):
+    monkeypatch.setattr(digraph, "_TILE", tile)
+    rng = np.random.default_rng(n * 100 + tile)
+    upper = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+    bits = _pack(upper)
+    digraph._mirror(bits)
+    assert (_unpack(bits, n) == upper + np.tril(1 - upper.T, -1)).all()
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("n", (9, 17, 33, 70))
+def test_mirror_from_a_start_row_keeps_the_rows_before(monkeypatch, n, tile):
+    monkeypatch.setattr(digraph, "_TILE", tile)
+    rng = np.random.default_rng(n + tile)
+    full = _tournament(rng, n)
+    for start in range(n + 1):
+        # Rows before 8 * (start // 8) hold garbage below the diagonal,
+        # the rows from there on none; the upper triangle is whole.
+        adj = np.triu(full, 1)
+        lower = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), -1)
+        adj[: start // 8 * 8] |= lower[: start // 8 * 8]
+        adj[start // 8 * 8 : start] = full[start // 8 * 8 : start]
+        bits = _pack(adj)
+        digraph._mirror(bits, start)
+        expected = np.vstack((adj[: start // 8 * 8], full[start // 8 * 8 :]))
+        assert (_unpack(bits, n) == expected).all(), start
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("n", ORDERS)
+def test_column_passes_match_the_cells(monkeypatch, n, tile):
+    monkeypatch.setattr(digraph, "_TILE", tile)
+    rng = np.random.default_rng(n * 7 + tile)
+    state = np.triu(rng.integers(0, 3, size=(n, n)), 1)
+    adj = ((state == 1) | (state == 2).T).astype(np.uint8)
+    g = Digraph.from_matrix(adj)
+    assert (g.matrix() == adj).all()
+    assert (g.out_degrees() == adj.sum(axis=1)).all()
+    assert (g.in_degrees() == adj.sum(axis=0)).all()
+    assert g.arc_count == int(adj.sum())
+    assert list(g.arcs()) == [(int(u), int(v)) for u, v in np.argwhere(adj)]
+    unjoined = tuple((int(u), int(v)) for u, v in np.argwhere(np.triu((adj | adj.T) == 0, 1)))
+    assert g.non_neighbour_pairs() == unjoined
+    assert g.first_non_neighbour_pair() == (unjoined[0] if unjoined else None)
+
+
+def _forgeries(n, tile):
+    """Cells next to byte and band edges, as (u, v) with u < v."""
+    edges = {0, 7, 8, tile - 1, tile, n - 2, n - 1} | {8 * k + j for k in range(n // 8 + 1) for j in (0, 7)}
+    cells = sorted({(u, v) for u in edges for v in edges if 0 <= u < v < n})
+    return cells[:: max(1, len(cells) // 40)]
+
+
+@pytest.mark.parametrize("tile", (8, 16, 512))
+@pytest.mark.parametrize("n", (9, 17, 23, 33))
+def test_forged_certificates_are_refused(monkeypatch, n, tile):
+    monkeypatch.setattr(digraph, "_TILE", tile)
+    adj = _tournament(np.random.default_rng(n * tile), n)
+    members = frozenset(Digraph.from_matrix(adj).imbalance_set())
+    assert _verified_certificate(Digraph.from_matrix(adj), members, n).n == n
+    for u, v in _forgeries(n, tile):
+        opposing = adj.copy()
+        opposing[u, v] = opposing[v, u] = 1
+        missing = adj.copy()
+        missing[u, v] = missing[v, u] = 0
+        for forged, message in ((opposing, "opposing arc pairs"), (missing, "not a tournament")):
+            with pytest.raises(AssertionError, match=message):
+                _verified_certificate(Digraph.from_matrix(forged, validate=False), members, n)
+        looped = adj.copy()
+        looped[v, v] = 1
+        with pytest.raises(AssertionError, match="self-loops"):
+            _verified_certificate(Digraph.from_matrix(looped, validate=False), members, n)

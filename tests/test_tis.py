@@ -262,10 +262,12 @@ class TestAddArcs:
             assert add_apex_zero(report) == reference_apex.add_apex_zero(report), len(seq)
 
     def test_peak_memory_is_the_matrices_plus_one_block(self):
-        # Traced peak <= final matrix + base matrix + 8 bytes for each of
-        # the _BLOCK (pair, new vertex) cells one block lays out (rank
-        # int32, masks and comparisons).  Order 5013 from a base of
-        # order 3342: 25.1 + 11.2 + 8.4 MB; whole-array roles took 98 MB.
+        # Traced peak <= final packed matrix + 8 bytes for each of the
+        # _BLOCK (pair, new vertex) cells one block lays out (rank int32,
+        # masks and comparisons); the base's packed rows are the
+        # caller's.  Order 5013 from a base of order 3342: 3.1 + 2.1 MB;
+        # an unpacked matrix (25.1 MB) or a second packed one would not
+        # fit, and whole-array roles took 98 MB.
         parts = ImbalanceSet.from_values({2, -3340})
         sides = parts.non_negative[::-1], parts.negative_abs
         witness = imbalanceset.tis._lex_min_witness(*sides, *imbalanceset.tis._shortest_odd_zero_sum(*sides))
@@ -279,7 +281,7 @@ class TestAddArcs:
         finally:
             tracemalloc.stop()
         assert grown.n == total == 5013
-        assert peak <= total * total + n * n + 8 * imbalanceset.tis._BLOCK
+        assert peak <= total * -(-total // 8) + 8 * imbalanceset.tis._BLOCK
 
 
 class TestCertificateCheck:
