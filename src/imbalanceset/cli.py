@@ -61,8 +61,8 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse sequence literal {text!r}") from None
 
 
-def _budget(text: str) -> int:
-    """An ``int`` of at least 1, for ``--budget``."""
+def _positive_int(text: str) -> int:
+    """An ``int`` of at least 1, for ``--budget`` and ``--k``."""
     try:
         value = int(text)
     except ValueError:
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     decide.add_argument("--json", action="store_true", dest="as_json")
     decide.add_argument(
         "--budget",
-        type=_budget,
+        type=_positive_int,
         default=None,
         metavar="LENGTH",
         help="also search odd zero sums of up to LENGTH terms by brute force",
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--json", action="store_true", dest="as_json")
     bound.add_argument(
         "--budget",
-        type=_budget,
+        type=_positive_int,
         default=None,
         metavar="ORDER",
         help="also search orders up to ORDER (and the bound) by brute force",
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     equal = sub.add_parser("equal-sum", help="equal-sum sequences from two sets")
     equal.add_argument("x_literal")
     equal.add_argument("y_literal")
-    equal.add_argument("--k", type=int, required=True, help="per-element repetition cap")
+    equal.add_argument("--k", type=_positive_int, required=True, help="per-element repetition cap")
     equal.add_argument("--json", action="store_true", dest="as_json")
 
     return parser
@@ -309,8 +309,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_equal_sum(args: argparse.Namespace) -> int:
     xs = _parse_set(args.x_literal)
     ys = _parse_set(args.y_literal)
-    if args.k < 1:
-        raise ValueError("--k must be at least 1")
     witness = solve_esseq(xs, ys, args.k)
     if args.as_json:
         doc = (

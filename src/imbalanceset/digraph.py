@@ -26,9 +26,8 @@ transposes every block of an array with three delta swaps.  Row bands of
 ``_TILE`` rows use it for the transposed reads the program makes:
 :func:`_mirror` writes each lower cell (v, u) as 1 - (u, v), so the
 graph constructions write only the upper triangle, one row at a time;
-:func:`_check_packed` and :func:`_validate_matrix` test opposing pairs
-through :func:`_clash`; and the unjoined-pair scans read columns
-through it.
+:func:`_check_packed` tests opposing pairs through :func:`_clash`; and
+the unjoined-pair scans read columns through it.
 """
 
 from __future__ import annotations
@@ -42,11 +41,8 @@ import numpy as np
 
 from .errors import DoubledPairError, check_matrix_order
 
-# Row-block size of the checks on an unpacked matrix, keeps temporaries small.
-_BLOCK = 4096
-# Tile side of those checks' opposing-pair test, and row-band height (rounded
-# down to whole 8 x 8 blocks) of the passes on packed rows; small enough to
-# stay in cache.
+# Row-band height, rounded down to whole 8 x 8 blocks, of the passes on
+# packed rows; small enough to stay in cache.
 _TILE = 512
 # Cells unpacked at once where rows are read as cells (arcs, degrees).
 _CELLS = 1 << 20
@@ -101,9 +97,10 @@ class Digraph:
     def from_matrix(cls, adj: np.ndarray, *, validate: bool = True) -> "Digraph":
         """Pack a square adjacency matrix (uint8) as a Digraph.
 
-        With ``validate``, entries other than 0 or 1, self-loops and
-        opposing pairs are refused first; without it, the caller vouches
-        for them.  The array itself is not kept.
+        With ``validate``, entries other than 0 or 1, then self-loops,
+        then opposing pairs are refused, each over the whole matrix, the
+        last two in the packed rows by :func:`_check_packed`; without it,
+        the caller vouches for them.  The array itself is not kept.
         """
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
@@ -112,9 +109,12 @@ class Digraph:
             if validate and not ((adj == 0) | (adj == 1)).all():
                 raise ValueError("adjacency entries must be 0 or 1")
             adj = adj.astype(np.uint8)
+        if validate and adj.max(initial=0) > 1:
+            raise ValueError("adjacency entries must be 0 or 1")
+        bits = _pack(adj)
         if validate:
-            _validate_matrix(adj)
-        return cls._from_bits(_pack(adj))
+            _check_packed(bits)
+        return cls._from_bits(bits)
 
     @classmethod
     def _from_bits(cls, bits: np.ndarray) -> "Digraph":
@@ -308,37 +308,6 @@ def _first_doubled_pair(
     return DoubledPairError(f"duplicate arc ({u}, {v})")
 
 
-def _validate_matrix(adj: np.ndarray) -> None:
-    """Refuse entries other than 0 or 1, self-loops and opposing pairs.
-
-    Each row block is checked for all three, in that order, before the
-    next.  A pair is tested in the block of its smaller endpoint, one
-    tile against its mirror tile, both packed to bits as they are read
-    (the mirror tile by its low bit, as ``&`` reads a raw entry) and
-    tested by :func:`_clash`; the diagonal is zero by then, so tiles
-    crossing it report only pairs.  No temporary grows with n: the entry
-    test is a reduction (``max``) over the block, the self-loop test
-    makes two ``_BLOCK``-long index arrays and a gather of the block's
-    diagonal cells (72 KiB), and the pair test packs two ``_TILE`` x
-    ``_TILE`` tiles (a few times 32 KiB).
-    """
-    n = adj.shape[0]
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        block = adj[lo:hi, :]
-        if block.max() > 1:
-            raise ValueError("adjacency entries must be 0 or 1")
-        rows = np.arange(hi - lo)
-        if block[rows, rows + lo].any():
-            raise ValueError("self-loops are not allowed")
-        for a in range(lo, hi, _TILE):
-            a_end = min(a + _TILE, hi)
-            for b in range(a, n, _TILE):
-                b_end = min(b + _TILE, n)
-                if _clash(_pack(adj[a:a_end, b:b_end]), _pack(adj[b:b_end, a:a_end] & 1)):
-                    raise ValueError("opposing arc pairs are not allowed")
-
-
 def _check_packed(bits: np.ndarray) -> None:
     """Refuse self-loops, then opposing pairs, in packed rows (whose
     entries are bits, so 0 or 1).
@@ -485,7 +454,7 @@ def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:
 
     The graph must be a simple oriented graph: every entry 0 or 1, the
     diagonal zero and no pair carrying two opposing arcs, as
-    :func:`_validate_matrix` checks and :meth:`Digraph.from_arcs`
+    :meth:`Digraph.from_matrix` checks and :meth:`Digraph.from_arcs`
     ensures.  Then each of the n(n-1)/2 unordered pairs holds at most
     one arc, so the arc count, the sum of the out-degrees, is at most
     n(n-1)/2, with equality exactly when every pair holds one arc: when

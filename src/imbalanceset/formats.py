@@ -43,19 +43,24 @@ largest id plus one, so its matrix grows with the ids (by at least a
 quarter each time, each order checked against the cap first), and its
 arc faults also wait until the last id shows that the cap holds.
 
-Lines break wherever ``str.splitlines`` breaks them, surrounding
-whitespace is ignored, blank lines are skipped, and ids are ASCII
-decimal digits (``-`` allowed in edge lists, so a negative id is
-reported as out of range).  The scan takes only ASCII without other
-line breaks or whitespace; a document it refuses that holds any other
-byte is read whole, rewritten to "\\n" line ends and spaces, and scanned
-again.
+DOT and edge-list documents are read through :class:`_Lines`, which
+maps every line break ``str.splitlines`` knows to "\\n" and the rest of
+the whitespace to spaces, byte for byte, so offsets stay the file's own
+and one streaming pass reads every document (a CRLF reads as a line end
+and a blank line).  Surrounding whitespace is ignored, blank lines are
+skipped, and ids are ASCII decimal digits (``-`` allowed in edge lists,
+so a negative id is reported as out of range).  Any other non-ASCII
+byte fails the scan; the line its message quotes and the DOT head line,
+the one free text (a graph name), are decoded as UTF-8, so a byte that
+is not UTF-8 raises ``UnicodeDecodeError``.
 
 In JSON only the ``arcs`` array is scanned: the rest of the document is
-cut out and read by ``json.loads``, which refuses floats.  A document
-whose arcs are not all plain integer pairs, whose ``arcs`` key the scan
-cannot place (a second one, say), or that is not ASCII, is read by
-``json.loads`` whole, and its ids are scattered by the same code.
+cut out, decoded strictly and read by ``json.loads``, which refuses
+floats.  The one read of a whole document is :func:`_load_json`: JSON
+whose head is not ``{"n": ..., "arcs": [``, whose arcs are not all plain
+integer pairs, or whose ``arcs`` key the scan cannot place (a second
+one, say), is read by ``json.loads`` whole, and its ids are scattered by
+the same code.
 """
 
 from __future__ import annotations
@@ -75,16 +80,22 @@ from .errors import FORMATS, MATRIX_CELL_CAP, ResourceLimitError, check_matrix_o
 
 # Bytes per read, and so about per scanned chunk.  The scan holds a few
 # temporaries of this size and int64 ones of about a third of it; at
-# 64 KiB they stay near 1 MB, and parsing is no slower than at 256 KiB.
+# 64 KiB they stay under 2 MB, and parsing is no slower than at 256 KiB.
 _CHUNK = 1 << 16
 
-# _lines() rewrites every str.splitlines break to "\n" and every other
-# whitespace to a space, so inside a line only spaces and tabs remain.
-_BREAKS = re.compile(r"\r\n|[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-_ODD_SPACE = re.compile(r"[^\S\n\t ]")
-_ODD_BYTES = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII ones it rewrites
+# The bytes the scanners read as other bytes of the same count, so that
+# every offset stays the file's own: each str.splitlines break becomes
+# "\n" and every other whitespace but " " and "\t" spaces, a character
+# wider than a byte as spaces, then "\n" if it is a break.
+_ODD_BYTES = b"\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_NARROW = bytes.maketrans(_ODD_BYTES, b"\n\n\n\n\n\n ")
+_WIDE = {
+    c.encode(): b" " * (len(c.encode()) - 1) + (b"\n" if c in "\x85\u2028\u2029" else b" ")
+    for c in "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u2028\u2029\u202f\u205f\u3000"
+}
+_WIDE_SPACE = re.compile(b"|".join(map(re.escape, _WIDE)))
 
-_DOT_HEAD = re.compile(rb"[ \t\n]*digraph[^\n\r\x0b\x0c\x1c-\x1f]*\n")
+_DOT_HEAD = re.compile(rb"[ \t\n]*digraph[^\n]*\n")
 _EDGE_HEAD = re.compile(rb"[ \t\n]*#[ \t]*tournament[ \t]+n=([0-9]+)[ \t]*\n")
 _WS = rb"[ \t\n\r]*"  # JSON whitespace
 _JSON_HEAD = re.compile(rb'%s\{%s(?:"n"%s:%s-?[0-9]+%s,%s)?"arcs"%s:%s\[' % ((_WS,) * 8))
@@ -249,40 +260,36 @@ def _backwards(fh: BinaryIO, lo: int) -> Iterator[tuple[int, bytes]]:
         hi = start
 
 
-def _plain(fh: BinaryIO) -> bool:
-    """Whether the document is ASCII and holds no byte that _lines() rewrites."""
-    fh.seek(0)
-    while block := fh.read(_CHUNK):
-        if not block.isascii() or any(c in block for c in _ODD_BYTES):
-            return False
-    return True
+class _Lines:
+    """A binary file read with its bytes mapped as :data:`_NARROW` and
+    :data:`_WIDE` say, so that a text scanner sees only "\\n" line ends
+    and only " " or "\\t" inside a line, each at its offset in the file.
 
-
-def _lines(text: str | bytes) -> bytes:
-    """The document as UTF-8 with every line ending in "\\n", the last one
-    too, where str.splitlines would end it, and only " " or "\\t" as
-    whitespace inside a line."""
-    if not isinstance(text, str):
-        text = text.decode("utf-8")
-    data = _ODD_SPACE.sub(" ", _BREAKS.sub("\n", text)).encode("utf-8", "surrogatepass")
-    return data if data.endswith(b"\n") else data + b"\n"
-
-
-def _text_document(scan: Callable[[BinaryIO], Digraph], source: str | bytes | BinaryIO) -> Digraph:
-    """``scan`` the document as it is, or, if that fails and the document
-    is not plain ASCII, rewritten by _lines().
-
-    The scanners take no byte that _lines() rewrites and no non-ASCII
-    byte, so such a document fails as it is, and only then is read whole
-    and rewritten.
+    A read that is ASCII without a byte of :data:`_ODD_BYTES` is passed
+    through.  Any other is mapped together with the 2 bytes on either
+    side of it, so that a character of up to 3 bytes that a read cuts is
+    still mapped whole.  Only valid UTF-8 whitespace is mapped: every
+    other non-ASCII byte reaches the scanner as it is, which refuses it.
     """
-    fh = _open(source)
-    try:
-        return scan(fh)
-    except ValueError:
-        if _plain(fh):
-            raise
-    return scan(io.BytesIO(_lines(_whole(source, fh))))
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        return self._fh.seek(offset, whence)
+
+    def read(self, size: int = -1) -> bytes:
+        at = self._fh.tell()
+        data = self._fh.read(size)
+        if data.isascii() and not any(byte in data for byte in _ODD_BYTES):
+            return data
+        lo = max(at - 2, 0)
+        self._fh.seek(lo)
+        mapped = self._fh.read(at - lo + len(data) + 2).translate(_NARROW)
+        self._fh.seek(at + len(data))
+        if not mapped.isascii():
+            mapped = _WIDE_SPACE.sub(lambda m: _WIDE[m[0]], mapped)
+        return mapped[at - lo : at - lo + len(data)]
 
 
 def _blocks(fh: BinaryIO, lo: int, hi: int, end: bytes) -> Iterator[tuple[bytes, int]]:
@@ -515,18 +522,15 @@ def _grown(adj: np.ndarray, order: int) -> np.ndarray:
 
 
 def parse_dot(text: str | bytes | BinaryIO) -> Digraph:
-    return _text_document(_scan_dot, text)
-
-
-def _scan_dot(fh: BinaryIO) -> Digraph:
+    fh = _Lines(_open(text))
     head = _DOT_HEAD.match(_head_line(fh))
-    lo = head.end() if head else 0
-    hi = _closing_line(fh, lo)
-    # A head line that _lines() would rewrite (one with a non-ASCII line
-    # break or space) fails here, so that it is read rewritten.
-    if head is None or hi is None or _lines(head[0]) != head[0]:
+    hi = None
+    if head is not None:
+        head[0].decode("utf-8")  # the one free text, a graph name, must be UTF-8
+        hi = _closing_line(fh, head.end())
+    if hi is None:
         raise ValueError("not a dot digraph document")
-    return _scan(fh, lo, hi, "dot", None)
+    return _scan(fh, head.end(), hi, "dot", None)
 
 
 def _closing_line(fh: BinaryIO, lo: int) -> int | None:
@@ -551,10 +555,7 @@ def _closing_line(fh: BinaryIO, lo: int) -> int | None:
 
 
 def parse_edgelist(text: str | bytes | BinaryIO) -> Digraph:
-    return _text_document(_scan_edgelist, text)
-
-
-def _scan_edgelist(fh: BinaryIO) -> Digraph:
+    fh = _Lines(_open(text))
     head = _head_line(fh)
     header = _EDGE_HEAD.match(head)
     if not header:
@@ -575,9 +576,8 @@ def parse_json(text: str | bytes | BinaryIO) -> Digraph:
 
 def _scan_json(fh: BinaryIO) -> Digraph | None:
     """Scan the arcs of a JSON document and ``json.loads`` the rest, or
-    return None if the arcs are not all plain integer pairs, the rest is
-    not a plain ASCII object that holds them once, or the document is
-    not ASCII."""
+    return None if the arcs are not all plain integer pairs or the rest
+    is not a UTF-8 object without escapes that holds them once."""
     data = _prefix(fh, _arcs_opened)
     head = _JSON_HEAD.match(data)
     if head is None:
@@ -590,10 +590,12 @@ def _scan_json(fh: BinaryIO) -> Digraph | None:
         return None
     fh.seek(hi)
     tail = fh.read()
-    if not tail.isascii() or b'"arcs"' in tail or b"\\" in tail:
+    if b'"arcs"' in tail or b"\\" in tail:
         return None
     try:
-        rest = json.loads(data[: lo - 1] + b"0" + tail[1:], parse_float=_not_an_id, parse_constant=_not_an_id)
+        # Decoded here, strictly: json.loads would let bytes pass surrogates.
+        rest = (data[: lo - 1] + b"0" + tail[1:]).decode("utf-8")
+        rest = json.loads(rest, parse_float=_not_an_id, parse_constant=_not_an_id)
         n = int(rest["n"])
     except (KeyError, TypeError, ValueError):
         return None

@@ -41,12 +41,8 @@ A canonical expansion has at most |Z| distinct entries, and no step
 saw more than 6 runs on the expansions of every realizable 2- or
 3-member set from {-16..16} and of {4,-998}, {2,0,-1998},
 {3,1,-2001}, {2,-3300}, {5652,-2}, {0,2,-3470} and {12,-8,-24}.  The
-worst case has every entry distinct (R = n - i at step i): timed in
-process on a 2-core Xeon host (Python 3.11.7, numpy 2.4.6), the
-transitive sequence took 0.47-0.50 s at order 1000 and 4.2-5.1 s at
-3000, against 0.04-0.05 s and 0.23-0.24 s for the per-vertex numpy
-pass this replaced, while a random tournament's sequence of order 3000
-(158 distinct entries) took 0.03-0.05 s against 0.31-0.35 s.
+worst case has every entry distinct (R = n - i at step i), as in the
+transitive sequence, so its build costs O(n^2) list work.
 
 Why the greedy finishes.  Call a state completable when some maximum
 realization extends every arc and pairing fixed so far.  The start is

@@ -384,6 +384,12 @@ class TestEqualSum:
         code, out, _ = run(capsys, "equal-sum", "3", "2", "--k", "3", "--json")
         assert json.loads(out)["witness"]["common_sum"] == 6
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_is_a_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "equal-sum", "3", "2", "--k", k)
+        assert code == 1 and out == ""
+        assert f"error: argument --k: must be at least 1, got {k}" in err
+
     def test_long_witness(self, capsys):
         code, out, _ = run(capsys, "equal-sum", "1", "1000", "--k", "1000", "--json")
         assert code == 0

@@ -1,11 +1,13 @@
 import io
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import square_cycle, triangle_cycle
-from imbalanceset import Digraph, realize_imbalance_set
+from imbalanceset import Digraph, formats, realize_imbalance_set
 from imbalanceset.formats import (
     detect_format,
     emit,
@@ -71,6 +73,17 @@ class TestJson:
         with pytest.raises(ValueError, match="arcs"):
             parse_json('{"n": 3}')
 
+    def test_a_utf8_tail_is_scanned_not_read_whole(self, monkeypatch):
+        whole = []
+        monkeypatch.setattr(formats, "_load_json", whole.append)
+        text = '{"n": 2, "arcs": [[0, 1]], "note": "\u00e9\u2028"}'.encode()
+        assert parse_json(text) == Digraph(2, [(0, 1)]) and whole == []
+
+    @pytest.mark.parametrize("note", [b"\xff", b"\xed\xa0\x80"])  # json.loads of bytes passes the surrogate
+    def test_a_tail_that_is_not_utf8_is_refused(self, note):
+        with pytest.raises(UnicodeDecodeError):
+            parse_json(b'{"n": 2, "arcs": [[0, 1]], "note": "' + note + b'"}')
+
 
 class TestRoundTrips:
     @given(digraphs())
@@ -135,3 +148,71 @@ class TestBytes:
         assert parse_dot(text.encode()) == parse_dot(text) == Digraph(2, [(0, 1)])
         with pytest.raises(UnicodeDecodeError):
             parse_dot(b"digraph {\n  0 -> 1;\xff\n}\n")
+        with pytest.raises(UnicodeDecodeError):  # in the head line, which is free text
+            parse_dot(b"digraph \xff {\n  0 -> 1;\n}\n")
+        with pytest.raises(UnicodeDecodeError):
+            parse_edgelist(b"# tournament n=2\n0 1\xff\n")
+
+
+# Each line break str.splitlines knows and each other whitespace, with the
+# character it stands in for in a document written with "\n" and " ".
+_STAND_INS = [
+    ("\r\n", "\n"),
+    ("\r", "\n"),
+    ("\x0b", "\n"),
+    ("\x85", "\n"),
+    ("\u2028", "\n"),
+    ("\x1f", " "),
+    ("\xa0", " "),
+    ("\u3000", " "),
+]
+
+
+class TestReadBoundaries:
+    """Line breaks and spaces other than "\\n" and " " are mapped as the
+    file is read, byte for byte; small reads cut their UTF-8 sequences,
+    forward through the body and backward from the end."""
+
+    @pytest.mark.parametrize("kind", ["dot", "edgelist"])
+    @pytest.mark.parametrize("char, plain", _STAND_INS)
+    def test_every_read_size_parses_as_the_plain_twin(self, monkeypatch, kind, char, plain):
+        graph = realize_imbalance_set({3, -1, -5})
+        text = emit(graph, kind).replace(plain, char)
+        assert graph.n == 12 and char in text
+        for chunk in range(8, 91):
+            monkeypatch.setattr(formats, "_CHUNK", chunk)
+            assert parse(text.encode(), kind) == graph, chunk
+
+    def test_every_whitespace_character_is_mapped(self):
+        # Breaks to "\n" (a wide one behind spaces), other whitespace to
+        # spaces, each to as many bytes as it has; every other character
+        # is kept.
+        def mapped(c: str) -> bytes:
+            data = c.encode()
+            if not c.isspace() or c in " \t\n":
+                return data
+            return b" " * (len(data) - 1) + (b"\n" if len(f"a{c}a".splitlines()) == 2 else b" ")
+
+        chars = [chr(i) for i in range(sys.maxunicode + 1) if not 0xD800 <= i < 0xE000]
+        text = formats._Lines(io.BytesIO("".join(chars).encode())).read()
+        assert text == b"".join(map(mapped, chars))
+
+    def test_crlf_edge_list_is_parsed_in_bounded_memory(self, tmp_path, monkeypatch):
+        # Traced peak <= the unpacked matrix, its packed copy and the
+        # scan's temporaries, about 28 blocks' worth at 4 KiB reads.  A
+        # decoded and rewritten copy of the whole document (379 KB)
+        # would not fit.
+        graph = realize_imbalance_set({4, -198})
+        n = graph.n
+        path = tmp_path / "crlf.edges"
+        path.write_bytes(emit(graph, "edgelist").replace("\n", "\r\n").encode())
+        monkeypatch.setattr(formats, "_CHUNK", 4096)
+        with path.open("rb") as fh:
+            tracemalloc.start()
+            try:
+                parsed = parse_edgelist(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert parsed == graph and n == 303
+        assert peak <= n * n + n * -(-n // 8) + 32 * 4096, peak

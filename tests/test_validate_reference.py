@@ -1,18 +1,18 @@
-"""The tiled matrix check against the block check it replaced.
+"""The packed matrix check against the whole-matrix check it replaced.
 
-``reference_digraph.validate_matrix`` tests each row block against the
-whole transposed column block; ``digraph._validate_matrix`` tests
-opposing pairs tile by tile.  On matrices with several faults of
-different kinds, both must accept the same matrices and raise the same
-first fault.  Block and tile sizes are made small, and the tile size
-does not divide the block size, so many blocks and ragged tiles run.
+``reference_digraph.validate_matrix`` tests the whole matrix against its
+transpose; ``Digraph.from_matrix`` packs the matrix and tests opposing
+pairs band by band.  On matrices with several faults of different
+kinds, both must accept the same matrices and raise the same first
+fault.  Bands are made small, down to one 8 x 8 block row, so that
+many bands and ragged last bands run.
 """
 
 import numpy as np
 import pytest
 
 import reference_digraph
-from imbalanceset import digraph
+from imbalanceset import Digraph, digraph
 
 
 def _outcome(check, adj):
@@ -40,15 +40,14 @@ def _faulty_matrix(rng, n):
     return adj
 
 
-@pytest.mark.parametrize("block, tile", [(8, 3), (5, 5), (16, 7), (4096, 512)])
-def test_first_fault_matches_the_block_check(monkeypatch, block, tile):
-    monkeypatch.setattr(digraph, "_BLOCK", block)
+@pytest.mark.parametrize("tile", [8, 16, 24, 512])
+def test_first_fault_matches_the_whole_matrix_check(monkeypatch, tile):
     monkeypatch.setattr(digraph, "_TILE", tile)
-    rng = np.random.default_rng(block * 1000 + tile)
+    rng = np.random.default_rng(tile)
     seen = set()
     for _ in range(600):
         adj = _faulty_matrix(rng, int(rng.integers(1, 40)))
-        got = _outcome(digraph._validate_matrix, adj)
+        got = _outcome(Digraph.from_matrix, adj)
         assert got == _outcome(reference_digraph.validate_matrix, adj)
         seen.add(got if got is None else got[1])
     assert len(seen) == 4  # accepted, and each of the three faults first
