@@ -12,13 +12,14 @@ here touch most vertex pairs and orders stay in the low tens of
 thousands.  The matrix is stored as bit-packed rows, as
 ``np.packbits(adj, axis=1, bitorder="little")`` makes them: bit j of
 byte c in row u is cell (u, 8c + j), and the bits past column n - 1 are
-zero, so an order-n graph takes n * ceil(n / 8) bytes.  Instances are
-immutable after construction.  There are two entry points:
-:meth:`Digraph.from_arcs` takes the arcs as two integer arrays (sources,
-targets) and checks them in whole-array passes, and
-:meth:`Digraph.from_matrix` packs a finished ``uint8`` adjacency matrix.
-``Digraph(n, arcs)`` is a convenience that delegates to ``from_arcs``.
-:meth:`Digraph.matrix` unpacks a copy for callers that want cells.
+zero, so an order-n graph takes n * ceil(n / 8) bytes.  Every graph
+built here is written into rows from :func:`_zeros`, never into cells.
+Instances are immutable after construction.  There are two entry
+points: :meth:`Digraph.from_arcs` takes the arcs as two integer arrays
+(sources, targets) and sets them by :func:`_place_arcs`, which the
+parsers also call block by block, and :meth:`Digraph.from_matrix` packs
+and checks a finished adjacency matrix.  ``Digraph(n, arcs)`` delegates
+to ``from_arcs``.  :meth:`Digraph.matrix` unpacks a copy of the cells.
 
 Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
 packed rows is byte C of rows 8R .. 8R + 7, and :func:`_transpose8`
@@ -80,40 +81,36 @@ class Digraph:
         against the matrix cap before allocation.
         """
         n = operator.index(n)
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        check_matrix_order(n)
+        bits = _zeros(n)
         src, dst = np.asarray(src), np.asarray(dst)
         if any(a.size and a.dtype.kind not in "biu" for a in (src, dst)):
             raise ValueError("arc ids must be integers")  # not cast: 0.5 would read 0
         src, dst = src.reshape(-1), dst.reshape(-1)
         if src.shape != dst.shape:
             raise ValueError("source and target arrays differ in length")
-        adj = np.zeros((n, n), dtype=np.uint8)
-        _place_arcs(adj.reshape(-1), n, src, dst)
-        return cls.from_matrix(adj, validate=False)
+        _place_arcs(bits, src, dst)
+        return cls._from_bits(bits)
 
     @classmethod
-    def from_matrix(cls, adj: np.ndarray, *, validate: bool = True) -> "Digraph":
+    def from_matrix(cls, adj: np.ndarray) -> "Digraph":
         """Pack a square adjacency matrix (uint8) as a Digraph.
 
-        With ``validate``, entries other than 0 or 1, then self-loops,
-        then opposing pairs are refused, each over the whole matrix, the
-        last two in the packed rows by :func:`_check_packed`; without it,
-        the caller vouches for them.  The array itself is not kept.
+        Entries other than 0 or 1, then self-loops, then opposing pairs
+        are refused, each over the whole matrix, the last two in the
+        packed rows by :func:`_check_packed`.  The array itself is not
+        kept.
         """
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if adj.dtype != np.uint8:
             # The cast would wrap 256 to 0 and truncate 1.9 to 1.
-            if validate and not ((adj == 0) | (adj == 1)).all():
+            if not ((adj == 0) | (adj == 1)).all():
                 raise ValueError("adjacency entries must be 0 or 1")
             adj = adj.astype(np.uint8)
-        if validate and adj.max(initial=0) > 1:
+        if adj.max(initial=0) > 1:
             raise ValueError("adjacency entries must be 0 or 1")
-        bits = _pack(adj)
-        if validate:
-            _check_packed(bits)
+        bits = np.packbits(adj, axis=1, bitorder="little")
+        _check_packed(bits)
         return cls._from_bits(bits)
 
     @classmethod
@@ -244,29 +241,51 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
-def _place_arcs(flat: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray) -> None:
-    """Set the arcs ``src[i] -> dst[i]`` in the flat order-n matrix, or
-    raise for the first bad arc in array order.
+def _zeros(n: int) -> np.ndarray:
+    """The packed rows of the empty order-n graph, refused before
+    allocation if n is negative or passes the matrix cap."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    check_matrix_order(n)
+    return np.zeros((n, -(-n // 8)), dtype=np.uint8)
 
-    The arcs come after those of earlier calls on the same matrix, and
+
+def _place_arcs(bits: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Set the arcs ``src[i] -> dst[i]`` in the packed rows ``bits``, as
+    from :func:`_zeros`, or raise for the first bad arc in array order.
+
+    The arcs come after those of earlier calls on the same rows, and
     the fault raised is the first doubled pair (:class:`DoubledPairError`,
     for a duplicate or an opposing arc) before the first arc out of
-    range or looping, else that arc.  A pair is doubled if its cell is
-    set before the scatter, if its reverse cell is set after it, or if
-    a cell is written twice (keys in increasing order, as files list
-    them, cannot repeat).  Ids are read as int64; messages quote them as
-    given, so a uint64 id that wraps in the cast is quoted unwrapped.
+    range or looping, else that arc.  A cell's key is its bit in the
+    flat rows, ``s * 8 * width + d``.  Keys that strictly increase, as
+    files list arcs, are taken as they are, others sorted, so that a
+    cell written twice shows as equal neighbours; then each byte's bits
+    are OR-reduced and written at once.  A pair is also doubled if its
+    cell is set before the write or its reverse cell after it.  Ids are
+    read as int64; messages quote them as given.
     """
-    s64, d64 = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
-    bad = (s64.view(np.uint64) >= n) | (d64.view(np.uint64) >= n) | (s64 == d64)  # negatives wrap
+    n, width = bits.shape
+    s64, d64 = np.ascontiguousarray(src, dtype=np.int64), np.ascontiguousarray(dst, dtype=np.int64)
+    bad = (np.maximum(s64.view(np.uint64), d64.view(np.uint64)) >= n) | (s64 == d64)  # negatives wrap
     good = int(bad.argmax()) if bad.any() else src.size
     s, d = s64[:good], d64[:good]
-    keys, reverse = s * n + d, d * n + s
-    before = flat[keys]
-    flat[keys] = 1
-    if before.any() or flat[reverse].any() or not _distinct(keys):
-        flat[keys] = before
-        raise _first_doubled_pair(n, s, d, before.astype(bool), flat[reverse].astype(bool))
+    keys, reverse = s * (8 * width) + d, d * (8 * width) + s
+    ranked, twice = keys, False
+    if not (keys[1:] > keys[:-1]).all():
+        ranked = np.sort(keys)
+        twice = bool((ranked[1:] == ranked[:-1]).any())
+    at = ranked >> 3
+    first = np.ones(at.size, dtype=bool)  # the first key of each byte
+    np.not_equal(at[1:], at[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    at, new = at[starts], np.bitwise_or.reduceat(_bit(ranked), starts)
+    flat = bits.reshape(-1)
+    old = flat[at]
+    flat[at] = old | new
+    if twice or (old & new).any() or _cells(flat, reverse).any():
+        flat[at] = old
+        raise _first_doubled_pair(n, s, d, _cells(flat, keys), _cells(flat, reverse))
     if good < src.size:
         u, v = int(src[good]), int(dst[good])
         if not (0 <= u < n and 0 <= v < n):
@@ -274,11 +293,10 @@ def _place_arcs(flat: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray) -> N
         raise ValueError(f"self-loop at vertex {u}")
 
 
-def _distinct(keys: np.ndarray) -> bool:
-    if (keys[1:] > keys[:-1]).all():
-        return True
-    ranked = np.sort(keys)
-    return not (ranked[1:] == ranked[:-1]).any()
+def _cells(flat: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each cell, keyed as in :func:`_place_arcs`, is set in the
+    flat packed rows."""
+    return (flat[keys >> 3] & _bit(keys)) != 0
 
 
 def _first_doubled_pair(
@@ -432,11 +450,6 @@ def _set_cells(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, c = np.nonzero(bits)
     at, j = np.nonzero(np.unpackbits(bits[r, c][:, None], axis=1, bitorder="little"))
     return r[at], 8 * c[at] + j
-
-
-def _pack(adj: np.ndarray) -> np.ndarray:
-    """Rows of 0/1 cells as packed rows (any nonzero cell reads 1)."""
-    return np.packbits(adj, axis=1, bitorder="little")
 
 
 def _bit(col: np.ndarray) -> np.ndarray:

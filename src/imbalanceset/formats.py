@@ -25,21 +25,22 @@ carried into the next read.  In each block:
    first bad line is found by bisecting the block.
 2. Each digit run is decoded from the eight bytes that start it, read
    as one integer (see :func:`_ids`).
-3. The ids are scattered straight into a ``uint8`` matrix, where a
-   doubled pair finds a cell of its pair already set.  The finished
-   matrix is packed once into the graph's rows.
+3. The arcs are set straight into the graph's packed rows by
+   :func:`imbalanceset.digraph._place_arcs`, where a doubled pair finds
+   a bit of its pair already set.  No unpacked matrix is made.
 
-So the peak is the matrix and its packed copy plus O(``_CHUNK``), a few
-temporaries of the block's size, unless a line is longer than a block
-or JSON holds much outside ``arcs`` (the rest is read whole by
-``json.loads``).
+So the peak is the packed rows, n * ceil(n / 8) bytes, plus the block
+temporaries, 20 to 35 blocks' worth: 0.1-0.15 MB at 4 KiB reads and
+1.3-1.8 MB at 64 KiB (by ``tracemalloc`` at orders 303 and 903), unless
+a line is longer than a block or JSON holds much outside ``arcs`` (the
+rest is read whole by ``json.loads``).
 
 A grammar fault is raised at once; an arc fault is held until the rest
 of the body has passed the grammar, so grammar faults still come first,
 and an arc fault is the first in file order, with the messages of
-:meth:`Digraph.from_arcs`.  The matrix cap is checked before the matrix
-is allocated.  A DOT document does not state its order, which is its
-largest id plus one, so its matrix grows with the ids (by at least a
+:meth:`Digraph.from_arcs`.  The matrix cap is checked before the rows
+are allocated.  A DOT document does not state its order, which is its
+largest id plus one, so its rows grow with the ids (by at least a
 quarter each time, each order checked against the cap first), and its
 arc faults also wait until the last id shows that the cap holds.
 
@@ -70,17 +71,16 @@ import io
 import json
 import re
 from itertools import chain
-from math import isqrt
 from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .digraph import Digraph, _place_arcs
-from .errors import FORMATS, MATRIX_CELL_CAP, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
+from .digraph import Digraph, _place_arcs, _zeros
+from .errors import FORMATS, MAX_MATRIX_ORDER, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
 
-# Bytes per read, and so about per scanned chunk.  The scan holds a few
-# temporaries of this size and int64 ones of about a third of it; at
-# 64 KiB they stay under 2 MB, and parsing is no slower than at 256 KiB.
+# Bytes per read, and so about per scanned chunk.  The scan's temporaries
+# come to 20 to 35 times this size; at 64 KiB they stay under 2 MB, and
+# parsing is no slower than at 256 KiB.
 _CHUNK = 1 << 16
 
 # The bytes the scanners read as other bytes of the same count, so that
@@ -112,7 +112,6 @@ _JSON_DIGITS = 18  # an id of at most 18 digits fits int64
 
 _NAMES = {"dot": "dot", "edgelist": "edge-list"}
 _INT64_MAX = 2**63 - 1
-_MAX_ORDER = isqrt(MATRIX_CELL_CAP)
 
 
 def emit(graph: Digraph, kind: str) -> str:
@@ -452,21 +451,21 @@ def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.nda
 
 def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None) -> Digraph | None:
     """Check the grammar of each chunk of the body ``[lo, hi)`` of the
-    file, decode its ids and scatter its arcs into the matrix.
+    file, decode its ids and place its arcs in packed rows.
 
     A text chunk outside the grammar raises at once, and a JSON one (or
     a JSON id that is not a plain int64 integer) returns None.  Any other
     fault is held, and no more arcs placed, until the whole body is
     checked, so a grammar fault comes first wherever it is.  ``n`` is
     the order, or None for DOT, whose order is its largest id plus one:
-    the matrix then grows to hold each id as it appears, until an order
+    the rows then grow to hold each id as it appears, until an order
     would pass the cap, which is raised with the last order before any
     arc fault, as from_arcs does.
     """
-    adj, fault, seen = _zeros(0), None, -1
+    bits, fault, seen = _zeros(0), None, -1
     if n is not None:
         try:
-            adj = _zeros(n)
+            bits = _zeros(n)
         except (ValueError, ResourceLimitError) as exc:
             fault = exc
     first = True
@@ -488,33 +487,26 @@ def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None) -> Digraph |
             seen = max(seen, int(ids.max(initial=-1)))
             if 2 * np.count_nonzero(dash) != ids.size:  # drop the ids of vertex lines ("u;")
                 ids = ids[(_before(dash, 1, False) | np.append(dash[1:], False)).take(which)]
-        if fault is not None or seen >= _MAX_ORDER:
+        if fault is not None or seen >= MAX_MATRIX_ORDER:
             continue
-        if seen >= len(adj):  # only in DOT, where the order is not known
-            adj = _grown(adj, max(seen + 1, min(len(adj) * 5 // 4, _MAX_ORDER)))
+        if seen >= len(bits):  # only in DOT, where the order is not known
+            bits = _grown(bits, max(seen + 1, min(len(bits) * 5 // 4, MAX_MATRIX_ORDER)))
         try:
-            _place_arcs(adj.reshape(-1), len(adj), ids[0::2], ids[1::2])
+            _place_arcs(bits, ids[0::2], ids[1::2])
         except ValueError as exc:
             fault = exc
     if kind == "dot":
         check_matrix_order(seen + 1)
-        adj = adj[: seen + 1, : seen + 1].copy() if len(adj) > seen + 1 else adj
+        # No id passes `seen`, so the bits past it in the kept bytes are zero.
+        bits = bits[: seen + 1, : (seen + 8) // 8].copy() if len(bits) > seen + 1 else bits
     if fault is not None:
         raise fault
-    return Digraph.from_matrix(adj, validate=False)
+    return Digraph._from_bits(bits)
 
 
-def _zeros(n: int) -> np.ndarray:
-    """The empty order-n matrix, refused before allocation as from_arcs does."""
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    check_matrix_order(n)
-    return np.zeros((n, n), dtype=np.uint8)
-
-
-def _grown(adj: np.ndarray, order: int) -> np.ndarray:
+def _grown(bits: np.ndarray, order: int) -> np.ndarray:
     grown = _zeros(order)
-    grown[: len(adj), : len(adj)] = adj
+    grown[: len(bits), : bits.shape[1]] = bits
     return grown
 
 

@@ -82,7 +82,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import check_matrix_order
 from .sequences import digraph_imbalance_failure
 
 if TYPE_CHECKING:
@@ -138,13 +137,13 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
     """
     import numpy as np
 
-    from .digraph import Digraph, _bit, _mirror
+    from .digraph import Digraph, _bit, _mirror, _zeros
 
     failure = digraph_imbalance_failure(seq)
     if failure is not None:
         raise ValueError(f"not a digraph imbalance sequence ({failure.kind})")
     n = len(seq)
-    check_matrix_order(n)
+    bits = _zeros(n) if _out is None else _out[:n, : -(-n // 8)]
 
     targets = np.asarray(seq, dtype=np.int64)
     out_quota = (n - 1 + targets) // 2
@@ -152,8 +151,6 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
     joined_quota = np.where(parity_match, n - 1, n - 2)
     in_quota = joined_quota - out_quota
 
-    width = -(-n // 8)
-    bits = np.zeros((n, width), dtype=np.uint8) if _out is None else _out[:n, :width]
     strip = np.zeros((_STRIP, n), dtype=np.uint8)
 
     def pack(stop: int) -> None:

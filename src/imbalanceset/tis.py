@@ -162,15 +162,13 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         cert = _verified_certificate(max_realization(seq).graph, members, n)
         return TisDecision(True, order=n, certificate=cert)
 
-    import numpy as np
-
-    from .digraph import Digraph
+    from .digraph import Digraph, _zeros
 
     witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
     # One matrix: the base is built in its top-left block and completed
     # in place.  The base report is a view of that block, which the
     # completion overwrites, so only its pairing is kept.
-    bits = np.zeros((n + k, -(-(n + k) // 8)), dtype=np.uint8)
+    bits = _zeros(n + k)
     pairing = max_realization(seq, _out=bits).non_neighbour_pairing
     _complete_in_place(bits, pairing, witness)
     cert = _verified_certificate(Digraph._from_bits(bits), members, n + k)
@@ -246,9 +244,7 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     the witness is the trivial ([0], []).  The base's packed rows are
     copied into a new matrix, which :func:`_complete_in_place` completes.
     """
-    import numpy as np
-
-    from .digraph import Digraph
+    from .digraph import Digraph, _zeros
 
     if not near.is_near_tournament:
         raise ValueError("base graph must be a near tournament")
@@ -267,10 +263,8 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     if couples and -(-couples // n_pairs) > (k - 1) // 2:
         raise ValueError("witness couple load exceeds the new-clique capacity")
 
-    total = n + k
-    check_matrix_order(total)
     base = near.graph._bits
-    bits = np.zeros((total, -(-total // 8)), dtype=np.uint8)
+    bits = _zeros(n + k)
     bits[:n, : base.shape[1]] = base
     _complete_in_place(bits, near.non_neighbour_pairing, witness)
     return Digraph._from_bits(bits)

@@ -29,4 +29,4 @@ def add_apex_zero(near: RealizationReport) -> Digraph:
     adj[lo, hi] = 1
     adj[hi, n] = 1
     adj[n, lo] = 1
-    return Digraph.from_matrix(adj, validate=False)
+    return Digraph.from_matrix(adj)

@@ -1,13 +1,21 @@
-"""The matrix check that ``Digraph.from_matrix(validate=True)`` replaced.
+"""The checks that ``Digraph`` replaced, kept only as references for the
+differential tests.
 
-Kept only as the reference for the differential test: the whole matrix
-is tested against its transpose, where the program tests opposing pairs
-band by band on the packed rows.
+``validate_matrix`` is the matrix check that ``Digraph.from_matrix``
+replaced: the whole matrix is tested against its transpose, where the
+program tests opposing pairs band by band on the packed rows.
+
+``place_arcs`` is the arc placement that ``digraph._place_arcs``
+replaced: it scatters the arcs into a flat ``uint8`` order-n matrix, one
+byte a cell, where the program sets bits in packed rows.  Behaviour is
+exactly the replaced code's, including its error messages.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from imbalanceset.digraph import _first_doubled_pair
 
 
 def validate_matrix(adj: np.ndarray) -> None:
@@ -20,3 +28,28 @@ def validate_matrix(adj: np.ndarray) -> None:
     opposing[rows, rows] = 0
     if opposing.any():
         raise ValueError("opposing arc pairs are not allowed")
+
+
+def place_arcs(flat: np.ndarray, n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    s64, d64 = src.astype(np.int64, copy=False), dst.astype(np.int64, copy=False)
+    bad = (s64.view(np.uint64) >= n) | (d64.view(np.uint64) >= n) | (s64 == d64)  # negatives wrap
+    good = int(bad.argmax()) if bad.any() else src.size
+    s, d = s64[:good], d64[:good]
+    keys, reverse = s * n + d, d * n + s
+    before = flat[keys]
+    flat[keys] = 1
+    if before.any() or flat[reverse].any() or not _distinct(keys):
+        flat[keys] = before
+        raise _first_doubled_pair(n, s, d, before.astype(bool), flat[reverse].astype(bool))
+    if good < src.size:
+        u, v = int(src[good]), int(dst[good])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) out of range for order {n}")
+        raise ValueError(f"self-loop at vertex {u}")
+
+
+def _distinct(keys: np.ndarray) -> bool:
+    if (keys[1:] > keys[:-1]).all():
+        return True
+    ranked = np.sort(keys)
+    return not (ranked[1:] == ranked[:-1]).any()

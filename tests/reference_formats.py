@@ -35,7 +35,7 @@ def build(n: int, arcs) -> Digraph:
         if adj[u, v]:
             raise ValueError(f"duplicate arc ({u}, {v})")
         adj[u, v] = 1
-    return Digraph.from_matrix(adj, validate=False)
+    return Digraph.from_matrix(adj)
 
 
 def emit_dot(graph: Digraph) -> str:

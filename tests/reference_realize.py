@@ -101,7 +101,7 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
 
     if rem_out.any() or rem_in.any() or skip_free.any():
         raise RealizationError("residual quotas did not close")
-    graph = Digraph.from_matrix(adj, validate=False)
+    graph = Digraph.from_matrix(adj)
 
     pairing = tuple(
         (int(v), int(skip_partner[v]))

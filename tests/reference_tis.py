@@ -87,4 +87,4 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     adj[np.ix_(lo, new_ids)] |= role_b
     adj[np.ix_(new_ids, hi)] |= role_b.T
 
-    return Digraph.from_matrix(adj, validate=False)
+    return Digraph.from_matrix(adj)

@@ -197,22 +197,31 @@ class TestReadBoundaries:
         text = formats._Lines(io.BytesIO("".join(chars).encode())).read()
         assert text == b"".join(map(mapped, chars))
 
-    def test_crlf_edge_list_is_parsed_in_bounded_memory(self, tmp_path, monkeypatch):
-        # Traced peak <= the unpacked matrix, its packed copy and the
-        # scan's temporaries, about 28 blocks' worth at 4 KiB reads.  A
-        # decoded and rewritten copy of the whole document (379 KB)
-        # would not fit.
-        graph = realize_imbalance_set({4, -198})
+    @pytest.mark.parametrize(
+        "kind, end, members, order, unpacked, blocks",
+        [("edgelist", "\r\n", {4, -198}, 303, True, 32)]
+        + [
+            (kind, end, {4, -598}, 903, False, 64)
+            for kind, end in (("dot", "\n"), ("dot", "\r\n"), ("edgelist", "\n"), ("edgelist", "\r\n"), ("json", "\n"))
+        ],
+        ids=("edgelist-crlf-303", "dot-lf", "dot-crlf", "edgelist-lf", "edgelist-crlf", "json"),
+    )
+    def test_parse_is_bounded_in_memory(self, tmp_path, monkeypatch, kind, end, members, order, unpacked, blocks):
+        # Traced peak <= the packed rows, an unpacked matrix if allowed,
+        # and `blocks` 4 KiB reads of temporaries.  A decoded and
+        # rewritten copy of the document (379 KB at order 303) would not
+        # fit, nor at order 903 the unpacked matrix (815 KB).
+        graph = realize_imbalance_set(members)
         n = graph.n
-        path = tmp_path / "crlf.edges"
-        path.write_bytes(emit(graph, "edgelist").replace("\n", "\r\n").encode())
+        path = tmp_path / f"graph.{kind}"
+        path.write_bytes(emit(graph, kind).replace("\n", end).encode())
         monkeypatch.setattr(formats, "_CHUNK", 4096)
         with path.open("rb") as fh:
             tracemalloc.start()
             try:
-                parsed = parse_edgelist(fh)
+                parsed = parse(fh, kind)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert parsed == graph and n == 303
-        assert peak <= n * n + n * -(-n // 8) + 32 * 4096, peak
+        assert parsed == graph and n == order
+        assert peak <= n * -(-n // 8) + unpacked * n * n + blocks * 4096, peak

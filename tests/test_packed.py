@@ -5,12 +5,15 @@ block; the mirror, the certificate check and the passes that read
 columns (in-degrees, unjoined pairs) against plain ``uint8`` matrix
 arithmetic, on orders that are not multiples of 8 and with the band
 height patched small, so that bands, bytes and tiles all end ragged.
-Forged certificates put each fault at a byte or band boundary.
+Forged certificates put each fault at a byte or band boundary.  Arc
+placement into packed rows is checked against the ``uint8`` scatter it
+replaced, ``reference_digraph.place_arcs``.
 """
 
 import numpy as np
 import pytest
 
+import reference_digraph
 from imbalanceset import Digraph, digraph
 from imbalanceset.tis import _verified_certificate
 
@@ -118,8 +121,71 @@ def test_forged_certificates_are_refused(monkeypatch, n, tile):
         missing[u, v] = missing[v, u] = 0
         for forged, message in ((opposing, "opposing arc pairs"), (missing, "not a tournament")):
             with pytest.raises(AssertionError, match=message):
-                _verified_certificate(Digraph.from_matrix(forged, validate=False), members, n)
+                _verified_certificate(Digraph._from_bits(_pack(forged)), members, n)
         looped = adj.copy()
         looped[v, v] = 1
         with pytest.raises(AssertionError, match="self-loops"):
-            _verified_certificate(Digraph.from_matrix(looped, validate=False), members, n)
+            _verified_certificate(Digraph._from_bits(_pack(looped)), members, n)
+
+
+def _faulty_arcs(rng, n):
+    """The arcs of a random simple oriented graph of order n in file
+    order, with up to four faults put in at random places: a duplicate,
+    an opposing arc, an id out of range or negative, a self-loop."""
+    state = np.triu(rng.integers(0, 3, size=(n, n)), 1)
+    arcs = [tuple(a) for a in np.argwhere((state == 1) | (state == 2).T).tolist()]
+    for _ in range(rng.integers(0, 5)):
+        u = int(rng.integers(0, max(n, 1)))
+        kind = rng.integers(0, 4)
+        if kind == 0 and arcs:
+            fault = arcs[rng.integers(len(arcs))]
+        elif kind == 1 and arcs:
+            fault = arcs[rng.integers(len(arcs))][::-1]
+        elif kind == 2:
+            fault = (u, int(rng.choice((n, n + 9, -1, -n - 3, 2**40))))[:: rng.choice((1, -1))]
+        else:
+            fault = (u, u)
+        arcs.insert(rng.integers(len(arcs) + 1), fault)
+    return np.array(arcs, dtype=np.int64).reshape(-1, 2)
+
+
+def _place_in_calls(place, cells, arcs, cuts):
+    """Place ``arcs`` call by call, cut at ``cuts``: the first fault raised
+    (type and message), or None, and the cells placed."""
+    try:
+        for block in np.split(arcs, cuts):
+            place(block[:, 0], block[:, 1])
+    except ValueError as exc:
+        return (type(exc), str(exc)), cells()
+    return None, cells()
+
+
+def test_placement_matches_the_uint8_scatter():
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(1500):
+        n = int(rng.integers(0, 41))
+        arcs = _faulty_arcs(rng, n)
+        s, d = arcs[:, 0], arcs[:, 1]
+        orders = (
+            np.arange(len(arcs)),  # file order
+            rng.permutation(len(arcs)),
+            np.lexsort((-d, d >> 3, s)),  # the arcs of each byte in decreasing order
+        )
+        for order in orders:
+            ids = arcs[order]
+            if rng.random() < 0.3 and ids.size and ids.min() >= 0 and ids.max() < 2**31:
+                ids = ids.astype(np.int32)
+            cuts = np.sort(rng.integers(0, len(ids) + 1, size=rng.integers(0, 4)))
+            flat = np.zeros(n * n, dtype=np.uint8)
+            want = _place_in_calls(
+                lambda u, v: reference_digraph.place_arcs(flat, n, u, v), lambda: flat.reshape(n, n), ids, cuts
+            )
+            bits = digraph._zeros(n)
+            got = _place_in_calls(
+                lambda u, v: digraph._place_arcs(bits, u, v), lambda: _unpack(bits, n), ids, cuts
+            )
+            assert got[0] == want[0], (n, ids.tolist(), cuts)
+            assert (got[1] == want[1]).all(), (n, ids.tolist(), cuts)
+            seen.add(want[0] and want[0][1].split()[0])
+    assert seen == {None, "duplicate", "opposing", "arc", "self-loop"}

@@ -289,7 +289,7 @@ class TestCertificateCheck:
         adj = np.zeros((4, 4), dtype=np.uint8)
         for u, v in [(0, 1), (1, 0), (2, 3), (3, 2), (0, 3), (1, 2)]:
             adj[u, v] = 1
-        forged = Digraph.from_matrix(adj, validate=False)
+        forged = Digraph._from_bits(np.packbits(adj, axis=1, bitorder="little"))
         assert forged.is_tournament() and forged.imbalance_set() == {1, -1}
         with pytest.raises(AssertionError, match="opposing"):
             imbalanceset.tis._verified_certificate(forged, frozenset({1, -1}), 4)
