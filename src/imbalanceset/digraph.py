@@ -12,23 +12,24 @@ here touch most vertex pairs and orders stay in the low tens of
 thousands.  The matrix is stored as bit-packed rows, as
 ``np.packbits(adj, axis=1, bitorder="little")`` makes them: bit j of
 byte c in row u is cell (u, 8c + j), and the bits past column n - 1 are
-zero, so an order-n graph takes n * ceil(n / 8) bytes.  Every graph
-built here is written into rows from :func:`_zeros`, never into cells.
-Instances are immutable after construction.  There are two entry
-points: :meth:`Digraph.from_arcs` takes the arcs as two integer arrays
-(sources, targets) and sets them by :func:`_place_arcs`, which the
-parsers also call block by block, and :meth:`Digraph.from_matrix` packs
-and checks a finished adjacency matrix.  ``Digraph(n, arcs)`` delegates
-to ``from_arcs``.  :meth:`Digraph.matrix` unpacks a copy of the cells.
+zero, so an order-n graph takes n * ceil(n / 8) bytes.  Only this
+module knows that layout.  Graphs are written into rows from
+:func:`_zeros` or :func:`_resized`, never into cells: arcs by
+:func:`_place_arcs`, which :meth:`Digraph.from_arcs` and the parsers
+call block by block, and 0/1 blocks by :func:`_write_rows`.  Every
+construction writes upper cells (u, v), v > u, only; then one
+:func:`_mirror` pass over the whole graph writes each lower cell (v, u)
+as 1 - (u, v), and :func:`_clear_pairs` unjoins the pairs left so.
+:meth:`Digraph.from_matrix` packs and checks a finished matrix,
+``Digraph(n, arcs)`` delegates to ``from_arcs``, :meth:`Digraph.matrix`
+unpacks a copy of the cells, and instances are immutable.
 
 Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
 packed rows is byte C of rows 8R .. 8R + 7, and :func:`_transpose8`
 transposes every block of an array with three delta swaps.  Row bands of
-``_TILE`` rows use it for the transposed reads the program makes:
-:func:`_mirror` writes each lower cell (v, u) as 1 - (u, v), so the
-graph constructions write only the upper triangle, one row at a time;
-:func:`_check_packed` tests opposing pairs through :func:`_clash`; and
-the unjoined-pair scans read columns through it.
+``_TILE`` rows use it for the transposed reads: :func:`_mirror`,
+:func:`_check_packed` (opposing pairs, through :func:`_clash`) and the
+unjoined-pair scans.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,8 +117,7 @@ class Digraph:
     @classmethod
     def _from_bits(cls, bits: np.ndarray) -> "Digraph":
         """Wrap packed rows (n rows of ceil(n / 8) bytes, as the module
-        docstring lays them out) without a check, and freeze them.  The
-        array may be a view: writes through its base still show."""
+        docstring lays them out) without a check, and freeze them."""
         g = object.__new__(cls)
         bits.flags.writeable = False
         g._bits = bits
@@ -345,33 +345,59 @@ def _check_packed(bits: np.ndarray) -> None:
             raise ValueError("opposing arc pairs are not allowed")
 
 
-def _mirror(bits: np.ndarray, start: int = 0) -> None:
-    """Set each lower cell (v, u), v > u, to 1 - (u, v), in the packed
-    rows from ``8 * (start // 8)`` on.
+def _mirror(bits: np.ndarray) -> None:
+    """Set each lower cell (v, u), v > u, of the packed rows to 1 - (u, v).
 
-    Rows before ``start`` are left alone, and rows from 8 * (start // 8)
-    to ``start`` must already hold the mirror of their upper cells, which
-    are rewritten with the same values.  Band by band, the band's upper
-    cells are copied as 8 x 8 blocks, transposed by :func:`_transpose8`
-    and complemented into its columns below; in the band's own square
-    the upper cells and the diagonal are kept.  So every write is a
-    whole byte, no temporary is larger than a band, and no cell is
-    written twice.
+    Band by band, the band's upper cells are copied as 8 x 8 blocks,
+    transposed by :func:`_transpose8` and complemented into its columns
+    below; in the band's own square the upper cells and the diagonal are
+    kept.  So every write is a whole byte, no temporary is larger than a
+    band, and no cell is written twice.
     """
-    n, width = bits.shape
-    step, first = _band(), start // 8
-    for r0 in chain(range(0, first, step), range(first, width, step)):
-        r1 = min(r0 + step, first if r0 < first else width)
-        c0 = max(r0, first)
-        h = r1 - r0
-        low = np.empty((width - c0, 8, h), dtype=np.uint8)
-        np.invert(_transpose8(_blocks(bits[8 * r0 : 8 * r1, c0:])).transpose(2, 1, 0), out=low)
-        target = bits[8 * c0 :, r0:r1]
-        if c0 == r0:
-            keep = _upper(h, diagonal=True)
-            low[:h] &= ~keep
-            low[:h] |= _blocks(target[: 8 * h]) & keep
+    width = bits.shape[1]
+    step = _band()
+    for r0 in range(0, width, step):
+        h = min(step, width - r0)
+        low = np.empty((width - r0, 8, h), dtype=np.uint8)
+        np.invert(_transpose8(_blocks(bits[8 * r0 : 8 * (r0 + h), r0:])).transpose(2, 1, 0), out=low)
+        target = bits[8 * r0 :, r0 : r0 + h]
+        keep = _upper(h, diagonal=True)
+        low[:h] &= ~keep
+        low[:h] |= _blocks(target[: 8 * h]) & keep
         target[...] = low.reshape(-1, h)[: len(target)]
+
+
+def _write_rows(bits: np.ndarray, rows: slice | np.ndarray, col: int, cells: np.ndarray) -> None:
+    """Write the 0/1 block ``cells`` (bool or uint8, at least one column)
+    into the packed rows ``rows`` of ``bits``, a slice or an index array,
+    from column ``col`` on.  The bits before ``col`` in its byte are kept;
+    the bits after the block in its last byte are cleared."""
+    byte, shift = divmod(col, 8)
+    if shift:  # the block starts at bit `shift` of its first byte
+        cells = np.concatenate((np.zeros((len(cells), shift), dtype=cells.dtype), cells), axis=1)
+    packed = np.packbits(cells, axis=1, bitorder="little")
+    bits[rows, byte] |= packed[:, 0]
+    bits[rows, byte + 1 : byte + packed.shape[1]] = packed[:, 1:]
+
+
+def _resized(bits: np.ndarray, order: int) -> np.ndarray:
+    """The packed rows ``bits`` grown with zeros or trimmed to order
+    ``order``: new rows from :func:`_zeros`, or ``bits`` at its order."""
+    if order == len(bits):
+        return bits
+    out = _zeros(order)
+    rows, width = min(order, len(bits)), min(out.shape[1], bits.shape[1])
+    out[:rows, :width] = bits[:rows, :width]
+    if order % 8:
+        out[:, -1] &= (1 << order % 8) - 1  # the columns past order - 1
+    return out
+
+
+def _clear_pairs(bits: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
+    """Clear the cell (v, u) of each pair (u, v), u < v, that :func:`_mirror` joined."""
+    if pairs:
+        lo, hi = np.array(pairs).T
+        bits[hi, lo >> 3] &= ~_bit(lo)
 
 
 def _unjoined(bits: np.ndarray, r0: int) -> np.ndarray:

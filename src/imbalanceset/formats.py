@@ -66,7 +66,6 @@ the same code.
 
 from __future__ import annotations
 
-import codecs
 import io
 import json
 import re
@@ -75,7 +74,7 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .digraph import Digraph, _place_arcs, _zeros
+from .digraph import Digraph, _place_arcs, _resized, _zeros
 from .errors import FORMATS, MAX_MATRIX_ORDER, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
 
 # Bytes per read, and so about per scanned chunk.  The scan's temporaries
@@ -134,8 +133,9 @@ def parse(text: str | bytes | BinaryIO, kind: str) -> Digraph:
 
 
 def detect_format(text: str | bytes | BinaryIO, filename: str | None = None) -> str:
-    """Guess the format from the filename extension, then the content
-    (``text`` may be an open binary file, read from its start)."""
+    """Guess the format from the filename extension, then the content:
+    its start up to 7 bytes past the leading whitespace (``text`` may be
+    an open binary file, read from its start)."""
     if filename:
         lowered = filename.lower()
         if lowered.endswith((".dot", ".gv")):
@@ -144,10 +144,10 @@ def detect_format(text: str | bytes | BinaryIO, filename: str | None = None) -> 
             return "json"
         if lowered.endswith((".edges", ".edgelist", ".txt")):
             return "edgelist"
-    head = _head(_open(text))
-    if head.startswith("digraph"):
+    head = _prefix(_Lines(_open(text)), lambda data: len(data.lstrip(b" \t\n")) >= 7).lstrip(b" \t\n")
+    if head.startswith(b"digraph"):
         return "dot"
-    if head.startswith("{"):
+    if head.startswith(b"{"):
         return "json"
     return "edgelist"
 
@@ -209,19 +209,6 @@ def _whole(source: str | bytes | BinaryIO, fh: BinaryIO) -> str | bytes:
         return source
     fh.seek(0)
     return fh.read()
-
-
-def _head(fh: BinaryIO) -> str:
-    """The first 16 characters of the document after its leading whitespace."""
-    fh.seek(0)
-    decode = codecs.getincrementaldecoder("utf-8")("replace").decode
-    head = ""
-    while len(head) < 16:
-        block = fh.read(_CHUNK)
-        head = (head + decode(block, final=not block)).lstrip()
-        if not block:
-            break
-    return head[:16]
 
 
 def _prefix(fh: BinaryIO, done: Callable[[bytes], bool]) -> bytes:
@@ -490,24 +477,16 @@ def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None) -> Digraph |
         if fault is not None or seen >= MAX_MATRIX_ORDER:
             continue
         if seen >= len(bits):  # only in DOT, where the order is not known
-            bits = _grown(bits, max(seen + 1, min(len(bits) * 5 // 4, MAX_MATRIX_ORDER)))
+            bits = _resized(bits, max(seen + 1, min(len(bits) * 5 // 4, MAX_MATRIX_ORDER)))
         try:
             _place_arcs(bits, ids[0::2], ids[1::2])
         except ValueError as exc:
             fault = exc
     if kind == "dot":
         check_matrix_order(seen + 1)
-        # No id passes `seen`, so the bits past it in the kept bytes are zero.
-        bits = bits[: seen + 1, : (seen + 8) // 8].copy() if len(bits) > seen + 1 else bits
     if fault is not None:
         raise fault
-    return Digraph._from_bits(bits)
-
-
-def _grown(bits: np.ndarray, order: int) -> np.ndarray:
-    grown = _zeros(order)
-    grown[: len(bits), : bits.shape[1]] = bits
-    return grown
+    return Digraph._from_bits(_resized(bits, seen + 1) if kind == "dot" else bits)
 
 
 # -- dot ---------------------------------------------------------------
@@ -587,11 +566,10 @@ def _scan_json(fh: BinaryIO) -> Digraph | None:
     try:
         # Decoded here, strictly: json.loads would let bytes pass surrogates.
         rest = (data[: lo - 1] + b"0" + tail[1:]).decode("utf-8")
-        rest = json.loads(rest, parse_float=_not_an_id, parse_constant=_not_an_id)
-        n = int(rest["n"])
+        n = json.loads(rest, parse_float=_not_an_id, parse_constant=_not_an_id)["n"]
     except (KeyError, TypeError, ValueError):
         return None
-    return _scan(fh, lo, hi, "json", n)
+    return _scan(fh, lo, hi, "json", n) if type(n) is int else None
 
 
 def _arcs_opened(data: bytes) -> bool:
@@ -619,18 +597,22 @@ def _load_json(text: str | bytes) -> Digraph:
     doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)
     if not isinstance(doc, dict) or "n" not in doc or "arcs" not in doc:
         raise ValueError("json document must carry 'n' and 'arcs'")
-    arcs = doc["arcs"]
+    n, arcs = doc["n"], doc["arcs"]
+    if type(n) is not int:
+        raise ValueError("json 'n' must be an integer")
     try:
-        pairs = set(map(len, arcs)) <= {2}
+        pairs = isinstance(arcs, list) and set(map(len, arcs)) <= {2}
     except TypeError:
         pairs = False
     if not pairs:
         raise ValueError("json 'arcs' must be a list of [source, target] pairs")
+    if not set(map(type, chain.from_iterable(arcs))) <= {int}:
+        raise ValueError("json arc ids must be integers")
     try:
         ids = np.fromiter(chain.from_iterable(arcs), dtype=np.int64, count=2 * len(arcs))
     except OverflowError:
-        raise ValueError(f"json arc id out of range for order {doc['n']}") from None
-    return Digraph.from_arcs(int(doc["n"]), ids[0::2], ids[1::2])
+        raise ValueError(f"json arc id out of range for order {n}") from None
+    return Digraph.from_arcs(n, ids[0::2], ids[1::2])
 
 
 def _not_an_id(token: str) -> NoReturn:

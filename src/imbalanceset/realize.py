@@ -27,10 +27,11 @@ ascending) order and splits at most the run where its out-quota ends,
 which picks the same receivers as ranking single vertices, and merges
 neighbouring runs of equal state.
 
-Rows are written once, then mirrored.  Step i writes only row i's
-upper cells: one slice of ones per stretch of receivers, in a strip of
-``_STRIP`` unpacked rows that is packed into the matrix (bit-packed
-rows, see :mod:`imbalanceset.digraph`) each time it fills.  Then one
+Rows are written once, then mirrored, as :mod:`imbalanceset.digraph`
+lays down.  In :func:`_upper_rows`, step i writes only row i's upper
+cells: one slice of ones per stretch of receivers, in a strip of
+``_STRIP`` unpacked rows that :func:`~imbalanceset.digraph._write_rows`
+packs into the matrix each time it fills.  Then one
 :func:`~imbalanceset.digraph._mirror` pass sets every lower cell
 (c, i) to 1 - (i, c): 1 for each sender c, 0 for each receiver, and 1
 for the partner, whose pair is then cleared.  With R runs the build
@@ -72,8 +73,8 @@ unit from its tail's out-quota and its head's in-quota, so the closing
 guard that every residual quota is zero proves the built imbalances.
 
 Outputs are deterministic, which the golden-file tests rely on.
-Only :func:`max_realization` builds a matrix, so it alone imports numpy
-and :mod:`imbalanceset.digraph`; importing this module loads neither.
+Only the functions that build a matrix import numpy and
+:mod:`imbalanceset.digraph`; importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
-# Rows of the unpacked strip that max_realization writes before packing them.
+# Rows of the unpacked strip that _upper_rows writes before packing them.
 _STRIP = 64
 
 
@@ -115,36 +116,55 @@ class RealizationReport:
 
 def max_arc_count(seq: Sequence[int]) -> int:
     """Arc count of any maximum realization: sum of floor((n-1+t_i)/2)."""
-    failure = digraph_imbalance_failure(seq)
-    if failure is not None:
-        raise ValueError(f"not a digraph imbalance sequence ({failure.kind})")
+    _check_sequence(seq)
     n = len(seq)
     return sum((n - 1 + t) // 2 for t in seq)
 
 
-def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> RealizationReport:
+def _check_sequence(seq: Sequence[int]) -> None:
+    """Raise ValueError unless ``seq`` is a digraph imbalance sequence."""
+    failure = digraph_imbalance_failure(seq)
+    if failure is not None:
+        raise ValueError(f"not a digraph imbalance sequence ({failure.kind})")
+
+
+def max_realization(seq: Sequence[int]) -> RealizationReport:
     """Build a maximum-arc simple digraph realizing the sequence.
 
     The result is a tournament when every entry matches the parity of
     n - 1, and a near tournament when every entry misses it (so n is
     even); mixed parities leave both flags false.
+    """
+    from .digraph import Digraph, _clear_pairs, _mirror, _zeros
 
-    ``_out`` is private to :func:`imbalanceset.tis.decide_tis`: the
-    zeroed packed rows of a matrix of order at least n, whose top-left
-    n x n block the greedy writes and mirrors instead of a matrix of
-    its own.  The report's graph is then a view of that block, so later
-    writes to ``_out`` change it.
+    _check_sequence(seq)
+    n = len(seq)
+    bits = _zeros(n)
+    pairing, out_quota, parity_match = _upper_rows(seq, bits)
+    _mirror(bits)
+    _clear_pairs(bits, pairing)
+    return RealizationReport(
+        graph=Digraph._from_bits(bits),
+        arc_count=int(out_quota.sum()),
+        is_tournament=bool(parity_match.all()),
+        is_near_tournament=bool(n >= 2 and n % 2 == 0 and not parity_match.any()),
+        non_neighbour_pairing=pairing,
+    )
+
+
+def _upper_rows(
+    seq: Sequence[int], bits: np.ndarray
+) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Run the greedy on ``seq``, a checked sequence of length n, and
+    write the upper cells of its rows into the top-left n x n block of
+    the zeroed packed rows ``bits``.  Returns the non-neighbour pairing,
+    the out-quotas and where the entries match the parity of n - 1.
     """
     import numpy as np
 
-    from .digraph import Digraph, _bit, _mirror, _zeros
+    from .digraph import _write_rows
 
-    failure = digraph_imbalance_failure(seq)
-    if failure is not None:
-        raise ValueError(f"not a digraph imbalance sequence ({failure.kind})")
     n = len(seq)
-    bits = _zeros(n) if _out is None else _out[:n, : -(-n // 8)]
-
     targets = np.asarray(seq, dtype=np.int64)
     out_quota = (n - 1 + targets) // 2
     parity_match = (targets % 2) == ((n - 1) % 2)
@@ -157,7 +177,7 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
         """Pack the strip's rows up to ``stop`` and clear it; their
         cells left of the strip's first row are lower, so left zero."""
         start = (stop - 1) // _STRIP * _STRIP
-        bits[start:stop, start // 8 :] = np.packbits(strip[: stop - start, start:], axis=1, bitorder="little")
+        _write_rows(bits, slice(start, stop), start, strip[: stop - start, start:])
         strip[:, start:] = 0
 
     # The unprocessed vertices as maximal runs [start, stop) of equal
@@ -273,20 +293,7 @@ def max_realization(seq: Sequence[int], *, _out: np.ndarray | None = None) -> Re
         raise RealizationError("residual quotas did not close")
     if n:
         pack(n)
-    _mirror(bits)
-    if pairing:
-        lo, hi = np.array(pairing).T
-        bits[hi, lo >> 3] &= ~_bit(lo)  # the mirror joined each as hi -> lo
-    graph = Digraph._from_bits(bits)
-
-    arc_count = int(out_quota.sum())
-    return RealizationReport(
-        graph=graph,
-        arc_count=arc_count,
-        is_tournament=bool(parity_match.all()),
-        is_near_tournament=bool(n >= 2 and n % 2 == 0 and not parity_match.any()),
-        non_neighbour_pairing=tuple(pairing),
-    )
+    return tuple(pairing), out_quota, parity_match
 
 
 def verify_realization(seq: Sequence[int], report: RealizationReport) -> bool:

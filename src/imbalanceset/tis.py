@@ -39,30 +39,30 @@ because every member's magnitude is below n.  For ([0], []) there are
 no couples, and the one new vertex beats v and loses to v' in every
 pair: the apex of :func:`add_apex_zero`.
 
-The matrix holds bit-packed rows (see :mod:`imbalanceset.digraph`).
-Rows are written, then mirrored: the pair arcs v -> v', the new
-clique's rows, and the base -> new block, one block of pairs at a time,
-at most about ``_BLOCK`` (pair, new vertex) cells each: the couples,
-sorted by pair, give each block its owners, a cumulative sum ranks the
-free new vertices, and the two whole rows of each pair are packed and
-written at once.  The lower cells of the new rows, new -> base, need no
-roles of their own.  Every (base, new) pair is joined exactly once by
-then, since an x-owner beats both ends of its pair, a y-owner loses to
-both, and each free new vertex takes role a or role b; and the new
-clique is a tournament.  So every lower cell of the new rows is 1 minus
-its mirror cell, which one :func:`~imbalanceset.digraph._mirror` pass
-over the new rows writes (in the clique, the same cells again).
+The matrix holds bit-packed rows, built as :mod:`imbalanceset.digraph`
+lays down: upper cells first, then one
+:func:`~imbalanceset.digraph._mirror` pass over the whole graph.
+:func:`_complete` writes the pair arcs v -> v', the new clique's rows,
+and the base -> new block, one block of pairs at a time, at most about
+``_BLOCK`` (pair, new vertex) cells each: the couples, sorted by pair,
+give each block its owners, a cumulative sum ranks the free new
+vertices, and the two whole rows of each pair are written at once.  The
+lower cells of the new rows, new -> base, need no roles of their own.
+Every (base, new) pair is joined exactly once by then, since an x-owner
+beats both ends of its pair, a y-owner loses to both, and each free new
+vertex takes role a or role b; the new clique is a tournament, and so
+is the base with its pair arcs.  So every lower cell is 1 minus its
+mirror cell, which the mirror writes.
 
-One matrix per certificate: :func:`decide_tis` allocates the final
-packed (n + k)-order matrix once, :func:`max_realization` writes the
-base rows into its top-left block, once, and mirrors them, and
-:func:`_complete_in_place` fills the rest there.  So the peak of an even
-build is that matrix ((n + k) * ceil((n + k) / 8) bytes), the greedy's
-strip of 64 unpacked rows, O(n + S) of pair and couple indices and
-O(``_BLOCK``) of block temporaries (about 7 bytes a cell); the mirror
-and the certificate check add band-sized temporaries only.  Public
-:func:`add_arcs` takes a finished base report, so it copies the base
-into a new matrix first and holds both.
+An even certificate takes one matrix: :func:`decide_tis` allocates the
+packed (n + k)-order matrix, the greedy writes the base's upper cells
+into its top-left block, :func:`_complete` the rest, and one mirror
+pass ends the build.  So the peak of an even build is that matrix
+((n + k) * ceil((n + k) / 8) bytes), the greedy's strip of 64 unpacked
+rows, O(n + S) of pair and couple indices and O(``_BLOCK``) of block
+temporaries (about 7 bytes a cell); the mirror and the certificate
+check add band-sized temporaries only.  Public :func:`add_arcs` takes a
+finished base report, so it holds the base and a grown copy of it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .equalsum import (
     _shortest_odd_zero_sum,
 )
 from .errors import check_matrix_order
-from .realize import RealizationReport, max_realization
+from .realize import RealizationReport, _check_sequence, _upper_rows, max_realization
 from .sequences import ImbalanceSet, canonical_sequence
 
 if TYPE_CHECKING:
@@ -86,7 +86,7 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
-# Cells of (pair, new vertex) roles that _complete_in_place lays out at once;
+# Cells of (pair, new vertex) roles that _complete lays out at once;
 # their temporaries (about 7 bytes a cell, 1.8 MB) stay well under the packed
 # matrix of a large certificate (9.2 MB at order 8577).
 _BLOCK = 1 << 18
@@ -162,15 +162,13 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         cert = _verified_certificate(max_realization(seq).graph, members, n)
         return TisDecision(True, order=n, certificate=cert)
 
-    from .digraph import Digraph, _zeros
+    from .digraph import Digraph, _mirror, _zeros
 
+    _check_sequence(seq)
     witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
-    # One matrix: the base is built in its top-left block and completed
-    # in place.  The base report is a view of that block, which the
-    # completion overwrites, so only its pairing is kept.
     bits = _zeros(n + k)
-    pairing = max_realization(seq, _out=bits).non_neighbour_pairing
-    _complete_in_place(bits, pairing, witness)
+    _complete(bits, _upper_rows(seq, bits)[0], witness)
+    _mirror(bits)
     cert = _verified_certificate(Digraph._from_bits(bits), members, n + k)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
@@ -242,9 +240,9 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     original vertex keeps its imbalance.  See the module docstring for
     the construction; it degenerates to the single-apex picture when
     the witness is the trivial ([0], []).  The base's packed rows are
-    copied into a new matrix, which :func:`_complete_in_place` completes.
+    copied into a grown matrix, which :func:`_complete` completes.
     """
-    from .digraph import Digraph, _zeros
+    from .digraph import Digraph, _mirror, _resized
 
     if not near.is_near_tournament:
         raise ValueError("base graph must be a near tournament")
@@ -263,38 +261,30 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     if couples and -(-couples // n_pairs) > (k - 1) // 2:
         raise ValueError("witness couple load exceeds the new-clique capacity")
 
-    base = near.graph._bits
-    bits = _zeros(n + k)
-    bits[:n, : base.shape[1]] = base
-    _complete_in_place(bits, near.non_neighbour_pairing, witness)
+    bits = _resized(near.graph._bits, n + k)
+    _complete(bits, near.non_neighbour_pairing, witness)
+    _mirror(bits)
     return Digraph._from_bits(bits)
 
 
-def _complete_in_place(
+def _complete(
     bits: np.ndarray, pairing: tuple[tuple[int, int], ...], witness: EqualSumWitness
 ) -> None:
-    """Complete the near tournament in the top-left block of ``bits``.
-
-    ``bits`` is the final zeroed packed (n + k)-order matrix with the
-    base, a near tournament whose unjoined pairs are ``pairing``,
-    written in its top-left n x n block, and ``witness`` one that
-    :func:`add_arcs` accepts; the other cells are filled as the module
-    docstring describes.
-    """
+    """Write the completion's upper cells, as the module docstring says,
+    into ``bits``: packed (n + k)-order rows whose top-left block holds
+    at least the upper cells of the base, a near tournament with unjoined
+    pairs ``pairing``, and whose new rows and columns are zero, for a
+    ``witness`` that :func:`add_arcs` accepts."""
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
-    from .digraph import _bit, _mirror
+    from .digraph import _place_arcs, _write_rows
 
     xs, ys = witness.xs, witness.ys
     k = len(xs) + len(ys)
-    total = bits.shape[0]
-    n = total - k
+    n = bits.shape[0] - k
     n_pairs = n // 2
     couples = witness.common_sum // 2
-    # The new columns start at bit `shift` of byte `col`; each block of
-    # their cells is laid out `shift` cells right, then packed from there.
-    col, shift = divmod(n, 8)
 
     # New clique: rotational regular tournament (k odd), vertex i beats
     # the next (k - 1) / 2 vertices cyclically; row i is the window
@@ -304,13 +294,11 @@ def _complete_in_place(
     windows = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
     step = max(1, _BLOCK // k)
     for a in range(0, k, step):
-        rows = np.zeros((min(step, k - a), shift + k), dtype=np.uint8)
-        rows[:, shift:] = windows[a : a + step]
-        bits[n + a : n + a + step, col:] = np.packbits(rows, axis=1, bitorder="little")
+        _write_rows(bits, slice(n + a, n + a + step), n, windows[a : a + step])
 
-    lo = np.fromiter((p for p, _ in pairing), dtype=np.int64)
-    hi = np.fromiter((q for _, q in pairing), dtype=np.int64)
-    bits[lo, hi >> 3] |= _bit(hi)
+    # The pairing is sorted, so its keys increase and need no sort.
+    lo, hi = np.array(pairing, dtype=np.int64).reshape(-1, 2).T
+    _place_arcs(bits, lo, hi)
 
     # Couple j pairs the j-th positive half-unit with the j-th negative
     # one; couples are dealt round-robin over the pairs, so one owner's
@@ -328,7 +316,6 @@ def _complete_in_place(
     # free new vertices, lo beats role b (ranks (m-1)/2 + 1 .. m - 1)
     # and hi beats role a (the other ranks).  So row lo beats the
     # y-owners and role b, row hi the y-owners and role a.
-    step = max(1, _BLOCK // k)
     for p0 in range(0, n_pairs, step):
         p1 = min(p0 + step, n_pairs)
         c0, c1 = np.searchsorted(cpair, (p0, p1))
@@ -339,19 +326,14 @@ def _complete_in_place(
         rank[at, ycol] = 0
         np.cumsum(rank, axis=1, out=rank)  # a free vertex's 1-based rank
         m = (k - 2 * np.bincount(at, minlength=p1 - p0))[:, None]
-        cells = np.zeros((p1 - p0, shift + k), dtype=bool)
-        beaten = cells[:, shift:]
-        np.greater(rank, (m - 1) // 2, out=beaten)
+        beaten = rank > (m - 1) // 2
         beaten &= rank < m
         del rank
         for row in (lo, hi):
             beaten[at, xcol] = False
             beaten[at, ycol] = True
-            bits[row[p0:p1], col:] |= np.packbits(cells, axis=1, bitorder="little")
+            _write_rows(bits, row[p0:p1], n, beaten)
             np.logical_not(beaten, out=beaten)  # free: role b -> role a
-
-    # New -> base and the clique's lower half: see the module docstring.
-    _mirror(bits, n)
 
 
 def _verified_certificate(

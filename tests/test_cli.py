@@ -313,6 +313,29 @@ class TestVerify:
         expected = (0, "ok: tournament of order 3 with the stated imbalance set\n", "")
         assert run(capsys, "verify", str(path), "2,0,-2") == expected
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"n": 3, "arcs": [[1, null]]}', "json arc ids must be integers"),
+            ('{"n": 3, "arcs": [[1, [2]]]}', "json arc ids must be integers"),
+            ('{"n": 2, "arcs": [[true, 0]]}', "json arc ids must be integers"),
+            ('{"arcs": [[0, 1]], "n": "2"}', "json 'n' must be an integer"),
+        ],
+    )
+    def test_json_ids_and_order_must_be_integers(self, tmp_path, doc, message):
+        # One error line, exit 1, and no traceback.
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "imbalanceset", "verify", str(path), "1,-1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+
     def test_dot_closing_line_followed_by_blank_lines(self, tmp_path, capsys):
         path = tmp_path / "blank.dot"
         path.write_text("digraph {\n  0 -> 1;\n  2 -> 0;\n  2 -> 1;\n}\n\n  \n\t\n\n")

@@ -1,16 +1,15 @@
 """The one-matrix even build against the public copying path.
 
-``decide_tis`` allocates the final matrix once, has ``max_realization``
-write the base into its top-left block (the private ``_out`` array of
-packed rows) and completes it in place.  The public path builds the base matrix on its
-own and ``add_arcs`` copies it into a new one.  Both must give the same
-certificate bytes, and ``max_realization`` must report the same base
-either way.
+``decide_tis`` allocates the final matrix once, has the greedy write the
+base's upper cells into its top-left block, completes it there and
+mirrors it once.  The public path builds the base matrix on its own and
+``add_arcs`` copies it into a grown one.  Both must give the same
+certificate bytes, and the certificate must hold the base that
+``max_realization`` reports, with its unjoined pairs joined.
 """
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import imbalanceset.realize
@@ -47,24 +46,15 @@ def test_certificate_matches_the_copying_path(members):
     assert decision.certificate.matrix().tobytes() == copied.matrix().tobytes()
 
 
-@pytest.mark.parametrize(
-    "seq",
-    [canonical_sequence(ImbalanceSet.from_values(m)) for m in EVEN_SETS]
-    + [[3, 1, -1, -3], [2, 1, 0, -1, -2], [1, 1, 0, 0, -1, -1], []],
-    ids=lambda seq: f"order{len(seq)}",
-)
-def test_output_array_gives_the_same_base(seq):
-    alone = max_realization(seq)
-    n = len(seq)
-    packed = np.zeros((n + 3, (n + 10) // 8), dtype=np.uint8)  # order n + 3
-    into = max_realization(seq, _out=packed)
-    out = np.unpackbits(packed, axis=1, count=n + 3, bitorder="little")
-    assert into.graph.matrix().tobytes() == alone.graph.matrix().tobytes()
-    assert into.non_neighbour_pairing == alone.non_neighbour_pairing
-    assert into.arc_count == alone.arc_count
-    assert into.is_tournament == alone.is_tournament
-    assert into.is_near_tournament == alone.is_near_tournament
-    assert not out[n:].any() and not out[:, n:].any()  # only the top-left block
+@pytest.mark.parametrize("members", EVEN_SETS, ids=str)
+def test_certificate_extends_the_base_by_its_pair_arcs(members):
+    base = max_realization(canonical_sequence(ImbalanceSet.from_values(members)))
+    n = base.graph.n
+    want = base.graph.matrix().copy()
+    for lo, hi in base.non_neighbour_pairing:
+        want[lo, hi] = 1
+    cert = decide_tis(members, with_certificate=True).certificate
+    assert (cert.matrix()[:n, :n] == want).all()
 
 
 def test_even_build_peaks_at_one_matrix_plus_one_block():

@@ -133,6 +133,25 @@ class TestDetect:
         with pytest.raises(ValueError, match="unknown format"):
             emit(triangle_cycle(), "gml")
 
+    @pytest.mark.parametrize("chunk", (formats._CHUNK, 1, 2))
+    @pytest.mark.parametrize(
+        "lead", [c.decode() for c in formats._WIDE] + [chr(b) for b in formats._ODD_BYTES] + [" ", "\t", "\n"], ids=ascii
+    )
+    def test_leading_whitespace_of_every_kind_is_skipped(self, monkeypatch, lead, chunk):
+        # The guess on every cut of the document, whole characters or not,
+        # is the one its text decoded and stripped of whitespace gives.
+        def guess(data: bytes) -> str:
+            head = data.decode("utf-8", "replace").lstrip()
+            return "dot" if head.startswith("digraph") else "json" if head.startswith("{") else "edgelist"
+
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+        for body in ("digraph {\n}\n", '{"n": 0, "arcs": []}', "# tournament n=0\n", "digrap", "x"):
+            text = 2 * lead + body
+            data = text.encode()
+            assert detect_format(text) == guess(data)
+            for cut in range(len(data) + 1):
+                assert detect_format(data[:cut]) == detect_format(io.BytesIO(data[:cut])) == guess(data[:cut])
+
 
 class TestBytes:
     @given(digraphs())

@@ -27,7 +27,7 @@ KINDS = ("dot", "edgelist", "json")
 
 _ARC_FAULTS = ("out of range", "self-loop", "duplicate", "opposing")
 # A line or a JSON arc entry that is not a pair of integers.
-_SYNTAX = ("unparseable", "invalid literal", "values to unpack", "[source, target] pairs")
+_SYNTAX = ("unparseable", "invalid literal", "values to unpack", "[source, target] pairs", "ids must be integers")
 
 
 def _kind(exc: Exception) -> str:
@@ -141,7 +141,8 @@ def json_documents(draw) -> str:
     pair = st.tuples(ident, ident).map(list)
     odd = st.one_of(
         st.lists(ident, max_size=3),
-        st.tuples(ident, st.sampled_from(("1", "x", True))).map(list),
+        # Ids that int() reads, "1" or true, are a deliberate difference, tested on their own.
+        st.tuples(ident, st.sampled_from(("x", "", "1.5"))).map(list),
     )
     entry = _pick((12, pair), (1, odd))
     arcs = draw(st.lists(entry, max_size=10))
@@ -304,6 +305,44 @@ class TestDeliberateDifferences:
         with pytest.raises(ValueError, match="json numbers must be integers"):
             parse_json(text)
 
+    @pytest.mark.parametrize(
+        "text, ref_outcome",
+        [
+            ('{"n": 2, "arcs": [[true, 0]]}', None),
+            ('{"n": 3, "arcs": [[0, "1"], [1, 2]]}', None),
+            ('{"n": 3, "arcs": [[1, null]]}', TypeError),
+            ('{"n": 3, "arcs": [[1, [2]]]}', TypeError),
+            ('{"n": 3, "arcs": [[0, 2], {"1": 2, "0": 1}]}', None),
+        ],
+    )
+    def test_json_ids_must_be_json_integers(self, text, ref_outcome):
+        if ref_outcome is None:
+            assert ref.parse_json(text).arc_count >= 1
+        else:
+            with pytest.raises(ref_outcome):
+                ref.parse_json(text)
+        with pytest.raises(ValueError, match="json arc ids must be integers"):
+            parse_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"arcs": [[0, 1]], "n": "2"}',
+            '{"n": "2", "arcs": [[0, 1]]}',
+            '{"n": true, "arcs": []}',
+        ],
+    )
+    def test_json_order_must_be_a_json_integer(self, text):
+        assert ref.parse_json(text).n in (1, 2)
+        with pytest.raises(ValueError, match="json 'n' must be an integer"):
+            parse_json(text)
+
+    @pytest.mark.parametrize("arcs", ['""', "{}", '{"ab": 1}'])
+    def test_json_arcs_must_be_a_list(self, arcs):
+        text = f'{{"n": 3, "arcs": {arcs}}}'
+        with pytest.raises(ValueError, match=r"\[source, target\] pairs"):
+            parse_json(text)
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_json_constants_are_not_integers(self, constant):
         text = f'{{"n": {constant}, "arcs": []}}'
@@ -377,7 +416,7 @@ class TestChunkBoundaries:
         else:
             text = text.replace("  0 -> 39;\n", "  0 -> 39;\n  junk\n").replace("0 39\n", "0 39\njunk\n")
         _assert_same_for_every_chunk(kind, text)
-        with pytest.raises(ValueError, match="unparseable|invalid literal"):
+        with pytest.raises(ValueError, match="unparseable|must be integers"):
             parse(text, kind)
 
     @pytest.mark.parametrize("kind", KINDS)

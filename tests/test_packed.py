@@ -7,7 +7,8 @@ arithmetic, on orders that are not multiples of 8 and with the band
 height patched small, so that bands, bytes and tiles all end ragged.
 Forged certificates put each fault at a byte or band boundary.  Arc
 placement into packed rows is checked against the ``uint8`` scatter it
-replaced, ``reference_digraph.place_arcs``.
+replaced, ``reference_digraph.place_arcs``, and the block writes and the
+resizing of packed rows against ``np.packbits`` of the same cells.
 """
 
 import numpy as np
@@ -63,23 +64,31 @@ def test_mirror_fills_every_lower_cell(monkeypatch, n, tile):
     assert (_unpack(bits, n) == upper + np.tril(1 - upper.T, -1)).all()
 
 
-@pytest.mark.parametrize("tile", TILES)
-@pytest.mark.parametrize("n", (9, 17, 33, 70))
-def test_mirror_from_a_start_row_keeps_the_rows_before(monkeypatch, n, tile):
-    monkeypatch.setattr(digraph, "_TILE", tile)
-    rng = np.random.default_rng(n + tile)
-    full = _tournament(rng, n)
-    for start in range(n + 1):
-        # Rows before 8 * (start // 8) hold garbage below the diagonal,
-        # the rows from there on none; the upper triangle is whole.
-        adj = np.triu(full, 1)
-        lower = np.tril(rng.integers(0, 2, size=(n, n), dtype=np.uint8), -1)
-        adj[: start // 8 * 8] |= lower[: start // 8 * 8]
-        adj[start // 8 * 8 : start] = full[start // 8 * 8 : start]
-        bits = _pack(adj)
-        digraph._mirror(bits, start)
-        expected = np.vstack((adj[: start // 8 * 8], full[start // 8 * 8 :]))
-        assert (_unpack(bits, n) == expected).all(), start
+@pytest.mark.parametrize("col", range(18))
+def test_write_rows_matches_packing_the_or(col):
+    rng = np.random.default_rng(col)
+    n = 20
+    for dtype in (bool, np.uint8):
+        for rows in (slice(3, 9), np.array([0, 5, 11, 19])):
+            for width in range(1, n - col + 1):
+                adj = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
+                adj[:, col:] = 0  # the cells before `col` are kept, the block's own are clear
+                cells = rng.integers(0, 2, size=(len(adj[rows]), width)).astype(dtype)
+                bits = _pack(adj)
+                digraph._write_rows(bits, rows, col, cells)
+                adj[rows, col : col + width] |= cells
+                assert (bits == _pack(adj)).all(), (dtype, rows, width)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_resized_grows_and_trims_as_matrix_slices(n):
+    g = Digraph._from_bits(_pack(np.random.default_rng(n).integers(0, 2, size=(n, n), dtype=np.uint8)))
+    for order in range(n + 10):
+        resized = digraph._resized(g._bits, order)
+        want = np.zeros((order, order), dtype=np.uint8)
+        want[:n, :n] = g.matrix()[:order, :order]
+        assert (resized == _pack(want)).all(), order  # the bits past column order - 1 too
+        assert resized is g._bits if order == n else resized.flags.writeable
 
 
 @pytest.mark.parametrize("tile", TILES)
