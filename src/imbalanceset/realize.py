@@ -25,25 +25,52 @@ in plain lists.  A step takes its vertex off the head run, splits off
 the partner, takes flexible runs whole in (in-demand descending, start
 ascending) order and splits at most the run where its out-quota ends,
 which picks the same receivers as ranking single vertices, and merges
-neighbouring runs of equal state.
+neighbouring runs of equal state.  :func:`_step` is that step, and the
+only code that makes a greedy decision.
 
 Rows are written once, then mirrored, as :mod:`imbalanceset.digraph`
-lays down.  In :func:`_upper_rows`, step i writes only row i's upper
-cells: one slice of ones per stretch of receivers, in a strip of
-``_STRIP`` unpacked rows that :func:`~imbalanceset.digraph._write_rows`
-packs into the matrix each time it fills.  Then one
+lays down.  In :func:`_upper_rows`, row i gets only its upper cells:
+one slice of ones per stretch of receivers, in a strip of ``_STRIP``
+unpacked rows that :func:`~imbalanceset.digraph._write_rows` packs
+into the matrix each time it fills.  Then one
 :func:`~imbalanceset.digraph._mirror` pass sets every lower cell
 (c, i) to 1 - (i, c): 1 for each sender c, 0 for each receiver, and 1
-for the partner, whose pair is then cleared.  With R runs the build
-costs O(n * R) list work, about n^2 / 2 strip bytes and one pass over
-the n^2 / 8 packed bytes.
+for the partner, whose pair is then cleared.
 
-A canonical expansion has at most |Z| distinct entries, and no step
-saw more than 6 runs on the expansions of every realizable 2- or
-3-member set from {-16..16} and of {4,-998}, {2,0,-1998},
-{3,1,-2001}, {2,-3300}, {5652,-2}, {0,2,-3470} and {12,-8,-24}.  The
-worst case has every entry distinct (R = n - i at step i), as in the
-transitive sequence, so its build costs O(n^2) list work.
+The greedy fast-forwards over affine stretches.  Write the state
+before step i as the integer vector v = (i, quota left over, then
+start, stop, rem_out, rem_in of each run), with the runs' free flags
+beside it.  On a canonical expansion v moves by one delta every p
+steps over long stretches.  When the last two periods of p <=
+``_PERIOD`` steps kept the run count and free flags and moved v by the
+same delta, :func:`_fast_forward` runs the next period traced: the
+greedy's own steps from v0, on ints that log the sign of every
+difference they compare (sorting and run positions included).  It then
+binary-searches the largest K for which the period run from
+v0 + K * delta compares with the same signs and ends at
+v0 + (K + 1) * delta, and skips periods 0..K, writing their rows by
+formula.  Detection compares run counts first, so a step with no
+candidate costs O(_PERIOD) more; the all-distinct transitive sequence
+never repeats its run count and runs every step.
+
+Why the skip is exact.  Fix the comparison path of period 0.  Along
+it, a step only adds and subtracts state entries and constants, so
+with period k started at v0 + k * delta, each compared difference, the
+end state and the rows (stretch ends and partners) are affine in k.
+Suppose the signs at k = 0 and k = K agree.  By induction over the
+comparisons in order, each compared difference is one affine function
+of k on [0, K], since the path before it is fixed, and has one sign at
+both ends, hence throughout: an affine function that is zero at two
+points is zero everywhere.  So every k in [0, K] takes the path.  The
+end state minus v0 + (k + 1) * delta is affine and zero at k = 0 and
+k = K, so it is zero throughout: period k starts where period k - 1
+ends, and the greedy itself runs through every skipped period, whose
+rows are stretch(k) = stretch(0) + k * (stretch(K) - stretch(0)) / K.
+The check holding at K implies it at every k below, so the binary
+search is exact.  No decision rests on an assert: under ``python -O``
+the asserts vanish from period 0 and from every probe alike, and
+otherwise an assert in a probe compares traced ints too, so a probe
+stops at a diverging sign before any assert could fail.
 
 Why the greedy finishes.  Call a state completable when some maximum
 realization extends every arc and pairing fixed so far.  The start is
@@ -79,9 +106,11 @@ Only the functions that build a matrix import numpy and
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, Sequence
+from operator import add, sub
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .sequences import digraph_imbalance_failure
 
@@ -92,6 +121,14 @@ if TYPE_CHECKING:
 
 # Rows of the unpacked strip that _upper_rows writes before packing them.
 _STRIP = 64
+# Longest period, in steps, over which _upper_rows looks for a repeating
+# move of the greedy's state.
+_PERIOD = 4
+
+# A run (start, stop, rem_out, rem_in, free) of unprocessed vertices, and
+# the greedy's state before a step: (vertex, quota left over, runs).
+_Run = tuple[int, int, int, int, bool]
+_State = tuple[int, int, list[_Run]]
 
 
 class RealizationError(RuntimeError):
@@ -180,120 +217,287 @@ def _upper_rows(
         _write_rows(bits, slice(start, stop), start, strip[: stop - start, start:])
         strip[:, start:] = 0
 
-    # The unprocessed vertices as maximal runs [start, stop) of equal
-    # state (rem_out, rem_in, free), in id order; vertex i heads runs[0].
-    runs: list[tuple[int, int, int, int, bool]] = []
+    pairing: list[tuple[int, int]] = []
+
+    def put(i: int, partner: int, recv: list[int]) -> None:
+        """Record row i: its receiver stretches [lo, hi), flattened as
+        recv = [lo, hi, lo, hi, ...], and its partner (-1 for none)."""
+        if i and i % _STRIP == 0:
+            pack(i)
+        row = strip[i % _STRIP]
+        for x in range(0, len(recv), 2):
+            row[recv[x] : recv[x + 1]] = 1
+        if partner >= 0:
+            pairing.append((i, partner))
+
+    # The unprocessed vertices as maximal runs (start, stop, rem_out,
+    # rem_in, free) of equal state, in id order; vertex i heads runs[0].
+    runs: list[_Run] = []
     start = 0
     states = zip(out_quota.tolist(), in_quota.tolist(), (~parity_match).tolist())
     for state, group in groupby(states):
         stop = start + sum(1 for _ in group)
         runs.append((start, stop, *state))
         start = stop
-    pairing: list[tuple[int, int]] = []
-    residual = 0  # quotas the vertices keep after their own steps
-
-    for i in range(n):
-        if i and i % _STRIP == 0:
-            pack(i)
-        _, stop, need_recv, need_send, free = runs[0]
-        unproc = n - 1 - i
-        assert need_recv + need_send + free == unproc
-        if stop == i + 1:
-            del runs[0]
+    # The state, and the states the last plain steps reached.
+    now: _State = (0, 0, runs)
+    seen: deque[_State] = deque([now], maxlen=2 * _PERIOD + 1)
+    while now[0] < n:
+        period = _repeating(seen, n)
+        if period:
+            i = now[0]
+            now, shape, out, slope, periods = _fast_forward(now, *period, n)
+            for _ in range(periods):
+                at = 0
+                for count in shape:
+                    put(i, out[at], out[at + 1 : at + 1 + count])
+                    i += 1
+                    at += 1 + count
+                out = list(map(add, out, slope))
+            seen.clear()
         else:
-            runs[0] = (i + 1, *runs[0][1:])
+            i, residual, runs = now
+            runs, recv, partner, left = _step(i, runs, n)
+            put(i, partner, recv)
+            now = (i + 1, residual + left, runs)
+        seen.append(now)
 
-        partner = -1
-        if free:
-            at = next((k for k, run in enumerate(runs) if run[4]), None)
-            if at is None:
-                raise RealizationError(f"no free non-neighbour slot for vertex {i}")
-            partner, p_stop, p_out, p_in, _ = runs[at]
-            tail = [(partner + 1, p_stop, p_out, p_in, True)] if p_stop > partner + 1 else []
-            runs[at : at + 1] = [(partner, partner + 1, p_out, p_in, False), *tail]
-            pairing.append((i, partner))
-
-        cand_size = unproc - (partner >= 0)
-        if cand_size == 0:
-            residual += need_recv + need_send
-            continue
-        assert need_recv + need_send == cand_size
-
-        forced = flex_size = 0
-        flex = []
-        for s, e, o, r, _ in runs:
-            if s == partner:
-                continue
-            # Neither residual left would let the run take no arc at all;
-            # the per-vertex bookkeeping identity rules that out here.
-            assert o or r
-            if o == 0:
-                forced += e - s
-            elif r:
-                flex.append((-r, s, e))
-                flex_size += e - s
-        extra = need_recv - forced
-        # extra > flex_size means the forced senders overfill the in-quota.
-        if extra < 0 or extra > flex_size:
-            raise RealizationError(f"vertex {i} could not be balanced")
-        # Largest residual in-demand first, lowest id on ties: flexible
-        # runs ranked above the cut run (in-demand cut_r, start cut_s)
-        # receive whole, the cut run its lowest cut_take ids, the rest
-        # send.  A cut of in-demand 0 takes every flexible run, one of n
-        # none.
-        cut_r, cut_s, cut_take = (0, 0, 0) if extra == flex_size else (n, 0, 0)
-        if 0 < extra < flex_size:
-            for neg_r, s, e in sorted(flex):
-                if extra <= e - s:
-                    cut_r, cut_s, cut_take = -neg_r, s, extra
-                    break
-                extra -= e - s
-
-        # Split each run into its receivers [s, t) and senders [t, e),
-        # merging neighbours of equal state; recv holds the stretches
-        # [lo, hi) of receivers, row i's arcs out.
-        new: list[tuple[int, int, int, int, bool]] = []
-        recv: list[list[int]] = []
-        for s, e, o, r, f in runs:
-            if s == partner:
-                pieces = ((s, e, o, r, False),)
-            else:
-                if o == 0:
-                    t = e
-                elif r == 0:
-                    t = s
-                elif r > cut_r or (r == cut_r and s < cut_s):
-                    t = e
-                elif r == cut_r and s == cut_s:
-                    t = s + cut_take
-                else:
-                    t = s
-                pieces = ((s, t, o, r - 1, True), (t, e, o - 1, r, False))
-            for lo, hi, po, pr, receives in pieces:
-                if lo == hi:
-                    continue
-                if receives and recv and recv[-1][1] == lo:
-                    recv[-1][1] = hi
-                elif receives:
-                    recv.append([lo, hi])
-                last = new[-1] if new else None
-                if last and last[2] == po and last[3] == pr and last[4] == f:
-                    new[-1] = (last[0], hi, po, pr, f)
-                else:
-                    new.append((lo, hi, po, pr, f))
-        runs = new
-        row = strip[i % _STRIP]
-        for lo, hi in recv:
-            row[lo:hi] = 1
-        left = need_send - (cand_size - need_recv)
-        assert left == 0
-        residual += abs(left)
-
-    if residual:
+    if now[1]:
         raise RealizationError("residual quotas did not close")
     if n:
         pack(n)
     return tuple(pairing), out_quota, parity_match
+
+
+def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int, int]:
+    """One greedy step, the only code that makes a greedy decision:
+    vertex i, the head of ``runs``, is joined to every later vertex.
+    Returns the runs after the step (``runs`` itself is not changed),
+    row i's receiver stretches [lo, hi) in id order, flattened as
+    [lo, hi, lo, hi, ...], i's non-neighbour partner (-1 for none) and
+    the quota the step leaves over (0 unless the balance fails).
+    """
+    _, stop, need_recv, need_send, free = runs[0]
+    unproc = n - 1 - i
+    assert need_recv + need_send + free == unproc
+    runs = runs[1:] if stop == i + 1 else [(i + 1, *runs[0][1:]), *runs[1:]]
+
+    partner = -1
+    if free:
+        at = next((k for k, run in enumerate(runs) if run[4]), None)
+        if at is None:
+            raise RealizationError(f"no free non-neighbour slot for vertex {i}")
+        partner, p_stop, p_out, p_in, _ = runs[at]
+        tail = [(partner + 1, p_stop, p_out, p_in, True)] if p_stop > partner + 1 else []
+        runs[at : at + 1] = [(partner, partner + 1, p_out, p_in, False), *tail]
+
+    cand_size = unproc - (partner >= 0)
+    if cand_size == 0:
+        return runs, [], partner, need_recv + need_send
+    assert need_recv + need_send == cand_size
+
+    forced = flex_size = 0
+    flex = []
+    for s, e, o, r, _ in runs:
+        if s == partner:
+            continue
+        # Neither residual left would let the run take no arc at all;
+        # the per-vertex bookkeeping identity rules that out here.
+        assert o or r
+        if o == 0:
+            forced += e - s
+        elif r:
+            flex.append((-r, s, e))
+            flex_size += e - s
+    extra = need_recv - forced
+    # extra > flex_size means the forced senders overfill the in-quota.
+    if extra < 0 or extra > flex_size:
+        raise RealizationError(f"vertex {i} could not be balanced")
+    # Largest residual in-demand first, lowest id on ties: flexible
+    # runs ranked above the cut run (in-demand cut_r, start cut_s)
+    # receive whole, the cut run its lowest cut_take ids, the rest
+    # send.  A cut of in-demand 0 takes every flexible run, one of n
+    # none.
+    cut_r, cut_s, cut_take = (0, 0, 0) if extra == flex_size else (n, 0, 0)
+    if 0 < extra < flex_size:
+        for neg_r, s, e in sorted(flex):
+            if extra <= e - s:
+                cut_r, cut_s, cut_take = -neg_r, s, extra
+                break
+            extra -= e - s
+
+    # Split each run into its receivers [s, t) and senders [t, e),
+    # merging neighbours of equal state; recv holds the stretches
+    # [lo, hi) of receivers, row i's arcs out.
+    new: list[_Run] = []
+    recv: list[int] = []
+    for s, e, o, r, f in runs:
+        if s == partner:
+            pieces = ((s, e, o, r, False),)
+        else:
+            if o == 0:
+                t = e
+            elif r == 0:
+                t = s
+            elif r > cut_r or (r == cut_r and s < cut_s):
+                t = e
+            elif r == cut_r and s == cut_s:
+                t = s + cut_take
+            else:
+                t = s
+            pieces = ((s, t, o, r - 1, True), (t, e, o - 1, r, False))
+        for lo, hi, po, pr, receives in pieces:
+            if lo == hi:
+                continue
+            if receives and recv and recv[-1] == lo:
+                recv[-1] = hi
+            elif receives:
+                recv += lo, hi
+            last = new[-1] if new else None
+            if last and last[2] == po and last[3] == pr and last[4] == f:
+                new[-1] = (last[0], hi, po, pr, f)
+            else:
+                new.append((lo, hi, po, pr, f))
+    left = need_send - (cand_size - need_recv)
+    assert left == 0
+    return new, recv, partner, abs(left)
+
+
+def _vector(state: _State) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """A state as plain ints (i, residual, then s, e, o, r of each run)
+    and the runs' free flags."""
+    i, residual, runs = state
+    vec = (int(i), int(residual), *(int(x) for run in runs for x in run[:4]))
+    return vec, tuple(run[4] for run in runs)
+
+
+def _state(vec: Iterable[int], flags: tuple[bool, ...]) -> _State:
+    """The inverse of :func:`_vector`."""
+    i, residual, *cells = vec
+    return i, residual, [(*cells[4 * j : 4 * j + 4], f) for j, f in enumerate(flags)]
+
+
+def _repeating(seen: deque[_State], n: int) -> tuple[int, tuple[int, ...]] | None:
+    """The least period p <= _PERIOD over which the last 2p steps moved
+    the state by one delta twice, with the same run count and free
+    flags, and that delta; None if there is none or fewer than 2p
+    vertices are left.  Run counts are compared first, so a step
+    without a candidate costs O(_PERIOD)."""
+    last = seen[-1]
+    count = len(last[2])
+    for p in range(1, min(_PERIOD, (len(seen) - 1) // 2, (n - last[0]) // 2) + 1):
+        mid, first = seen[-1 - p], seen[-1 - 2 * p]
+        if len(mid[2]) == count == len(first[2]):
+            (a, fa), (b, fb), (c, fc) = map(_vector, (first, mid, last))
+            delta = tuple(map(sub, c, b))
+            if fa == fb == fc and delta == tuple(map(sub, b, a)):
+                return p, delta
+    return None
+
+
+def _fast_forward(
+    now: _State, p: int, delta: tuple[int, ...], n: int
+) -> tuple[_State, list[int], list[int], list[int], int]:
+    """Run the greedy from ``now`` over as many whole periods of p steps
+    as move its state by ``delta`` along one comparison path.  Returns
+    the state after them, the length of each step's stretch list, the
+    first period's rows and their change per period, flattened as
+    :func:`_probe` lays them out, and the number of periods.  The
+    first period is the greedy's own next p steps, run traced; whether
+    period k follows it is checked at its start v0 + k * delta, and the
+    largest such k is found by binary search, which the proof in the
+    module docstring makes exact.
+    """
+    v0, flags = _vector(now)
+    traced = _tracer()
+    end, out0, shape, signs = _probe(traced, v0, flags, p, n, None)
+    if _vector(end) != (tuple(map(add, v0, delta)), flags):
+        return _state(*_vector(end)), shape, out0, [], 1
+    # Periods 0..lo follow the path; hi is the least period not known to.
+    lo, hi, out_lo = 0, (n - v0[0]) // p, out0
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        start = tuple(a + k * d for a, d in zip(v0, delta))
+        try:
+            end, out, _, _ = _probe(traced, start, flags, p, n, signs)
+        except _Diverged:
+            hi = k
+            continue
+        if _vector(end) == (tuple(map(add, start, delta)), flags):
+            lo, out_lo = k, out
+        else:
+            hi = k
+    slope = [(b - a) // lo for a, b in zip(out0, out_lo)] if lo else []
+    end = _state((a + (lo + 1) * d for a, d in zip(v0, delta)), flags)
+    return end, shape, out0, slope, lo + 1
+
+
+def _probe(
+    traced: type, vec: tuple[int, ...], flags: tuple[bool, ...], p: int, n: int,
+    expect: list[int] | None,
+) -> tuple[_State, list[int], list[int], list[int]]:
+    """Run p greedy steps from the state (vec, flags) on ``traced``
+    ints.  Returns the state after them, the steps' partners and
+    receiver stretches as plain ints (partner, lo, hi, lo, hi, ... for
+    each step), the length of each step's stretch list and the signs of
+    every comparison made.
+    """
+    signs: list[int] = []
+    traced.signs, traced.expect = signs, expect
+    now = _state(map(traced, vec), flags)
+    out, shape = [], []
+    for _ in range(p):
+        i, residual, runs = now
+        runs, recv, partner, left = _step(i, runs, n)
+        out += map(int, (partner, *recv))
+        shape.append(len(recv))
+        now = (i + 1, residual + left, runs)
+    if expect is not None and len(signs) != len(expect):
+        raise _Diverged
+    return now, out, shape, signs
+
+
+class _Diverged(Exception):
+    """A probe made a comparison of another sign than the reference period."""
+
+
+def _tracer() -> type:
+    """A fresh int type for :func:`_probe`.  Sums, differences and
+    negations of its values are traced values, and each comparison,
+    truth test or absolute value appends the sign of the difference it
+    tests to the class's ``signs``; with ``expect`` set, the first sign
+    that differs from it raises :class:`_Diverged`.  An equality that
+    Python settles by identity (one object in both tuples) logs nothing,
+    and holds along the whole path, which makes the same objects."""
+
+    class Traced(int):
+        signs: list[int] = []
+        expect: list[int] | None = None
+
+        def sign(self, other: int) -> int:
+            d = int.__sub__(self, other)
+            s = (d > 0) - (d < 0)
+            signs, expect = Traced.signs, Traced.expect
+            if expect is not None and (len(signs) == len(expect) or expect[len(signs)] != s):
+                raise _Diverged
+            signs.append(s)
+            return s
+
+        __lt__ = lambda a, b: a.sign(b) < 0
+        __le__ = lambda a, b: a.sign(b) <= 0
+        __eq__ = lambda a, b: a.sign(b) == 0
+        __ne__ = lambda a, b: a.sign(b) != 0
+        __gt__ = lambda a, b: a.sign(b) > 0
+        __ge__ = lambda a, b: a.sign(b) >= 0
+        __bool__ = lambda a: a.sign(0) != 0
+        __abs__ = lambda a: -a if a < 0 else a
+        __neg__ = lambda a: Traced(-int(a))
+        __add__ = __radd__ = lambda a, b: Traced(int.__add__(a, b))
+        __sub__ = lambda a, b: Traced(int.__sub__(a, b))
+        __rsub__ = lambda a, b: Traced(int.__rsub__(a, b))
+        __hash__ = int.__hash__
+
+    return Traced
 
 
 def verify_realization(seq: Sequence[int], report: RealizationReport) -> bool:

@@ -14,8 +14,9 @@ For sorted input, checking prefix sums is equivalent to checking every
 index subset: among subsets of a fixed size, a prefix has the extreme
 sum, so it is the binding case.
 
-All checks take sorted input and reject unsorted input instead of
-silently sorting; normalization is the caller's job.  Empty sequences
+All checks take sorted integer input and reject unsorted input
+instead of silently sorting; normalization is the caller's job.  A
+non-integer entry (0.5, or 1.0) raises TypeError.  Empty sequences
 pass vacuously, except the tournament check which requires at least one
 entry.
 
@@ -44,12 +45,17 @@ class CheckFailure:
     index: int
 
 
-def _require_sorted(seq: Sequence[int], *, nondecreasing: bool, what: str) -> None:
-    for i in range(len(seq) - 1):
-        if nondecreasing and seq[i] > seq[i + 1]:
+def _sorted_ints(seq: Sequence[int], *, nondecreasing: bool, what: str) -> list[int]:
+    """The entries of ``seq`` as ints, checked to be sorted.  Each entry
+    passes through ``operator.index``, so 0.5 or 1.0 raises TypeError
+    and numpy integers are accepted."""
+    ints = list(map(operator.index, seq))
+    for i in range(len(ints) - 1):
+        if nondecreasing and ints[i] > ints[i + 1]:
             raise ValueError(f"{what} must be sorted nondecreasing")
-        if not nondecreasing and seq[i] < seq[i + 1]:
+        if not nondecreasing and ints[i] < ints[i + 1]:
             raise ValueError(f"{what} must be sorted nonincreasing")
+    return ints
 
 
 def landau_failure(scores: Sequence[int]) -> CheckFailure | None:
@@ -58,7 +64,7 @@ def landau_failure(scores: Sequence[int]) -> CheckFailure | None:
     Input must be nondecreasing and non-negative (raises otherwise).
     Returns None when the sequence is a valid tournament score sequence.
     """
-    _require_sorted(scores, nondecreasing=True, what="score sequence")
+    scores = _sorted_ints(scores, nondecreasing=True, what="score sequence")
     if any(s < 0 for s in scores):
         raise ValueError("scores must be non-negative")
     n = len(scores)
@@ -82,7 +88,7 @@ def digraph_imbalance_failure(seq: Sequence[int]) -> CheckFailure | None:
     Input must be nonincreasing (raises otherwise).  Valid sequences
     satisfy prefix_j <= j * (n - j) for every j, with equality at j = n.
     """
-    _require_sorted(seq, nondecreasing=False, what="imbalance sequence")
+    seq = _sorted_ints(seq, nondecreasing=False, what="imbalance sequence")
     n = len(seq)
     prefix = 0
     for j in range(1, n + 1):
@@ -105,9 +111,9 @@ def tournament_imbalance_failure(seq: Sequence[int]) -> CheckFailure | None:
     digraph prefix inequalities must hold with total zero.  Requires a
     nonempty nonincreasing sequence.
     """
+    seq = _sorted_ints(seq, nondecreasing=False, what="imbalance sequence")
     if not seq:
         raise ValueError("tournament imbalance check requires n >= 1")
-    _require_sorted(seq, nondecreasing=False, what="imbalance sequence")
     n = len(seq)
     want = (n - 1) % 2
     for i, t in enumerate(seq):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import imbalanceset.realize
@@ -28,6 +29,12 @@ class TestMaxArcCount:
     def test_rejects_invalid_sequence(self):
         with pytest.raises(ValueError):
             max_arc_count([3, -1, -1])
+
+    def test_rejects_non_integer_entries(self):
+        with pytest.raises(TypeError):
+            max_arc_count([1.0, -1.0])
+        with pytest.raises(TypeError):
+            max_arc_count([0.5, -0.5])
 
 
 class TestMaxRealization:
@@ -62,6 +69,17 @@ class TestMaxRealization:
     def test_rejects_infeasible_sequence(self):
         with pytest.raises(ValueError):
             max_realization([2, 2, -2])
+
+    def test_rejects_non_integer_entries(self):
+        # Read as ints, (0.5, -0.5) would build a graph of imbalances (0, 0).
+        for seq in ([0.5, -0.5], [1.0, -1.0], [2, 0.0, -2]):
+            with pytest.raises(TypeError):
+                max_realization(seq)
+
+    def test_numpy_integer_array_builds_like_a_list(self):
+        rep = max_realization(np.array([2, 0, 0, -2], dtype=np.int32))
+        assert rep.graph == max_realization([2, 0, 0, -2]).graph
+        assert verify_realization([2, 0, 0, -2], rep)
 
     def test_empty_and_single(self):
         assert max_realization([]).is_tournament

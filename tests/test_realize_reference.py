@@ -6,8 +6,9 @@ program's ``max_realization`` must return the same matrix, pairing,
 arc count and flags, or fail with the same exception type and message.
 The inputs cover every valid sequence of orders 0-8, imbalance
 sequences of random digraphs (many distinct values, mixed parity), the
-canonical expansions the construction realizes, and a sequence with
-every entry distinct.
+canonical expansions the construction realizes (small ones, and large
+ones where the greedy fast-forwards over long stretches), and a
+sequence with every entry distinct.
 """
 
 import itertools
@@ -16,9 +17,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+import imbalanceset.realize
 import reference_realize
 from conftest import all_valid_imbalance_sequences
-from imbalanceset import ImbalanceSet, canonical_sequence, decide_tis, max_realization
+from imbalanceset import (
+    ImbalanceSet,
+    canonical_sequence,
+    decide_tis,
+    max_realization,
+    realize_imbalance_set,
+)
 
 
 def _outcome(build, seq):
@@ -97,3 +107,54 @@ def test_canonical_expansions_of_small_sets():
 def test_all_distinct_transitive_sequence():
     seq = [199 - 2 * i for i in range(200)]
     assert _assert_same(seq)[5]  # a tournament
+
+
+# The realize-io sets of benchmark seed 1 (perfbench/workloads.py) and
+# four more, orders 254-2,006.
+LARGE_SETS = (
+    (3, 1, -125),
+    (388, 0, -6),
+    (2, -372),
+    (2, 0, -350),
+    (572, -2),
+    (521, -3, -7),
+    (2, -1332),
+    (6, 0, -998),
+    (3, 1, -1001),
+)
+
+
+@pytest.mark.parametrize("members", LARGE_SETS)
+def test_large_canonical_expansions(members):
+    seq = canonical_sequence(ImbalanceSet.from_values(members))
+    assert _assert_same(seq)[0] == "built", members
+
+
+# The build-large sets of benchmark seed 1, orders 3,020-6,994.
+BUILD_LARGE_SEED_1 = (
+    (5, 1, -1507),
+    (4020, 0, -2),
+    (2, -3340),
+    (2981, -1, -7),
+    (6, 0, -3494),
+    (5652, -2),
+)
+
+
+@pytest.mark.parametrize("members", BUILD_LARGE_SEED_1)
+def test_fast_forward_skips_nearly_every_step(members, monkeypatch):
+    """Single greedy steps, probes of the fast-forward included, stay
+    under 5% of the canonical order."""
+    steps = 0
+    step = imbalanceset.realize._step
+
+    def counted(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
+
+    monkeypatch.setattr(imbalanceset.realize, "_step", counted)
+    graph = realize_imbalance_set(members)
+    n = ImbalanceSet.from_values(members).canonical_length
+    assert graph.n >= n
+    assert 0 < steps <= 0.05 * n, (members, steps, n)

@@ -66,6 +66,24 @@ class TestDigraphImbalance:
     def test_prefix_failure_index(self):
         assert digraph_imbalance_failure([4, -2, -2]) == CheckFailure("prefix", 1)
 
+    def test_non_integer_entries_are_refused(self):
+        # A float cast would read 0.5 as 0 and pass (0.5, -0.5) as (0, 0).
+        for seq in ([0.5, -0.5], [1.0, -1.0], [1, 0.0, -1]):
+            with pytest.raises(TypeError):
+                digraph_imbalance_failure(seq)
+            with pytest.raises(TypeError):
+                check_digraph_imbalance(seq)
+        with pytest.raises(TypeError):
+            tournament_imbalance_failure([1.0, -1.0])
+        with pytest.raises(TypeError):
+            landau_failure([0.5, 0.5])
+
+    def test_numpy_integer_arrays_pass(self):
+        assert digraph_imbalance_failure(np.array([2, -1, -1])) is None
+        assert digraph_imbalance_failure(np.array([0, 0, -1], dtype=np.int32)) == CheckFailure("total", 3)
+        assert tournament_imbalance_failure(np.array([2, 0, -2], dtype=np.int16)) is None
+        assert landau_failure(np.array([1, 1, 1], dtype=np.uint8)) is None
+
 
 class TestTournamentImbalance:
     def test_accepts_regular(self):
