@@ -40,37 +40,38 @@ for the partner, whose pair is then cleared.
 The greedy fast-forwards over affine stretches.  Write the state
 before step i as the integer vector v = (i, quota left over, then
 start, stop, rem_out, rem_in of each run), with the runs' free flags
-beside it.  On a canonical expansion v moves by one delta every p
-steps over long stretches.  When the last two periods of p <=
-``_PERIOD`` steps kept the run count and free flags and moved v by the
-same delta, :func:`_fast_forward` runs the next period traced: the
-greedy's own steps from v0, on ints that log the sign of every
-difference they compare (sorting and run positions included).  It then
-binary-searches the largest K for which the period run from
-v0 + K * delta compares with the same signs and ends at
-v0 + (K + 1) * delta, and skips periods 0..K, writing their rows by
-formula.  Detection compares run counts first, so a step with no
-candidate costs O(_PERIOD) more; the all-distinct transitive sequence
+beside it.  On a canonical expansion v moves by one delta every
+``_PERIOD`` = 2 steps over long stretches.  When the last two periods
+kept the run count and free flags and moved v by the same delta,
+:func:`_fast_forward` runs the greedy's next two periods traced, on
+ints that log every difference they compare (sorting and run positions
+included): period 0 from v0 and, once it has ended at v0 + delta,
+period 1 from there.  If both compare with the same signs and period 1
+ends at v0 + 2 * delta, it skips periods 0..K for the K below, writing
+their rows by formula.  Detection compares run counts first, so a step
+with no candidate costs O(1) more; the all-distinct transitive sequence
 never repeats its run count and runs every step.
 
-Why the skip is exact.  Fix the comparison path of period 0.  Along
-it, a step only adds and subtracts state entries and constants, so
-with period k started at v0 + k * delta, each compared difference, the
-end state and the rows (stretch ends and partners) are affine in k.
-Suppose the signs at k = 0 and k = K agree.  By induction over the
-comparisons in order, each compared difference is one affine function
-of k on [0, K], since the path before it is fixed, and has one sign at
-both ends, hence throughout: an affine function that is zero at two
-points is zero everywhere.  So every k in [0, K] takes the path.  The
-end state minus v0 + (k + 1) * delta is affine and zero at k = 0 and
-k = K, so it is zero throughout: period k starts where period k - 1
-ends, and the greedy itself runs through every skipped period, whose
-rows are stretch(k) = stretch(0) + k * (stretch(K) - stretch(0)) / K.
-The check holding at K implies it at every k below, so the binary
-search is exact.  No decision rests on an assert: under ``python -O``
-the asserts vanish from period 0 and from every probe alike, and
-otherwise an assert in a probe compares traced ints too, so a probe
-stops at a diverging sign before any assert could fail.
+Why the skip is exact.  Fix the comparison path of periods 0 and 1.
+Along it, a step only adds and subtracts state entries and constants,
+so with period k started at v0 + k * delta, each compared difference,
+the end state and the rows (stretch ends and partners) are affine in
+k: the j-th difference is a_j + k * b_j, where a_j and a_j + b_j are
+the ones periods 0 and 1 logged with one sign.  It keeps that sign for
+every k >= 0 when a_j * b_j >= 0 (a_j = 0 forces b_j = 0), and up to
+k = (|a_j| - 1) // |b_j|.  K is the least of these bounds, and at most
+(n - i) // 2 - 1, so that the periods end by vertex n.  By induction
+over the comparisons in order, each one is that affine function on
+[0, K], since the path before it is fixed, and keeps its sign there; so
+every k in [0, K] takes the path, and period K + 1 leaves it unless
+the cap stopped K.  The end state minus v0 + (k + 1) * delta is affine
+and zero at k = 0 and k = 1, so it is zero throughout: period k starts
+where period k - 1 ends, and the greedy itself runs through every
+skipped period, whose rows are rows(0) + k * (rows(1) - rows(0)).
+Every traced step is one the greedy takes, and how far a skip reaches
+does not change the rows, which are the greedy's own; so under
+``python -O``, where the asserts and their comparisons vanish, the
+certificates are the same.
 
 Why the greedy finishes.  Call a state completable when some maximum
 realization extends every arc and pairing fixed so far.  The start is
@@ -121,9 +122,10 @@ if TYPE_CHECKING:
 
 # Rows of the unpacked strip that _upper_rows writes before packing them.
 _STRIP = 64
-# Longest period, in steps, over which _upper_rows looks for a repeating
-# move of the greedy's state.
-_PERIOD = 4
+# Period, in steps, of the repeating moves of the greedy's state that
+# _upper_rows fast-forwards over (every one found on canonical expansions
+# has period 2; a stretch of another period runs step by step).
+_PERIOD = 2
 
 # A run (start, stop, rem_out, rem_in, free) of unprocessed vertices, and
 # the greedy's state before a step: (vertex, quota left over, runs).
@@ -243,10 +245,10 @@ def _upper_rows(
     now: _State = (0, 0, runs)
     seen: deque[_State] = deque([now], maxlen=2 * _PERIOD + 1)
     while now[0] < n:
-        period = _repeating(seen, n)
-        if period:
+        delta = _repeating(seen, n)
+        if delta is not None:
             i = now[0]
-            now, shape, out, slope, periods = _fast_forward(now, *period, n)
+            now, shape, out, slope, periods = _fast_forward(now, delta, n)
             for _ in range(periods):
                 at = 0
                 for count in shape:
@@ -377,119 +379,102 @@ def _state(vec: Iterable[int], flags: tuple[bool, ...]) -> _State:
     return i, residual, [(*cells[4 * j : 4 * j + 4], f) for j, f in enumerate(flags)]
 
 
-def _repeating(seen: deque[_State], n: int) -> tuple[int, tuple[int, ...]] | None:
-    """The least period p <= _PERIOD over which the last 2p steps moved
-    the state by one delta twice, with the same run count and free
-    flags, and that delta; None if there is none or fewer than 2p
-    vertices are left.  Run counts are compared first, so a step
-    without a candidate costs O(_PERIOD)."""
-    last = seen[-1]
-    count = len(last[2])
-    for p in range(1, min(_PERIOD, (len(seen) - 1) // 2, (n - last[0]) // 2) + 1):
-        mid, first = seen[-1 - p], seen[-1 - 2 * p]
-        if len(mid[2]) == count == len(first[2]):
-            (a, fa), (b, fb), (c, fc) = map(_vector, (first, mid, last))
-            delta = tuple(map(sub, c, b))
-            if fa == fb == fc and delta == tuple(map(sub, b, a)):
-                return p, delta
-    return None
+def _repeating(seen: deque[_State], n: int) -> tuple[int, ...] | None:
+    """The delta by which each of the last two periods of ``_PERIOD``
+    steps moved the state, with the same run count and free flags; None
+    if there is none or fewer than two periods are left.  Run counts are
+    compared first, so a step without a candidate costs O(1)."""
+    if len(seen) < 2 * _PERIOD + 1 or n - seen[-1][0] < 2 * _PERIOD:
+        return None
+    first, mid, last = seen[-1 - 2 * _PERIOD], seen[-1 - _PERIOD], seen[-1]
+    if not len(first[2]) == len(mid[2]) == len(last[2]):
+        return None
+    (a, fa), (b, fb), (c, fc) = map(_vector, (first, mid, last))
+    delta = tuple(map(sub, c, b))
+    return delta if fa == fb == fc and delta == tuple(map(sub, b, a)) else None
 
 
 def _fast_forward(
-    now: _State, p: int, delta: tuple[int, ...], n: int
+    now: _State, delta: tuple[int, ...], n: int
 ) -> tuple[_State, list[int], list[int], list[int], int]:
-    """Run the greedy from ``now`` over as many whole periods of p steps
-    as move its state by ``delta`` along one comparison path.  Returns
-    the state after them, the length of each step's stretch list, the
-    first period's rows and their change per period, flattened as
-    :func:`_probe` lays them out, and the number of periods.  The
-    first period is the greedy's own next p steps, run traced; whether
-    period k follows it is checked at its start v0 + k * delta, and the
-    largest such k is found by binary search, which the proof in the
-    module docstring makes exact.
+    """Run the greedy from ``now`` over as many whole periods as move
+    its state by ``delta`` along one comparison path.  Returns the state
+    after them, the length of each step's stretch list, the first
+    period's rows and their change per period, flattened as
+    :func:`_trace` lays them out, and the number of periods.  Periods 0
+    and 1 are the greedy's own next steps, run traced; the last period
+    on their path follows from their compared differences, as the
+    module docstring proves.  When period 0 or 1 leaves the path, the
+    steps traced so far are handed back as one period.
     """
     v0, flags = _vector(now)
+    v1 = tuple(map(add, v0, delta))
     traced = _tracer()
-    end, out0, shape, signs = _probe(traced, v0, flags, p, n, None)
-    if _vector(end) != (tuple(map(add, v0, delta)), flags):
-        return _state(*_vector(end)), shape, out0, [], 1
-    # Periods 0..lo follow the path; hi is the least period not known to.
-    lo, hi, out_lo = 0, (n - v0[0]) // p, out0
-    while hi - lo > 1:
-        k = (lo + hi) // 2
-        start = tuple(a + k * d for a, d in zip(v0, delta))
-        try:
-            end, out, _, _ = _probe(traced, start, flags, p, n, signs)
-        except _Diverged:
-            hi = k
-            continue
-        if _vector(end) == (tuple(map(add, start, delta)), flags):
-            lo, out_lo = k, out
-        else:
-            hi = k
-    slope = [(b - a) // lo for a, b in zip(out0, out_lo)] if lo else []
-    end = _state((a + (lo + 1) * d for a, d in zip(v0, delta)), flags)
-    return end, shape, out0, slope, lo + 1
+    end, out0, shape, diffs0 = _trace(traced, v0, flags, n)
+    if end != (v1, flags):
+        return _state(*end), shape, out0, [], 1
+    end, out1, shape1, diffs1 = _trace(traced, v1, flags, n)
+    if (
+        end != (tuple(map(add, v1, delta)), flags)
+        or len(diffs0) != len(diffs1)
+        or not all(a * b > 0 or a == b for a, b in zip(diffs0, diffs1))
+    ):
+        return _state(*end), shape + shape1, out0 + out1, [], 1
+    # Comparison j of period k compares a + k * b, of one sign up to k =
+    # (|a| - 1) // |b| when a and b have opposite signs, for ever if not.
+    last = (n - v0[0]) // _PERIOD - 1
+    for a, b in zip(diffs0, map(sub, diffs1, diffs0)):
+        if a * b < 0:
+            last = min(last, (abs(a) - 1) // abs(b))
+    end = _state((a + (last + 1) * d for a, d in zip(v0, delta)), flags)
+    return end, shape, out0, list(map(sub, out1, out0)), last + 1
 
 
-def _probe(
-    traced: type, vec: tuple[int, ...], flags: tuple[bool, ...], p: int, n: int,
-    expect: list[int] | None,
-) -> tuple[_State, list[int], list[int], list[int]]:
-    """Run p greedy steps from the state (vec, flags) on ``traced``
-    ints.  Returns the state after them, the steps' partners and
-    receiver stretches as plain ints (partner, lo, hi, lo, hi, ... for
-    each step), the length of each step's stretch list and the signs of
-    every comparison made.
+def _trace(
+    traced: type, vec: tuple[int, ...], flags: tuple[bool, ...], n: int
+) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], list[int], list[int], list[int]]:
+    """Run ``_PERIOD`` greedy steps from the state (vec, flags) on fresh
+    ``traced`` ints.  Returns the state after them as :func:`_vector`
+    gives it, the steps' partners and receiver stretches as plain ints
+    (partner, lo, hi, lo, hi, ... for each step), the length of each
+    step's stretch list and every difference compared, in order.
     """
-    signs: list[int] = []
-    traced.signs, traced.expect = signs, expect
+    diffs: list[int] = []
+    traced.diffs = diffs
     now = _state(map(traced, vec), flags)
     out, shape = [], []
-    for _ in range(p):
+    for _ in range(_PERIOD):
         i, residual, runs = now
         runs, recv, partner, left = _step(i, runs, n)
         out += map(int, (partner, *recv))
         shape.append(len(recv))
         now = (i + 1, residual + left, runs)
-    if expect is not None and len(signs) != len(expect):
-        raise _Diverged
-    return now, out, shape, signs
-
-
-class _Diverged(Exception):
-    """A probe made a comparison of another sign than the reference period."""
+    return _vector(now), out, shape, diffs
 
 
 def _tracer() -> type:
-    """A fresh int type for :func:`_probe`.  Sums, differences and
+    """A fresh int type for :func:`_trace`.  Sums, differences and
     negations of its values are traced values, and each comparison,
-    truth test or absolute value appends the sign of the difference it
-    tests to the class's ``signs``; with ``expect`` set, the first sign
-    that differs from it raises :class:`_Diverged`.  An equality that
-    Python settles by identity (one object in both tuples) logs nothing,
-    and holds along the whole path, which makes the same objects."""
+    truth test or absolute value appends the difference it tests to the
+    class's ``diffs``.  An equality that Python settles by identity (one
+    object in both tuples) logs nothing, and holds along the whole path,
+    which makes the same objects."""
 
     class Traced(int):
-        signs: list[int] = []
-        expect: list[int] | None = None
+        diffs: list[int] = []
 
-        def sign(self, other: int) -> int:
+        def diff(self, other: int) -> int:
             d = int.__sub__(self, other)
-            s = (d > 0) - (d < 0)
-            signs, expect = Traced.signs, Traced.expect
-            if expect is not None and (len(signs) == len(expect) or expect[len(signs)] != s):
-                raise _Diverged
-            signs.append(s)
-            return s
+            Traced.diffs.append(d)
+            return d
 
-        __lt__ = lambda a, b: a.sign(b) < 0
-        __le__ = lambda a, b: a.sign(b) <= 0
-        __eq__ = lambda a, b: a.sign(b) == 0
-        __ne__ = lambda a, b: a.sign(b) != 0
-        __gt__ = lambda a, b: a.sign(b) > 0
-        __ge__ = lambda a, b: a.sign(b) >= 0
-        __bool__ = lambda a: a.sign(0) != 0
+        __lt__ = lambda a, b: a.diff(b) < 0
+        __le__ = lambda a, b: a.diff(b) <= 0
+        __eq__ = lambda a, b: a.diff(b) == 0
+        __ne__ = lambda a, b: a.diff(b) != 0
+        __gt__ = lambda a, b: a.diff(b) > 0
+        __ge__ = lambda a, b: a.diff(b) >= 0
+        __bool__ = lambda a: a.diff(0) != 0
         __abs__ = lambda a: -a if a < 0 else a
         __neg__ = lambda a: Traced(-int(a))
         __add__ = __radd__ = lambda a, b: Traced(int.__add__(a, b))

@@ -54,10 +54,11 @@ vertex takes role a or role b; the new clique is a tournament, and so
 is the base with its pair arcs.  So every lower cell is 1 minus its
 mirror cell, which the mirror writes.
 
-An even certificate takes one matrix: :func:`decide_tis` allocates the
+Every certificate takes one matrix: :func:`decide_tis` allocates the
 packed (n + k)-order matrix, the greedy writes the base's upper cells
-into its top-left block, :func:`_complete` the rest, and one mirror
-pass ends the build.  So the peak of an even build is that matrix
+into its top-left block, :func:`_complete` the rest when k > 0, and one
+mirror pass ends the build (odd sets have k = 0 and no unjoined pairs,
+so the base is the tournament).  So the peak of a build is that matrix
 ((n + k) * ceil((n + k) / 8) bytes), the greedy's strip of 64 unpacked
 rows, O(n + S) of pair and couple indices and O(``_BLOCK``) of block
 temporaries (about 7 bytes a cell); the mirror and the certificate
@@ -78,7 +79,7 @@ from .equalsum import (
     _shortest_odd_zero_sum,
 )
 from .errors import check_matrix_order
-from .realize import RealizationReport, _check_sequence, _upper_rows, max_realization
+from .realize import RealizationReport, _check_sequence, _upper_rows
 from .sequences import ImbalanceSet, canonical_sequence
 
 if TYPE_CHECKING:
@@ -157,17 +158,17 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         return TisDecision(True, order=n + k)
 
     check_matrix_order(n + k)
-    seq = canonical_sequence(parts)
-    if not k:
-        cert = _verified_certificate(max_realization(seq).graph, members, n)
-        return TisDecision(True, order=n, certificate=cert)
-
     from .digraph import Digraph, _mirror, _zeros
 
+    seq = canonical_sequence(parts)
     _check_sequence(seq)
-    witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
+    witness = None
+    if k:
+        witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
     bits = _zeros(n + k)
-    _complete(bits, _upper_rows(seq, bits)[0], witness)
+    pairing = _upper_rows(seq, bits)[0]
+    if k:
+        _complete(bits, pairing, witness)
     _mirror(bits)
     cert = _verified_certificate(Digraph._from_bits(bits), members, n + k)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)

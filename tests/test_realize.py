@@ -1,3 +1,6 @@
+import collections
+import itertools
+import math
 import random
 
 import numpy as np
@@ -9,6 +12,7 @@ from imbalanceset import (
     Digraph,
     ImbalanceSet,
     canonical_sequence,
+    check_digraph_imbalance,
     max_arc_count,
     max_realization,
     verify_realization,
@@ -165,3 +169,81 @@ class TestRandomizedOrders:
             seq = Digraph(n, arcs).imbalance_sequence()
             rep = max_realization(seq)
             assert verify_realization(seq, rep)
+
+
+def _few_valued(rng):
+    """A sequence of a few values: balanced (x, -y) blocks and zeros."""
+    seq = [0] * rng.randint(0, 30)
+    for _ in range(rng.randint(1, 2)):
+        x, y, m = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 4)
+        g = math.gcd(x, y)
+        seq += [x] * (y // g * m) + [-y] * (x // g * m)
+    return sorted(seq, reverse=True)
+
+
+def _block(rng):
+    """The imbalances of a random oriented graph on a few vertices, each
+    blown up into an odd block: block u gets size * (u's imbalance)."""
+    m, size = rng.randint(2, 6), rng.randrange(1, 60, 2)
+    arcs = []
+    for u, v in itertools.combinations(range(m), 2):
+        state = rng.randrange(3)
+        if state:
+            arcs.append((u, v) if state == 1 else (v, u))
+    imbalances = Digraph(m, arcs).imbalance_sequence()
+    return [size * t for t in imbalances for _ in range(size)]
+
+
+def _canonical(rng):
+    """The canonical expansion of a random two-signed 2- to 4-member set
+    of one parity."""
+    odd = rng.randrange(2)
+    values = range(-61 + (1 - odd), 61, 2)
+    while True:
+        members = set(rng.sample(values, rng.randint(2, 4)))
+        if min(members) < 0 < max(members):
+            return canonical_sequence(ImbalanceSet.from_values(members))
+
+
+class TestFastForward:
+    def test_fast_forward_builds_what_single_steps_build(self, monkeypatch):
+        """The greedy with its fast-forward against the greedy stepping
+        every vertex (no repeat ever detected): same packed rows, pairing
+        and flags."""
+        rng = random.Random(20261019)
+        seqs = [make(rng) for make in (_few_valued, _block, _canonical) for _ in range(120)]
+        seqs = [s for s in seqs if len(s) <= 400 and check_digraph_imbalance(s)]
+        assert len(seqs) > 250
+
+        # How each fast-forward ended: cut short by a comparison before the
+        # sequence's end, or handing back the steps traced as one period.
+        ends = collections.Counter()
+        fast_forward = imbalanceset.realize._fast_forward
+
+        def watched(now, delta, n):
+            result = fast_forward(now, delta, n)
+            periods = result[4]
+            if periods == 1:
+                ends["single period"] += 1
+            elif periods < (n - now[0]) // imbalanceset.realize._PERIOD:
+                ends["cut by a comparison"] += 1
+            return result
+
+        def facts(rep):
+            return (
+                rep.graph._bits.tobytes(),
+                rep.non_neighbour_pairing,
+                rep.arc_count,
+                rep.is_tournament,
+                rep.is_near_tournament,
+            )
+
+        with monkeypatch.context() as m:
+            m.setattr(imbalanceset.realize, "_fast_forward", watched)
+            fast = [facts(max_realization(s)) for s in seqs]
+        with monkeypatch.context() as m:
+            m.setattr(imbalanceset.realize, "_repeating", lambda seen, n: None)
+            m.setattr(imbalanceset.realize, "_fast_forward", None)
+            for seq, built in zip(seqs, fast):
+                assert facts(max_realization(seq)) == built, seq
+        assert ends["single period"] and ends["cut by a comparison"], ends

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import imbalanceset.digraph
 import imbalanceset.tis
 import reference_apex
 from conftest import triangle_cycle
@@ -135,7 +136,7 @@ class TestDecide:
         def no_matrix(*args):
             raise AssertionError("no base matrix may be built")
 
-        monkeypatch.setattr(imbalanceset.tis, "max_realization", no_matrix)
+        monkeypatch.setattr(imbalanceset.digraph, "_zeros", no_matrix)
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="order 45009 "):
             realize_imbalance_set({4, -30002})
