@@ -38,27 +38,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_set(text: str) -> frozenset[int]:
-    items = [chunk.strip() for chunk in text.split(",")]
-    if any(not chunk for chunk in items):
-        raise ValueError(f"cannot parse set literal {text!r}")
+def _parse_literal(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated ints of a ``what`` ("set" or "sequence") literal;
+    ``int`` strips each chunk and refuses an empty or blank one."""
     try:
-        values = [int(chunk) for chunk in items]
+        return tuple(int(chunk) for chunk in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse set literal {text!r}") from None
+        raise ValueError(f"cannot parse {what} literal {text!r}") from None
+
+
+def _parse_set(text: str) -> frozenset[int]:
+    values = _parse_literal(text, "set")
     if len(set(values)) != len(values):
         raise ValueError("set literal contains duplicates")
     return frozenset(values)
-
-
-def _parse_sequence(text: str) -> tuple[int, ...]:
-    items = [chunk.strip() for chunk in text.split(",")]
-    if any(not chunk for chunk in items):
-        raise ValueError(f"cannot parse sequence literal {text!r}")
-    try:
-        return tuple(int(chunk) for chunk in items)
-    except ValueError:
-        raise ValueError(f"cannot parse sequence literal {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -70,6 +63,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+# The sequence conditions of ``check``, by --mode.
+_CONDITIONS = {
+    "landau": landau_failure,
+    "digraph": digraph_imbalance_failure,
+    "tournament": tournament_imbalance_failure,
+}
 
 
 def _failure_text(failure: CheckFailure) -> str:
@@ -91,22 +92,24 @@ def _print_answer(
     args: argparse.Namespace,
     doc: dict,
     line: str,
-    key: str,
-    label: str,
-    oracle: Callable[[], object],
+    key: str = "",
+    label: str = "",
+    oracle: Callable[[], object] | None = None,
 ) -> None:
-    """Print the fast path's answer, then the oracle's when --budget asks.
+    """Print ``doc`` as JSON or ``line`` as text, then the oracle's answer
+    under ``key`` or ``label`` if the command has a --budget and it is set.
 
     The answer is printed before the oracle runs, so an oracle refused
     by its work cap (ResourceLimitError, exit 3) loses only its own line
     in text, or its own key in the JSON document.
     """
+    budget = getattr(args, "budget", None)
     if not args.as_json:
         print(line)
-        if args.budget is not None:
+        if budget is not None:
             print(f"{label}: {oracle()}")
         return
-    if args.budget is not None:
+    if budget is not None:
         try:
             doc[key] = oracle()
         except ResourceLimitError:
@@ -137,9 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="test a sequence condition")
     check.add_argument("seq_literal")
-    check.add_argument(
-        "--mode", choices=("landau", "digraph", "tournament"), required=True
-    )
+    check.add_argument("--mode", choices=_CONDITIONS, required=True)
     check.add_argument("--json", action="store_true", dest="as_json")
 
     verify = sub.add_parser("verify", help="verify a tournament file against a set")
@@ -230,30 +231,17 @@ def _silence_stdout() -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    seq = _parse_sequence(args.seq_literal)
+    seq = _parse_literal(args.seq_literal, "sequence")
     try:
-        if args.mode == "landau":
-            failure = landau_failure(seq)
-        elif args.mode == "digraph":
-            failure = digraph_imbalance_failure(seq)
-        else:
-            failure = tournament_imbalance_failure(seq)
+        failure = _CONDITIONS[args.mode](seq)
     except ValueError as exc:
         raise ValueError(
             f"{exc} (sort the input: nondecreasing for landau, nonincreasing otherwise)"
         ) from None
-    if args.as_json:
-        doc = {
-            "mode": args.mode,
-            "ok": failure is None,
-            "failure": None
-            if failure is None
-            else {"kind": failure.kind, "index": failure.index},
-        }
-        print(json.dumps(doc))
-    else:
-        print("pass" if failure is None else f"fail: {_failure_text(failure)}")
-    return EXIT_YES if failure is None else EXIT_NO
+    ok = failure is None
+    doc = {"mode": args.mode, "ok": ok, "failure": None if ok else vars(failure)}
+    _print_answer(args, doc, "pass" if ok else f"fail: {_failure_text(failure)}")
+    return EXIT_YES if ok else EXIT_NO
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -310,24 +298,12 @@ def _cmd_equal_sum(args: argparse.Namespace) -> int:
     xs = _parse_set(args.x_literal)
     ys = _parse_set(args.y_literal)
     witness = solve_esseq(xs, ys, args.k)
-    if args.as_json:
-        doc = (
-            None
-            if witness is None
-            else {
-                "xs": list(witness.xs),
-                "ys": list(witness.ys),
-                "common_sum": witness.common_sum,
-            }
-        )
-        print(json.dumps({"witness": doc}))
-    elif witness is None:
-        print("none")
-    else:
-        print(
-            f"xs={list(witness.xs)} ys={list(witness.ys)} sum={witness.common_sum}"
-        )
-    return EXIT_YES if witness is not None else EXIT_NO
+    if witness is None:
+        _print_answer(args, {"witness": None}, "none")
+        return EXIT_NO
+    doc = {"xs": list(witness.xs), "ys": list(witness.ys), "common_sum": witness.common_sum}
+    _print_answer(args, {"witness": doc}, f"xs={doc['xs']} ys={doc['ys']} sum={doc['common_sum']}")
+    return EXIT_YES
 
 
 _DISPATCH = {

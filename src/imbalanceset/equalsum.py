@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterable, Sequence
 
 from .errors import ESSEQ_SUM_CAP, SEARCH_WORK_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
@@ -134,9 +135,9 @@ def _lex_min_terms(
 ) -> tuple[int, ...]:
     """Lexicographically smallest nondecreasing term tuple hitting target.
 
-    count_options are the admissible term counts; the walk keeps the set
-    of still-consistent remaining counts and always appends the smallest
-    value that leaves the target reachable.
+    values ascend; count_options are the admissible term counts.  The walk
+    keeps the set of still-consistent remaining counts and always appends
+    the smallest value that leaves the target reachable.
     """
     remaining = target
     counts = {c for c in count_options if c < len(rows) and (rows[c] >> target) & 1}
@@ -144,9 +145,7 @@ def _lex_min_terms(
         raise ValueError("target sum unreachable with the allowed term counts")
     out: list[int] = []
     while not (remaining == 0 and 0 in counts):
-        for v in values:
-            if v > remaining:
-                break
+        for v in takewhile(lambda v: v <= remaining, values):
             shrunk = {
                 c - 1
                 for c in counts

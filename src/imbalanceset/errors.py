@@ -12,7 +12,7 @@ WITNESS_TABLE_BIT_CAP = 2**32  # odd-total equal-sum witness tables, in bits
 ESSEQ_SUM_CAP = 50_000_000  # bounded equal-sum search: largest sum
 ORACLE_WORK_CAP = 2**21  # brute-force oracles: cases through the next layer, terms in brute_min_order
 
-FORMATS = ("dot", "edgelist", "json")  # graph file formats, re-exported by formats
+FORMATS = ("dot", "edgelist", "json")  # graph file formats
 
 
 class ResourceLimitError(RuntimeError):

@@ -30,10 +30,9 @@ carried into the next read.  In each block:
    a bit of its pair already set.  No unpacked matrix is made.
 
 So the peak is the packed rows, n * ceil(n / 8) bytes, plus the block
-temporaries, 20 to 35 blocks' worth: 0.1-0.15 MB at 4 KiB reads and
-1.3-1.8 MB at 64 KiB (by ``tracemalloc`` at orders 303 and 903), unless
-a line is longer than a block or JSON holds much outside ``arcs`` (the
-rest is read whole by ``json.loads``).
+temporaries, 20 to 35 blocks' worth, unless a line is longer than a
+block or JSON holds much outside ``arcs`` (the rest is read whole by
+``json.loads``).
 
 A grammar fault is raised at once; an arc fault is held until the rest
 of the body has passed the grammar, so grammar faults still come first,
@@ -75,11 +74,12 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 import numpy as np
 
 from .digraph import Digraph, _place_arcs, _resized, _zeros
-from .errors import FORMATS, MAX_MATRIX_ORDER, ResourceLimitError, check_matrix_order  # noqa: F401  (FORMATS re-exported)
+from .errors import MAX_MATRIX_ORDER, ResourceLimitError, check_matrix_order
 
 # Bytes per read, and so about per scanned chunk.  The scan's temporaries
-# come to 20 to 35 times this size; at 64 KiB they stay under 2 MB, and
-# parsing is no slower than at 256 KiB.
+# come to 20 to 35 times this size, while each chunk costs a fixed number
+# of Python-level calls: larger chunks parse a little faster but hold more
+# memory.
 _CHUNK = 1 << 16
 
 # The bytes the scanners read as other bytes of the same count, so that

@@ -87,9 +87,8 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
-# Cells of (pair, new vertex) roles that _complete lays out at once;
-# their temporaries (about 7 bytes a cell, 1.8 MB) stay well under the packed
-# matrix of a large certificate (9.2 MB at order 8577).
+# Cells of (pair, new vertex) roles that _complete lays out at once, which
+# bounds its temporaries (about 7 bytes a cell) whatever the order.
 _BLOCK = 1 << 18
 
 REFUSAL_ONE_SIDED = "one-sided"

@@ -86,6 +86,11 @@ class TestDecide:
         code, _, err = run(capsys, "decide", "4,,2")
         assert code == 1 and "cannot parse" in err
 
+    def test_blank_literal_is_a_parse_failure(self, capsys):
+        code, out, err = run(capsys, "decide", " ")
+        assert code == 1 and out == ""
+        assert err == "error: cannot parse set literal ' '\n"
+
     def test_duplicates_rejected(self, capsys):
         code, _, err = run(capsys, "decide", "4,4,-2")
         assert code == 1 and "duplicates" in err
@@ -178,6 +183,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "2,0,-2", "--mode", "tournament")
         assert code == 0
 
+    def test_digraph_pass(self, capsys):
+        code, out, _ = run(capsys, "check", "2,0,-2", "--mode", "digraph")
+        assert code == 0 and out == "pass\n"
+
+    def test_digraph_total_failure(self, capsys):
+        code, out, _ = run(capsys, "check", "0,-1", "--mode", "digraph")
+        assert code == 2 and out == "fail: total sum misses its forced value\n"
+
     def test_tournament_parity_failure(self, capsys):
         code, out, _ = run(capsys, "check", "6,-10", "--mode", "tournament")
         assert code == 2 and "parity" in out
@@ -194,6 +207,16 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "1,1,1", "--mode", "landau", "--json")
         assert code == 0
         assert json.loads(out) == {"mode": "landau", "ok": True, "failure": None}
+
+    def test_json_failure_report(self, capsys):
+        code, out, _ = run(capsys, "check", "0,0,2", "--mode", "landau", "--json")
+        assert code == 2
+        assert out == '{"mode": "landau", "ok": false, "failure": {"kind": "prefix", "index": 2}}\n'
+
+    def test_parse_failure(self, capsys):
+        code, out, err = run(capsys, "check", "1,,2", "--mode", "digraph")
+        assert code == 1 and out == ""
+        assert err == "error: cannot parse sequence literal '1,,2'\n"
 
 
 class TestVerify:
@@ -406,6 +429,10 @@ class TestEqualSum:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "equal-sum", "3", "2", "--k", "3", "--json")
         assert json.loads(out)["witness"]["common_sum"] == 6
+
+    def test_json_none(self, capsys):
+        code, out, _ = run(capsys, "equal-sum", "3", "2", "--k", "1", "--json")
+        assert code == 2 and out == '{"witness": null}\n'
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_is_a_usage_error(self, capsys, k):

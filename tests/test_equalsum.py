@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import imbalanceset
 from imbalanceset import (
     REFUSAL_NO_ODD_EQUAL_SUM,
     EqualSumWitness,
@@ -214,6 +219,27 @@ class TestSearchWorkCap:
         with pytest.raises(ResourceLimitError, match="search of work 10000002 "):
             min_odd_equal_sum([4], [10**7 - 2])
         assert time.perf_counter() - t0 < 0.1
+
+
+class TestLexMinTerms:
+    def test_inconsistent_tables_raise_when_no_value_fits(self):
+        # Sum 2 from one term, where the tables say some term reaches it but
+        # 2 leaves 0 unreachable and 4 is past the remainder.  Run in a child,
+        # so that a walk which spins instead of raising fails by the timeout.
+        code = (
+            "from imbalanceset.equalsum import _lex_min_terms\n"
+            "_lex_min_terms((2, 4), [0, 0b100], 2, [1])"
+        )
+        src = Path(imbalanceset.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=30,
+        )
+        assert done.returncode == 1
+        assert done.stderr.endswith("AssertionError: reachability tables are inconsistent\n")
 
 
 class TestIntegerInputs:

@@ -84,6 +84,10 @@ class TestJson:
         with pytest.raises(UnicodeDecodeError):
             parse_json(b'{"n": 2, "arcs": [[0, 1]], "note": "' + note + b'"}')
 
+    @pytest.mark.parametrize("key", ['"arcs"', '"\\u0061rcs"'])
+    def test_a_later_arcs_key_wins_as_in_json_loads(self, key):
+        assert parse_json('{"n": 2, "arcs": [[0, 1]], ' + key + ": []}") == Digraph(2)
+
 
 class TestRoundTrips:
     @given(digraphs())
