@@ -13,10 +13,11 @@ thousands.  The matrix is stored as bit-packed rows, as
 ``np.packbits(adj, axis=1, bitorder="little")`` makes them: bit j of
 byte c in row u is cell (u, 8c + j), and the bits past column n - 1 are
 zero, so an order-n graph takes n * ceil(n / 8) bytes.  Only this
-module knows that layout.  Graphs are written into rows from
+module knows that layout, and the little-endian 64-bit words that
+:func:`_fill` lays over it.  Graphs are written into rows from
 :func:`_zeros` or :func:`_resized`, never into cells: arcs by
 :func:`_place_arcs`, which :meth:`Digraph.from_arcs` and the parsers
-call block by block, and 0/1 blocks by :func:`_write_rows`.  Every
+call block by block, and intervals of cells by :func:`_fill`.  Every
 construction writes upper cells (u, v), v > u, only; then one
 :func:`_mirror` pass over the whole graph writes each lower cell (v, u)
 as 1 - (u, v), and :func:`_clear_pairs` unjoins the pairs left so.
@@ -48,6 +49,10 @@ from .errors import DoubledPairError, check_matrix_order
 _TILE = 512
 # Cells unpacked at once where rows are read as cells (arcs, degrees).
 _CELLS = 1 << 20
+# Bytes of the word buffer in which _fill sets one band of rows, and the
+# most bytes of a matrix that _fill sets as one Python int instead.
+_FILL = 1 << 18
+_SMALL = 128
 
 class Digraph:
     """Immutable simple oriented graph on vertices ``0 .. n-1``.
@@ -367,17 +372,62 @@ def _mirror(bits: np.ndarray) -> None:
         target[...] = low.reshape(-1, h)[: len(target)]
 
 
-def _write_rows(bits: np.ndarray, rows: slice | np.ndarray, col: int, cells: np.ndarray) -> None:
-    """Write the 0/1 block ``cells`` (bool or uint8, at least one column)
-    into the packed rows ``rows`` of ``bits``, a slice or an index array,
-    from column ``col`` on.  The bits before ``col`` in its byte are kept;
-    the bits after the block in its last byte are cleared."""
-    byte, shift = divmod(col, 8)
-    if shift:  # the block starts at bit `shift` of its first byte
-        cells = np.concatenate((np.zeros((len(cells), shift), dtype=cells.dtype), cells), axis=1)
-    packed = np.packbits(cells, axis=1, bitorder="little")
-    bits[rows, byte] |= packed[:, 0]
-    bits[rows, byte + 1 : byte + packed.shape[1]] = packed[:, 1:]
+def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
+    """Set the cells [lo[j], hi[j]) of row rows[j] of the packed rows
+    ``bits`` for every j, keeping the cells already set: the cells that
+    an odd number of their row's intervals cover, all covered cells when
+    a row's intervals are disjoint.
+
+    Suffix XOR.  [lo, hi) = [lo, end) ^ [hi, end), and in 64-bit words
+    the suffix from bit p is the running XOR over the words
+    (``np.bitwise_xor.accumulate``) of a toggle ~0 at word p >> 6, with
+    that word's edge mask, the bits below p & 63, XOR-ed out after.  The
+    toggles and edge masks of one word are summed by XOR first.
+
+    Word layout.  Bands of rows of at most ``_FILL`` bytes each go through
+    one buffer of ``'<u8'`` words, every row from word w0 = min(lo) >> 6
+    to its end plus a spare word for edges at the end; after a row's last
+    edge the running XOR is zero, so rows do not carry into each other.
+    ``'<u8'`` is little-endian on every host, so byte c of word w holds
+    columns 64(w0 + w) + 8c .. + 7 and a buffer row read as bytes is its
+    packed row from byte 8 * w0 on (a native-endian view would reverse the
+    bytes on a big-endian host).  A matrix of at most ``_SMALL`` bytes
+    skips numpy's fixed costs: as one little-endian Python int, cell
+    (r, c) is bit 8 * width * r + c and -1 << p the suffix from bit p.
+    """
+    n, width = bits.shape
+    if bits.size <= _SMALL:
+        value = 0
+        for r, a, b in zip(*(np.asarray(x).tolist() for x in (rows, lo, hi))):
+            value ^= (-1 << 8 * width * r + a) ^ (-1 << 8 * width * r + b)
+        bits |= np.frombuffer(value.to_bytes(bits.size, "little"), dtype=np.uint8).reshape(n, width)
+        return
+    rows, lo, hi = (np.asarray(a, dtype=np.int64) for a in (rows, lo, hi))
+    if not rows.size:
+        return
+    w0 = int(lo.min()) >> 6
+    row_bits = 64 * (-(-width // 8) - w0 + 1)
+    # The edges as bits of the bands' rows laid out one after another, in order.
+    edges = np.sort(np.concatenate((lo, hi)) + np.tile(row_bits * rows - 64 * w0, 2))
+    first, last = int(edges[0]) // row_bits, int(edges[-1]) // row_bits
+    h = max(1, 8 * _FILL // row_bits)
+    buf = np.zeros(min(h, last + 1 - first) * row_bits // 64, dtype="<u8")
+    at = 0
+    while at < edges.size:
+        r0 = int(edges[at]) // row_bits
+        r1 = min(r0 + h, last + 1)
+        stop = int(np.searchsorted(edges, r1 * row_bits))
+        pos = edges[at:stop] - r0 * row_bits
+        at = stop
+        starts = np.flatnonzero(np.diff(pos >> 6, prepend=-1))  # each word's first edge
+        w = pos[starts] >> 6
+        used = buf[: (r1 - r0) * row_bits // 64]
+        used[w] = np.uint64(0) - (np.diff(starts, append=pos.size) & 1).astype(np.uint64)
+        np.bitwise_xor.accumulate(used, out=used)
+        low = (np.uint64(1) << (pos & 63).astype(np.uint64)) - np.uint64(1)  # edge masks
+        used[w] ^= np.bitwise_xor.reduceat(low, starts)
+        bits[r0:r1, 8 * w0 :] |= used.view(np.uint8).reshape(r1 - r0, -1)[:, : width - 8 * w0]
+        used[...] = 0
 
 
 def _resized(bits: np.ndarray, order: int) -> np.ndarray:

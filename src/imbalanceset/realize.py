@@ -30,9 +30,11 @@ only code that makes a greedy decision.
 
 Rows are written once, then mirrored, as :mod:`imbalanceset.digraph`
 lays down.  In :func:`_upper_rows`, row i gets only its upper cells:
-one slice of ones per stretch of receivers, in a strip of ``_STRIP``
-unpacked rows that :func:`~imbalanceset.digraph._write_rows` packs
-into the matrix each time it fills.  Then one
+its stretches of receivers [lo, hi), which
+:func:`~imbalanceset.digraph._fill` sets in the packed rows
+``_FLUSH`` stretches or so at a time.  A plain step appends its own; a
+fast-forward appends the stretches of all its periods at once, as
+arrays affine in the period (below).  Then one
 :func:`~imbalanceset.digraph._mirror` pass sets every lower cell
 (c, i) to 1 - (i, c): 1 for each sender c, 0 for each receiver, and 1
 for the partner, whose pair is then cleared.
@@ -107,6 +109,7 @@ Only the functions that build a matrix import numpy and
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
@@ -120,8 +123,9 @@ if TYPE_CHECKING:
 
     from .digraph import Digraph
 
-# Rows of the unpacked strip that _upper_rows writes before packing them.
-_STRIP = 64
+# Receiver stretches that _upper_rows gathers before it writes them: it
+# holds fewer than twice as many at once, unless one period has more.
+_FLUSH = 1 << 13
 # Period, in steps, of the repeating moves of the greedy's state that
 # _upper_rows fast-forwards over (every one found on canonical expansions
 # has period 2; a stretch of another period runs step by step).
@@ -179,67 +183,60 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     _check_sequence(seq)
     n = len(seq)
     bits = _zeros(n)
-    pairing, out_quota, parity_match = _upper_rows(seq, bits)
+    pairing = _upper_rows(seq, bits)
     _mirror(bits)
     _clear_pairs(bits, pairing)
+    # Every entry that misses the parity of n - 1 is paired once and the
+    # rest are joined to all, so the pairing settles the arcs and flags.
     return RealizationReport(
         graph=Digraph._from_bits(bits),
-        arc_count=int(out_quota.sum()),
-        is_tournament=bool(parity_match.all()),
-        is_near_tournament=bool(n >= 2 and n % 2 == 0 and not parity_match.any()),
+        arc_count=n * (n - 1) // 2 - len(pairing),
+        is_tournament=not pairing,
+        is_near_tournament=n >= 2 and 2 * len(pairing) == n,
         non_neighbour_pairing=pairing,
     )
 
 
-def _upper_rows(
-    seq: Sequence[int], bits: np.ndarray
-) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], ...]:
     """Run the greedy on ``seq``, a checked sequence of length n, and
     write the upper cells of its rows into the top-left n x n block of
-    the zeroed packed rows ``bits``.  Returns the non-neighbour pairing,
-    the out-quotas and where the entries match the parity of n - 1.
+    the zeroed packed rows ``bits``.  Returns the non-neighbour pairing.
     """
     import numpy as np
 
-    from .digraph import _write_rows
+    from .digraph import _fill
 
     n = len(seq)
-    targets = np.asarray(seq, dtype=np.int64)
-    out_quota = (n - 1 + targets) // 2
-    parity_match = (targets % 2) == ((n - 1) % 2)
-    joined_quota = np.where(parity_match, n - 1, n - 2)
-    in_quota = joined_quota - out_quota
-
-    strip = np.zeros((_STRIP, n), dtype=np.uint8)
-
-    def pack(stop: int) -> None:
-        """Pack the strip's rows up to ``stop`` and clear it; their
-        cells left of the strip's first row are lower, so left zero."""
-        start = (stop - 1) // _STRIP * _STRIP
-        _write_rows(bits, slice(start, stop), start, strip[: stop - start, start:])
-        strip[:, start:] = 0
-
     pairing: list[tuple[int, int]] = []
+    # Receiver stretches not yet written, in row order: (rows, lo, hi)
+    # arrays, then the plain steps' as a row per stretch and the
+    # stretches flattened as [lo, hi, lo, hi, ...].
+    chunks: list[tuple[np.ndarray, ...]] = []
+    rows: list[int] = []
+    ends: list[int] = []
 
-    def put(i: int, partner: int, recv: list[int]) -> None:
-        """Record row i: its receiver stretches [lo, hi), flattened as
-        recv = [lo, hi, lo, hi, ...], and its partner (-1 for none)."""
-        if i and i % _STRIP == 0:
-            pack(i)
-        row = strip[i % _STRIP]
-        for x in range(0, len(recv), 2):
-            row[recv[x] : recv[x + 1]] = 1
-        if partner >= 0:
-            pairing.append((i, partner))
+    def write(hold: int) -> None:
+        """Move the plain steps' stretches to ``chunks``, then write
+        every chunk unless they hold fewer than ``hold`` stretches."""
+        if rows:
+            chunks.append((np.array(rows), np.array(ends[0::2]), np.array(ends[1::2])))
+            rows.clear()
+            ends.clear()
+        if chunks and sum(len(chunk[0]) for chunk in chunks) >= hold:
+            _fill(bits, *map(np.concatenate, zip(*chunks)))
+            chunks.clear()
 
     # The unprocessed vertices as maximal runs (start, stop, rem_out,
     # rem_in, free) of equal state, in id order; vertex i heads runs[0].
+    # Vertex i has out-quota (n - 1 + t_i) // 2 and is free (misses the
+    # parity of n - 1) when n - 1 + t_i is odd, so equal entries have
+    # equal states and the runs are those of seq.
     runs: list[_Run] = []
     start = 0
-    states = zip(out_quota.tolist(), in_quota.tolist(), (~parity_match).tolist())
-    for state, group in groupby(states):
-        stop = start + sum(1 for _ in group)
-        runs.append((start, stop, *state))
+    for t, group in groupby(seq):
+        stop = start + len(list(group))
+        out, free = divmod(n - 1 + operator.index(t), 2)
+        runs.append((start, stop, out, n - 1 - free - out, bool(free)))
         start = stop
     # The state, and the states the last plain steps reached.
     now: _State = (0, 0, runs)
@@ -248,27 +245,40 @@ def _upper_rows(
         delta = _repeating(seen, n)
         if delta is not None:
             i = now[0]
-            now, shape, out, slope, periods = _fast_forward(now, delta, n)
-            for _ in range(periods):
-                at = 0
-                for count in shape:
-                    put(i, out[at], out[at + 1 : at + 1 + count])
-                    i += 1
-                    at += 1 + count
-                out = list(map(add, out, slope))
+            now, steps, out, slope, periods = _fast_forward(now, delta, n)
+            write(_FLUSH)
+            # Period k's rows are i + s + k * _PERIOD for step s, and its
+            # partners and stretch ends are those of period 0 plus k times
+            # their change: a chunk of periods at a time, in row order.
+            first, change, steps = np.array(out), np.array(slope), np.array(steps, dtype=np.int64)
+            p = len(out) - 2 * len(steps)  # the partners come first
+            paired = np.flatnonzero(first[:p] >= 0)
+            per = max(1, _FLUSH // max(1, len(steps)))
+            for k0 in range(0, periods, per):
+                k = np.arange(k0, min(k0 + per, periods))[:, None]
+                values = first + k * change
+                rows_k = i + _PERIOD * k
+                ends_k = values[:, p:]
+                chunks.append(((rows_k + steps).ravel(), ends_k[:, 0::2].ravel(), ends_k[:, 1::2].ravel()))
+                pairing += zip((rows_k + paired).ravel().tolist(), values[:, paired].ravel().tolist())
+                write(_FLUSH)
             seen.clear()
         else:
             i, residual, runs = now
             runs, recv, partner, left = _step(i, runs, n)
-            put(i, partner, recv)
+            rows += [i] * (len(recv) // 2)
+            ends += recv
+            if partner >= 0:
+                pairing.append((i, partner))
+            if len(rows) >= _FLUSH:
+                write(0)
             now = (i + 1, residual + left, runs)
         seen.append(now)
 
     if now[1]:
         raise RealizationError("residual quotas did not close")
-    if n:
-        pack(n)
-    return tuple(pairing), out_quota, parity_match
+    write(0)
+    return tuple(pairing)
 
 
 def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int, int]:
@@ -399,27 +409,28 @@ def _fast_forward(
 ) -> tuple[_State, list[int], list[int], list[int], int]:
     """Run the greedy from ``now`` over as many whole periods as move
     its state by ``delta`` along one comparison path.  Returns the state
-    after them, the length of each step's stretch list, the first
-    period's rows and their change per period, flattened as
+    after them, the step of each stretch in a period, the first period's
+    partners and stretch ends and their change per period, laid out as
     :func:`_trace` lays them out, and the number of periods.  Periods 0
     and 1 are the greedy's own next steps, run traced; the last period
     on their path follows from their compared differences, as the
     module docstring proves.  When period 0 or 1 leaves the path, the
-    steps traced so far are handed back as one period.
+    steps traced so far are handed back as one period, with no change.
     """
     v0, flags = _vector(now)
     v1 = tuple(map(add, v0, delta))
     traced = _tracer()
-    end, out0, shape, diffs0 = _trace(traced, v0, flags, n)
+    end, out0, steps, diffs0 = _trace(traced, v0, flags, n)
     if end != (v1, flags):
-        return _state(*end), shape, out0, [], 1
-    end, out1, shape1, diffs1 = _trace(traced, v1, flags, n)
+        return _state(*end), steps, out0, [0] * len(out0), 1
+    end, out1, steps1, diffs1 = _trace(traced, v1, flags, n)
     if (
         end != (tuple(map(add, v1, delta)), flags)
         or len(diffs0) != len(diffs1)
         or not all(a * b > 0 or a == b for a, b in zip(diffs0, diffs1))
     ):
-        return _state(*end), shape + shape1, out0 + out1, [], 1
+        out = out0[:_PERIOD] + out1[:_PERIOD] + out0[_PERIOD:] + out1[_PERIOD:]
+        return _state(*end), steps + [s + _PERIOD for s in steps1], out, [0] * len(out), 1
     # Comparison j of period k compares a + k * b, of one sign up to k =
     # (|a| - 1) // |b| when a and b have opposite signs, for ever if not.
     last = (n - v0[0]) // _PERIOD - 1
@@ -427,7 +438,7 @@ def _fast_forward(
         if a * b < 0:
             last = min(last, (abs(a) - 1) // abs(b))
     end = _state((a + (last + 1) * d for a, d in zip(v0, delta)), flags)
-    return end, shape, out0, list(map(sub, out1, out0)), last + 1
+    return end, steps, out0, list(map(sub, out1, out0)), last + 1
 
 
 def _trace(
@@ -435,21 +446,22 @@ def _trace(
 ) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], list[int], list[int], list[int]]:
     """Run ``_PERIOD`` greedy steps from the state (vec, flags) on fresh
     ``traced`` ints.  Returns the state after them as :func:`_vector`
-    gives it, the steps' partners and receiver stretches as plain ints
-    (partner, lo, hi, lo, hi, ... for each step), the length of each
-    step's stretch list and every difference compared, in order.
+    gives it; the steps' partners (-1 for none), then their receiver
+    stretches (lo, hi, lo, hi, ...), as plain ints; the step of each
+    stretch; and every difference compared, in order.
     """
     diffs: list[int] = []
     traced.diffs = diffs
     now = _state(map(traced, vec), flags)
-    out, shape = [], []
-    for _ in range(_PERIOD):
+    partners, ends, steps = [], [], []
+    for s in range(_PERIOD):
         i, residual, runs = now
         runs, recv, partner, left = _step(i, runs, n)
-        out += map(int, (partner, *recv))
-        shape.append(len(recv))
+        partners.append(int(partner))
+        ends += map(int, recv)
+        steps += [s] * (len(recv) // 2)
         now = (i + 1, residual + left, runs)
-    return _vector(now), out, shape, diffs
+    return _vector(now), partners + ends, steps, diffs
 
 
 def _tracer() -> type:

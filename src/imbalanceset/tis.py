@@ -20,8 +20,7 @@ The decision pipeline, in order:
 
 Completion mechanics (:func:`add_arcs`): the k = a + b new vertices
 first form a rotational regular tournament among themselves (k is odd):
-row i of that block is the window pattern[k - i : 2k - i] of a 0/1
-pattern of period k, so no k x k index array is built.  All unjoined
+new vertex i beats the next (k - 1)/2 of them cyclically.  All unjoined
 pairs (v, v') of the base get their arc v -> v'.  Each new vertex with
 positive target x must beat both endpoints of x/2 pairs, and each with
 negative target -y must lose to both endpoints of y/2 pairs; these unit
@@ -42,14 +41,12 @@ pair: the apex of :func:`add_apex_zero`.
 The matrix holds bit-packed rows, built as :mod:`imbalanceset.digraph`
 lays down: upper cells first, then one
 :func:`~imbalanceset.digraph._mirror` pass over the whole graph.
-:func:`_complete` writes the pair arcs v -> v', the new clique's rows,
-and the base -> new block, one block of pairs at a time, at most about
-``_BLOCK`` (pair, new vertex) cells each: the couples, sorted by pair,
-give each block its owners, a cumulative sum ranks the free new
-vertices, and the two whole rows of each pair are written at once.  The
-lower cells of the new rows, new -> base, need no roles of their own.
-Every (base, new) pair is joined exactly once by then, since an x-owner
-beats both ends of its pair, a y-owner loses to both, and each free new
+:func:`_complete` writes the pair arcs v -> v', then the upper cells
+of the new columns as O(n + S) intervals, a span of free ranks in
+closed form and a cell per couple owner for each pair row.  The lower
+cells of the new rows, new -> base, need no roles of their own.  Every
+(base, new) pair is joined exactly once by then, since an x-owner beats
+both ends of its pair, a y-owner loses to both, and each free new
 vertex takes role a or role b; the new clique is a tournament, and so
 is the base with its pair arcs.  So every lower cell is 1 minus its
 mirror cell, which the mirror writes.
@@ -59,11 +56,12 @@ packed (n + k)-order matrix, the greedy writes the base's upper cells
 into its top-left block, :func:`_complete` the rest when k > 0, and one
 mirror pass ends the build (odd sets have k = 0 and no unjoined pairs,
 so the base is the tournament).  So the peak of a build is that matrix
-((n + k) * ceil((n + k) / 8) bytes), the greedy's strip of 64 unpacked
-rows, O(n + S) of pair and couple indices and O(``_BLOCK``) of block
-temporaries (about 7 bytes a cell); the mirror and the certificate
-check add band-sized temporaries only.  Public :func:`add_arcs` takes a
-finished base report, so it holds the base and a grown copy of it.
+((n + k) * ceil((n + k) / 8) bytes), the intervals held at once (fewer
+than ``2 * realize._FLUSH`` receiver stretches in the greedy, O(n + S)
+in the completion) and the band buffer of ``digraph._FILL`` bytes; the
+mirror and the certificate check add band-sized temporaries only.
+Public :func:`add_arcs` takes a finished base report, so it holds the
+base and a grown copy of it.
 """
 
 from __future__ import annotations
@@ -86,10 +84,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .digraph import Digraph
-
-# Cells of (pair, new vertex) roles that _complete lays out at once, which
-# bounds its temporaries (about 7 bytes a cell) whatever the order.
-_BLOCK = 1 << 18
 
 REFUSAL_ONE_SIDED = "one-sided"
 REFUSAL_MIXED_PARITY = "mixed-parity"
@@ -165,7 +159,7 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     if k:
         witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
     bits = _zeros(n + k)
-    pairing = _upper_rows(seq, bits)[0]
+    pairing = _upper_rows(seq, bits)
     if k:
         _complete(bits, pairing, witness)
     _mirror(bits)
@@ -274,11 +268,32 @@ def _complete(
     into ``bits``: packed (n + k)-order rows whose top-left block holds
     at least the upper cells of the base, a near tournament with unjoined
     pairs ``pairing``, and whose new rows and columns are zero, for a
-    ``witness`` that :func:`add_arcs` accepts."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
+    ``witness`` that :func:`add_arcs` accepts.
 
-    from .digraph import _place_arcs, _write_rows
+    Every row is a few intervals of new columns (vertex id v at column
+    n + v), set by one :func:`~imbalanceset.digraph._fill`, which XORs
+    the intervals of a row: k + 3n/2 + S of them in all.
+
+    * New row i beats i + 1 .. i + (k - 1)/2 cyclically: its upper cells
+      are [i + 1, min(i + (k + 1)/2, k)), and the mirror writes the rest.
+    * Free ranks in closed form.  List the 2c owners of a pair hosting c
+      couples as o_0 < o_1 < ...; o_j - j counts the free vertices below
+      o_j, so the f-th free vertex (from 0) is col(f) = f + #{j : o_j - j
+      <= f}, f plus the owners below it.  Couple j goes to pair j mod
+      (n/2) as its t-th couple, t = j div (n/2), and each owner's couples
+      are consecutive, so the x-owner of a pair's t-th couple is o_t and
+      its y-owner o_{c + t} (x-owners precede y-owners).
+    * Role b is free ranks (m - 1)/2 .. m - 2 of the m = k - 2c, so its
+      free vertices are those in the span [col((m - 1)/2), col(m - 1)),
+      col(m - 1) being the last free vertex, of role a.  Row lo beats
+      role b and the y-owners: the span, XOR the x-owners inside it, XOR
+      the y-owners outside it.  Row hi beats role a and the y-owners:
+      [0, k) less the span, XOR the x-owners outside it, XOR the
+      y-owners inside it.  So each owner is one cell of row lo or hi.
+    """
+    import numpy as np
+
+    from .digraph import _fill, _place_arcs
 
     xs, ys = witness.xs, witness.ys
     k = len(xs) + len(ys)
@@ -286,54 +301,35 @@ def _complete(
     n_pairs = n // 2
     couples = witness.common_sum // 2
 
-    # New clique: rotational regular tournament (k odd), vertex i beats
-    # the next (k - 1) / 2 vertices cyclically; row i is the window
-    # pattern[k - i : 2k - i] of a 0/1 pattern of period k.
-    period = np.zeros(k, dtype=np.uint8)
-    period[1 : (k - 1) // 2 + 1] = 1
-    windows = sliding_window_view(np.tile(period, 2), k)[k:0:-1]
-    step = max(1, _BLOCK // k)
-    for a in range(0, k, step):
-        _write_rows(bits, slice(n + a, n + a + step), n, windows[a : a + step])
-
     # The pairing is sorted, so its keys increase and need no sort.
     lo, hi = np.array(pairing, dtype=np.int64).reshape(-1, 2).T
     _place_arcs(bits, lo, hi)
 
     # Couple j pairs the j-th positive half-unit with the j-th negative
-    # one; couples are dealt round-robin over the pairs, so one owner's
+    # one and goes to pair j mod n/2 as its t-th couple, so one owner's
     # units land on distinct pairs (its demand is at most n/2 units).
-    # Sorted by pair, each block of pairs owns one range of couples.
     x_owner = np.repeat(np.arange(len(xs)), np.asarray(xs, dtype=np.int64) // 2)
     y_owner = np.repeat(np.arange(len(xs), k), np.asarray(ys, dtype=np.int64) // 2)
     assert x_owner.size == couples and y_owner.size == couples
-    cpair = np.arange(couples) % n_pairs
-    by_pair = np.argsort(cpair, kind="stable")
-    cpair, x_owner, y_owner = cpair[by_pair], x_owner[by_pair], y_owner[by_pair]
+    t, pair = np.divmod(np.arange(couples), max(n_pairs, 1))
+    hosted = np.bincount(pair, minlength=n_pairs)
+    m = k - 2 * hosted
+    x_below, y_below = x_owner - t, y_owner - hosted[pair] - t  # o_j - j
 
-    # Base -> new, one block of pairs at a time.  A pair's x-owners beat
-    # both its ends and its y-owners lose to both; of its m = k - 2c
-    # free new vertices, lo beats role b (ranks (m-1)/2 + 1 .. m - 1)
-    # and hi beats role a (the other ranks).  So row lo beats the
-    # y-owners and role b, row hi the y-owners and role a.
-    for p0 in range(0, n_pairs, step):
-        p1 = min(p0 + step, n_pairs)
-        c0, c1 = np.searchsorted(cpair, (p0, p1))
-        at = cpair[c0:c1] - p0
-        xcol, ycol = x_owner[c0:c1], y_owner[c0:c1]
-        rank = np.ones((p1 - p0, k), dtype=np.int32)
-        rank[at, xcol] = 0
-        rank[at, ycol] = 0
-        np.cumsum(rank, axis=1, out=rank)  # a free vertex's 1-based rank
-        m = (k - 2 * np.bincount(at, minlength=p1 - p0))[:, None]
-        beaten = rank > (m - 1) // 2
-        beaten &= rank < m
-        del rank
-        for row in (lo, hi):
-            beaten[at, xcol] = False
-            beaten[at, ycol] = True
-            _write_rows(bits, row[p0:p1], n, beaten)
-            np.logical_not(beaten, out=beaten)  # free: role b -> role a
+    def col(f: np.ndarray) -> np.ndarray:
+        below = np.bincount(pair[x_below <= f[pair]], minlength=n_pairs)
+        return f + below + np.bincount(pair[y_below <= f[pair]], minlength=n_pairs)
+
+    start, stop = col((m - 1) // 2), col(m - 1)
+    x_in = (start[pair] <= x_owner) & (x_owner < stop[pair])
+    y_in = (start[pair] <= y_owner) & (y_owner < stop[pair])
+    new = np.arange(k)
+    owners = np.concatenate((x_owner, y_owner))
+    owner_rows = np.concatenate((np.where(x_in, lo[pair], hi[pair]), np.where(y_in, hi[pair], lo[pair])))
+    rows = (n + new, lo, hi, hi, owner_rows)
+    firsts = (new + 1, start, np.zeros_like(start), stop, owners)
+    lasts = (np.minimum(new + (k + 1) // 2, k), stop, start, np.full_like(stop, k), owners + 1)
+    _fill(bits, np.concatenate(rows), n + np.concatenate(firsts), n + np.concatenate(lasts))
 
 
 def _verified_certificate(

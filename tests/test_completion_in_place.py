@@ -12,8 +12,8 @@ import tracemalloc
 
 import pytest
 
+import imbalanceset.digraph
 import imbalanceset.realize
-import imbalanceset.tis
 from imbalanceset import (
     ImbalanceSet,
     add_arcs,
@@ -57,13 +57,13 @@ def test_certificate_extends_the_base_by_its_pair_arcs(members):
     assert (cert.matrix()[:n, :n] == want).all()
 
 
-def test_even_build_peaks_at_one_matrix_plus_one_block():
-    # Traced peak <= final packed matrix + the greedy's strip of
-    # unpacked rows + 8 bytes for each of the _BLOCK (pair, new vertex)
-    # cells one completion block lays out.  Order 5013 from a base of
-    # order 3342: 3.1 + 0.3 + 2.1 MB; the unpacked matrix (25.1 MB) or
-    # a matrix-sized temporary in the check or the mirror (3.1 MB)
-    # would not fit.
+def test_even_build_peaks_at_one_matrix_plus_one_band():
+    # Traced peak <= final packed matrix + the band buffer of _fill +
+    # 128 bytes for each interval held at once: fewer than 2 * _FLUSH
+    # receiver stretches in the greedy, k + 3n/2 + S in the completion
+    # (10,024 here).  Order 5013 from a base of order 3342: 3.1 + 0.3 +
+    # 2.1 MB; the unpacked matrix (25.1 MB) or a matrix-sized temporary
+    # in the greedy, the check or the mirror (3.1 MB) would not fit.
     decide_tis({2, -8}, with_certificate=True)  # imports outside the trace
     tracemalloc.start()
     try:
@@ -71,7 +71,7 @@ def test_even_build_peaks_at_one_matrix_plus_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    total = decision.order
+    total, witness = decision.order, decision.witness
     assert total == 5013
-    strip = imbalanceset.realize._STRIP * total
-    assert peak <= total * -(-total // 8) + strip + 8 * imbalanceset.tis._BLOCK
+    held = max(2 * imbalanceset.realize._FLUSH, witness.total_length + 3 * 3342 // 2 + witness.common_sum)
+    assert peak <= total * -(-total // 8) + imbalanceset.digraph._FILL + 128 * held

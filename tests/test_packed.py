@@ -7,8 +7,9 @@ arithmetic, on orders that are not multiples of 8 and with the band
 height patched small, so that bands, bytes and tiles all end ragged.
 Forged certificates put each fault at a byte or band boundary.  Arc
 placement into packed rows is checked against the ``uint8`` scatter it
-replaced, ``reference_digraph.place_arcs``, and the block writes and the
-resizing of packed rows against ``np.packbits`` of the same cells.
+replaced, ``reference_digraph.place_arcs``; the interval writer against
+cells set one by one in an unpacked ``uint8`` matrix; and the resizing
+of packed rows against ``np.packbits`` of the same cells.
 """
 
 import numpy as np
@@ -64,20 +65,52 @@ def test_mirror_fills_every_lower_cell(monkeypatch, n, tile):
     assert (_unpack(bits, n) == upper + np.tril(1 - upper.T, -1)).all()
 
 
-@pytest.mark.parametrize("col", range(18))
-def test_write_rows_matches_packing_the_or(col):
-    rng = np.random.default_rng(col)
-    n = 20
-    for dtype in (bool, np.uint8):
-        for rows in (slice(3, 9), np.array([0, 5, 11, 19])):
-            for width in range(1, n - col + 1):
-                adj = rng.integers(0, 2, size=(n, n), dtype=np.uint8)
-                adj[:, col:] = 0  # the cells before `col` are kept, the block's own are clear
-                cells = rng.integers(0, 2, size=(len(adj[rows]), width)).astype(dtype)
-                bits = _pack(adj)
-                digraph._write_rows(bits, rows, col, cells)
-                adj[rows, col : col + width] |= cells
-                assert (bits == _pack(adj)).all(), (dtype, rows, width)
+def _intervals(rng, n, disjoint):
+    """Random intervals (rows, lo, hi) of an order-n matrix, in random
+    order or in row order: disjoint in each row, cut at columns 0 and n, at byte and
+    word edges and one cell wide, or else anywhere, empty and
+    overlapping ones included."""
+    rows, lo, hi = [], [], []
+    edges = sorted({0, n} | {c + d for c in range(0, n + 1, 8) for d in (-1, 0, 1) if 0 <= c + d <= n})
+    for row in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist():
+        if disjoint:
+            cuts = rng.choice(edges, size=min(len(edges), 2 * int(rng.integers(1, 5))), replace=False)
+            cuts = np.sort(np.concatenate((cuts, cuts[:2] + 1)))  # one cell wide when cut and cut + 1 pair up
+            cuts = np.unique(np.minimum(cuts, n))
+            ends = cuts[: len(cuts) // 2 * 2].reshape(-1, 2)
+        else:
+            ends = np.sort(rng.integers(0, n + 1, size=(int(rng.integers(1, 6)), 2)), axis=1)
+        rows += [row] * len(ends)
+        lo += ends[:, 0].tolist()
+        hi += ends[:, 1].tolist()
+    order = rng.permutation(len(rows)) if rng.random() < 0.5 else np.lexsort((lo, rows))  # as the greedy
+    return tuple(np.array(x, dtype=np.int64)[order] for x in (rows, lo, hi))
+
+
+# Orders 0-130 in all (every n mod 8 and mod 64); bands of 1 row, of a
+# few rows and the program's; numpy words only, and Python ints up to
+# order 32.
+@pytest.mark.parametrize("first", range(0, 131, 27))
+@pytest.mark.parametrize("fill", (1, 100, 400, digraph._FILL))
+@pytest.mark.parametrize("small", (0, digraph._SMALL))
+def test_fill_matches_the_uint8_cells(monkeypatch, fill, first, small):
+    monkeypatch.setattr(digraph, "_FILL", fill)
+    monkeypatch.setattr(digraph, "_SMALL", small)
+    rng = np.random.default_rng(fill + first)
+    for n in range(first, min(first + 27, 131)):
+        for disjoint in (True, False):
+            adj = (rng.random((n, n)) < 0.2).astype(np.uint8)  # cells already set stay set
+            want = adj.copy()
+            rows, lo, hi = _intervals(rng, n, disjoint) if n else (np.zeros(0, dtype=np.int64),) * 3
+            parity = np.zeros_like(adj)
+            for r, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+                parity[r, a:b] ^= 1
+            want |= parity
+            if disjoint:
+                assert (parity.sum() == (hi - lo).sum()), n  # the intervals of a row do not meet
+            bits = _pack(adj)
+            digraph._fill(bits, rows, lo, hi)
+            assert (bits == _pack(want)).all(), (n, disjoint)
 
 
 @pytest.mark.parametrize("n", ORDERS)

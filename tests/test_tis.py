@@ -262,13 +262,14 @@ class TestAddArcs:
             report = max_realization(seq)
             assert add_apex_zero(report) == reference_apex.add_apex_zero(report), len(seq)
 
-    def test_peak_memory_is_the_matrices_plus_one_block(self):
-        # Traced peak <= final packed matrix + 8 bytes for each of the
-        # _BLOCK (pair, new vertex) cells one block lays out (rank int32,
-        # masks and comparisons); the base's packed rows are the
-        # caller's.  Order 5013 from a base of order 3342: 3.1 + 2.1 MB;
-        # an unpacked matrix (25.1 MB) or a second packed one would not
-        # fit, and whole-array roles took 98 MB.
+    def test_peak_memory_is_the_matrices_plus_one_band(self):
+        # Traced peak <= final packed matrix + the band buffer of _fill +
+        # 128 bytes for each of the k + 3n/2 + S intervals the completion
+        # writes (new rows, pair rows, owner cells; 10,024 here); the
+        # base's packed rows are the caller's.  Order 5013 from a base of
+        # order 3342: 3.1 + 0.3 + 1.3 MB; an unpacked matrix (25.1 MB) or
+        # a second packed one would not fit, and whole-array roles took
+        # 98 MB.
         parts = ImbalanceSet.from_values({2, -3340})
         sides = parts.non_negative[::-1], parts.negative_abs
         witness = imbalanceset.tis._lex_min_witness(*sides, *imbalanceset.tis._shortest_odd_zero_sum(*sides))
@@ -282,7 +283,8 @@ class TestAddArcs:
         finally:
             tracemalloc.stop()
         assert grown.n == total == 5013
-        assert peak <= total * -(-total // 8) + 8 * imbalanceset.tis._BLOCK
+        intervals = witness.total_length + 3 * n // 2 + witness.common_sum
+        assert peak <= total * -(-total // 8) + imbalanceset.digraph._FILL + 128 * intervals
 
 
 class TestCertificateCheck:

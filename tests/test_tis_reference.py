@@ -1,15 +1,18 @@
-"""The blocked completion against the whole-array completion it replaced.
+"""The interval completion against the whole-array completion it replaced.
 
 ``reference_tis.add_arcs`` lays out the roles of every (pair, new
-vertex) cell at once; ``tis.add_arcs`` fills the base -> new block one
-block of pairs at a time and writes the new -> base block as its
+vertex) cell at once; ``tis.add_arcs`` writes each row as a few
+intervals, band by band of rows, and the new -> base block as its
 transposed complement.  Both must return the same matrix bytes, or fail
 with the same exception type and message.  Every input also runs with
-``tis._BLOCK`` patched small, so that many blocks run and block
-boundaries cut through the run of pairs one owner's couples land on.
-The inputs are the even sets the pipeline completes (with and without
-0), large ones included, and random near tournaments with a random
-pairing whose witnesses deal more couples than there are pairs.
+``digraph._FILL`` patched small, so that many bands run and band
+boundaries cut through the rows of the pairs one owner's couples land
+on, with ``realize._FLUSH`` patched small, so that the greedy that
+builds the base writes its stretches a few at a time (that base must
+be the same), and with ``digraph._SMALL`` at 0, so that no matrix is
+set as one int.  The inputs are the even sets the pipeline completes (with
+and without 0), large ones included, and random near tournaments with a
+random pairing whose witnesses deal more couples than there are pairs.
 """
 
 import hashlib
@@ -28,13 +31,17 @@ from imbalanceset import (
     RealizationReport,
     canonical_sequence,
     decide_tis,
+    digraph,
     max_realization,
+    realize,
     tis,
 )
 
-# The program's block, then blocks of one pair, of a few pairs, and of
-# one pair for k >= 8 but several for small k.
-BLOCKS = (tis._BLOCK, 1, 20, 7)
+# Band bytes, flush stretches and the largest matrix set as one int:
+# the program's, then bands of one row with every stretch written on its
+# own, and bands of a few rows for small k but one for k > 64 with a few
+# stretches at a time, both setting even the smallest matrix in words.
+SIZES = ((digraph._FILL, realize._FLUSH, digraph._SMALL), (1, 1, 0), (100, 7, 0))
 
 
 def _digest(complete, report, witness):
@@ -45,28 +52,41 @@ def _digest(complete, report, witness):
     return "built", graph.n, hashlib.sha256(graph.matrix().tobytes()).hexdigest()
 
 
-def _assert_same_for_every_block(report, witness):
-    """Compare under each block size; return how many of them split
-    some owner's couples over two blocks."""
+def _assert_same_for_every_size(report, witness, seq=None):
+    """Compare under each of ``SIZES``, and rebuild the base from ``seq``
+    when given; return how many of them split the rows of some owner's
+    pairs over two bands."""
     expected = _digest(reference_tis.add_arcs, report, witness)
     splits = 0
-    for block in BLOCKS:
+    for fill, flush, small in SIZES:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tis, "_BLOCK", block)
-            assert _digest(tis.add_arcs, report, witness) == expected, (witness, block)
-        splits += _splits_an_owner(report.graph.n // 2, witness, block)
+            mp.setattr(digraph, "_FILL", fill)
+            mp.setattr(realize, "_FLUSH", flush)
+            mp.setattr(digraph, "_SMALL", small)
+            if seq is not None:
+                assert max_realization(seq) == report, (fill, flush, small)
+            assert _digest(tis.add_arcs, report, witness) == expected, (witness, fill, flush, small)
+            splits += _splits_an_owner(report.non_neighbour_pairing, witness, fill)
     return expected, splits
 
 
-def _splits_an_owner(n_pairs, witness, block):
-    """Whether the pairs of some owner's couples fall in two blocks."""
-    step = max(1, block // witness.total_length)
+def _splits_an_owner(pairing, witness, fill):
+    """Whether the rows of the pairs of some owner's couples fall in two
+    bands, as ``digraph._fill`` cuts the completion's rows (every row of
+    the order-(n + k) matrix holds an interval) unless the matrix is
+    small enough to be set as one int."""
+    n, k = 2 * len(pairing), witness.total_length
+    if (n + k) * -(-(n + k) // 8) <= digraph._SMALL:
+        return False
+    words = -(-(n + k) // 64) - (n >> 6) + 1
+    rows = max(1, fill // (8 * words))
+    ends = np.array(pairing, dtype=np.int64).reshape(-1, 2)
     start = 0
     for half in (witness.xs, witness.ys):
         for v in half:
-            pairs = np.arange(start, start + v // 2) % n_pairs
+            pairs = np.arange(start, start + v // 2) % len(pairing)
             start += v // 2
-            if len(set((pairs // step).tolist())) > 1:
+            if len(set((ends[pairs] // rows).ravel().tolist())) > 1:
                 return True
         start = 0
     return False
@@ -79,7 +99,8 @@ def _completion_input(members):
         witness = EqualSumWitness((0,), (), 0)
     else:
         witness = decide_tis(members, with_certificate=True).witness
-    return max_realization(canonical_sequence(parts)), witness
+    seq = canonical_sequence(parts)
+    return max_realization(seq), witness, seq
 
 
 def test_every_small_even_set():
@@ -88,7 +109,7 @@ def test_every_small_even_set():
         for combo in itertools.combinations(range(-16, 17, 2), r):
             if not decide_tis(combo).verdict:
                 continue
-            outcome, split = _assert_same_for_every_block(*_completion_input(frozenset(combo)))
+            outcome, split = _assert_same_for_every_size(*_completion_input(frozenset(combo)))
             assert outcome[0] == "built", combo
             built += 1
             splits += split
@@ -100,7 +121,7 @@ def test_every_small_even_set():
     [{4, -998}, {2, 0, -1998}, {2, -3300}, {5652, -2}, {0, 2, -3470}, {12, -8, -24}],
 )
 def test_large_even_sets(members):
-    outcome, _ = _assert_same_for_every_block(*_completion_input(frozenset(members)))
+    outcome, _ = _assert_same_for_every_size(*_completion_input(frozenset(members)))
     assert outcome[0] == "built"
 
 
@@ -163,7 +184,7 @@ def _crowded_witness(draw, n_pairs):
 def test_random_near_tournaments_with_crowded_pairs(n_pairs, seed, data):
     report = _near_tournament(2 * n_pairs, seed)
     witness = data.draw(_crowded_witness(n_pairs))
-    outcome, _ = _assert_same_for_every_block(report, witness)
+    outcome, _ = _assert_same_for_every_size(report, witness)
     assert outcome[0] == "built"
 
 
@@ -187,5 +208,5 @@ def _forged_witness(xs, ys, common):
     ],
 )
 def test_invalid_input_fails_alike(seq, witness, message):
-    outcome, _ = _assert_same_for_every_block(max_realization(seq), witness)
+    outcome, _ = _assert_same_for_every_size(max_realization(seq), witness, seq)
     assert outcome[:2] == ("failed", ValueError) and message in outcome[2]
