@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, Sequence
 
@@ -32,6 +33,11 @@ EXIT_RESOURCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # A dash and a digit start a literal such as -2,4, not an option.
+        self._negative_number_matcher = re.compile(r"-\d")
+
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

@@ -26,11 +26,11 @@ as 1 - (u, v), and :func:`_clear_pairs` unjoins the pairs left so.
 unpacks a copy of the cells, and instances are immutable.
 
 Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
-packed rows is byte C of rows 8R .. 8R + 7, and :func:`_transpose8`
-transposes every block of an array with three delta swaps.  Row bands of
-``_TILE`` rows use it for the transposed reads: :func:`_mirror`,
-:func:`_check_packed` (opposing pairs, through :func:`_clash`) and the
-unjoined-pair scans.
+packed rows is byte C of rows 8R .. 8R + 7.  :func:`_transpose8`
+transposes every block of an array with three delta swaps, and
+:func:`_flip` lays them out as the blocks of the transpose.  The
+transposed passes, :func:`_mirror`, :func:`_check_packed` and the
+unjoined-pair scans, walk the bands of ``_TILE`` rows of :func:`_bands`.
 """
 
 from __future__ import annotations
@@ -228,8 +228,14 @@ class Digraph:
 
     def _unjoined_pairs(self) -> Iterator[tuple[int, int]]:
         """The unjoined pairs (u, v), u < v, in order, a row band at a time."""
-        for r0 in range(0, self._bits.shape[1], _band()):
-            rows, cols = _set_cells(_unjoined(self._bits, r0))
+        n = self.n
+        for r0, upper, lower in _bands(self._bits):
+            h = lower.shape[1]
+            free = ~(_blocks(upper) | _flip(lower))
+            free[:, :, :h] &= _upper(h, diagonal=False)
+            if n % 8:
+                free[:, :, -1] &= (1 << n % 8) - 1  # the columns past n - 1
+            rows, cols = _set_cells(free.reshape(8 * h, -1)[: n - 8 * r0])
             yield from zip((rows + 8 * r0).tolist(), (cols + 8 * r0).tolist())
 
     # -- plumbing ----------------------------------------------------------
@@ -336,40 +342,34 @@ def _check_packed(bits: np.ndarray) -> None:
     entries are bits, so 0 or 1).
 
     The diagonal is one gather of n bytes.  Opposing pairs are tested
-    band by band: the rows of a band from its diagonal block on against
-    its columns below, by :func:`_clash`, so each pair is tested once
-    with its smaller endpoint in the band, on band-sized temporaries.
+    over :func:`_bands`: a band's upper rows, flipped by :func:`_flip`,
+    must not meet its lower columns, so each pair is tested once with
+    its smaller endpoint in the band, on band-sized temporaries.
     """
-    n, width = bits.shape
-    v = np.arange(n)
+    v = np.arange(len(bits))
     if (bits[v, v >> 3] >> (v & 7) & 1).any():
         raise ValueError("self-loops are not allowed")
-    step = _band()
-    for r0 in range(0, width, step):
-        if _clash(bits[8 * r0 : 8 * (r0 + step), r0:], bits[8 * r0 :, r0 : r0 + step]):
+    for _, upper, lower in _bands(bits):
+        if (_flip(upper) & _blocks(lower)).any():
             raise ValueError("opposing arc pairs are not allowed")
 
 
 def _mirror(bits: np.ndarray) -> None:
     """Set each lower cell (v, u), v > u, of the packed rows to 1 - (u, v).
 
-    Band by band, the band's upper cells are copied as 8 x 8 blocks,
-    transposed by :func:`_transpose8` and complemented into its columns
-    below; in the band's own square the upper cells and the diagonal are
-    kept.  So every write is a whole byte, no temporary is larger than a
-    band, and no cell is written twice.
+    Over :func:`_bands`, each band's upper rows are flipped by
+    :func:`_flip` and complemented into its lower columns; in the band's
+    own square the upper cells and the diagonal are kept.  So every
+    write is a whole byte, no temporary is larger than a band, and no
+    cell is written twice.
     """
-    width = bits.shape[1]
-    step = _band()
-    for r0 in range(0, width, step):
-        h = min(step, width - r0)
-        low = np.empty((width - r0, 8, h), dtype=np.uint8)
-        np.invert(_transpose8(_blocks(bits[8 * r0 : 8 * (r0 + h), r0:])).transpose(2, 1, 0), out=low)
-        target = bits[8 * r0 :, r0 : r0 + h]
+    for _, upper, lower in _bands(bits):
+        h = lower.shape[1]
+        low = np.invert(_flip(upper), order="C")
         keep = _upper(h, diagonal=True)
         low[:h] &= ~keep
-        low[:h] |= _blocks(target[: 8 * h]) & keep
-        target[...] = low.reshape(-1, h)[: len(target)]
+        low[:h] |= _blocks(lower[: 8 * h]) & keep
+        lower[...] = low.reshape(-1, h)[: len(lower)]
 
 
 def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -450,29 +450,22 @@ def _clear_pairs(bits: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
         bits[hi, lo >> 3] &= ~_bit(lo)
 
 
-def _unjoined(bits: np.ndarray, r0: int) -> np.ndarray:
-    """The cells (u, v), v > u, that no arc joins, of the rows of the
-    band at block row ``r0``: packed rows from byte column ``r0`` on."""
-    n, width = bits.shape
-    h = min(_band(), width - r0)
-    below = _transpose8(_blocks(bits[8 * r0 :, r0 : r0 + h])).transpose(2, 1, 0)
-    free = ~(_blocks(bits[8 * r0 : 8 * (r0 + h), r0:]) | below)
-    free[:, :, :h] &= _upper(h, diagonal=False)
-    if n % 8:
-        free[:, :, -1] &= (1 << n % 8) - 1  # the columns past n - 1
-    return free.reshape(8 * h, -1)[: n - 8 * r0]
+def _bands(bits: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Cut packed rows into bands of ``max(1, _TILE // 8)`` block rows
+    (8 rows each), lazily, and yield for each its first block row r0, its
+    rows from its diagonal block on and its columns from its diagonal
+    block down, as views of ``bits``."""
+    step = max(1, _TILE // 8)
+    for r0 in range(0, bits.shape[1], step):
+        yield r0, bits[8 * r0 : 8 * (r0 + step), r0:], bits[8 * r0 :, r0 : r0 + step]
 
 
-def _clash(upper: np.ndarray, lower: np.ndarray) -> bool:
-    """Whether some cell (i, j) of the packed rows ``upper`` and cell
-    (j, i) of the packed rows ``lower`` are both set.
-
-    For ``a`` rows of ``upper`` and ``b`` of ``lower``, ``upper`` has
-    ceil(b / 8) bytes a row and ``lower`` ceil(a / 8).  The blocks of
-    ``upper`` are transposed and laid out as the blocks of its
-    transpose, which ``lower`` must not meet.
-    """
-    return bool((_transpose8(_blocks(upper)).transpose(2, 1, 0) & _blocks(lower)).any())
+def _flip(rows: np.ndarray) -> np.ndarray:
+    """Packed rows as 8 x 8 blocks, each transposed and laid out as the
+    blocks of the transpose: for ``a`` rows of ``w`` bytes, a
+    (w, 8, ceil(a / 8)) view whose block (C, R) is block (R, C) of
+    ``rows`` transposed."""
+    return _transpose8(_blocks(rows)).transpose(2, 1, 0)
 
 
 def _transpose8(x: np.ndarray) -> np.ndarray:
@@ -531,11 +524,6 @@ def _set_cells(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _bit(col: np.ndarray) -> np.ndarray:
     """The bit of each column within its byte, as ``uint8`` masks."""
     return np.left_shift(1, col & 7).astype(np.uint8)
-
-
-def _band() -> int:
-    """Block rows (8 rows each) of a band of the passes on packed rows."""
-    return max(1, _TILE // 8)
 
 
 def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:

@@ -473,3 +473,31 @@ class TestUsage:
             )
             assert code == 0
             assert parse(path.read_text(), kind).n == 2
+
+
+class TestLeadingMinus:
+    """A literal that starts with a minus sign is the literal, not an option."""
+
+    @pytest.mark.parametrize("argv", [["-2,4"], ["--json", "-2,4"], ["-2,4", "--json"]])
+    def test_decide(self, capsys, argv):
+        got = run(capsys, "decide", *argv)
+        assert got[0] == 0 and got == run(capsys, "decide", *(a if a != "-2,4" else "4,-2" for a in argv))
+
+    def test_bound(self, capsys):
+        assert run(capsys, "bound", "-2,4") == run(capsys, "bound", "4,-2") == (0, "11\n", "")
+
+    def test_verify(self, tmp_path, capsys):
+        path = tmp_path / "t.dot"
+        assert run(capsys, "realize", "4,-2", "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "verify", str(path), "-2,4")
+        assert code == 0 and "ok" in out
+
+    def test_check_reaches_the_sort_error(self, capsys):
+        code, out, err = run(capsys, "check", "-1,1", "--mode", "digraph")
+        assert code == 1 and out == ""
+        assert "must be sorted nonincreasing" in err
+
+    def test_an_unknown_option_is_still_refused(self, capsys):
+        code, out, err = run(capsys, "decide", "-x")
+        assert code == 1 and out == ""
+        assert "required: set_literal" in err

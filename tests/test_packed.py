@@ -45,15 +45,6 @@ def test_transpose8_matches_np_transpose_on_random_blocks():
     assert (got == cells.transpose(0, 3, 2, 1)).all()  # each block transposed in place
 
 
-def test_clash_finds_exactly_the_opposing_cells():
-    rng = np.random.default_rng(9)
-    for _ in range(300):
-        a, b = (int(v) for v in rng.integers(1, 20, size=2))
-        upper = (rng.random((a, b)) < 0.1).astype(np.uint8)
-        lower = (rng.random((b, a)) < 0.1).astype(np.uint8)
-        assert digraph._clash(_pack(upper), _pack(lower)) == bool((upper & lower.T).any())
-
-
 @pytest.mark.parametrize("tile", TILES)
 @pytest.mark.parametrize("n", ORDERS)
 def test_mirror_fills_every_lower_cell(monkeypatch, n, tile):
@@ -140,6 +131,18 @@ def test_column_passes_match_the_cells(monkeypatch, n, tile):
     unjoined = tuple((int(u), int(v)) for u, v in np.argwhere(np.triu((adj | adj.T) == 0, 1)))
     assert g.non_neighbour_pairs() == unjoined
     assert g.first_non_neighbour_pair() == (unjoined[0] if unjoined else None)
+
+
+def test_first_unjoined_pair_scans_one_band(monkeypatch):
+    monkeypatch.setattr(digraph, "_TILE", 8)
+    adj = _tournament(np.random.default_rng(40), 40)
+    adj[3, 5] = adj[5, 3] = 0
+    g = Digraph.from_matrix(adj)
+    calls = []
+    transpose8 = digraph._transpose8
+    monkeypatch.setattr(digraph, "_transpose8", lambda x: calls.append(x.shape) or transpose8(x))
+    assert g.first_non_neighbour_pair() == (3, 5)
+    assert calls == [(5, 8, 1)]  # band 0 of 5: its columns below, as blocks
 
 
 def _forgeries(n, tile):
