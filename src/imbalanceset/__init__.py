@@ -9,13 +9,13 @@ equal-sum sequence search that powers the even case, and brute-force
 oracles for independent verification.
 
 Import boundary: the verdict is arithmetic (sign, parity, the 2-adic
-rule and a search over small integers), so numpy is loaded only by code
-that builds, writes, reads or checks a matrix: :mod:`.digraph`,
-:mod:`.formats` and :mod:`.oracle` at import, and
-:func:`~imbalanceset.realize.max_realization`, ``add_arcs`` and the
-certificate check of ``decide_tis`` when they run.  The names below are
-exported lazily (PEP 562): ``import imbalanceset`` loads no submodule,
-and each name loads only its own module on first use.  So
+rule and a search over small integers), so numpy is loaded only by the
+modules that build, write, read or check a matrix, at import:
+:mod:`.digraph`, :mod:`.realize` (so every name it exports, such as
+``max_arc_count``), :mod:`.formats` and :mod:`.oracle`; :mod:`.tis`
+imports :mod:`.realize` only to build a certificate.  The names below
+are exported lazily (PEP 562): ``import imbalanceset`` loads no
+submodule, and each name loads only its own module on first use.  So
 ``decide_tis`` without a certificate, ``order_upper_bound`` and the CLI
 commands other than ``realize`` and ``verify`` (or ``--budget``) never
 import numpy.
@@ -40,8 +40,8 @@ _EXPORTS = {
     "REFUSAL_ONE_SIDED": "tis",
     "ResourceLimitError": "errors",
     "TisDecision": "tis",
-    "add_apex_zero": "tis",
-    "add_arcs": "tis",
+    "add_apex_zero": "realize",
+    "add_arcs": "realize",
     "brute_min_order": "oracle",
     "brute_zero_sum_min_odd": "oracle",
     "canonical_sequence": "sequences",

@@ -71,6 +71,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import takewhile
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import ESSEQ_SUM_CAP, SEARCH_WORK_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
@@ -314,19 +315,29 @@ def solve_esseq(
     such pair exists.  The witness is canonical: smallest achievable
     common sum, then fewest terms per side, then lexicographically
     smallest terms.
+
+    The reachable-sum tables, and ESSEQ_SUM_CAP, stop at a bound on the
+    least common sum: max_repeats times the smaller side sum, or, when
+    g = gcd(x0, y0) of the least positive members x0, y0 has
+    max(x0, y0)/g <= max_repeats, the sum of y0/g copies of x0 and of
+    x0/g copies of y0, lcm(x0, y0) = max(x0, y0)/g * min(x0, y0), which
+    is no larger.
     """
     if max_repeats < 1:
         raise ValueError("repetition cap must be at least 1")
     xs = _validate_side(x_values, "x side", even=False)
     ys = _validate_side(y_values, "y side", even=False)
 
-    cap = max_repeats * min(sum(xs), sum(ys))
-    if cap > ESSEQ_SUM_CAP:
-        raise ResourceLimitError(f"equal-sum table of {cap} sums exceeds the cap")
-
     # Sum 0 is witnessable only by the zero element itself.
     if 0 in xs and 0 in ys:
         return EqualSumWitness((0,), (0,), 0)
+
+    cap = max_repeats * min(sum(xs), sum(ys))
+    x0, y0 = (next((v for v in side if v > 0), 0) for side in (xs, ys))  # sides ascend
+    if x0 and y0 and max(x0, y0) // gcd(x0, y0) <= max_repeats:
+        cap = lcm(x0, y0)
+    if cap > ESSEQ_SUM_CAP:
+        raise ResourceLimitError(f"equal-sum table of {cap} sums exceeds the cap")
 
     reach_x = _bounded_sum_rows(xs, max_repeats, cap + 1)
     reach_y = _bounded_sum_rows(ys, max_repeats, cap + 1)

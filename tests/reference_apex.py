@@ -1,4 +1,4 @@
-"""The apex completion that imbalanceset.tis.add_apex_zero replaced.
+"""The apex completion that imbalanceset.realize.add_apex_zero replaced.
 
 Kept only as the reference for the differential test: ``add_apex_zero``
 now calls ``add_arcs`` with the degenerate witness ([0], []), and this

@@ -1,4 +1,4 @@
-"""The completion that imbalanceset.tis.add_arcs replaced.
+"""The completion that imbalanceset.realize.add_arcs replaced.
 
 Kept only as the reference for the differential test: it lays out the
 counterbalancing roles of every (pair, new vertex) cell at once, in

@@ -440,6 +440,10 @@ class TestEqualSum:
         assert code == 1 and out == ""
         assert f"error: argument --k: must be at least 1, got {k}" in err
 
+    def test_repeat_cap_above_the_sum_cap(self, capsys):
+        code, out, _ = run(capsys, "equal-sum", "1", "1", "--k", "100000000")
+        assert code == 0 and out.strip() == "xs=[1] ys=[1] sum=1"
+
     def test_long_witness(self, capsys):
         code, out, _ = run(capsys, "equal-sum", "1", "1000", "--k", "1000", "--json")
         assert code == 0
@@ -466,13 +470,21 @@ class TestUsage:
             assert decide_code == realize_code, literal
 
     def test_realize_emits_parseable_output_in_all_formats(self, tmp_path, capsys):
+        # The one-vertex tournament of {0}, byte for byte in each format.
+        zero = {
+            "dot": b"digraph {\n  0;\n}\n",
+            "edgelist": b"# tournament n=1\n",
+            "json": b'{"n": 1, "arcs": [], "imbalance_sequence": [0], "imbalance_set": [0]}\n',
+        }
         for kind in ("dot", "edgelist", "json"):
             path = tmp_path / f"g.{kind}"
-            code, _, _ = run(
-                capsys, "realize", "1,-1", "--format", kind, "--out", str(path)
-            )
-            assert code == 0
-            assert parse(path.read_text(), kind).n == 2
+            for literal, n in (("1,-1", 2), ("0", 1)):
+                code, _, _ = run(
+                    capsys, "realize", literal, "--format", kind, "--out", str(path)
+                )
+                assert code == 0
+                assert parse(path.read_text(), kind).n == n
+            assert path.read_bytes() == zero[kind]
 
 
 class TestLeadingMinus:

@@ -87,6 +87,19 @@ class TestSolveEsseq:
         w = solve_esseq({1}, {1000}, 1000)
         assert w.xs == (1,) * 1000 and w.ys == (1000,) and w.common_sum == 1000
 
+    def test_tables_stop_at_the_least_members_common_multiple(self):
+        # y0/g copies of x0 against x0/g copies of y0 bound the least
+        # common sum by lcm(x0, y0), far below max_repeats * min side sum.
+        assert solve_esseq({1}, {1}, 10**8) == EqualSumWitness((1,), (1,), 1)
+        assert solve_esseq({6, 10}, {15}, 10**7) == EqualSumWitness((10, 10, 10), (15, 15), 30)
+
+    def test_zero_on_both_sides_needs_no_table(self):
+        assert solve_esseq({0, 10**9}, {0, 10**9}, 10**8) == EqualSumWitness((0,), (0,), 0)
+
+    def test_a_common_multiple_beyond_the_cap_is_refused(self):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            solve_esseq({2**30 + 1}, {2**30}, 2**31)
+
 
 class TestMinOddEqualSum:
     def test_one_against_two(self):

@@ -26,6 +26,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     code = main({argv!r})
 print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules}}))
 """
+# What only a matrix needs: numpy, and the modules that build or check one.
+MATRIX_MODULES = ("numpy", "imbalanceset.digraph", "imbalanceset.realize")
+MATRIX_LOADED = f"[m for m in {MATRIX_MODULES!r} if m in sys.modules]"
 
 
 def _fresh(code: str) -> dict:
@@ -53,16 +56,17 @@ class TestImportBoundary:
         ],
     )
     def test_commands_without_a_matrix_never_load_numpy(self, argv, code):
-        assert _fresh(CLI_CALL.format(argv=argv)) == {"code": code, "numpy": False}
+        probe = f"print(json.dumps([code, {MATRIX_LOADED}]))\n"
+        assert _fresh(CLI_CALL.format(argv=argv) + probe) == [code, []]
 
     def test_library_decision_and_bound_never_load_numpy(self):
         got = _fresh(
             "import json, sys, imbalanceset\n"
             "d = imbalanceset.decide_tis({4, -6})\n"
             "b = imbalanceset.order_upper_bound({4, -6})\n"
-            "print(json.dumps([d.verdict, d.order, b, 'numpy' in sys.modules]))"
+            f"print(json.dumps([d.verdict, d.order, b, {MATRIX_LOADED}]))"
         )
-        assert got == [True, 15, 19, False]
+        assert got == [True, 15, 19, []]
 
     def test_realize_loads_numpy_and_writes_the_golden_file(self, tmp_path):
         out = tmp_path / "built.dot"

@@ -17,7 +17,7 @@ import pytest
 
 import reference_digraph
 from imbalanceset import Digraph, digraph
-from imbalanceset.tis import _verified_certificate
+from imbalanceset.realize import _verified_certificate
 
 ORDERS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70)
 TILES = (8, 16, 24, 512)  # bands of 1, 2, 3 and 64 block rows

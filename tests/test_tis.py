@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import imbalanceset.digraph
+import imbalanceset.realize
 import imbalanceset.tis
 import reference_apex
 from conftest import triangle_cycle
@@ -35,6 +36,7 @@ class TestDecide:
         d = decide_tis({0}, with_certificate=True)
         assert d.verdict and d.order == 1
         assert d.certificate.n == 1
+        assert d.certificate == Digraph(1)
 
     def test_example_even_pair_is_refused(self):
         d = decide_tis({6, -10})
@@ -136,7 +138,7 @@ class TestDecide:
         def no_matrix(*args):
             raise AssertionError("no base matrix may be built")
 
-        monkeypatch.setattr(imbalanceset.digraph, "_zeros", no_matrix)
+        monkeypatch.setattr(imbalanceset.realize, "_zeros", no_matrix)
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="order 45009 "):
             realize_imbalance_set({4, -30002})
@@ -295,7 +297,7 @@ class TestCertificateCheck:
         forged = Digraph._from_bits(np.packbits(adj, axis=1, bitorder="little"))
         assert forged.is_tournament() and forged.imbalance_set() == {1, -1}
         with pytest.raises(AssertionError, match="opposing"):
-            imbalanceset.tis._verified_certificate(forged, frozenset({1, -1}), 4)
+            imbalanceset.realize._verified_certificate(forged, frozenset({1, -1}), 4)
 
     def test_rejects_a_missing_pair(self):
         # A transitive tournament of order 4 without its arc 0 -> 3: a
@@ -304,7 +306,7 @@ class TestCertificateCheck:
         adj[0, 3] = 0
         forged = Digraph.from_matrix(adj)
         with pytest.raises(AssertionError, match="certificate is not a tournament"):
-            imbalanceset.tis._verified_certificate(forged, frozenset({2, 1, -1, -3}), 4)
+            imbalanceset.realize._verified_certificate(forged, frozenset({2, 1, -1, -3}), 4)
 
 
 class TestOrderBounds:

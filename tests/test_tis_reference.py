@@ -1,7 +1,7 @@
 """The interval completion against the whole-array completion it replaced.
 
 ``reference_tis.add_arcs`` lays out the roles of every (pair, new
-vertex) cell at once; ``tis.add_arcs`` writes each row as a few
+vertex) cell at once; ``realize.add_arcs`` writes each row as a few
 intervals, band by band of rows, and the new -> base block as its
 transposed complement.  Both must return the same matrix bytes, or fail
 with the same exception type and message.  Every input also runs with
@@ -34,7 +34,6 @@ from imbalanceset import (
     digraph,
     max_realization,
     realize,
-    tis,
 )
 
 # Band bytes, flush stretches and the largest matrix set as one int:
@@ -65,7 +64,7 @@ def _assert_same_for_every_size(report, witness, seq=None):
             mp.setattr(digraph, "_SMALL", small)
             if seq is not None:
                 assert max_realization(seq) == report, (fill, flush, small)
-            assert _digest(tis.add_arcs, report, witness) == expected, (witness, fill, flush, small)
+            assert _digest(realize.add_arcs, report, witness) == expected, (witness, fill, flush, small)
             splits += _splits_an_owner(report.non_neighbour_pairing, witness, fill)
     return expected, splits
 
@@ -191,7 +190,7 @@ def test_random_near_tournaments_with_crowded_pairs(n_pairs, seed, data):
 def _forged_witness(xs, ys, common):
     """A witness whose common sum disagrees with its sides, which the
     constructor refuses; only such a witness can overload the clique
-    (see the feasibility argument of the tis docstring)."""
+    (see the feasibility argument of the realize docstring)."""
     witness = EqualSumWitness(xs, ys, sum(xs))
     object.__setattr__(witness, "common_sum", common)
     return witness
