@@ -17,16 +17,38 @@ residual in-demand (ties to the lower id), and the remaining candidates
 send arcs in.  Candidates whose residual demand forces a direction are
 honoured first.
 
+The quota identity.  Vertex v starts with out-quota
+floor((n - 1 + t_v) / 2), free slot (n - 1 + t_v) mod 2 and in-quota
+n - 1 less both (the out-quota less t_v); o(v), r(v) and f(v) are what
+is left of them.  Step i takes exactly one unit from each v > i: r(v)
+if v receives from i, o(v) if v sends to i, f(v) if v is i's partner.
+So before step i every unprocessed v has
+
+    o(v) + r(v) + f(v) = n - 1 - i,
+
+and the greedy keeps only o and f, reading r(v) as n - 1 - i - o(v) -
+f(v).  At its own step i has n - 1 - i - f(i) candidates, of which the
+balance guard lets exactly o(i) receive (the forced ones and ``extra``
+flexible ones, 0 <= extra <= the flexible count), so the other r(i)
+send: i spends both quotas and its imbalance is t_i, with nothing left
+to check at the end.  No residual goes below zero: a candidate with
+o = 0 receives, one with r = 0 sends, and none has both, as o + r =
+n - 1 - i - f >= 1 unless v = n - 1 is free and i's only candidate.
+It is not: the free vertices are even in number (their count has the
+parity of the sum of all n - 1 + t_v, n(n - 1)), and each step takes
+zero or two of them off the unprocessed ones, so then i is free and v
+its partner.
+
 The steps run over runs, not vertices.  Equal entries get equal
 quotas, and a step treats the vertices of one state alike except at a
 cut, so the unprocessed vertices form runs of consecutive ids with
-equal state (residual out-quota, residual in-quota, free slot), kept
-in plain lists.  A step takes its vertex off the head run, splits off
-the partner, takes flexible runs whole in (in-demand descending, start
-ascending) order and splits at most the run where its out-quota ends,
-which picks the same receivers as ranking single vertices, and merges
-neighbouring runs of equal state.  :func:`_step` is that step, and the
-only code that makes a greedy decision.
+equal state (residual out-quota, free slot), kept in plain lists.  A
+step takes its vertex off the head run, splits off the partner, takes
+flexible runs whole in (in-demand descending, start ascending) order
+and splits at most the run where its out-quota ends, which picks the
+same receivers as ranking single vertices, and merges neighbouring runs
+of equal state.  :func:`_step` is that step, and the only code that
+makes a greedy decision.
 
 Rows are written once, then mirrored, as :mod:`imbalanceset.digraph`
 lays down.  In :func:`_upper_rows`, row i gets only its upper cells:
@@ -40,19 +62,20 @@ arrays affine in the period (below).  Then one
 for the partner, whose pair is then cleared.
 
 The greedy fast-forwards over affine stretches.  Write the state
-before step i as the integer vector v = (i, quota left over, then
-start, stop, rem_out, rem_in of each run), with the runs' free flags
-beside it.  On a canonical expansion v moves by one delta every
-``_PERIOD`` = 2 steps over long stretches.  When the last two periods
-kept the run count and free flags and moved v by the same delta,
-:func:`_fast_forward` runs the greedy's next two periods traced, on
-ints that log every difference they compare (sorting and run positions
-included): period 0 from v0 and, once it has ended at v0 + delta,
-period 1 from there.  If both compare with the same signs and period 1
-ends at v0 + 2 * delta, it skips periods 0..K for the K below, writing
-their rows by formula.  Detection compares run counts first, so a step
-with no candidate costs O(1) more; the all-distinct transitive sequence
-never repeats its run count and runs every step.
+before step i as the integer vector v = (i, then start, stop, rem_out
+of each run), with the runs' free flags beside it; a run's in-demand,
+n - 1 - i - rem_out - free, is affine in v too.  On a canonical
+expansion v moves by one delta every ``_PERIOD`` = 2 steps over long
+stretches.  When the last two periods kept the run count and free
+flags and moved v by the same delta, :func:`_fast_forward` runs the
+greedy's next two periods traced, on ints that log every difference
+they compare (sorting and run positions included): period 0 from v0
+and, once it has ended at v0 + delta, period 1 from there.  If both
+compare with the same signs and period 1 ends at v0 + 2 * delta, it
+skips periods 0..K for the K below, writing their rows by formula.
+Detection compares run counts first, so a step with no candidate costs
+O(1) more; the all-distinct transitive sequence never repeats its run
+count and runs every step.
 
 Why the skip is exact.  Fix the comparison path of periods 0 and 1.
 Along it, a step only adds and subtracts state entries and constants,
@@ -81,7 +104,7 @@ completable: the theorem above gives a realization with these quotas.
 * Orientation step, proved.  Let D complete the state after v is
   paired, and b(c) be candidate c's residual in-demand.  In D a
   candidate with no out-demand left receives from v and one with no
-  in-demand left sends to v, so the balance guard below cannot fire.
+  in-demand left sends to v, so the balance guard cannot fire.
   Take D agreeing with the greedy receivers G on the most candidates,
   with v -> c for some c outside G and c' -> v for some c' in G; both
   are unforced, so b(c') >= b(c).  A path c ~> c' in D - v, reversed
@@ -98,9 +121,9 @@ completable: the theorem above gives a realization with these quotas.
   finished on all 168,789 digraph imbalance sequences of orders 1-10
   and on the canonical expansions of all 2,891 one-parity two-signed
   2- to 4-member sets from {-14..14} with n <= 300.
-A failed step raises :class:`RealizationError`.  Each arc set takes one
-unit from its tail's out-quota and its head's in-quota, so the closing
-guard that every residual quota is zero proves the built imbalances.
+A failed step, with no free partner or failing the balance guard,
+raises :class:`RealizationError`; a finished greedy has built the
+imbalances t, by the quota identity.
 
 Completion mechanics (:func:`add_arcs`): the k = a + b new vertices,
 the members of an equal-sum pair with odd total length k, first form a
@@ -175,10 +198,11 @@ _FLUSH = 1 << 13
 # has period 2; a stretch of another period runs step by step).
 _PERIOD = 2
 
-# A run (start, stop, rem_out, rem_in, free) of unprocessed vertices, and
-# the greedy's state before a step: (vertex, quota left over, runs).
-_Run = tuple[int, int, int, int, bool]
-_State = tuple[int, int, list[_Run]]
+# A run (start, stop, rem_out, free) of unprocessed vertices, and the
+# greedy's state before a step: (vertex, runs).  Before step i, a run's
+# residual in-quota is n - 1 - i - rem_out - free (module docstring).
+_Run = tuple[int, int, int, bool]
+_State = tuple[int, list[_Run]]
 
 
 class RealizationError(RuntimeError):
@@ -264,8 +288,8 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
             _fill(bits, *map(np.concatenate, zip(*chunks)))
             chunks.clear()
 
-    # The unprocessed vertices as maximal runs (start, stop, rem_out,
-    # rem_in, free) of equal state, in id order; vertex i heads runs[0].
+    # The unprocessed vertices as maximal runs (start, stop, rem_out, free)
+    # of equal state, in id order; vertex i heads runs[0].
     # Vertex i has out-quota (n - 1 + t_i) // 2 and is free (misses the
     # parity of n - 1) when n - 1 + t_i is odd, so equal entries have
     # equal states and the runs are those of seq.
@@ -274,10 +298,10 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
     for t, group in groupby(seq):
         stop = start + len(list(group))
         out, free = divmod(n - 1 + operator.index(t), 2)
-        runs.append((start, stop, out, n - 1 - free - out, bool(free)))
+        runs.append((start, stop, out, bool(free)))
         start = stop
     # The state, and the states the last plain steps reached.
-    now: _State = (0, 0, runs)
+    now: _State = (0, runs)
     seen: deque[_State] = deque([now], maxlen=2 * _PERIOD + 1)
     while now[0] < n:
         delta = _repeating(seen, n)
@@ -302,57 +326,51 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
                 write(_FLUSH)
             seen.clear()
         else:
-            i, residual, runs = now
-            runs, recv, partner, left = _step(i, runs, n)
+            i, runs = now
+            runs, recv, partner = _step(i, runs, n)
             rows += [i] * (len(recv) // 2)
             ends += recv
             if partner >= 0:
                 pairing.append((i, partner))
             if len(rows) >= _FLUSH:
                 write(0)
-            now = (i + 1, residual + left, runs)
+            now = (i + 1, runs)
         seen.append(now)
 
-    if now[1]:
-        raise RealizationError("residual quotas did not close")
     write(0)
     return tuple(pairing)
 
 
-def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int, int]:
+def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int]:
     """One greedy step, the only code that makes a greedy decision:
     vertex i, the head of ``runs``, is joined to every later vertex.
     Returns the runs after the step (``runs`` itself is not changed),
     row i's receiver stretches [lo, hi) in id order, flattened as
-    [lo, hi, lo, hi, ...], i's non-neighbour partner (-1 for none) and
-    the quota the step leaves over (0 unless the balance fails).
+    [lo, hi, lo, hi, ...], and i's non-neighbour partner (-1 for none).
+    A candidate's residual in-demand is unproc - rem_out - free, by the
+    quota identity of the module docstring.
     """
-    _, stop, need_recv, need_send, free = runs[0]
+    _, stop, need_recv, free = runs[0]
     unproc = n - 1 - i
-    assert need_recv + need_send + free == unproc
     runs = runs[1:] if stop == i + 1 else [(i + 1, *runs[0][1:]), *runs[1:]]
 
     partner = -1
     if free:
-        at = next((k for k, run in enumerate(runs) if run[4]), None)
+        at = next((k for k, run in enumerate(runs) if run[3]), None)
         if at is None:
             raise RealizationError(f"no free non-neighbour slot for vertex {i}")
-        partner, p_stop, p_out, p_in, _ = runs[at]
-        tail = [(partner + 1, p_stop, p_out, p_in, True)] if p_stop > partner + 1 else []
-        runs[at : at + 1] = [(partner, partner + 1, p_out, p_in, False), *tail]
-
-    cand_size = unproc - (partner >= 0)
-    if cand_size == 0:
-        return runs, [], partner, need_recv + need_send
-    assert need_recv + need_send == cand_size
+        partner, p_stop, p_out, _ = runs[at]
+        tail = [(partner + 1, p_stop, p_out, True)] if p_stop > partner + 1 else []
+        runs[at : at + 1] = [(partner, partner + 1, p_out, False), *tail]
 
     forced = flex_size = 0
     flex = []
-    for s, e, o, r, _ in runs:
+    for s, e, o, f in runs:
         if s == partner:
             continue
-        # Neither residual left would let the run take no arc at all;
-        # the per-vertex bookkeeping identity rules that out here.
+        r = unproc - o - f
+        # Neither residual left would let the run take no arc at all; the
+        # identity and the even count of free vertices rule that out.
         assert o or r
         if o == 0:
             forced += e - s
@@ -381,10 +399,11 @@ def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int,
     # [lo, hi) of receivers, row i's arcs out.
     new: list[_Run] = []
     recv: list[int] = []
-    for s, e, o, r, f in runs:
+    for s, e, o, f in runs:
         if s == partner:
-            pieces = ((s, e, o, r, False),)
+            pieces = ((s, e, o, False),)
         else:
+            r = unproc - o - f
             if o == 0:
                 t = e
             elif r == 0:
@@ -395,8 +414,8 @@ def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int,
                 t = s + cut_take
             else:
                 t = s
-            pieces = ((s, t, o, r - 1, True), (t, e, o - 1, r, False))
-        for lo, hi, po, pr, receives in pieces:
+            pieces = ((s, t, o, True), (t, e, o - 1, False))
+        for lo, hi, po, receives in pieces:
             if lo == hi:
                 continue
             if receives and recv and recv[-1] == lo:
@@ -404,27 +423,25 @@ def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int,
             elif receives:
                 recv += lo, hi
             last = new[-1] if new else None
-            if last and last[2] == po and last[3] == pr and last[4] == f:
-                new[-1] = (last[0], hi, po, pr, f)
+            if last and last[2] == po and last[3] == f:
+                new[-1] = (last[0], hi, po, f)
             else:
-                new.append((lo, hi, po, pr, f))
-    left = need_send - (cand_size - need_recv)
-    assert left == 0
-    return new, recv, partner, abs(left)
+                new.append((lo, hi, po, f))
+    return new, recv, partner
 
 
 def _vector(state: _State) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """A state as plain ints (i, residual, then s, e, o, r of each run)
-    and the runs' free flags."""
-    i, residual, runs = state
-    vec = (int(i), int(residual), *(int(x) for run in runs for x in run[:4]))
-    return vec, tuple(run[4] for run in runs)
+    """A state as plain ints (i, then s, e, o of each run) and the runs'
+    free flags."""
+    i, runs = state
+    vec = (int(i), *(int(x) for run in runs for x in run[:3]))
+    return vec, tuple(run[3] for run in runs)
 
 
 def _state(vec: Iterable[int], flags: tuple[bool, ...]) -> _State:
     """The inverse of :func:`_vector`."""
-    i, residual, *cells = vec
-    return i, residual, [(*cells[4 * j : 4 * j + 4], f) for j, f in enumerate(flags)]
+    i, *cells = vec
+    return i, [(*cells[3 * j : 3 * j + 3], f) for j, f in enumerate(flags)]
 
 
 def _repeating(seen: deque[_State], n: int) -> tuple[int, ...] | None:
@@ -435,7 +452,7 @@ def _repeating(seen: deque[_State], n: int) -> tuple[int, ...] | None:
     if len(seen) < 2 * _PERIOD + 1 or n - seen[-1][0] < 2 * _PERIOD:
         return None
     first, mid, last = seen[-1 - 2 * _PERIOD], seen[-1 - _PERIOD], seen[-1]
-    if not len(first[2]) == len(mid[2]) == len(last[2]):
+    if not len(first[1]) == len(mid[1]) == len(last[1]):
         return None
     (a, fa), (b, fb), (c, fc) = map(_vector, (first, mid, last))
     delta = tuple(map(sub, c, b))
@@ -493,20 +510,20 @@ def _trace(
     now = _state(map(traced, vec), flags)
     partners, ends, steps = [], [], []
     for s in range(_PERIOD):
-        i, residual, runs = now
-        runs, recv, partner, left = _step(i, runs, n)
+        i, runs = now
+        runs, recv, partner = _step(i, runs, n)
         partners.append(int(partner))
         ends += map(int, recv)
         steps += [s] * (len(recv) // 2)
-        now = (i + 1, residual + left, runs)
+        now = (i + 1, runs)
     return _vector(now), partners + ends, steps, diffs
 
 
 def _tracer() -> type:
     """A fresh int type for :func:`_trace`.  Sums, differences and
-    negations of its values are traced values, and each comparison,
-    truth test or absolute value appends the difference it tests to the
-    class's ``diffs``.  An equality that Python settles by identity (one
+    negations of its values are traced values, and each comparison or
+    truth test appends the difference it tests to the class's
+    ``diffs``.  An equality that Python settles by identity (one
     object in both tuples) logs nothing, and holds along the whole path,
     which makes the same objects."""
 
@@ -525,7 +542,6 @@ def _tracer() -> type:
         __gt__ = lambda a, b: a.diff(b) > 0
         __ge__ = lambda a, b: a.diff(b) >= 0
         __bool__ = lambda a: a.diff(0) != 0
-        __abs__ = lambda a: -a if a < 0 else a
         __neg__ = lambda a: Traced(-int(a))
         __add__ = __radd__ = lambda a, b: Traced(int.__add__(a, b))
         __sub__ = lambda a, b: Traced(int.__sub__(a, b))

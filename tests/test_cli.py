@@ -50,6 +50,11 @@ class TestDecide:
         assert code == 2
         assert json.loads(out)["brute_zero_sum_min_odd"] is None
 
+    def test_budget_must_be_an_int(self, capsys):
+        code, out, err = run(capsys, "decide", "4,-6", "--budget", "x")
+        assert code == 1 and out == ""
+        assert "invalid int value: 'x'" in err
+
     def test_budget_is_a_length_not_a_magnitude_limit(self, capsys):
         code, out, _ = run(capsys, "decide", "66,-2", "--budget", "3")
         assert code == 2
@@ -162,6 +167,25 @@ class TestRealize:
         assert head.startswith(b"digraph {\n")
         assert err == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
+    def test_closed_pipe_during_an_edge_list_is_a_write_error(self):
+        # Closed after a few bytes of an order-1503 edge list: stdout is
+        # silenced, so nothing fails again when the interpreter exits.
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "imbalanceset", "realize", "4,-998", "--format", "edgelist"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        head = child.stdout.read(8)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert head == b"# tourna"
+        assert err.startswith("error: cannot write standard output")
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     def test_missing_directory_is_a_write_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.dot"
         code, out, err = run(capsys, "realize", "4,2,-2", "--out", str(path))
@@ -202,6 +226,9 @@ class TestCheck:
     def test_unsorted_input_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "2,0,1", "--mode", "landau")
         assert code == 1 and "sort" in err
+
+    def test_condition_errors_carry_no_sort_hint(self, capsys):
+        assert run(capsys, "check", "-1,1", "--mode", "landau") == (1, "", "error: scores must be non-negative\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "check", "1,1,1", "--mode", "landau", "--json")

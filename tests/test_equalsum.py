@@ -57,6 +57,11 @@ class TestSolveEsseq:
     def test_zero_on_both_sides(self):
         assert solve_esseq({0, 3}, {0, 5}, 1) == EqualSumWitness((0,), (0,), 0)
 
+    def test_zero_on_one_side_only(self):
+        # A lone 0 adds no sum: the tables skip it, and it is no witness.
+        assert solve_esseq({0, 3}, {2}, 3) == EqualSumWitness((3, 3), (2, 2, 2), 6)
+        assert solve_esseq({0}, {5}, 1) is None
+
     def test_single_repeat_matches_subset_enumeration(self):
         # With the cap at 1 the problem degenerates to equal-sum subsets
         # from two sets; compare against plain subset enumeration.

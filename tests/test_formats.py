@@ -136,6 +136,8 @@ class TestDetect:
     def test_unknown_kind_is_an_error(self):
         with pytest.raises(ValueError, match="unknown format"):
             emit(triangle_cycle(), "gml")
+        with pytest.raises(ValueError, match="unknown format"):
+            parse("", "gml")
 
     @pytest.mark.parametrize("chunk", (formats._CHUNK, 1, 2))
     @pytest.mark.parametrize(
