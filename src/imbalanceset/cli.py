@@ -219,7 +219,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             _silence_stdout()
             raise ValueError(f"cannot write standard output: {exc}") from None
     # A certificate is a verified tournament: one out-degree pass.
-    seq = ",".join(map(str, sorted(_tournament_imbalances(graph).tolist(), reverse=True)))
+    seq = ",".join(map(str, sorted(_tournament_imbalances(graph.out_degrees()).tolist(), reverse=True)))
     print(f"order {graph.n}; imbalance sequence {seq}", file=sys.stderr if not args.out else sys.stdout)
     return EXIT_YES
 
@@ -260,7 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_NO
     # parse refused doubled pairs and self-loops, so one out-degree pass
     # decides the tournament and gives the imbalances.
-    imbalances = _tournament_imbalances(graph)
+    imbalances = _tournament_imbalances(graph.out_degrees())
     if imbalances is None:
         pair = graph.first_non_neighbour_pair()
         where = f" {pair}" if pair else ""

@@ -20,16 +20,18 @@ module knows that layout, and the little-endian 64-bit words that
 call block by block, and intervals of cells by :func:`_fill`.  Every
 construction writes upper cells (u, v), v > u, only; then one
 :func:`_mirror` pass over the whole graph writes each lower cell (v, u)
-as 1 - (u, v), and :func:`_clear_pairs` unjoins the pairs left so.
-:meth:`Digraph.from_matrix` packs and checks a finished matrix,
-``Digraph(n, arcs)`` delegates to ``from_arcs``, :meth:`Digraph.matrix`
-unpacks a copy of the cells, and instances are immutable.
+as 1 - (u, v), reads it back for doubled pairs and counts the
+out-degrees, and :func:`_clear_pairs` unjoins the pairs left so.
+:meth:`Digraph.from_matrix` packs a finished matrix and checks it with
+:func:`_check_packed`, the same pass without the write; ``Digraph(n,
+arcs)`` delegates to ``from_arcs``, :meth:`Digraph.matrix` unpacks a
+copy of the cells, and instances are immutable.
 
 Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
 packed rows is byte C of rows 8R .. 8R + 7.  :func:`_transpose8`
 transposes every block of an array with three delta swaps, and
 :func:`_flip` lays them out as the blocks of the transpose.  The
-transposed passes, :func:`_mirror`, :func:`_check_packed` and the
+transposed passes, :func:`_mirror` (with :func:`_check_packed`) and the
 unjoined-pair scans, walk the bands of ``_TILE`` rows of :func:`_bands`.
 """
 
@@ -165,12 +167,8 @@ class Digraph:
     # -- degrees and imbalances ------------------------------------------
 
     def out_degrees(self) -> np.ndarray:
-        """Row bit counts, ``_TILE`` rows at a time."""
-        n, step = self.n, _TILE
-        out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, step):
-            np.add.reduce(np.bitwise_count(self._bits[lo : lo + step]), axis=1, out=out[lo : lo + step])
-        return out
+        """Row bit counts, by :func:`_row_counts`."""
+        return _row_counts(self._bits, np.empty(self.n, dtype=np.int64))
 
     def in_degrees(self) -> np.ndarray:
         """Column sums of the rows, unpacked a block at a time."""
@@ -199,7 +197,7 @@ class Digraph:
 
         Decided by the arc-count rule proved in :func:`_tournament_imbalances`.
         """
-        return _tournament_imbalances(self) is not None
+        return _tournament_imbalances(self.out_degrees()) is not None
 
     def is_near_tournament(self) -> bool:
         """True iff n is even, n >= 2, and every vertex misses exactly one.
@@ -231,7 +229,9 @@ class Digraph:
         n = self.n
         for r0, upper, lower in _bands(self._bits):
             h = lower.shape[1]
-            free = ~(_blocks(upper) | _flip(lower))
+            # The lower columns flipped, transposed in place along their width
+            # (a whole number of words, see _transpose8), then moved.
+            free = ~(_blocks(upper) | _transpose8(_blocks(lower)).transpose(2, 1, 0))
             free[:, :, :h] &= _upper(h, diagonal=False)
             if n % 8:
                 free[:, :, -1] &= (1 << n % 8) - 1  # the columns past n - 1
@@ -337,39 +337,62 @@ def _first_doubled_pair(
     return DoubledPairError(f"duplicate arc ({u}, {v})")
 
 
-def _check_packed(bits: np.ndarray) -> None:
+def _check_packed(bits: np.ndarray) -> np.ndarray:
     """Refuse self-loops, then opposing pairs, in packed rows (whose
-    entries are bits, so 0 or 1).
+    entries are bits, so 0 or 1), and return their out-degrees: the
+    diagonal by :func:`_check_loops`, then the pair test and the row
+    counts of :func:`_mirror`, without its write."""
+    _check_loops(bits)
+    return _mirror(bits, write=False)
 
-    The diagonal is one gather of n bytes.  Opposing pairs are tested
-    over :func:`_bands`: a band's upper rows, flipped by :func:`_flip`,
-    must not meet its lower columns, so each pair is tested once with
-    its smaller endpoint in the band, on band-sized temporaries.
-    """
+
+def _check_loops(bits: np.ndarray) -> None:
+    """Refuse a self-loop in packed rows: one gather of n bytes."""
     v = np.arange(len(bits))
     if (bits[v, v >> 3] >> (v & 7) & 1).any():
         raise ValueError("self-loops are not allowed")
-    for _, upper, lower in _bands(bits):
-        if (_flip(upper) & _blocks(lower)).any():
-            raise ValueError("opposing arc pairs are not allowed")
 
 
-def _mirror(bits: np.ndarray) -> None:
-    """Set each lower cell (v, u), v > u, of the packed rows to 1 - (u, v).
+def _mirror(bits: np.ndarray, *, write: bool = True) -> np.ndarray:
+    """Set each lower cell (v, u), v > u, of the packed rows to 1 - (u, v),
+    refuse a doubled pair, and return the out-degrees: the one pass that
+    finishes a build.  Without ``write`` it only tests and counts, for
+    :func:`_check_packed`.
 
-    Over :func:`_bands`, each band's upper rows are flipped by
-    :func:`_flip` and complemented into its lower columns; in the band's
-    own square the upper cells and the diagonal are kept.  So every
-    write is a whole byte, no temporary is larger than a band, and no
-    cell is written twice.
+    Per band of :func:`_bands`, the band's upper rows are flipped once by
+    :func:`_flip`, and the complement is written into its lower columns,
+    keeping the upper cells and the diagonal of the band's own square.
+    So every write is a whole byte, no temporary is larger than a band,
+    and no cell is written twice.  Then the lower columns are read back
+    from ``bits``, not from the flip written, and met with that flip
+    below the square's diagonal: a set bit is a pair with both cells
+    set, and raises.  Last the band's rows are counted.
+
+    Why the tested and counted cells are final.  The band of columns
+    [c0, c1) writes only cells (v, c) with c0 <= c < c1 and v > c: lower
+    cells, each in the one band that holds its column.  So no upper cell
+    is written, and each pair u < v is tested in the band of u after
+    that band wrote (v, u), the only write to either cell.  The band's
+    rows are [c0, c1), and a later band writes only rows from its own
+    first column on, c1 or more, so the counted rows are final too.  The
+    diagonal is kept, not tested: with it zero, no pair holds two arcs,
+    and by :func:`_tournament_imbalances` the counts make a tournament
+    exactly when they sum to n(n - 1)/2.
     """
-    for _, upper, lower in _bands(bits):
+    out = np.empty(len(bits), dtype=np.int64)
+    for r0, upper, lower in _bands(bits):
         h = lower.shape[1]
-        low = np.invert(_flip(upper), order="C")
-        keep = _upper(h, diagonal=True)
-        low[:h] &= ~keep
-        low[:h] |= _blocks(lower[: 8 * h]) & keep
-        lower[...] = low.reshape(-1, h)[: len(lower)]
+        flip = _flip(upper).reshape(-1, h)[: len(lower)]  # as rows of the lower columns
+        keep = _upper(h, diagonal=True).reshape(-1, h)[: len(lower)]  # the square's rows
+        square = len(keep)
+        if write:
+            np.invert(flip[square:], out=lower[square:])
+            lower[:square] = lower[:square] & keep | ~flip[:square] & ~keep
+        # Read back: a set bit below the square's diagonal is a doubled pair.
+        if (flip[square:] & lower[square:]).any() or (flip[:square] & lower[:square] & ~keep).any():
+            raise ValueError("opposing arc pairs are not allowed")
+        _row_counts(bits[8 * r0 : 8 * r0 + len(upper)], out[8 * r0 : 8 * r0 + len(upper)])
+    return out
 
 
 def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -462,15 +485,18 @@ def _bands(bits: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
 
 def _flip(rows: np.ndarray) -> np.ndarray:
     """Packed rows as 8 x 8 blocks, each transposed and laid out as the
-    blocks of the transpose: for ``a`` rows of ``w`` bytes, a
-    (w, 8, ceil(a / 8)) view whose block (C, R) is block (R, C) of
-    ``rows`` transposed."""
-    return _transpose8(_blocks(rows)).transpose(2, 1, 0)
+    blocks of the transpose: for ``a`` rows of ``w`` bytes, a new
+    (w, 8, ceil(a / 8)) array whose block (C, R) is block (R, C) of
+    ``rows`` transposed.  The blocks are moved first, so that
+    :func:`_transpose8` runs along the rows' blocks, a whole number of
+    64-bit words for a band's rows."""
+    return _transpose8(np.ascontiguousarray(_blocks(rows).transpose(2, 1, 0)))
 
 
 def _transpose8(x: np.ndarray) -> np.ndarray:
     """Transpose in place each 8 x 8 bit block of ``x``, a contiguous
-    (blocks, 8, bytes) array as from :func:`_blocks`, and return it.
+    (blocks, 8, bytes) array as :func:`_blocks` makes it or
+    :func:`_flip` moves it, and return it.
 
     In a block, bit j of row i is cell (i, j).  Three delta swaps
     exchange cells (i, j + s) and (i + s, j) for every i and j with bit s
@@ -478,14 +504,21 @@ def _transpose8(x: np.ndarray) -> np.ndarray:
     then of each 4 x 4 square of 2 x 2 squares, then of the whole block.
     Row i + s is the partner row; the mask holds the bits j of each
     swap (0x55, 0x33, 0x0F).
+
+    The swaps run on the widest unsigned words, up to 64 bits, that
+    divide the last axis, with the mask repeated in every byte.  On
+    either byte order, the right shift by s carries bits across a byte
+    edge only into the top s bits of a byte, which the mask clears, and
+    the masked bits shift back left within their own byte.
     """
     h, _, w = x.shape
+    size = int(np.gcd(w, 8))  # bytes of a word
     for s, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
-        pairs = x.reshape(h, 4 // s, 2, s, w)
+        pairs = x.view(f"u{size}").reshape(h, 4 // s, 2, s, -1)
         top, bottom = pairs[:, :, 0], pairs[:, :, 1]
         t = top >> s
         t ^= bottom
-        t &= mask
+        t &= mask * 0x0101010101010101 >> 64 - 8 * size  # in every byte of a word
         bottom ^= t
         t <<= s
         top ^= t
@@ -514,6 +547,18 @@ def _upper(h: int, *, diagonal: bool) -> np.ndarray:
     return mask
 
 
+def _row_counts(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the set bits of each packed row into ``out``, ``_TILE`` rows
+    at a time, and return it.  A row's bits are summed in ``uint16`` when
+    it has fewer than 2**16 of them, as at every order the matrix cap
+    passes, else in ``uint32``: exact, and about twice as fast as a sum
+    in ``int64``."""
+    total = np.uint16 if 8 * rows.shape[1] < 1 << 16 else np.uint32
+    for lo in range(0, len(rows), _TILE):
+        np.add.reduce(np.bitwise_count(rows[lo : lo + _TILE]), axis=1, dtype=total, out=out[lo : lo + _TILE])
+    return out
+
+
 def _set_cells(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows and columns of the set cells of packed rows, in row-major order."""
     r, c = np.nonzero(bits)
@@ -526,8 +571,9 @@ def _bit(col: np.ndarray) -> np.ndarray:
     return np.left_shift(1, col & 7).astype(np.uint8)
 
 
-def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:
-    """Each vertex's imbalance, by id, if the graph is a tournament, else None.
+def _tournament_imbalances(out_deg: np.ndarray) -> np.ndarray | None:
+    """Each vertex's imbalance, by id, if the graph with these out-degrees
+    is a tournament, else None.
 
     The graph must be a simple oriented graph: every entry 0 or 1, the
     diagonal zero and no pair carrying two opposing arcs, as
@@ -540,8 +586,7 @@ def _tournament_imbalances(graph: Digraph) -> np.ndarray | None:
     and its imbalance out - in is 2 * out - (n - 1).  So one pass over
     the matrix, for the out-degrees, gives both answers.
     """
-    n = graph.n
-    out_deg = graph.out_degrees()
+    n = len(out_deg)
     if int(out_deg.sum()) != n * (n - 1) // 2:
         return None
     return 2 * out_deg - (n - 1)

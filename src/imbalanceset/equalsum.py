@@ -59,6 +59,16 @@ this cheap, and a fourth bounds its cost.
    And W <= n = l*M + m*L, as l = |X|, m = |Y|, M >= max|Y| and
    L >= max X, so a cap on W refuses no set with n up to the cap.
 
+5. *Two members, in closed form.*  Let Z = {x, -y}, x and y > 0 of
+   distinct valuations, and g = gcd(x, y).  A zero-sum multiset of a
+   copies of x and b of -y has a * x/g = b * y/g, and x/g and y/g are
+   coprime, so a = m * y/g and b = m * x/g for some m >= 1, and its
+   length is m * (x + y)/g.  By fact 1 exactly one cofactor is even, so
+   (x + y)/g is odd, and the length is odd exactly when m is.  So m = 1:
+   k = (x + y)/g, S = (y/g) * x = lcm(x, y), and the witness of length
+   k is unique, y/g copies of x against x/g copies of y.  The decision
+   takes both with no search and no tables.
+
 The witness itself is rebuilt from (k, S) with exact per-count
 reachability tables (bitmask rows, one per term count), which fix the
 lexicographic tie-break.  They take about k * S bits; their size is

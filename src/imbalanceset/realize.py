@@ -160,14 +160,16 @@ Every certificate takes one matrix: :func:`_certificate`, which
 :func:`~imbalanceset.tis.decide_tis` calls, allocates the packed
 (n + k)-order matrix, the greedy writes the base's upper cells into its
 top-left block, :func:`_complete` the rest when k > 0, and one mirror
-pass ends the build (odd sets and ``{0}``, whose sequence is (0,), have
-k = 0 and no unjoined pairs, so the base is the tournament).  So the
-peak of a build is that matrix ((n + k) * ceil((n + k) / 8) bytes), the
-intervals held at once (fewer than ``2 * _FLUSH`` receiver stretches in
-the greedy, O(n + S) in the completion) and the band buffer of
-``digraph._FILL`` bytes; the mirror and the certificate check add
-band-sized temporaries only.  Public :func:`add_arcs` takes a finished
-base report, so it holds the base and a grown copy of it.
+pass ends the build and checks it: it writes the lower cells, reads
+them back for doubled pairs and counts the out-degrees, from which
+:func:`_certified` finishes the check (odd sets and ``{0}``, whose
+sequence is (0,), have k = 0 and no unjoined pairs, so the base is the
+tournament).  So the peak of a build is that matrix ((n + k) *
+ceil((n + k) / 8) bytes), the intervals held at once (fewer than
+``2 * _FLUSH`` receiver stretches in the greedy, O(n + S) in the
+completion) and the band buffer of ``digraph._FILL`` bytes; the mirror
+pass adds band-sized temporaries only.  Public :func:`add_arcs` takes a
+finished base report, so it holds the base and a grown copy of it.
 
 Outputs are deterministic, which the golden-file tests rely on.
 """
@@ -179,13 +181,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .digraph import (
-    Digraph, _check_packed, _clear_pairs, _fill, _mirror, _place_arcs, _resized,
-    _tournament_imbalances, _zeros,
+    Digraph, _check_loops, _check_packed, _clear_pairs, _fill, _mirror, _place_arcs,
+    _resized, _tournament_imbalances, _zeros,
 )
 from .equalsum import EqualSumWitness
 from .sequences import digraph_imbalance_failure
@@ -619,8 +621,7 @@ def _certificate(
     pairing = _upper_rows(seq, bits)
     if witness is not None:
         _complete(bits, pairing, witness)
-    _mirror(bits)
-    return _verified_certificate(Digraph._from_bits(bits), members, n + k)
+    return _certified(bits, members, n + k, _mirror)
 
 
 def _complete(
@@ -693,23 +694,37 @@ def _complete(
 def _verified_certificate(
     graph: Digraph, members: frozenset[int], order: int
 ) -> Digraph:
-    """The one check of every certificate: order, simple oriented graph,
-    every pair joined, and the exact imbalance set.
+    """The check of a finished certificate: :func:`_certified`, with
+    self-loops, then opposing pairs, refused and the rows counted by
+    :func:`~imbalanceset.digraph._check_packed`."""
+    return _certified(graph._bits, members, order, _check_packed)
 
-    Once :func:`~imbalanceset.digraph._check_packed` passes on the
-    packed rows (no self-loop, no opposing pair), the tournament test
-    and the imbalances take one pass of bit counts over the rows, by
-    :func:`~imbalanceset.digraph._tournament_imbalances`.
+
+def _certified(bits: np.ndarray, members: frozenset[int], order: int, finish: Callable) -> Digraph:
+    """The one check of every certificate, on its packed rows: order,
+    simple oriented graph, every pair joined, and the exact imbalance
+    set.
+
+    ``finish`` refuses a doubled pair and returns the out-degrees, from
+    the stored cells: for a build it is
+    :func:`~imbalanceset.digraph._mirror`, the pass that writes the
+    lower cells and so finishes the rows.  Its docstring proves that the
+    cells it tests and counts are final; then the diagonal, one gather
+    of n bytes, must be zero, and the arc count n(n - 1)/2 makes the
+    graph a tournament, whose imbalances the out-degrees give, by
+    :func:`~imbalanceset.digraph._tournament_imbalances`.  Every fault
+    raises, also under ``python -O``.
     """
-    if graph.n != order:
-        raise AssertionError(f"certificate order {graph.n}, expected {order}")
+    if len(bits) != order:
+        raise AssertionError(f"certificate order {len(bits)}, expected {order}")
     try:
-        _check_packed(graph._bits)
+        out_deg = finish(bits)
+        _check_loops(bits)
     except ValueError as exc:
         raise AssertionError(f"certificate is not a simple oriented graph: {exc}") from None
-    imbalances = _tournament_imbalances(graph)
+    imbalances = _tournament_imbalances(out_deg)
     if imbalances is None:
         raise AssertionError("certificate is not a tournament")
     if frozenset(imbalances.tolist()) != members:
         raise AssertionError("certificate imbalance set mismatch")
-    return graph
+    return Digraph._from_bits(bits)

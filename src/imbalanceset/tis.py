@@ -14,8 +14,9 @@ The decision pipeline, in order:
    members expand to a near tournament (n is even), which completes
    exactly when such a pair exists: when 0 is a member, by the pair
    ([0], []) with k = 1, or when the members do not all share one
-   2-adic valuation, with k the least odd zero-sum length (found by a
-   search capped on its work, at most n; proofs in :mod:`imbalanceset.equalsum`).
+   2-adic valuation, with k the least odd zero-sum length: in closed
+   form for two members, else found by a search capped on its work, at
+   most n (proofs in :mod:`imbalanceset.equalsum`).
 
 The verdict and the order are arithmetic and load no numpy.  The
 certificate is built, in one matrix, and checked by
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable
 
 from .equalsum import (
@@ -68,11 +70,13 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     Refusals name the first failing condition: "one-sided" (missing a
     positive or negative member), "mixed-parity", or "no-odd-equal-sum"
     (even members admit no odd-total equal-sum pair).  The verdict takes
-    O(|Z|) and never searches; only an even yes without 0 takes its
-    order from a breadth-first search over the Steinitz window (see
-    :mod:`imbalanceset.equalsum`).  With ``with_certificate`` the
-    equal-sum witness is rebuilt and a realizing tournament is built and
-    verified once, by :mod:`imbalanceset.realize`, before returning.
+    O(|Z|) and never searches; only an even yes without 0 of three or
+    more members takes its order from a breadth-first search over the
+    Steinitz window, and two members take order and witness in closed
+    form (facts 2 and 5 of :mod:`imbalanceset.equalsum`).  With
+    ``with_certificate`` the equal-sum witness is rebuilt and a
+    realizing tournament is built and verified once, by
+    :mod:`imbalanceset.realize`, before returning.
     Members must be integers: 1.5 raises TypeError.  Caps bound work,
     not answers: only the search for k (on its work, at most n by fact 4
     there) and, for a certificate, the orders n and n + k and the
@@ -93,6 +97,9 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         k, common = 0, 0
     elif 0 in members:
         k, common = 1, 0  # the pair ([0], [])
+    elif len(members) == 2:  # {x, -y}: fact 5
+        (x,), (y,) = parts.non_negative, parts.negative_abs
+        k, common = (x + y) // gcd(x, y), lcm(x, y)
     else:
         k, common = _shortest_odd_zero_sum(parts.non_negative[::-1], parts.negative_abs)
     if not with_certificate:
@@ -104,7 +111,9 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     if n == 0:  # {0}: the greedy builds the one-vertex tournament from (0,)
         return TisDecision(True, order=1, certificate=_certificate((0,), None, members))
     witness = None
-    if k:
+    if len(members) == 2 and k:  # the one witness of fact 5
+        witness = EqualSumWitness((x,) * (common // x), (y,) * (common // y), common)
+    elif k:
         witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
     cert = _certificate(canonical_sequence(parts), witness, members)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)

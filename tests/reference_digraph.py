@@ -9,13 +9,18 @@ program tests opposing pairs band by band on the packed rows.
 replaced: it scatters the arcs into a flat ``uint8`` order-n matrix, one
 byte a cell, where the program sets bits in packed rows.  Behaviour is
 exactly the replaced code's, including its error messages.
+
+``mirror`` is the mirror pass that ``digraph._mirror`` replaced: it
+writes each lower cell (v, u), v > u, as 1 - (u, v) band by band, with
+no test and no count, where the program also reads the written columns
+back for doubled pairs and returns the out-degrees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from imbalanceset.digraph import _first_doubled_pair
+from imbalanceset.digraph import _bands, _blocks, _first_doubled_pair, _flip, _upper
 
 
 def validate_matrix(adj: np.ndarray) -> None:
@@ -53,3 +58,13 @@ def _distinct(keys: np.ndarray) -> bool:
         return True
     ranked = np.sort(keys)
     return not (ranked[1:] == ranked[:-1]).any()
+
+
+def mirror(bits: np.ndarray) -> None:
+    for _, upper, lower in _bands(bits):
+        h = lower.shape[1]
+        low = np.invert(_flip(upper), order="C")
+        keep = _upper(h, diagonal=True)
+        low[:h] &= ~keep
+        low[:h] |= _blocks(lower[: 8 * h]) & keep
+        lower[...] = low.reshape(-1, h)[: len(lower)]

@@ -101,10 +101,16 @@ class TestDecide:
         assert code == 1 and "duplicates" in err
 
     def test_resource_cap(self, capsys):
-        # Both need the odd zero-sum search, whose work exceeds its cap.
-        for literal in ("1000000,-2", "4,-1999998"):
+        # Both need the odd zero-sum search, whose work 2000006 exceeds its cap.
+        for literal in ("1000000,-2,-6", "4,-1999998,-6"):
             code, _, err = run(capsys, "decide", literal)
-            assert code == 3 and "resource cap" in err and "search" in err
+            assert code == 3 and "resource cap" in err and "search of work 2000006" in err
+
+    def test_two_members_are_not_capped(self, capsys):
+        # k and S in closed form: (x + y)/gcd(x, y) terms of sum lcm(x, y).
+        for literal, order in (("4,-1999998", 3000003), ("1000000,-2", 1500003)):
+            code, out, _ = run(capsys, "decide", literal)
+            assert code == 0 and f"order {order}" in out
 
     def test_answers_that_need_no_search_are_not_capped(self, capsys):
         t0 = time.perf_counter()

@@ -25,6 +25,7 @@ from imbalanceset import (
     canonical_sequence,
     decide_tis,
     max_realization,
+    min_odd_equal_sum,
     order_upper_bound,
     realize_imbalance_set,
 )
@@ -73,9 +74,33 @@ class TestDecide:
             decide_tis(set())
 
     def test_resource_cap(self):
-        # The search's work 1 * 2 + 1 * 10**6 exceeds SEARCH_WORK_CAP.
-        with pytest.raises(ResourceLimitError, match="search"):
-            decide_tis({10**6, -2})
+        # The search's work 1 * 6 + 2 * 10**6 exceeds SEARCH_WORK_CAP.
+        with pytest.raises(ResourceLimitError, match="search of work 2000006 exceeds the cap"):
+            decide_tis({10**6, -2, -6})
+
+    def test_two_members_need_no_search(self, monkeypatch):
+        # Fact 5 of the equalsum docstring: k = (x + y)/g, S = lcm(x, y),
+        # whose searches would pass the work cap.
+        def no_search(*args):
+            raise AssertionError("two members must not search")
+
+        monkeypatch.setattr(imbalanceset.tis, "_shortest_odd_zero_sum", no_search)
+        monkeypatch.setattr(imbalanceset.tis, "_lex_min_witness", no_search)
+        assert decide_tis({4, -1999998}).order == 2000002 + 1000001
+        assert decide_tis({10**6, -2}).order == 1000002 + 500001
+        d = decide_tis({12, -2}, with_certificate=True)
+        assert d.order == 14 + 7 and d.witness == EqualSumWitness((12,), (2,) * 6, 12)
+        assert d.certificate.imbalance_set() == {12, -2}
+
+    def test_two_members_match_the_search(self):
+        for x in range(2, 40, 2):
+            for y in range(2, 40, 2):
+                d = decide_tis({x, -y}, with_certificate=True)
+                witness = min_odd_equal_sum({x}, {y})
+                assert d.witness == witness, (x, y)
+                if witness is not None:
+                    n = ImbalanceSet.from_values({x, -y}).canonical_length
+                    assert d.order == n + witness.total_length, (x, y)
 
     def test_refusal_needs_no_search(self, monkeypatch):
         def no_search(*args):
@@ -92,8 +117,9 @@ class TestDecide:
         assert order_upper_bound({1, -1000001}) == 1000002
 
     def test_search_at_the_cap_runs(self):
-        # Work |X| * max|Y| + |Y| * max X = n = 999998, just under the cap.
-        assert decide_tis({500000, -499998}).order == 999998 + 499999
+        # Work |X| * max|Y| + |Y| * max X = 999998, just under the cap; k is
+        # 125001, one 250000 against 125000 twos (a pair would not search).
+        assert decide_tis({250000, -2, -499998}).order == 1000000 + 125001
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -307,6 +333,18 @@ class TestCertificateCheck:
         forged = Digraph.from_matrix(adj)
         with pytest.raises(AssertionError, match="certificate is not a tournament"):
             imbalanceset.realize._verified_certificate(forged, frozenset({2, 1, -1, -3}), 4)
+
+    def test_rejects_a_wrong_order(self):
+        # A right certificate for {3, -1}, checked against another order.
+        graph = realize_imbalance_set({3, -1})
+        assert imbalanceset.realize._verified_certificate(graph, frozenset({3, -1}), 4) == graph
+        with pytest.raises(AssertionError, match="certificate order 4, expected 5"):
+            imbalanceset.realize._verified_certificate(graph, frozenset({3, -1}), 5)
+
+    def test_rejects_a_wrong_member_set(self):
+        graph = realize_imbalance_set({3, -1})
+        with pytest.raises(AssertionError, match="certificate imbalance set mismatch"):
+            imbalanceset.realize._verified_certificate(graph, frozenset({3, -3}), 4)
 
 
 class TestOrderBounds:
