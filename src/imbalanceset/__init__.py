@@ -18,7 +18,9 @@ are exported lazily (PEP 562): ``import imbalanceset`` loads no
 submodule, and each name loads only its own module on first use.  So
 ``decide_tis`` without a certificate, ``order_upper_bound`` and the CLI
 commands other than ``realize`` and ``verify`` (or ``--budget``) never
-import numpy.
+import numpy.  Nor does that path load :mod:`inspect` (the record
+types are named tuples) or :mod:`json`, which only ``--json`` output
+and the JSON graph format import.
 """
 
 from importlib import import_module

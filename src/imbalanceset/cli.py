@@ -4,13 +4,13 @@ Subcommands: decide, realize, check, verify, bound, equal-sum.  Exit
 codes: 0 yes/pass, 2 no/fail, 1 usage or parse error, 3 resource cap
 exceeded.  Only ``realize`` and ``verify`` make a matrix, so only they
 import :mod:`imbalanceset.formats` (and with it numpy); the brute-force
-oracles are imported only when ``--budget`` runs them.
+oracles are imported only when ``--budget`` runs them, and :mod:`json`
+only when ``--json`` prints a document.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -115,6 +115,8 @@ def _print_answer(
         if budget is not None:
             print(f"{label}: {oracle()}")
         return
+    import json
+
     if budget is not None:
         try:
             doc[key] = oracle()
@@ -240,7 +242,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     seq = _parse_literal(args.seq_literal, "sequence")
     failure = _CONDITIONS[args.mode](seq)
     ok = failure is None
-    doc = {"mode": args.mode, "ok": ok, "failure": None if ok else vars(failure)}
+    doc = {"mode": args.mode, "ok": ok, "failure": None if ok else failure._asdict()}
     _print_answer(args, doc, "pass" if ok else f"fail: {_failure_text(failure)}")
     return EXIT_YES if ok else EXIT_NO
 

@@ -56,6 +56,13 @@ _CELLS = 1 << 20
 _FILL = 1 << 18
 _SMALL = 128
 
+
+class _NotOriented(ValueError):
+    """A self-loop or an opposing pair in packed rows: the two faults
+    that :func:`_check_loops` and :func:`_mirror` raise themselves, so
+    that a certificate check reports them and no other ValueError."""
+
+
 class Digraph:
     """Immutable simple oriented graph on vertices ``0 .. n-1``.
 
@@ -104,9 +111,9 @@ class Digraph:
         """Pack a square adjacency matrix (uint8) as a Digraph.
 
         Entries other than 0 or 1, then self-loops, then opposing pairs
-        are refused, each over the whole matrix, the last two in the
-        packed rows by :func:`_check_packed`.  The array itself is not
-        kept.
+        are refused, each over the whole matrix by a plain ValueError,
+        the last two in the packed rows by :func:`_check_packed`.  The
+        array itself is not kept.
         """
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
@@ -118,7 +125,10 @@ class Digraph:
         if adj.max(initial=0) > 1:
             raise ValueError("adjacency entries must be 0 or 1")
         bits = np.packbits(adj, axis=1, bitorder="little")
-        _check_packed(bits)
+        try:
+            _check_packed(bits)
+        except _NotOriented as exc:
+            raise ValueError(*exc.args) from None
         return cls._from_bits(bits)
 
     @classmethod
@@ -350,7 +360,7 @@ def _check_loops(bits: np.ndarray) -> None:
     """Refuse a self-loop in packed rows: one gather of n bytes."""
     v = np.arange(len(bits))
     if (bits[v, v >> 3] >> (v & 7) & 1).any():
-        raise ValueError("self-loops are not allowed")
+        raise _NotOriented("self-loops are not allowed")
 
 
 def _mirror(bits: np.ndarray, *, write: bool = True) -> np.ndarray:
@@ -390,7 +400,7 @@ def _mirror(bits: np.ndarray, *, write: bool = True) -> np.ndarray:
             lower[:square] = lower[:square] & keep | ~flip[:square] & ~keep
         # Read back: a set bit below the square's diagonal is a doubled pair.
         if (flip[square:] & lower[square:]).any() or (flip[:square] & lower[:square] & ~keep).any():
-            raise ValueError("opposing arc pairs are not allowed")
+            raise _NotOriented("opposing arc pairs are not allowed")
         _row_counts(bits[8 * r0 : 8 * r0 + len(upper)], out[8 * r0 : 8 * r0 + len(upper)])
     return out
 

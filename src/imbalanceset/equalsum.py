@@ -79,35 +79,39 @@ before they are built.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import takewhile
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ESSEQ_SUM_CAP, SEARCH_WORK_CAP, WITNESS_TABLE_BIT_CAP, ResourceLimitError
 
 
-@dataclass(frozen=True)
-class EqualSumWitness:
-    """Two equal-sum sequences, one per side, with their common sum.
-
-    xs is drawn from the non-negative side, ys from the magnitudes of
-    the negative side.  Both are stored sorted nondecreasing.
-    """
-
+class _Witness(NamedTuple):
     xs: tuple[int, ...]
     ys: tuple[int, ...]
     common_sum: int
 
-    def __post_init__(self) -> None:
-        if not self.xs and not self.ys:
+
+class EqualSumWitness(_Witness):
+    """Two equal-sum sequences, one per side, with their common sum, as
+    a named tuple.
+
+    xs is drawn from the non-negative side, ys from the magnitudes of
+    the negative side.  Both are stored sorted nondecreasing.  The
+    constructor refuses sides that do not sum to ``common_sum``;
+    ``_make`` and ``_replace`` do not check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, xs: tuple[int, ...], ys: tuple[int, ...], common_sum: int) -> EqualSumWitness:
+        if not xs and not ys:
             raise ValueError("witness sides cannot both be empty")
-        if sum(self.xs) != self.common_sum or (
-            self.ys and sum(self.ys) != self.common_sum
-        ):
+        if sum(xs) != common_sum or (ys and sum(ys) != common_sum):
             raise ValueError("witness sums do not match common_sum")
-        if self.ys == () and self.common_sum != 0:
+        if ys == () and common_sum != 0:
             raise ValueError("one-sided witness must have sum zero")
+        return super().__new__(cls, xs, ys, common_sum)
 
     @property
     def total_length(self) -> int:

@@ -60,13 +60,13 @@ floats.  The one read of a whole document is :func:`_load_json`: JSON
 whose head is not ``{"n": ..., "arcs": [``, whose arcs are not all plain
 integer pairs, or whose ``arcs`` key the scan cannot place (a second
 one, say), is read by ``json.loads`` whole, and its ids are scattered by
-the same code.
+the same code.  Only the code that writes or reads JSON imports
+:mod:`json`, so DOT and edge-list documents never load it.
 """
 
 from __future__ import annotations
 
 import io
-import json
 import re
 from itertools import chain
 from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
@@ -165,6 +165,8 @@ def _pieces(graph: Digraph, kind: str) -> Iterator[str]:
     elif kind == "edgelist":
         head, rows, tail = f"# tournament n={graph.n}\n", ("{u} ", "\n{u} ", "\n"), ""
     elif kind == "json":
+        import json
+
         head, rows, between = f'{{"n": {graph.n}, "arcs": [', ("[{u}, ", "], [{u}, ", "]"), ", "
         imbalances = graph.imbalances()
         tail = (
@@ -563,6 +565,8 @@ def _scan_json(fh: BinaryIO) -> Digraph | None:
     tail = fh.read()
     if b'"arcs"' in tail or b"\\" in tail:
         return None
+    import json
+
     try:
         # Decoded here, strictly: json.loads would let bytes pass surrogates.
         rest = (data[: lo - 1] + b"0" + tail[1:]).decode("utf-8")
@@ -592,6 +596,8 @@ def _last_pair_end(fh: BinaryIO, lo: int) -> int:
 
 def _load_json(text: str | bytes) -> Digraph:
     """Read the whole document with ``json.loads`` and place its arcs."""
+    import json
+
     if not isinstance(text, str):
         text = text.decode("utf-8")
     doc = json.loads(text, parse_float=_not_an_id, parse_constant=_not_an_id)

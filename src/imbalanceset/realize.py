@@ -178,16 +178,15 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from itertools import groupby
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .digraph import (
-    Digraph, _check_loops, _check_packed, _clear_pairs, _fill, _mirror, _place_arcs,
-    _resized, _tournament_imbalances, _zeros,
+    Digraph, _check_loops, _check_packed, _clear_pairs, _fill, _mirror, _NotOriented,
+    _place_arcs, _resized, _tournament_imbalances, _zeros,
 )
 from .equalsum import EqualSumWitness
 from .sequences import digraph_imbalance_failure
@@ -211,9 +210,9 @@ class RealizationError(RuntimeError):
     """The greedy builder could not complete a feasible sequence."""
 
 
-@dataclass(frozen=True)
-class RealizationReport:
-    """A built graph plus the structural facts tests and callers rely on.
+class RealizationReport(NamedTuple):
+    """A built graph plus the structural facts tests and callers rely
+    on, as a named tuple.
 
     non_neighbour_pairing lists the unjoined pairs normalized as
     (min, max) and sorted; for a near tournament it is a perfect
@@ -720,7 +719,7 @@ def _certified(bits: np.ndarray, members: frozenset[int], order: int, finish: Ca
     try:
         out_deg = finish(bits)
         _check_loops(bits)
-    except ValueError as exc:
+    except _NotOriented as exc:
         raise AssertionError(f"certificate is not a simple oriented graph: {exc}") from None
     imbalances = _tournament_imbalances(out_deg)
     if imbalances is None:

@@ -28,13 +28,11 @@ the canonical expansion length) used throughout the package.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    """First reason a sequence check fails.
+class CheckFailure(NamedTuple):
+    """First reason a sequence check fails, as a named tuple.
 
     kind is one of "prefix" (inequality broken at 1-based index
     ``index``), "total" (full sum misses its forced value), or "parity"

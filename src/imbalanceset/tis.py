@@ -26,9 +26,8 @@ certificate is built, in one matrix, and checked by
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .equalsum import (
     EqualSumWitness,
@@ -47,9 +46,9 @@ REFUSAL_MIXED_PARITY = "mixed-parity"
 REFUSAL_NO_ODD_EQUAL_SUM = "no-odd-equal-sum"
 
 
-@dataclass(frozen=True)
-class TisDecision:
-    """Outcome of the decision: a verdict plus its certificate or reason.
+class TisDecision(NamedTuple):
+    """Outcome of the decision, as a named tuple: a verdict plus its
+    certificate or reason.
 
     ``order`` is the order of the tournament the pipeline constructs
     (present on every yes, even when the certificate itself was not

@@ -30,6 +30,10 @@ class TestWitnessInvariants:
         with pytest.raises(ValueError, match="empty"):
             EqualSumWitness((), (), 0)
 
+    def test_one_sided_witness_must_sum_to_zero(self):
+        with pytest.raises(ValueError, match="one-sided witness must have sum zero"):
+            EqualSumWitness((2,), (), 2)
+
     def test_degenerate_zero_witness(self):
         w = EqualSumWitness((0,), (), 0)
         assert w.total_length == 1
@@ -131,6 +135,12 @@ class TestMinOddEqualSum:
     def test_empty_side_is_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             min_odd_equal_sum(set(), {2})
+
+    def test_signs_are_checked(self):
+        with pytest.raises(ValueError, match="x side must contain non-negative integers"):
+            min_odd_equal_sum([-2], [2])
+        with pytest.raises(ValueError, match="y side magnitudes must be positive"):
+            min_odd_equal_sum([2], [0])
 
     def test_agrees_with_brute_force_on_a_grid(self):
         # Every nonempty X from {0,2,4,6,8} and |Y| from {2,4,6,8},

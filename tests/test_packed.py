@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import reference_digraph
-from imbalanceset import Digraph, digraph
+from imbalanceset import Digraph, digraph, realize_imbalance_set
 from imbalanceset.realize import _verified_certificate
 
 ORDERS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70)
@@ -171,6 +171,15 @@ def test_forged_certificates_are_refused(monkeypatch, n, tile):
         looped[v, v] = 1
         with pytest.raises(AssertionError, match="self-loops"):
             _verified_certificate(Digraph._from_bits(_pack(looped)), members, n)
+
+
+def test_a_broken_pass_is_not_reported_as_a_bad_certificate(monkeypatch):
+    # Upper rows sliced one byte late: numpy's shape error must surface
+    # as itself, not as a certificate that is not a simple oriented graph.
+    bands = digraph._bands
+    monkeypatch.setattr(digraph, "_bands", lambda bits: ((r0, up[:, 1:], low) for r0, up, low in bands(bits)))
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        realize_imbalance_set({4, -998})
 
 
 def _faulty_arcs(rng, n):

@@ -120,6 +120,10 @@ class TestConversions:
         with pytest.raises(ValueError, match="parity"):
             scores_from_imbalances([1, 0, -1])
 
+    def test_nonzero_total_is_an_error(self):
+        with pytest.raises(ValueError, match="not a tournament imbalance sequence"):
+            scores_from_imbalances([1, 1])
+
     def test_invalid_scores_are_an_error(self):
         with pytest.raises(ValueError, match="score"):
             imbalances_from_scores([0, 0, 2])
@@ -170,6 +174,12 @@ class TestImbalanceSetParts:
     def test_empty_is_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             ImbalanceSet.from_values([])
+
+    def test_parts_must_have_their_signs(self):
+        with pytest.raises(ValueError, match="non-negative part contains a negative value"):
+            ImbalanceSet([-1], [1])
+        with pytest.raises(ValueError, match="negative part magnitudes must be positive"):
+            ImbalanceSet([1], [0])
 
     def test_members_must_be_integers(self):
         with pytest.raises(TypeError):

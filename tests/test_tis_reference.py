@@ -191,9 +191,7 @@ def _forged_witness(xs, ys, common):
     """A witness whose common sum disagrees with its sides, which the
     constructor refuses; only such a witness can overload the clique
     (see the feasibility argument of the realize docstring)."""
-    witness = EqualSumWitness(xs, ys, sum(xs))
-    object.__setattr__(witness, "common_sum", common)
-    return witness
+    return tuple.__new__(EqualSumWitness, (xs, ys, common))
 
 
 @pytest.mark.parametrize(
