@@ -8,14 +8,18 @@ drawn from each side with equal sums.  It runs reachable-sum DP per
 side (bitmask tables over achievable sums) and reconstructs a canonical
 witness.
 
-:func:`min_odd_equal_sum` drives the even case of the tournament
-decision: among pairs of sequences with equal sums drawn from the two
-sides X and |Y| of an even imbalance set without 0, find one with the
-least total number of terms k subject to k being odd; ties go to the
-smallest common sum S, then the lexicographically smallest xs, then
-ys.  Such a pair is the same thing as an odd zero-sum multiset over
+:func:`min_odd_equal_sum` and :func:`~imbalanceset.tis.decide_tis`
+share the even case of the tournament decision, in two private steps:
+``_shortest_odd_zero_sum`` finds (k, S) and ``_lex_min_witness`` the
+witness.  Among pairs of sequences with equal sums drawn from the two
+sides X and |Y| of an even imbalance set, they find one with the least
+total number of terms k subject to k being odd; ties go to the smallest
+common sum S, then the lexicographically smallest xs, then ys.  A side
+holding 0 has the pair ([0], []), with k = 1 and S = 0.  Without 0,
+such a pair is the same thing as an odd zero-sum multiset over
 Z = X u -Y, with S the sum of its positive terms.  Three facts make
-this cheap, and a fourth bounds its cost.
+this cheap, a fourth bounds its cost, and a fifth answers pairs in
+closed form.
 
 1. *Verdict (2-adic rule).*  An odd zero-sum multiset over Z exists iff
    the members of Z do not all share one 2-adic valuation.  Only if:
@@ -66,14 +70,17 @@ this cheap, and a fourth bounds its cost.
    length is m * (x + y)/g.  By fact 1 exactly one cofactor is even, so
    (x + y)/g is odd, and the length is odd exactly when m is.  So m = 1:
    k = (x + y)/g, S = (y/g) * x = lcm(x, y), and the witness of length
-   k is unique, y/g copies of x against x/g copies of y.  The decision
-   takes both with no search and no tables.
+   k is unique, y/g copies of x against x/g copies of y.
+   ``_shortest_odd_zero_sum`` returns this (k, S) and
+   ``_lex_min_witness`` this witness, with no search and no tables, for
+   both callers.
 
-The witness itself is rebuilt from (k, S) with exact per-count
-reachability tables (bitmask rows, one per term count), which fix the
-lexicographic tie-break.  They take about k * S bits; their size is
-checked against :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP`
-before they are built.
+For three or more members the witness itself is rebuilt from (k, S)
+with exact per-count reachability tables (bitmask rows, one per term
+count), which fix the lexicographic tie-break.  They take about k * S
+bits; their size, or a pair's k terms at 64 bits each, is checked
+against :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP` before
+anything is built.
 """
 
 from __future__ import annotations
@@ -152,12 +159,13 @@ def _lex_min_terms(
 
     values ascend; count_options are the admissible term counts.  The walk
     keeps the set of still-consistent remaining counts and always appends
-    the smallest value that leaves the target reachable.
+    the smallest value that leaves the target reachable.  The callers'
+    (k, S) has a witness by fact 3, so some option reaches the target;
+    were none to, the walk would find no value to append and raise the
+    tables-inconsistent AssertionError.
     """
     remaining = target
     counts = {c for c in count_options if c < len(rows) and (rows[c] >> target) & 1}
-    if not counts:
-        raise ValueError("target sum unreachable with the allowed term counts")
     out: list[int] = []
     while not (remaining == 0 and 0 in counts):
         for v in takewhile(lambda v: v <= remaining, values):
@@ -187,14 +195,22 @@ def _mixed_valuations(values: Iterable[int]) -> bool:
 
 
 def _shortest_odd_zero_sum(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int]:
-    """(k, S) for ascending positive xs and ys whose valuations are mixed.
+    """(k, S) for ascending non-negative xs and positive ys with an odd witness.
 
     k is the least odd number of terms of a zero-sum multiset over xs
     and the negated ys, and S the least sum of the positive terms among
-    those of length k: a breadth-first search over the Steinitz window
-    (facts 2 and 3 of the module docstring).  Fact 1 guarantees that
-    such a multiset exists.  The work bound W of fact 4 is capped first.
+    those of length k.  A 0 in xs gives (1, 0), the pair ([0], []), and
+    one member per side gives fact 5's closed form, both before the work
+    cap.  Otherwise the valuations must be mixed, so that by fact 1 such
+    a multiset exists, and a breadth-first search over the Steinitz
+    window (facts 2 and 3 of the module docstring) finds it after the
+    work bound W of fact 4 is capped.
     """
+    if xs[0] == 0:
+        return 1, 0
+    if len(xs) == len(ys) == 1:
+        (x,), (y,) = xs, ys
+        return (x + y) // gcd(x, y), lcm(x, y)
     work = len(xs) * ys[-1] + len(ys) * xs[-1]
     if work > SEARCH_WORK_CAP:
         raise ResourceLimitError(f"odd zero-sum search of work {work} exceeds the cap")
@@ -246,18 +262,19 @@ def min_odd_equal_sum(
     minimal-length witnesses the one with the smallest common sum wins,
     then the lexicographically smallest xs, then the smallest ys.
 
-    A zero in x short-circuits to the one-term witness ([0], []), the
-    degenerate odd-length pair.  Raises :class:`ResourceLimitError`
-    before a search or witness tables over ``SEARCH_WORK_CAP`` or
-    :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP` bits.
+    A zero in x gives the one-term witness ([0], []), the degenerate
+    odd-length pair, and one member per side gives fact 5's witness:
+    the same two steps that complete an even set in
+    :func:`~imbalanceset.tis.decide_tis`.  Raises
+    :class:`ResourceLimitError` before a search over ``SEARCH_WORK_CAP``
+    or a witness over :data:`~imbalanceset.errors.WITNESS_TABLE_BIT_CAP`
+    bits, so no cap short of the witness's own size refuses a pair.
     """
     xs = _validate_side(x_values, "x side", even=True)
     ys = _validate_side(y_abs_values, "y side", even=True)
     if any(v == 0 for v in ys):
         raise ValueError("y side magnitudes must be positive")
-    if 0 in xs:
-        return EqualSumWitness((0,), (), 0)
-    if not _mixed_valuations(xs + ys):
+    if xs[0] and not _mixed_valuations(xs + ys):
         return None
     return _lex_min_witness(xs, ys, *_shortest_odd_zero_sum(xs, ys))
 
@@ -267,17 +284,24 @@ def _lex_min_witness(
 ) -> EqualSumWitness:
     """The lex-least witness of k terms and common sum S, which must exist.
 
-    xs and ys are ascending; (1, 0) is the pair ([0], []) of a side with 0.
+    xs and ys are ascending; (1, 0) is the pair ([0], []) of a side with
+    0.  One member per side takes fact 5's witness, still k tuple slots,
+    else the tables are walked; the cap counts either first.
     """
     if common == 0:
         return EqualSumWitness((0,), (), 0)
-    # Two tables of k rows, each row at most common + 1 bits.
-    bits = 2 * k * (common + 1)
+    pair = len(xs) == len(ys) == 1
+    # A pair's k terms at 64 bits each; else two tables of k rows, each
+    # row at most common + 1 bits.
+    bits = 64 * k if pair else 2 * k * (common + 1)
     if bits > WITNESS_TABLE_BIT_CAP:
         raise ResourceLimitError(
             f"equal-sum witness of length {k} and sum {common} needs {bits} "
             f"table bits (cap {WITNESS_TABLE_BIT_CAP})"
         )
+    if pair:
+        (x,), (y,) = xs, ys
+        return EqualSumWitness((x,) * (common // x), (y,) * (common // y), common)
     rows_x = _exact_count_rows(xs, k - 1, common + 1)
     rows_y = _exact_count_rows(ys, k - 1, common + 1)
     a_options = [

@@ -205,20 +205,6 @@ class ImbalanceSet:
             + len(self.negative_abs) * self.non_negative_sum
         )
 
-    def __repr__(self) -> str:
-        return f"ImbalanceSet({sorted(self.members(), reverse=True)})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ImbalanceSet):
-            return NotImplemented
-        return (
-            self.non_negative == other.non_negative
-            and self.negative_abs == other.negative_abs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.non_negative, self.negative_abs))
-
 
 def canonical_sequence(parts: ImbalanceSet) -> tuple[int, ...]:
     """Expand a set into its canonical zero-sum imbalance sequence.

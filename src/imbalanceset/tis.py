@@ -16,7 +16,9 @@ The decision pipeline, in order:
    ([0], []) with k = 1, or when the members do not all share one
    2-adic valuation, with k the least odd zero-sum length: in closed
    form for two members, else found by a search capped on its work, at
-   most n (proofs in :mod:`imbalanceset.equalsum`).
+   most n.  :mod:`imbalanceset.equalsum` owns the pair, its proofs and
+   its witness, and answers :func:`~imbalanceset.min_odd_equal_sum`
+   with the same two steps.
 
 The verdict and the order are arithmetic and load no numpy.  The
 certificate is built, in one matrix, and checked by
@@ -26,7 +28,6 @@ certificate is built, in one matrix, and checked by
 from __future__ import annotations
 
 import operator
-from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .equalsum import (
@@ -69,18 +70,19 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     Refusals name the first failing condition: "one-sided" (missing a
     positive or negative member), "mixed-parity", or "no-odd-equal-sum"
     (even members admit no odd-total equal-sum pair).  The verdict takes
-    O(|Z|) and never searches; only an even yes without 0 of three or
-    more members takes its order from a breadth-first search over the
-    Steinitz window, and two members take order and witness in closed
-    form (facts 2 and 5 of :mod:`imbalanceset.equalsum`).  With
-    ``with_certificate`` the equal-sum witness is rebuilt and a
-    realizing tournament is built and verified once, by
-    :mod:`imbalanceset.realize`, before returning.
+    O(|Z|) and never searches.  An even yes takes k and S, and with a
+    certificate the witness, from the two steps of
+    :mod:`imbalanceset.equalsum` that also answer
+    :func:`~imbalanceset.min_odd_equal_sum`: closed forms for a set
+    with 0 and for two members (fact 5 there), else a breadth-first
+    search over the Steinitz window (fact 2).  With
+    ``with_certificate`` a realizing tournament is built and verified
+    once, by :mod:`imbalanceset.realize`, before returning.
     Members must be integers: 1.5 raises TypeError.  Caps bound work,
     not answers: only the search for k (on its work, at most n by fact 4
     there) and, for a certificate, the orders n and n + k and the
-    witness tables raise :class:`ResourceLimitError`, each before the
-    work it bounds.
+    witness raise :class:`ResourceLimitError`, each before the work it
+    bounds.
     """
     members = frozenset(map(operator.index, values))
     refusal = _refusal(members)
@@ -92,15 +94,8 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     if with_certificate:
         check_matrix_order(n)
     # The completing odd equal-sum pair: k terms, common sum S.
-    if next(iter(members)) % 2:
-        k, common = 0, 0
-    elif 0 in members:
-        k, common = 1, 0  # the pair ([0], [])
-    elif len(members) == 2:  # {x, -y}: fact 5
-        (x,), (y,) = parts.non_negative, parts.negative_abs
-        k, common = (x + y) // gcd(x, y), lcm(x, y)
-    else:
-        k, common = _shortest_odd_zero_sum(parts.non_negative[::-1], parts.negative_abs)
+    sides = parts.non_negative[::-1], parts.negative_abs
+    k, common = (0, 0) if next(iter(members)) % 2 else _shortest_odd_zero_sum(*sides)
     if not with_certificate:
         return TisDecision(True, order=n + k)
 
@@ -109,11 +104,7 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
 
     if n == 0:  # {0}: the greedy builds the one-vertex tournament from (0,)
         return TisDecision(True, order=1, certificate=_certificate((0,), None, members))
-    witness = None
-    if len(members) == 2 and k:  # the one witness of fact 5
-        witness = EqualSumWitness((x,) * (common // x), (y,) * (common // y), common)
-    elif k:
-        witness = _lex_min_witness(parts.non_negative[::-1], parts.negative_abs, k, common)
+    witness = _lex_min_witness(*sides, k, common) if k else None
     cert = _certificate(canonical_sequence(parts), witness, members)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 

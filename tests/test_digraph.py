@@ -115,6 +115,14 @@ class TestConstruction:
         g = Digraph(0)
         assert g.n == 0 and g.arc_count == 0
 
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
+            Digraph(-1)
+
+    def test_equality_with_another_type_is_false(self):
+        assert Digraph(1).__eq__(object()) is NotImplemented
+        assert (Digraph(1) == object()) is False
+
     def test_matrix_is_frozen(self):
         g = triangle_cycle()
         with pytest.raises(ValueError):
@@ -125,6 +133,17 @@ class TestConstruction:
         bad[0, 1] = bad[1, 0] = 1
         with pytest.raises(ValueError, match="opposing"):
             Digraph.from_matrix(bad)
+
+    def test_from_matrix_refuses_a_non_square_array(self):
+        with pytest.raises(ValueError, match="must be square"):
+            Digraph.from_matrix(np.zeros((2, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="must be square"):
+            Digraph.from_matrix(np.zeros(4, dtype=np.uint8))
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64])
+    def test_from_matrix_casts_a_0_1_array(self, dtype):
+        adj = triangle_cycle().matrix().astype(dtype)
+        assert Digraph.from_matrix(adj) == triangle_cycle()
 
     @pytest.mark.parametrize("entry", [256, 257, 0.5, 1.9])
     def test_from_matrix_rejects_entries_the_cast_would_hide(self, entry):

@@ -127,6 +127,8 @@ class TestMinOddEqualSum:
 
     def test_zero_short_circuit(self):
         assert min_odd_equal_sum({0, 4}, {6}) == EqualSumWitness((0,), (), 0)
+        # The nonzero members of {0, -2} share one valuation, yet 0 completes.
+        assert min_odd_equal_sum({0}, {2}) == EqualSumWitness((0,), (), 0)
 
     def test_odd_entries_are_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -237,15 +239,39 @@ class TestWitnessTableCap:
     def test_oversized_tables_are_refused_before_they_are_built(self):
         t0 = time.perf_counter()
         with pytest.raises(ResourceLimitError, match="table bits"):
-            min_odd_equal_sum({20000}, {60004})
+            min_odd_equal_sum({20000, 40000}, {60004})
         assert time.perf_counter() - t0 < 1.0
 
 
 class TestSearchWorkCap:
     def test_oversized_search_is_refused_before_it_starts(self):
         t0 = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="search of work 10000002 "):
-            min_odd_equal_sum([4], [10**7 - 2])
+        with pytest.raises(ResourceLimitError, match="search of work 10000006 "):
+            min_odd_equal_sum([4], [6, 10**7 - 2])
+        assert time.perf_counter() - t0 < 0.1
+
+
+class TestPairsInClosedForm:
+    """Fact 5 of the equalsum docstring: {x, -y} has one shortest odd
+    witness, y/g copies of x against x/g copies of y, and neither the
+    search cap nor the table cap refuses it."""
+
+    def test_a_pair_past_the_table_cap_answers(self):
+        t0 = time.perf_counter()
+        w = min_odd_equal_sum({20000}, {60004})
+        assert time.perf_counter() - t0 < 1.0
+        assert w == EqualSumWitness((20000,) * 15001, (60004,) * 5000, 300020000)
+        assert w.total_length == 20001
+
+    def test_a_pair_past_the_search_cap_answers(self):
+        w = min_odd_equal_sum([4], [10**7 - 2])
+        assert w.total_length == 5000001 and w.common_sum == 2 * (10**7 - 2)
+        assert w.xs == (4,) * 4999999 and w.ys == (10**7 - 2,) * 2
+
+    def test_a_pair_witness_too_long_to_hold_is_refused_before_it_is_built(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="length 500000000001 "):
+            min_odd_equal_sum([2], [10**12])
         assert time.perf_counter() - t0 < 0.1
 
 

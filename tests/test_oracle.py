@@ -33,6 +33,10 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             next(enumerate_tournaments(10**6))
 
+    def test_order_must_be_positive(self):
+        with pytest.raises(ValueError, match="order must be positive"):
+            next(enumerate_tournaments(0))
+
 
 class TestBruteZeroSum:
     def test_two_against_four(self):
@@ -50,6 +54,12 @@ class TestBruteZeroSum:
     def test_searches_past_length_64(self):
         # 64 copies of 63 against 63 of -64.
         assert brute_zero_sum_min_odd({63, -64}, 200) == 127
+
+    def test_empty_set_and_nonpositive_length_are_refused(self):
+        with pytest.raises(ValueError, match="value set must be nonempty"):
+            brute_zero_sum_min_odd([], 3)
+        with pytest.raises(ValueError, match="len_max must be positive"):
+            brute_zero_sum_min_odd([1, -1], 0)
 
     def test_members_must_be_integers(self):
         with pytest.raises(TypeError):
@@ -93,6 +103,10 @@ class TestBruteZeroSum:
 class TestBruteMinOrder:
     def test_zero_alone(self):
         assert brute_min_order({0}, 5) == 1
+
+    def test_empty_set_is_refused(self):
+        with pytest.raises(ValueError, match="value set must be nonempty"):
+            brute_min_order([], 3)
 
     def test_matched_odd_pair(self):
         assert brute_min_order({1, -1}, 5) == 2

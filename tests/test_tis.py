@@ -11,6 +11,7 @@ import imbalanceset.digraph
 import imbalanceset.realize
 import imbalanceset.tis
 import reference_apex
+import reference_equalsum
 from conftest import triangle_cycle
 from imbalanceset import (
     REFUSAL_MIXED_PARITY,
@@ -25,7 +26,6 @@ from imbalanceset import (
     canonical_sequence,
     decide_tis,
     max_realization,
-    min_odd_equal_sum,
     order_upper_bound,
     realize_imbalance_set,
 )
@@ -78,16 +78,18 @@ class TestDecide:
         with pytest.raises(ResourceLimitError, match="search of work 2000006 exceeds the cap"):
             decide_tis({10**6, -2, -6})
 
-    def test_two_members_need_no_search(self, monkeypatch):
-        # Fact 5 of the equalsum docstring: k = (x + y)/g, S = lcm(x, y),
-        # whose searches would pass the work cap.
-        def no_search(*args):
-            raise AssertionError("two members must not search")
-
-        monkeypatch.setattr(imbalanceset.tis, "_shortest_odd_zero_sum", no_search)
-        monkeypatch.setattr(imbalanceset.tis, "_lex_min_witness", no_search)
+    def test_two_members_need_no_search(self):
+        # Fact 5 of the equalsum docstring: k = (x + y)/g, S = lcm(x, y).
+        # The search for {4, -1999998} would pass the work cap, and the
+        # witness tables for {20000, -60004} the table cap, so neither runs.
         assert decide_tis({4, -1999998}).order == 2000002 + 1000001
         assert decide_tis({10**6, -2}).order == 1000002 + 500001
+        sides = (20000,), (60004,)
+        k, common = imbalanceset.tis._shortest_odd_zero_sum(*sides)
+        assert (k, common) == (20001, 300020000)
+        assert decide_tis({20000, -60004}).order == 80004 + k
+        witness = imbalanceset.tis._lex_min_witness(*sides, k, common)
+        assert witness == EqualSumWitness((20000,) * 15001, (60004,) * 5000, common)
         d = decide_tis({12, -2}, with_certificate=True)
         assert d.order == 14 + 7 and d.witness == EqualSumWitness((12,), (2,) * 6, 12)
         assert d.certificate.imbalance_set() == {12, -2}
@@ -96,7 +98,7 @@ class TestDecide:
         for x in range(2, 40, 2):
             for y in range(2, 40, 2):
                 d = decide_tis({x, -y}, with_certificate=True)
-                witness = min_odd_equal_sum({x}, {y})
+                witness = reference_equalsum.min_odd_equal_sum({x}, {y})
                 assert d.witness == witness, (x, y)
                 if witness is not None:
                     n = ImbalanceSet.from_values({x, -y}).canonical_length
