@@ -16,8 +16,9 @@ zero, so an order-n graph takes n * ceil(n / 8) bytes.  Only this
 module knows that layout, and the little-endian 64-bit words that
 :func:`_fill` lays over it.  Graphs are written into rows from
 :func:`_zeros` or :func:`_resized`, never into cells: arcs by
-:func:`_place_arcs`, which :meth:`Digraph.from_arcs` and the parsers
-call block by block, and intervals of cells by :func:`_fill`.  Every
+:func:`_place_arcs`, which :meth:`Digraph.from_arcs` calls, or by the
+parsers' :func:`_set_arcs` block by block, checked once at the end by
+:func:`_sound`, and intervals of cells by :func:`_fill`.  Every
 construction writes upper cells (u, v), v > u, only; then one
 :func:`_mirror` pass over the whole graph writes each lower cell (v, u)
 as 1 - (u, v), reads it back for doubled pairs and counts the
@@ -49,8 +50,10 @@ from .errors import DoubledPairError, check_matrix_order
 # Row-band height, rounded down to whole 8 x 8 blocks, of the passes on
 # packed rows; small enough to stay in cache.
 _TILE = 512
-# Cells unpacked at once where rows are read as cells (arcs, degrees).
-_CELLS = 1 << 20
+# Cells unpacked at once where rows are read as cells (emission, arcs(),
+# in-degrees of a graph that is not a tournament): 64 KB, a few hundred
+# microseconds of work per block, so the blocks' fixed costs stay small.
+_CELLS = 1 << 16
 # Bytes of the word buffer in which _fill sets one band of rows, and the
 # most bytes of a matrix that _fill sets as one Python int instead.
 _FILL = 1 << 18
@@ -181,15 +184,26 @@ class Digraph:
         return _row_counts(self._bits, np.empty(self.n, dtype=np.int64))
 
     def in_degrees(self) -> np.ndarray:
-        """Column sums of the rows, unpacked a block at a time."""
-        out = np.zeros(self.n, dtype=np.int64)
+        """Column sums of the rows: see :meth:`_in_degrees`."""
+        return self._in_degrees(self.out_degrees())
+
+    def _in_degrees(self, out: np.ndarray) -> np.ndarray:
+        """The in-degrees, given the out-degrees ``out``.  If they sum to
+        n(n - 1)/2 the graph is a tournament (see
+        :func:`_tournament_imbalances`), and each in-degree is n - 1 - out;
+        else the rows are unpacked a block at a time and their columns summed."""
+        n = self.n
+        if int(out.sum()) == n * (n - 1) // 2:
+            return n - 1 - out
+        into = np.zeros(n, dtype=np.int64)
         for _, block in self._row_blocks():
-            out += block.sum(axis=0, dtype=np.int64)
-        return out
+            into += block.sum(axis=0, dtype=np.int64)
+        return into
 
     def imbalances(self) -> np.ndarray:
         """Per-vertex imbalance, indexed by vertex id."""
-        return self.out_degrees() - self.in_degrees()
+        out = self.out_degrees()
+        return out - self._in_degrees(out)
 
     def imbalance_sequence(self) -> tuple[int, ...]:
         """All vertex imbalances sorted nonincreasing.  Sums to zero."""
@@ -218,8 +232,8 @@ class Digraph:
         n = self.n
         if n < 2 or n % 2:
             return False
-        joined = self.out_degrees() + self.in_degrees()
-        return bool((joined == n - 2).all())
+        out = self.out_degrees()
+        return bool((out + self._in_degrees(out) == n - 2).all())
 
     def non_neighbour_pairs(self) -> tuple[tuple[int, int], ...]:
         """All unjoined pairs {u, v}, normalized as (min, max) and sorted."""
@@ -314,6 +328,51 @@ def _place_arcs(bits: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
         raise ValueError(f"self-loop at vertex {u}")
 
 
+def _set_arcs(bits: np.ndarray, src: np.ndarray, dst: np.ndarray) -> bool:
+    """Set the cells (src[i], dst[i]) of the packed rows ``bits`` with no
+    check but the range, or return False, setting none, if an id (int64)
+    is outside ``0 .. n-1``.  A cell set twice stays set once, and a loop
+    or an opposing pair is set as it comes: :func:`_sound` finds each of
+    them in the finished rows.  ``src`` is overwritten with the keys of
+    the cells, so that a block's arcs make no array of their own.
+
+    A file lists a row's arcs together, so a block of arcs spans a few
+    rows.  When those rows hold at most about four cells per arc, the
+    arcs are set as bytes in a local span of cells and packed into the
+    rows at once; any other block ORs its bits in byte by byte.
+    """
+    n, width = bits.shape
+    if not src.size:
+        return True
+    if max(int(src.view(np.uint64).max()), int(dst.view(np.uint64).max())) >= n:  # negatives wrap
+        return False
+    r0, r1 = int(src.min()), int(src.max()) + 1
+    span = (r1 - r0) * 8 * width
+    keys = np.subtract(src, r0, out=src)
+    keys *= 8 * width
+    keys += dst
+    rows = bits[r0:r1].reshape(-1)
+    if span <= 4 * keys.size + 16 * width:
+        cells = np.zeros(span, dtype=np.uint8)
+        cells[keys] = 1
+        rows |= np.packbits(cells, bitorder="little")
+    else:
+        np.bitwise_or.at(rows, keys >> 3, _bit(keys))
+    return True
+
+
+def _sound(bits: np.ndarray, arcs: int, band: int) -> bool:
+    """Whether the packed rows hold ``arcs`` set cells, no self-loop and
+    no opposing pair: what the arcs that :func:`_set_arcs` placed give
+    if none of them repeats a pair or loops.  The test of
+    :func:`_check_packed`, in bands of about ``band`` bytes of rows, so
+    that its temporaries stay near the size of the parser's blocks."""
+    try:
+        return int(_check_packed(bits, _bands(bits, max(8, band // max(bits.shape[1], 1)))).sum()) == arcs
+    except _NotOriented:
+        return False
+
+
 def _cells(flat: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Whether each cell, keyed as in :func:`_place_arcs`, is set in the
     flat packed rows."""
@@ -347,13 +406,13 @@ def _first_doubled_pair(
     return DoubledPairError(f"duplicate arc ({u}, {v})")
 
 
-def _check_packed(bits: np.ndarray) -> np.ndarray:
+def _check_packed(bits: np.ndarray, bands: Iterable | None = None) -> np.ndarray:
     """Refuse self-loops, then opposing pairs, in packed rows (whose
     entries are bits, so 0 or 1), and return their out-degrees: the
     diagonal by :func:`_check_loops`, then the pair test and the row
-    counts of :func:`_mirror`, without its write."""
+    counts of :func:`_mirror`, without its write, over ``bands``."""
     _check_loops(bits)
-    return _mirror(bits, write=False)
+    return _mirror(bits, write=False, bands=bands)
 
 
 def _check_loops(bits: np.ndarray) -> None:
@@ -363,11 +422,12 @@ def _check_loops(bits: np.ndarray) -> None:
         raise _NotOriented("self-loops are not allowed")
 
 
-def _mirror(bits: np.ndarray, *, write: bool = True) -> np.ndarray:
+def _mirror(bits: np.ndarray, *, write: bool = True, bands: Iterable | None = None) -> np.ndarray:
     """Set each lower cell (v, u), v > u, of the packed rows to 1 - (u, v),
     refuse a doubled pair, and return the out-degrees: the one pass that
     finishes a build.  Without ``write`` it only tests and counts, for
-    :func:`_check_packed`.
+    :func:`_check_packed`.  ``bands`` are those of :func:`_bands`, of
+    ``_TILE`` rows if None.
 
     Per band of :func:`_bands`, the band's upper rows are flipped once by
     :func:`_flip`, and the complement is written into its lower columns,
@@ -390,7 +450,7 @@ def _mirror(bits: np.ndarray, *, write: bool = True) -> np.ndarray:
     exactly when they sum to n(n - 1)/2.
     """
     out = np.empty(len(bits), dtype=np.int64)
-    for r0, upper, lower in _bands(bits):
+    for r0, upper, lower in _bands(bits) if bands is None else bands:
         h = lower.shape[1]
         flip = _flip(upper).reshape(-1, h)[: len(lower)]  # as rows of the lower columns
         keep = _upper(h, diagonal=True).reshape(-1, h)[: len(lower)]  # the square's rows
@@ -409,7 +469,8 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     """Set the cells [lo[j], hi[j]) of row rows[j] of the packed rows
     ``bits`` for every j, keeping the cells already set: the cells that
     an odd number of their row's intervals cover, all covered cells when
-    a row's intervals are disjoint.
+    a row's intervals are disjoint.  There is at least one interval: the
+    greedy's writes skip empty flushes, and a completion adds rows.
 
     Suffix XOR.  [lo, hi) = [lo, end) ^ [hi, end), and in 64-bit words
     the suffix from bit p is the running XOR over the words
@@ -436,8 +497,6 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
         bits |= np.frombuffer(value.to_bytes(bits.size, "little"), dtype=np.uint8).reshape(n, width)
         return
     rows, lo, hi = (np.asarray(a, dtype=np.int64) for a in (rows, lo, hi))
-    if not rows.size:
-        return
     w0 = int(lo.min()) >> 6
     row_bits = 64 * (-(-width // 8) - w0 + 1)
     # The edges as bits of the bands' rows laid out one after another, in order.
@@ -483,12 +542,12 @@ def _clear_pairs(bits: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
         bits[hi, lo >> 3] &= ~_bit(lo)
 
 
-def _bands(bits: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Cut packed rows into bands of ``max(1, _TILE // 8)`` block rows
-    (8 rows each), lazily, and yield for each its first block row r0, its
-    rows from its diagonal block on and its columns from its diagonal
-    block down, as views of ``bits``."""
-    step = max(1, _TILE // 8)
+def _bands(bits: np.ndarray, tile: int = 0) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Cut packed rows into bands of ``max(1, tile // 8)`` block rows
+    (8 rows each; ``tile`` is ``_TILE`` if 0), lazily, and yield for
+    each its first block row r0, its rows from its diagonal block on and
+    its columns from its diagonal block down, as views of ``bits``."""
+    step = max(1, (tile or _TILE) // 8)
     for r0 in range(0, bits.shape[1], step):
         yield r0, bits[8 * r0 : 8 * (r0 + step), r0:], bits[8 * r0 :, r0 : r0 + step]
 

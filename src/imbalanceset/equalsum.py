@@ -184,14 +184,17 @@ def _lex_min_terms(
     return tuple(out)
 
 
-def _mixed_valuations(values: Iterable[int]) -> bool:
-    """True when the nonzero values do not all share one 2-adic valuation.
+def _has_odd_pair(values: Iterable[int]) -> bool:
+    """Whether the even set of ``values`` (with their signs, or as the
+    magnitudes of both sides) has an odd-total equal-sum pair: exactly
+    when 0 is a member, which gives ([0], []), or its members do not all
+    share one 2-adic valuation (fact 1 of the module docstring).
 
     The lowest set bit of v (``v & -v``, also for negative v) is
-    2 ** valuation.  By fact 1 of the module docstring this decides
-    whether an even set without 0 has an odd equal-sum pair.
+    2 ** valuation, and 0 for v = 0; so both cases are one set of them.
     """
-    return len({v & -v for v in values if v}) > 1
+    lows = {v & -v for v in values}
+    return 0 in lows or len(lows) > 1
 
 
 def _shortest_odd_zero_sum(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, int]:
@@ -199,12 +202,13 @@ def _shortest_odd_zero_sum(xs: Sequence[int], ys: Sequence[int]) -> tuple[int, i
 
     k is the least odd number of terms of a zero-sum multiset over xs
     and the negated ys, and S the least sum of the positive terms among
-    those of length k.  A 0 in xs gives (1, 0), the pair ([0], []), and
-    one member per side gives fact 5's closed form, both before the work
-    cap.  Otherwise the valuations must be mixed, so that by fact 1 such
-    a multiset exists, and a breadth-first search over the Steinitz
-    window (facts 2 and 3 of the module docstring) finds it after the
-    work bound W of fact 4 is capped.
+    those of length k, which :func:`_has_odd_pair` must have promised.
+    A 0 in xs gives (1, 0), the pair ([0], []), and one member per side
+    gives fact 5's closed form, both before the work cap.  Otherwise the
+    valuations are mixed, so that by fact 1 such a multiset exists, and
+    a breadth-first search over the Steinitz window (facts 2 and 3 of
+    the module docstring) finds it after the work bound W of fact 4 is
+    capped.
     """
     if xs[0] == 0:
         return 1, 0
@@ -274,7 +278,7 @@ def min_odd_equal_sum(
     ys = _validate_side(y_abs_values, "y side", even=True)
     if any(v == 0 for v in ys):
         raise ValueError("y side magnitudes must be positive")
-    if xs[0] and not _mixed_valuations(xs + ys):
+    if not _has_odd_pair(xs + ys):
         return None
     return _lex_min_witness(xs, ys, *_shortest_odd_zero_sum(xs, ys))
 

@@ -6,10 +6,10 @@ are 0-based contiguous integers and survive every round trip; vertices
 that touch no arc are written explicitly so the order is never lost.
 
 A certificate has Theta(n^2) arcs, so neither direction makes a Python
-object per arc.  Emission unpacks the graph's bit-packed rows a block at
-a time and yields one string per row, joining the row's targets from a
-table of id strings; :func:`write` writes them one by one, :func:`emit`
-joins them.
+object per arc.  Emission unpacks the graph's bit-packed rows a bounded
+block at a time (``digraph._CELLS`` cells) and yields one string per
+row, joining the row's targets from a table of id strings; :func:`write`
+writes them one by one, :func:`emit` joins them.
 
 Parsing reads the document from a binary file (a ``str`` or ``bytes`` is
 wrapped in ``io.BytesIO``), ``_CHUNK`` bytes at a time, and never holds
@@ -19,20 +19,28 @@ the end.  The body between them is then read once, each block cut at its
 last line end, or in JSON at the ``]`` that closes an arc, with the rest
 carried into the next read.  In each block:
 
-1. numpy marks where tokens start (a digit run, ``->``, ``;``, a line
-   end; in JSON ``[``, ``,`` and ``]``), and vectorized comparisons of
-   each token with the one or two before it check the grammar.  The
-   first bad line is found by bisecting the block.
+1. numpy marks, once per block, where tokens start (a digit run,
+   ``->``, ``;``, a line end; in JSON ``[``, ``,`` and ``]``) and where
+   digit runs start.  The token string, each token's first byte,
+   is cut out of the block by ``bytes.translate``, and counts of its
+   lines (or JSON arcs) check the grammar.  The first bad line is found
+   by bisecting the block.
 2. Each digit run is decoded from the eight bytes that start it, read
-   as one integer (see :func:`_ids`).
+   as one integer and decoded in place (see :func:`_ids`).
 3. The arcs are set straight into the graph's packed rows by
-   :func:`imbalanceset.digraph._place_arcs`, where a doubled pair finds
-   a bit of its pair already set.  No unpacked matrix is made.
+   :func:`imbalanceset.digraph._set_arcs`, which checks only their
+   range.  No unpacked matrix is made.  Once every block is in, one
+   banded test of the rows (:func:`imbalanceset.digraph._sound`) shows
+   whether an arc repeated a pair or looped, and only then is the body
+   read again, through :func:`imbalanceset.digraph._place_arcs`, to
+   name the first such arc.
 
-So the peak is the packed rows, n * ceil(n / 8) bytes, plus the block
-temporaries, 20 to 35 blocks' worth, unless a line is longer than a
-block or JSON holds much outside ``arcs`` (the rest is read whole by
-``json.loads``).
+The masks and the decoder's words are written into one scratch buffer,
+allocated once per parse and reused by every block.  So the peak is the
+packed rows, n * ceil(n / 8) bytes, plus about 8 to 12 blocks' worth of
+working set (the scratch, the block, its ids, the reads), unless a line
+is longer than a block or JSON holds much outside ``arcs`` (the rest is
+read whole by ``json.loads``).
 
 A grammar fault is raised at once; an arc fault is held until the rest
 of the body has passed the grammar, so grammar faults still come first,
@@ -46,10 +54,11 @@ arc faults also wait until the last id shows that the cap holds.
 DOT and edge-list documents are read through :class:`_Lines`, which
 maps every line break ``str.splitlines`` knows to "\\n" and the rest of
 the whitespace to spaces, byte for byte, so offsets stay the file's own
-and one streaming pass reads every document (a CRLF reads as a line end
-and a blank line).  Surrounding whitespace is ignored, blank lines are
-skipped, and ids are ASCII decimal digits (``-`` allowed in edge lists,
-so a negative id is reported as out of range).  Any other non-ASCII
+and one streaming pass reads every document (the "\\r" of a CRLF reads
+as a space, so a CRLF line has the tokens of its LF twin).  Surrounding
+whitespace is ignored, blank lines are skipped, and ids are ASCII
+decimal digits (``-`` allowed in edge lists, so a negative id is
+reported as out of range).  Any other non-ASCII
 byte fails the scan; the line its message quotes and the DOT head line,
 the one free text (a graph name), are decoded as UTF-8, so a byte that
 is not UTF-8 raises ``UnicodeDecodeError``.
@@ -73,13 +82,13 @@ from typing import BinaryIO, Callable, Iterator, NoReturn, TextIO
 
 import numpy as np
 
-from .digraph import Digraph, _place_arcs, _resized, _zeros
+from .digraph import Digraph, _place_arcs, _resized, _set_arcs, _sound, _zeros
 from .errors import MAX_MATRIX_ORDER, ResourceLimitError, check_matrix_order
 
-# Bytes per read, and so about per scanned chunk.  The scan's temporaries
-# come to 20 to 35 times this size, while each chunk costs a fixed number
-# of Python-level calls: larger chunks parse a little faster but hold more
-# memory.
+# Bytes per read, and so about per scanned chunk.  The scan's working set
+# comes to about 8 to 12 times this size, while each chunk costs a fixed
+# number of Python-level calls: larger chunks parse a little faster but
+# hold more memory.
 _CHUNK = 1 << 16
 
 # The bytes the scanners read as other bytes of the same count, so that
@@ -100,13 +109,13 @@ _WS = rb"[ \t\n\r]*"  # JSON whitespace
 _JSON_HEAD = re.compile(rb'%s\{%s(?:"n"%s:%s-?[0-9]+%s,%s)?"arcs"%s:%s\[' % ((_WS,) * 8))
 
 # Bytes between tokens.  In edge lists and JSON a sign is one too, and
-# is checked on its own: right before a digit and, in edge lists, not
-# right after one.  A dot "->" is one token, its "-".
+# is checked on its own (_BAD_SIGN finds one out of place): right before
+# a digit and, in edge lists, not right after one.  A dot "->" is one
+# token, its "-"; its ">" is read as a space.
 _SPACES = {"dot": b" \t", "edgelist": b" \t-", "json": b" \t\n\r-"}
-# JSON arcs are "[u, v]"; each arc after the first begins with its ",",
-# so with a "," put in front of the first, the tokens repeat this period
-# ("0" standing for an id).
-_JSON_ARC = np.frombuffer(b",[0,0]", dtype=np.uint8)
+_BAD_SIGN = {"edgelist": re.compile(rb"-(?![0-9])|[0-9]-"), "json": re.compile(rb"-(?![0-9])")}
+_DIGIT_ZERO = bytes.maketrans(b"0123456789", b"0000000000")
+_JSON_ARC = np.frombuffer(b",[0,0]", dtype=np.uint8)  # the tokens of a JSON arc, "0" for an id
 _JSON_DIGITS = 18  # an id of at most 18 digits fits int64
 
 _NAMES = {"dot": "dot", "edgelist": "edge-list"}
@@ -253,11 +262,16 @@ class _Lines:
     :data:`_WIDE` say, so that a text scanner sees only "\\n" line ends
     and only " " or "\\t" inside a line, each at its offset in the file.
 
+    A "\\r" right before a "\\n" is mapped to a space first, so a CRLF
+    line reads as its LF twin with a space at its end, as many tokens;
+    any other "\\r" ends a line, as ``str.splitlines`` says.
+
     A read that is ASCII without a byte of :data:`_ODD_BYTES` is passed
     through.  Any other is mapped together with the 2 bytes on either
-    side of it, so that a character of up to 3 bytes that a read cuts is
-    still mapped whole.  Only valid UTF-8 whitespace is mapped: every
-    other non-ASCII byte reaches the scanner as it is, which refuses it.
+    side of it, so that a character of up to 3 bytes, or a "\\r\\n", that
+    a read cuts is still mapped whole.  Only valid UTF-8 whitespace is
+    mapped: every other non-ASCII byte reaches the scanner as it is,
+    which refuses it.
     """
 
     def __init__(self, fh: BinaryIO):
@@ -271,13 +285,14 @@ class _Lines:
         data = self._fh.read(size)
         if data.isascii() and not any(byte in data for byte in _ODD_BYTES):
             return data
-        lo = max(at - 2, 0)
+        lo, end = max(at - 2, 0), at + len(data)
+        del data
         self._fh.seek(lo)
-        mapped = self._fh.read(at - lo + len(data) + 2).translate(_NARROW)
-        self._fh.seek(at + len(data))
+        mapped = self._fh.read(end - lo + 2).replace(b"\r\n", b" \n").translate(_NARROW)
+        self._fh.seek(end)
         if not mapped.isascii():
             mapped = _WIDE_SPACE.sub(lambda m: _WIDE[m[0]], mapped)
-        return mapped[at - lo : at - lo + len(data)]
+        return mapped[at - lo : end - lo]
 
 
 def _blocks(fh: BinaryIO, lo: int, hi: int, end: bytes) -> Iterator[tuple[bytes, int]]:
@@ -295,9 +310,9 @@ def _blocks(fh: BinaryIO, lo: int, hi: int, end: bytes) -> Iterator[tuple[bytes,
     fh.seek(lo)
     buf = b""
     while lo < hi:
-        more = fh.read(_CHUNK)
-        buf += more
-        if not more:  # the file ends: the rest of the body is one run
+        size = len(buf)
+        buf += fh.read(_CHUNK)
+        if len(buf) == size:  # the file ends: the rest of the body is one run
             cut = min(hi - lo, len(buf))
             if not buf.endswith(end, 0, cut):
                 buf, cut = buf[:cut] + end, cut + 1
@@ -310,182 +325,257 @@ def _blocks(fh: BinaryIO, lo: int, hi: int, end: bytes) -> Iterator[tuple[bytes,
             buf, lo = buf[cut:], lo + cut
 
 
-def _tokens(view: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The offsets and first bytes of the tokens of a chunk, or None if a
-    sign or an arrow is out of place.
+class _Scratch:
+    """The working memory of one parse: a byte buffer that each block's
+    passes write into, sized from ``_CHUNK`` and grown only for a block
+    that needs more (a long line, or ids denser than one in 2.7 bytes):
+    3 bytes a byte for the token masks, then 8 bytes an id for
+    :func:`_ids`."""
+
+    def __init__(self) -> None:
+        self._mem = np.empty(3 * (_CHUNK + 256), dtype=np.uint8)
+
+    def __call__(self, size: int) -> np.ndarray:
+        """At least ``size`` bytes, holding nothing a caller may keep."""
+        if len(self._mem) < size:
+            self._mem = np.empty(size + size // 8, dtype=np.uint8)
+        return self._mem
+
+
+def _tokens(buf: bytes, cut: int, kind: str, space: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Masks of the bytes of the chunk ``buf[:cut]`` where a token starts
+    and where a digit run starts, written into the first ``3 * cut``
+    bytes of ``space``; or None if a sign or an arrow is out of place, or
+    (a JSON chunk) an id has a leading zero.
 
     A token starts at every byte but a space, a digit right after a
-    digit and the ">" of a dot "->".
+    digit and the ">" of a dot "->".  A byte that only the rare
+    documents hold is looked for with ``bytes.find`` before numpy looks
+    at each byte for it.
     """
-    digit = (view - ord("0")) < 10  # bytes below "0" wrap around to 207 and up
-    space = view == ord(" ")
+    if kind != "dot" and buf.find(b"-", 0, cut) >= 0 and _BAD_SIGN[kind].search(buf, 0, cut):
+        return None
+    view = np.frombuffer(buf, dtype=np.uint8, count=cut)
+    runs, start, other = (space[i * cut : (i + 1) * cut].view(bool) for i in range(3))
+    np.not_equal(view, ord(" "), out=start)
     for byte in _SPACES[kind][1:]:
-        space |= view == byte
-    dash = view[:-1] == ord("-")  # a chunk ends with its line end or "]"
-    if kind == "dot":
-        arrow = view == ord(">")
-        if arrow[0] or not np.array_equal(dash, arrow[1:]):
+        if buf.find(byte, 0, cut) >= 0:
+            np.equal(view, byte, out=other)
+            np.greater(start, other, out=start)
+    if kind == "dot":  # each "-" right before a ">", each ">" right after a "-"; the ">" a space
+        np.equal(view, ord(">"), out=other)
+        np.equal(view[:-1], ord("-"), out=runs[:-1])
+        np.not_equal(runs[:-1], other[1:], out=runs[:-1])
+        if other[0] or runs[:-1].any():
             return None
-        space |= arrow
-    elif (dash & ~digit[1:]).any() or (kind == "edgelist" and (dash[1:] & digit[:-2]).any()):
-        return None
-    start = ~space
-    start[1:] &= ~(digit[1:] & digit[:-1])
-    at = np.flatnonzero(start)
-    return at, view.take(at)
+        np.greater(start, other, out=start)
+    np.subtract(view, ord("0"), out=other.view(np.uint8))
+    np.less(other.view(np.uint8), 10, out=runs)  # the digits: bytes below "0" wrap around to 207 and up
+    np.logical_and(runs[1:], runs[:-1], out=other[1:])  # a digit right after a digit
+    np.greater(start[1:], other[1:], out=start[1:])
+    if kind == "json":  # a "0" that starts a run of two digits or more
+        np.equal(view[:-1], ord("0"), out=other[:-1])
+        other[:-1] &= start[:-1]
+        other[:-1] &= runs[1:]
+        if other[:-1].any():
+            return None
+    runs &= start
+    return start, runs
 
 
-def _before(mask: np.ndarray, k: int, start: bool) -> np.ndarray:
-    """``mask`` of the token k places back, ``start`` where there is none."""
-    out = np.empty_like(mask)
-    out[:k] = start
-    out[k:] = mask[:-k]
-    return out
+def _grammar(
+    buf: bytes, cut: int, kind: str, first: bool = False, space: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The digit-run starts (as from :func:`_tokens`) and the token string
+    of the chunk ``buf[:cut]`` if it is in the grammar, else None.  The
+    token string holds the first byte of each token, a digit read as "0";
+    it is made by zeroing every other byte and deleting the zeros with
+    ``bytes.translate``, so a chunk that holds a NUL byte (a token in no
+    grammar) is refused first.
 
-
-def _grammar(view: np.ndarray, kind: str, first: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
-    """The tokens of a chunk (as from :func:`_tokens`) if it is in the
-    grammar, else None.  JSON tokens come six to an arc.
-
-    Text chunks are whole lines.  Each rule says which token may come
-    before which.  In a dot line ("", "u;" or "u->v;") an id follows a
-    line start or "->", ";" an id, "->" an id at the line start, and the
-    line end ";" or the line start, which admits no other line.  An
-    edge-list line ("" or "u v") holds two ids or none.  A chunk of JSON
-    arcs holds whole arcs; ``first`` if it holds the first.
+    Text chunks are whole lines.  A dot line is "", "u;" or "u->v;",
+    whose tokens read "\\n", "0;\\n" and "0-0;\\n"; an edge-list line is ""
+    or "u v", "\\n" or "00\\n".  No two matches of "\\n", of the "0;" of
+    "0;\\n", of the "0-" that starts "0-0;\\n" and of the "00" of "00\\n"
+    share a byte, and every match starts a line.  So the token string is
+    a run of lines exactly when these matches cover it, when its length
+    is the sum of their lengths.  A chunk of JSON arcs holds whole arcs,
+    ",[0,0]" each, a "," put in front of the first arc if ``first``
+    holds it.
     """
-    tokens = _tokens(view, kind)
-    if tokens is None:
+    space = np.empty(3 * cut, dtype=np.uint8) if space is None else space
+    masks = _tokens(buf, cut, kind, space)
+    if masks is None or buf.find(b"\0", 0, cut) >= 0:
         return None
-    at, b = tokens
+    start, runs = masks
+    marked = np.multiply(np.frombuffer(buf, dtype=np.uint8, count=cut), start, out=space[2 * cut : 3 * cut])
+    t = marked.tobytes().translate(_DIGIT_ZERO, b"\0")
+    t = np.frombuffer(b"," + t if first and kind == "json" else t, dtype=np.uint8)
     if kind == "json":
-        if first:  # stand in for the "," before the first arc
-            at, b = np.insert(at, 0, 0), np.insert(b, 0, ord(","))
-        if b.size % 6:
-            return None
-        arcs = b.reshape(-1, 6)
-        for i, byte in enumerate(_JSON_ARC):
-            if not (arcs[:, i] == byte if i not in (2, 4) else (arcs[:, i] - ord("0")) < 10).all():
-                return None
-        return at, b
-    digit, end = (b - ord("0")) < 10, b == ord("\n")
-    digit_1, digit_2 = _before(digit, 1, False), _before(digit, 2, False)
-    start_1, start_2 = _before(end, 1, True), _before(end, 2, True)  # a chunk starts a line
-    if kind == "dot":
-        dash, semi = b == ord("-"), b == ord(";")
-        ok = (
-            (digit | end | dash | semi)
-            & (~end | start_1 | _before(semi, 1, False))
-            & (~digit | start_1 | _before(dash, 1, False))
-            & (~semi | digit_1)
-            & (~dash | (digit_1 & start_2))
-        )
+        ok = t.size % 6 == 0 and bool((t.reshape(-1, 6) == _JSON_ARC).all())
     else:
-        ok = (digit | end) & (~digit | start_1 | (digit_1 & start_2)) & (~end | start_1 | (digit_1 & digit_2))
-    return tokens if ok.all() else None
+        end, zero = t == ord("\n"), t == ord("0")
+        if kind == "dot":
+            line = zero[:-2] & (t[1:-1] == ord(";")) & end[2:]
+            pairs = np.count_nonzero(line) + np.count_nonzero(zero[:-4] & (t[1:-3] == ord("-")) & line[2:])
+        else:
+            pairs = np.count_nonzero(zero[:-2] & zero[1:-1] & end[2:])
+        ok = np.count_nonzero(end) + 2 * pairs == t.size
+    return (runs, t) if ok else None
 
 
-def _first_bad_line(view: np.ndarray, kind: str) -> str:
-    """The first line of a chunk outside the grammar, found by bisecting
-    the chunk's lines (a run of lines is good iff each line is)."""
-    ends = 1 + np.flatnonzero(view == ord("\n"))
+def _first_bad_line(buf: bytes, cut: int, kind: str) -> str:
+    """The first line of the chunk ``buf[:cut]`` outside the grammar, found
+    by bisecting the chunk's lines (a run of lines is good iff each line is)."""
+    ends = 1 + np.flatnonzero(np.frombuffer(buf, dtype=np.uint8, count=cut) == ord("\n"))
     good, bad = 0, len(ends) - 1  # lines before `good` pass; lines up to `bad` fail
     while good < bad:
         mid = (good + bad) // 2
-        if _grammar(view[: ends[mid]], kind) is None:
+        if _grammar(buf, int(ends[mid]), kind) is None:
             bad = mid
         else:
             good = mid + 1
     start = ends[good - 1] if good else 0
-    return view[start : ends[good] - 1].tobytes().strip(b" \t").decode("utf-8", "surrogatepass")
+    return buf[start : ends[good] - 1].strip(b" \t").decode("utf-8", "surrogatepass")
 
 
-def _ids(arr: np.ndarray, at: np.ndarray, hi: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The values and lengths (up to 255) of the digit runs that start at
-    the offsets ``at`` of ``arr`` and end before ``hi``, which ``arr``
-    passes by at least 7 bytes.
+def _ids(buf: bytes, cut: int, runs: np.ndarray, scratch: _Scratch, signed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The values and lengths (up to 255) of the digit runs of the chunk
+    ``buf[:cut]`` that start where ``runs`` is set; ``buf`` goes on at
+    least 7 bytes past ``cut``.  The lengths are a view of ``scratch``.
 
     A run of at most 6 digits is read from the 8 bytes that start it, as
-    one little-endian integer.  Its first byte that is not a digit sets
-    the top bit of its place when "0" is subtracted (a byte below it) or
-    0x46 added (one above "9"); carries only move up, so the lowest set
-    top bit gives the run's length.  Shifting the run to the top leaves
-    its digits in place-value order behind leading zeros, and three
-    multiply-shifts join their low nibbles pairwise, then the pairs,
-    then the quads.  Longer runs are read by ``int``; values beyond
-    int64 clamp to its largest, as ``np.fromstring`` read them.
-    ``signed`` negates an id after a ``-``.
+    one little-endian integer, into a new array that is then decoded in
+    place; its lengths are worked out in one more word array, from
+    ``scratch``, with no other temporary.  XOR with "0" in every byte
+    turns the run's digits into their values and, the chunk being ASCII,
+    the byte after them into 10 or more.  Adding 0x76 in every byte then
+    sets the top bit of that byte and of no digit, carrying nothing below
+    it.  Those bits, moved to the bottom of their bytes and multiplied by
+    0x0101010101010101, count in each byte the ones at or below it, which
+    is not 0 from the run's end up; 0x7F added in every byte carries
+    those into its top bit, and the same move and multiply count them in
+    the top byte: 8 less the run's length, which times 8 is the shift
+    that moves the run to the top.  That leaves its digits in place-value
+    order behind zeros, and three multiply-shifts join them pairwise,
+    then the pairs, then the quads.  Longer runs are read by ``int``;
+    values beyond int64 clamp to its largest, as ``np.fromstring`` read
+    them.  ``signed`` negates an id after a ``-``.
     """
-    words = np.ndarray((arr.size - 7,), dtype=np.dtype("<u8"), buffer=arr, strides=(1,))
-    w = words[at]
-    stop = ((w - 0x3030303030303030) | (w + 0x4646464646464646)) & 0x8080808080808080
-    bits = np.bitwise_count(stop ^ (stop - 1))  # 8 per digit, 8 more for the stop; 64: 7 digits or more
-    x = w << (72 - bits)
-    x = (x & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8  # 10 * 256 + 1
-    x = (x & 0x00FF00FF00FF00FF) * 6553601 >> 16  # 100 * 2**16 + 1
-    x = (x & 0x0000FFFF0000FFFF) * 42949672960001 >> 32  # 10**4 * 2**32 + 1
-    ids, size = x.view(np.int64), (bits >> 3) - 1
+    words = np.ndarray((cut,), dtype=np.dtype("<u8"), buffer=buf, strides=(1,))
+    x = words[runs]
+    m = x.size
+    size = scratch(8 * m)[: 8 * m].view("<u8")  # after the masks that `runs` is part of
+    x ^= 0x3030303030303030
+    np.add(x, 0x7676767676767676, out=size)
+    size &= 0x8080808080808080
+    size >>= 7
+    size *= 0x0101010101010101  # in each byte, the top bits set at or below it
+    size += 0x7F7F7F7F7F7F7F7F
+    size &= 0x8080808080808080
+    size >>= 7
+    size *= 0x0101010101010101  # in the top byte, the bytes from the run's end up
+    size >>= 53  # that count times 8: the bytes below it hold at most 7
+    np.left_shift(x, size, out=x)  # 0 or 8 for 7 digits or more
+    x *= 2561  # 10 * 256 + 1
+    x >>= 8
+    x &= 0x00FF00FF00FF00FF
+    x *= 6553601  # 100 * 2**16 + 1
+    x >>= 16
+    x &= 0x0000FFFF0000FFFF
+    x *= 42949672960001  # 10**4 * 2**32 + 1
+    x >>= 32
+    size >>= 3
+    np.subtract(8, size, out=size)
+    ids = x.view(np.int64)
+    longest = m and int(size.max()) >= 7
+    if not (signed or longest):
+        return ids, size
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    digit = (arr[:cut] - ord("0")) < 10
+    at = np.flatnonzero(digit & ~np.append(False, digit[:-1]))
     # A chunk starts a line, so no sign comes before its offset 0.
     negative = arr[np.maximum(at, 1) - 1] == ord("-") if signed else np.zeros(0, dtype=bool)
     if negative.any():
         np.negative(ids, out=ids, where=negative)
-    for i in np.flatnonzero(bits == 64):
-        digits = int(np.argmax((arr[at[i] : hi] - ord("0")) >= 10))
-        text = arr[at[i] - (signed and negative[i]) : at[i] + digits].tobytes()
+    for i in np.flatnonzero(size >= 7) if longest else ():
+        digits = int(np.argmax((arr[at[i] : cut] - ord("0")) >= 10))
+        text = buf[at[i] - (signed and negative[i]) : at[i] + digits]
         value = int(text) if len(text.lstrip(b"-0")) <= 19 else _INT64_MAX
         ids[i] = value if -(2**63) <= value <= _INT64_MAX else _INT64_MAX
         size[i] = min(digits, 255)
     return ids, size
 
 
-def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None) -> Digraph | None:
+def _arc_ids(buf: bytes, cut: int, kind: str, first: bool, scratch: _Scratch) -> tuple[np.ndarray, int] | None:
+    """The ids of the arcs of the chunk ``buf[:cut]``, sources and targets
+    interleaved, and in DOT its largest id (else -1), or None for a JSON
+    chunk outside the grammar or with an id that is not a plain int64
+    integer.  A text chunk outside the grammar raises."""
+    tokens = _grammar(buf, cut, kind, first, scratch(3 * cut))
+    if tokens is None:
+        if kind == "json":
+            return None
+        raise ValueError(f"unparseable {_NAMES[kind]} line: {_first_bad_line(buf, cut, kind)!r}")
+    runs, t = tokens
+    ids, size = _ids(buf, cut, runs, scratch, signed=kind != "dot" and buf.find(b"-", 0, cut) >= 0)
+    if kind == "json" and int(size.max(initial=0)) > _JSON_DIGITS:
+        return None  # not one int64 holds it
+    top = int(ids.max(initial=-1)) if kind == "dot" else -1
+    if kind == "dot":
+        dash = t == ord("-")
+        if 2 * np.count_nonzero(dash) != ids.size:  # drop the ids of vertex lines ("u;"), next to no "->"
+            ids = ids[(np.append(False, dash[:-1]) | np.append(dash[1:], False))[t == ord("0")]]
+    return ids, top
+
+
+def _scan(fh: BinaryIO, lo: int, hi: int, kind: str, n: int | None, checked: bool = False) -> Digraph | None:
     """Check the grammar of each chunk of the body ``[lo, hi)`` of the
     file, decode its ids and place its arcs in packed rows.
 
     A text chunk outside the grammar raises at once, and a JSON one (or
-    a JSON id that is not a plain int64 integer) returns None.  Any other
-    fault is held, and no more arcs placed, until the whole body is
-    checked, so a grammar fault comes first wherever it is.  ``n`` is
-    the order, or None for DOT, whose order is its largest id plus one:
-    the rows then grow to hold each id as it appears, until an order
-    would pass the cap, which is raised with the last order before any
-    arc fault, as from_arcs does.
+    a JSON id that is not a plain int64 integer) returns None.  The arcs
+    are set by :func:`_set_arcs`, which checks only their range; the
+    finished rows then show by :func:`_sound` whether some arc repeated
+    a pair or looped.  If one did, or an id was out of range, the body
+    is read again ``checked``: each chunk's arcs go through
+    :func:`_place_arcs`, which finds the fault.  Such a fault is held,
+    and no more arcs placed, until the whole body is checked, so a
+    grammar fault comes first wherever it is.  ``n`` is the order, or
+    None for DOT, whose order is its largest id plus one: the rows then
+    grow to hold each id as it appears, until an order would pass the
+    cap, which is raised with the last order before any arc fault, as
+    from_arcs does.
     """
-    bits, fault, seen = _zeros(0), None, -1
+    bits, fault, seen, placed, recheck = _zeros(0), None, -1, 0, False
     if n is not None:
         try:
             bits = _zeros(n)
         except (ValueError, ResourceLimitError) as exc:
             fault = exc
-    first = True
+    scratch, first = _Scratch(), True
     for buf, cut in _blocks(fh, lo, hi, b"]" if kind == "json" else b"\n"):
-        arr = np.frombuffer(buf, dtype=np.uint8)
-        tokens = _grammar(arr[:cut], kind, first)
-        if tokens is None:
-            if kind == "json":
-                return None
-            raise ValueError(f"unparseable {_NAMES[kind]} line: {_first_bad_line(arr[:cut], kind)!r}")
-        first = False
-        at, t = tokens
-        which = np.flatnonzero((t - ord("0")) < 10)  # the tokens that are ids
-        at, t, dash = at.take(which), t.take(which), t == ord("-")
-        ids, size = _ids(arr, at, cut, signed=kind != "dot" and buf.find(b"-", 0, cut) >= 0)
-        if kind == "json" and ((size > _JSON_DIGITS) | ((t == ord("0")) & (size > 1))).any():
-            return None  # not a JSON integer, or not one int64 holds
-        if kind == "dot":
-            seen = max(seen, int(ids.max(initial=-1)))
-            if 2 * np.count_nonzero(dash) != ids.size:  # drop the ids of vertex lines ("u;")
-                ids = ids[(_before(dash, 1, False) | np.append(dash[1:], False)).take(which)]
-        if fault is not None or seen >= MAX_MATRIX_ORDER:
-            continue
-        if seen >= len(bits):  # only in DOT, where the order is not known
-            bits = _resized(bits, max(seen + 1, min(len(bits) * 5 // 4, MAX_MATRIX_ORDER)))
-        try:
-            _place_arcs(bits, ids[0::2], ids[1::2])
-        except ValueError as exc:
-            fault = exc
+        chunk = _arc_ids(buf, cut, kind, first, scratch)
+        if chunk is None:
+            return None
+        first, (ids, top) = False, chunk
+        seen = max(seen, top)
+        if fault is None and not recheck and seen < MAX_MATRIX_ORDER:
+            if seen >= len(bits):  # only in DOT, where the order is not known
+                bits = _resized(bits, max(seen + 1, min(len(bits) * 5 // 4, MAX_MATRIX_ORDER)))
+            if not checked:
+                recheck, placed = not _set_arcs(bits, ids[0::2], ids[1::2]), placed + ids.size // 2
+            else:
+                try:
+                    _place_arcs(bits, ids[0::2], ids[1::2])
+                except ValueError as exc:
+                    fault = exc
+        del buf, chunk, ids  # before the next read
+    del scratch
     if kind == "dot":
         check_matrix_order(seen + 1)
+    if fault is None and not checked and (recheck or not _sound(bits, placed, _CHUNK)):
+        return _scan(fh, lo, hi, kind, n, checked=True)
     if fault is not None:
         raise fault
     return Digraph._from_bits(_resized(bits, seen + 1) if kind == "dot" else bits)
@@ -503,7 +593,9 @@ def parse_dot(text: str | bytes | BinaryIO) -> Digraph:
         hi = _closing_line(fh, head.end())
     if hi is None:
         raise ValueError("not a dot digraph document")
-    return _scan(fh, head.end(), hi, "dot", None)
+    lo = head.end()
+    del head  # its text, a block: not kept through the scan
+    return _scan(fh, lo, hi, "dot", None)
 
 
 def _closing_line(fh: BinaryIO, lo: int) -> int | None:
@@ -535,7 +627,9 @@ def parse_edgelist(text: str | bytes | BinaryIO) -> Digraph:
         if not head.strip(b" \t\n"):
             raise ValueError("empty edge-list document")
         raise ValueError("edge list must start with '# tournament n=<n>'")
-    return _scan(fh, header.end(), fh.seek(0, io.SEEK_END), "edgelist", int(header.group(1)))
+    lo, n = header.end(), int(header.group(1))
+    del head, header  # a block: not kept through the scan
+    return _scan(fh, lo, fh.seek(0, io.SEEK_END), "edgelist", n)
 
 
 # -- json --------------------------------------------------------------
@@ -573,6 +667,7 @@ def _scan_json(fh: BinaryIO) -> Digraph | None:
         n = json.loads(rest, parse_float=_not_an_id, parse_constant=_not_an_id)["n"]
     except (KeyError, TypeError, ValueError):
         return None
+    del data, head, tail, rest  # not kept through the scan
     return _scan(fh, lo, hi, "json", n) if type(n) is int else None
 
 

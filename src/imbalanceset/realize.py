@@ -280,12 +280,14 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
 
     def write(hold: int) -> None:
         """Move the plain steps' stretches to ``chunks``, then write
-        every chunk unless they hold fewer than ``hold`` stretches."""
+        every chunk unless they hold fewer than ``hold`` stretches or
+        none (a fast-forward period may have none), so that no call of
+        :func:`_fill` is given empty rows."""
         if rows:
             chunks.append((np.array(rows), np.array(ends[0::2]), np.array(ends[1::2])))
             rows.clear()
             ends.clear()
-        if chunks and sum(len(chunk[0]) for chunk in chunks) >= hold:
+        if sum(len(chunk[0]) for chunk in chunks) >= max(hold, 1):
             _fill(bits, *map(np.concatenate, zip(*chunks)))
             chunks.clear()
 

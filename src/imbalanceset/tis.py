@@ -30,12 +30,7 @@ from __future__ import annotations
 import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .equalsum import (
-    EqualSumWitness,
-    _lex_min_witness,
-    _mixed_valuations,
-    _shortest_odd_zero_sum,
-)
+from .equalsum import EqualSumWitness, _has_odd_pair, _lex_min_witness, _shortest_odd_zero_sum
 from .errors import check_matrix_order
 from .sequences import ImbalanceSet, canonical_sequence
 
@@ -140,8 +135,9 @@ def order_upper_bound(values: Iterable[int]) -> int:
 def _refusal(members: frozenset[int]) -> str | None:
     """The first failing condition of the characterization, None on a yes.
 
-    O(|Z|): sign, parity, and for even sets without 0 the 2-adic rule
-    (fact 1 of the :mod:`imbalanceset.equalsum` docstring).
+    O(|Z|): sign, parity, and for even sets
+    :func:`~imbalanceset.equalsum._has_odd_pair`: a 0 member or the 2-adic
+    rule (fact 1 of the :mod:`imbalanceset.equalsum` docstring).
     """
     if not members:
         raise ValueError("the input set must be nonempty")
@@ -151,6 +147,6 @@ def _refusal(members: frozenset[int]) -> str | None:
         return REFUSAL_ONE_SIDED
     if len({v % 2 for v in members}) > 1:
         return REFUSAL_MIXED_PARITY
-    if next(iter(members)) % 2 == 0 and 0 not in members and not _mixed_valuations(members):
+    if next(iter(members)) % 2 == 0 and not _has_odd_pair(members):
         return REFUSAL_NO_ODD_EQUAL_SUM
     return None

@@ -254,3 +254,24 @@ class TestInvariants:
     def test_arcs_are_sorted(self):
         g = Digraph(3, [(2, 0), (0, 1), (1, 2)])
         assert list(g.arcs()) == [(0, 1), (1, 2), (2, 0)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_in_degrees_are_the_column_sums(seed):
+    # The closed form n - 1 - out for tournaments, and the unpacked blocks
+    # for the rest, against the column sums of the whole matrix.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40)) * 2
+    upper = np.triu(rng.integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+    tournament = upper + np.triu(1 - upper, 1).T
+    near = tournament.copy()
+    for u, v in rng.permutation(n).reshape(-1, 2):  # unjoin a perfect matching
+        near[u, v] = near[v, u] = 0
+    sparse = np.triu(rng.random((n, n)) < 0.05, 1).astype(np.uint8)
+    for adj, kind in ((tournament, "tournament"), (near, "near"), (sparse, "sparse")):
+        g = Digraph.from_matrix(adj)
+        assert g.is_tournament() == (kind == "tournament") and g.is_near_tournament() == (kind == "near")
+        out, into = adj.sum(axis=1, dtype=np.int64), adj.sum(axis=0, dtype=np.int64)
+        assert np.array_equal(g.in_degrees(), into), kind
+        assert np.array_equal(g.imbalances(), out - into), kind
+

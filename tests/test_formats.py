@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import square_cycle, triangle_cycle
-from imbalanceset import Digraph, formats, realize_imbalance_set
+from imbalanceset import Digraph, digraph, formats, realize_imbalance_set
 from imbalanceset.formats import (
     detect_format,
     emit,
@@ -120,6 +120,27 @@ class TestWrite:
             write(Digraph(1), "gml", fh)
         assert fh.getvalue() == ""
 
+    @pytest.mark.parametrize("kind", ["dot", "edgelist", "json"])
+    def test_write_unpacks_a_bounded_block(self, kind):
+        # Traced peak <= the packed rows, two blocks of unpacked cells and
+        # the table of id strings (under 80 bytes an id): an order-903
+        # tournament unpacked whole would take 815 KB.
+        class Discard(io.TextIOBase):
+            def write(self, text: str) -> int:
+                return len(text)
+
+        graph = realize_imbalance_set({4, -598})
+        n = graph.n
+        write(graph, kind, Discard())  # json is imported on first use
+        tracemalloc.start()
+        try:
+            write(graph, kind, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 903
+        assert peak <= n * -(-n // 8) + 2 * digraph._CELLS + 80 * n, peak
+
 
 class TestDetect:
     def test_by_extension(self):
@@ -208,6 +229,18 @@ class TestReadBoundaries:
             monkeypatch.setattr(formats, "_CHUNK", chunk)
             assert parse(text.encode(), kind) == graph, chunk
 
+    def test_a_crlf_reads_as_a_space_and_a_line_end(self):
+        assert formats._Lines(io.BytesIO(b"0 1\r\n2 3\r")).read() == b"0 1 \n2 3\n"
+        # A lone "\r" still ends a line, as in str.splitlines: "\r\r\n" is two.
+        assert formats._Lines(io.BytesIO(b"0\r\r\n1")).read() == b"0\n \n1"
+        assert len("0\r\r\n1".splitlines()) == 3
+
+    @pytest.mark.parametrize("cut", range(1, 11))
+    def test_a_read_cut_in_a_crlf_maps_like_an_uncut_one(self, cut):
+        data = b"0 1\r\n2 3\r\n"  # cut 4 falls between its first "\r" and "\n"
+        lines = formats._Lines(io.BytesIO(data))
+        assert lines.read(cut) + lines.read() == formats._Lines(io.BytesIO(data)).read() == b"0 1 \n2 3 \n"
+
     def test_every_whitespace_character_is_mapped(self):
         # Breaks to "\n" (a wide one behind spaces), other whitespace to
         # spaces, each to as many bytes as it has; every other character
@@ -250,3 +283,25 @@ class TestReadBoundaries:
                 tracemalloc.stop()
         assert parsed == graph and n == order
         assert peak <= n * -(-n // 8) + unpacked * n * n + blocks * 4096, peak
+
+    @pytest.mark.parametrize("kind", ["dot", "edgelist", "json"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_parse_holds_a_dozen_reads(self, tmp_path, monkeypatch, kind, end):
+        # Traced peak <= the packed rows and 12 reads of 4 KiB of working
+        # set: the masks and decoder words in one reused scratch buffer,
+        # the block and its ids.  DOT's rows grow as its ids come, so the
+        # rows before a growth are alive with the rows after it.
+        graph = realize_imbalance_set({4, -598})
+        n = graph.n
+        path = tmp_path / f"graph.{kind}"
+        path.write_bytes(emit(graph, kind).replace("\n", end).encode())
+        monkeypatch.setattr(formats, "_CHUNK", 4096)
+        with path.open("rb") as fh:
+            tracemalloc.start()
+            try:
+                parsed = parse(fh, kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert parsed == graph and n == 903
+        assert peak <= (2 if kind == "dot" else 1) * n * -(-n // 8) + 12 * 4096, peak
