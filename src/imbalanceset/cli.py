@@ -185,6 +185,9 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         "order": decision.order,
     }
     yes = f"yes: realizable by a tournament of order {decision.order}"
+    if decision.capped is not None:  # the verdict stands; only the order's search was refused
+        doc["capped"] = decision.capped
+        yes = f"yes: realizable by a tournament; order not computed ({decision.capped})"
     _print_answer(
         args,
         doc,

@@ -22,7 +22,7 @@ parsers' :func:`_set_arcs` block by block, checked once at the end by
 construction writes upper cells (u, v), v > u, only; then one
 :func:`_mirror` pass over the whole graph writes each lower cell (v, u)
 as 1 - (u, v), reads it back for doubled pairs and counts the
-out-degrees, and :func:`_clear_pairs` unjoins the pairs left so.
+out-degrees, and :func:`_toggle` unjoins the pairs left so.
 :meth:`Digraph.from_matrix` packs a finished matrix and checks it with
 :func:`_check_packed`, the same pass without the write; ``Digraph(n,
 arcs)`` delegates to ``from_arcs``, :meth:`Digraph.matrix` unpacks a
@@ -34,6 +34,18 @@ transposes every block of an array with three delta swaps, and
 :func:`_flip` lays them out as the blocks of the transpose.  The
 transposed passes, :func:`_mirror` (with :func:`_check_packed`) and the
 unjoined-pair scans, walk the bands of ``_TILE`` rows of :func:`_bands`.
+
+First touch.  An array that numpy gets fresh from the kernel is mapped
+on its first access to each page: a read maps the shared zero page, and
+a write after it faults again to copy it.  So an array whose pages are
+read and then written, as ``|=`` into rows and a running XOR in place
+do, has its zeros written when it is allocated, not left to
+``np.zeros``: the rows of :func:`_zeros`, which :func:`_resized` and the
+parsers take too, and the word buffer of :func:`_fill`.  Each page then
+faults once, on that write.  An array that is written before it is read
+(the blocks of :func:`_blocks`), or read and never written (the cell
+span of :func:`_set_arcs` where no arc falls), faults once a page from
+``np.zeros`` as it is.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -278,11 +290,16 @@ class Digraph:
 
 def _zeros(n: int) -> np.ndarray:
     """The packed rows of the empty order-n graph, refused before
-    allocation if n is negative or passes the matrix cap."""
+    allocation if n is negative or passes the matrix cap.  The zeros are
+    written here, as the module docstring's first-touch rule asks: the
+    ``|=`` of :func:`_fill` and :func:`_set_arcs` reads a row's pages
+    before it writes them."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     check_matrix_order(n)
-    return np.zeros((n, -(-n // 8)), dtype=np.uint8)
+    bits = np.empty((n, -(-n // 8)), dtype=np.uint8)
+    bits.fill(0)
+    return bits
 
 
 def _place_arcs(bits: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
@@ -482,6 +499,9 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     one buffer of ``'<u8'`` words, every row from word w0 = min(lo) >> 6
     to its end plus a spare word for edges at the end; after a row's last
     edge the running XOR is zero, so rows do not carry into each other.
+    The buffer comes from ``np.empty``, and each band zeroes its part
+    before it scatters its toggles, so that no page of it is read before
+    it is written (the module docstring's first-touch rule).
     ``'<u8'`` is little-endian on every host, so byte c of word w holds
     columns 64(w0 + w) + 8c .. + 7 and a buffer row read as bytes is its
     packed row from byte 8 * w0 on (a native-endian view would reverse the
@@ -503,7 +523,7 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     edges = np.sort(np.concatenate((lo, hi)) + np.tile(row_bits * rows - 64 * w0, 2))
     first, last = int(edges[0]) // row_bits, int(edges[-1]) // row_bits
     h = max(1, 8 * _FILL // row_bits)
-    buf = np.zeros(min(h, last + 1 - first) * row_bits // 64, dtype="<u8")
+    buf = np.empty(min(h, last + 1 - first) * row_bits // 64, dtype="<u8")
     at = 0
     while at < edges.size:
         r0 = int(edges[at]) // row_bits
@@ -514,12 +534,12 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
         starts = np.flatnonzero(np.diff(pos >> 6, prepend=-1))  # each word's first edge
         w = pos[starts] >> 6
         used = buf[: (r1 - r0) * row_bits // 64]
+        used[...] = 0
         used[w] = np.uint64(0) - (np.diff(starts, append=pos.size) & 1).astype(np.uint64)
         np.bitwise_xor.accumulate(used, out=used)
         low = (np.uint64(1) << (pos & 63).astype(np.uint64)) - np.uint64(1)  # edge masks
         used[w] ^= np.bitwise_xor.reduceat(low, starts)
         bits[r0:r1, 8 * w0 :] |= used.view(np.uint8).reshape(r1 - r0, -1)[:, : width - 8 * w0]
-        used[...] = 0
 
 
 def _resized(bits: np.ndarray, order: int) -> np.ndarray:
@@ -535,11 +555,18 @@ def _resized(bits: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _clear_pairs(bits: np.ndarray, pairs: Sequence[tuple[int, int]]) -> None:
-    """Clear the cell (v, u) of each pair (u, v), u < v, that :func:`_mirror` joined."""
-    if pairs:
-        lo, hi = np.array(pairs).T
-        bits[hi, lo >> 3] &= ~_bit(lo)
+def _toggle(bits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Flip the cell (rows[j], cols[j]) of the packed rows ``bits`` for
+    every j, one scattered write: the rows must be distinct, as the
+    lower or the upper ends of a pairing are.  Sets the arc of each
+    unjoined pair (u, v), u < v, before :func:`_mirror`, or clears the
+    cell (v, u) that the mirror joined after it."""
+    bits[rows, cols >> 3] ^= _bit(cols)
+
+
+def _unjoined(bits: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether neither cell of any pair (u[j], v[j]) is set in the packed rows."""
+    return not ((bits[u, v >> 3] & _bit(v)) | (bits[v, u >> 3] & _bit(u))).any()
 
 
 def _bands(bits: np.ndarray, tile: int = 0) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

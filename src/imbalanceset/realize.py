@@ -146,7 +146,8 @@ because every member's magnitude is below n.  For ([0], []) there are
 no couples, and the one new vertex beats v and loses to v' in every
 pair: the apex of :func:`add_apex_zero`.
 
-:func:`_complete` writes the pair arcs v -> v', then the upper cells
+:func:`_complete` sets the pair arcs v -> v', by one scattered flip of
+their cells (unset, as each pair is unjoined), then the upper cells
 of the new columns as O(n + S) intervals, a span of free ranks in
 closed form and a cell per couple owner for each pair row.  The lower
 cells of the new rows, new -> base, need no roles of their own.  Every
@@ -160,15 +161,24 @@ Every certificate takes one matrix: :func:`_certificate`, which
 :func:`~imbalanceset.tis.decide_tis` calls, allocates the packed
 (n + k)-order matrix, the greedy writes the base's upper cells into its
 top-left block, :func:`_complete` the rest when k > 0, and one mirror
-pass ends the build and checks it: it writes the lower cells, reads
-them back for doubled pairs and counts the out-degrees, from which
-:func:`_certified` finishes the check (odd sets and ``{0}``, whose
-sequence is (0,), have k = 0 and no unjoined pairs, so the base is the
-tournament).  So the peak of a build is that matrix ((n + k) *
-ceil((n + k) / 8) bytes), the intervals held at once (fewer than
-``2 * _FLUSH`` receiver stretches in the greedy, O(n + S) in the
-completion) and the band buffer of ``digraph._FILL`` bytes; the mirror
-pass adds band-sized temporaries only.  Public :func:`add_arcs` takes a
+pass ends the build and checks it.  The greedy takes the canonical
+expansion as the runs (value, count) of
+:meth:`~imbalanceset.sequences.ImbalanceSet.canonical_runs`, unchecked
+and never written out as an n-tuple: the
+:mod:`imbalanceset.sequences` docstring proves that every canonical
+expansion is a digraph imbalance sequence, so no O(n) pass runs before
+the greedy.  :func:`max_realization`, whose sequence is the caller's,
+checks it and groups it into runs itself.  The mirror pass writes
+the lower cells, reads them back for doubled pairs and counts the
+out-degrees, from which :func:`_certified` finishes the check (odd sets
+and ``{0}``, whose sequence is (0,), have k = 0 and no unjoined pairs,
+so the base is the tournament).  So the peak of a build is that matrix
+((n + k) * ceil((n + k) / 8) bytes, every page of it written once at
+allocation, see :func:`~imbalanceset.digraph._zeros`), the intervals
+held at once (fewer than ``2 * _FLUSH`` receiver stretches in the
+greedy, O(n + S) in the completion), the pairing as two arrays and the
+band buffer of ``digraph._FILL`` bytes; the mirror pass adds
+band-sized temporaries only.  Public :func:`add_arcs` takes a
 finished base report, so it holds the base and a grown copy of it.
 
 Outputs are deterministic, which the golden-file tests rely on.
@@ -185,8 +195,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .digraph import (
-    Digraph, _check_loops, _check_packed, _clear_pairs, _fill, _mirror, _NotOriented,
-    _place_arcs, _resized, _tournament_imbalances, _zeros,
+    Digraph, _check_loops, _check_packed, _fill, _mirror, _NotOriented, _resized, _toggle,
+    _tournament_imbalances, _unjoined, _zeros,
 )
 from .equalsum import EqualSumWitness
 from .sequences import digraph_imbalance_failure
@@ -250,9 +260,10 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     _check_sequence(seq)
     n = len(seq)
     bits = _zeros(n)
-    pairing = _upper_rows(seq, bits)
+    lo, hi = _upper_rows([(operator.index(t), len(list(g))) for t, g in groupby(seq)], bits)
     _mirror(bits)
-    _clear_pairs(bits, pairing)
+    _toggle(bits, hi, lo)
+    pairing = tuple(zip(lo.tolist(), hi.tolist()))
     # Every entry that misses the parity of n - 1 is paired once and the
     # rest are joined to all, so the pairing settles the arcs and flags.
     return RealizationReport(
@@ -264,13 +275,18 @@ def max_realization(seq: Sequence[int]) -> RealizationReport:
     )
 
 
-def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Run the greedy on ``seq``, a checked sequence of length n, and
-    write the upper cells of its rows into the top-left n x n block of
-    the zeroed packed rows ``bits``.  Returns the non-neighbour pairing.
+def _upper_rows(seq_runs: Sequence[tuple[int, int]], bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the greedy on a digraph imbalance sequence of length n, given
+    as its runs (value, count) of distinct values, and write the upper
+    cells of its rows into the top-left n x n block of the zeroed packed
+    rows ``bits``.  Returns the non-neighbour pairing as int64 arrays
+    (lo, hi), lo < hi, in order of lo.
     """
-    n = len(seq)
-    pairing: list[tuple[int, int]] = []
+    n = sum(count for _, count in seq_runs)
+    # The pairing's (lo, hi) arrays, and the plain steps' pairs not yet
+    # moved to them, flattened as [lo, hi, lo, hi, ...].
+    pairs: list[tuple[np.ndarray, np.ndarray]] = [(np.empty(0, dtype=np.int64),) * 2]
+    paired_now: list[int] = []
     # Receiver stretches not yet written, in row order: (rows, lo, hi)
     # arrays, then the plain steps' as a row per stretch and the
     # stretches flattened as [lo, hi, lo, hi, ...].
@@ -279,10 +295,13 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
     ends: list[int] = []
 
     def write(hold: int) -> None:
-        """Move the plain steps' stretches to ``chunks``, then write
-        every chunk unless they hold fewer than ``hold`` stretches or
-        none (a fast-forward period may have none), so that no call of
-        :func:`_fill` is given empty rows."""
+        """Move the plain steps' pairs to ``pairs`` and their stretches
+        to ``chunks``, then write every chunk unless they hold fewer
+        than ``hold`` stretches or none (a fast-forward period may have
+        none), so that no call of :func:`_fill` is given empty rows."""
+        if paired_now:
+            pairs.append((np.array(paired_now[0::2]), np.array(paired_now[1::2])))
+            paired_now.clear()
         if rows:
             chunks.append((np.array(rows), np.array(ends[0::2]), np.array(ends[1::2])))
             rows.clear()
@@ -295,14 +314,13 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
     # of equal state, in id order; vertex i heads runs[0].
     # Vertex i has out-quota (n - 1 + t_i) // 2 and is free (misses the
     # parity of n - 1) when n - 1 + t_i is odd, so equal entries have
-    # equal states and the runs are those of seq.
+    # equal states and the runs are those of seq_runs.
     runs: list[_Run] = []
     start = 0
-    for t, group in groupby(seq):
-        stop = start + len(list(group))
-        out, free = divmod(n - 1 + operator.index(t), 2)
-        runs.append((start, stop, out, bool(free)))
-        start = stop
+    for t, count in seq_runs:
+        out, free = divmod(n - 1 + t, 2)
+        runs.append((start, start + count, out, bool(free)))
+        start += count
     # The state, and the states the last plain steps reached.
     now: _State = (0, runs)
     seen: deque[_State] = deque([now], maxlen=2 * _PERIOD + 1)
@@ -325,7 +343,7 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
                 rows_k = i + _PERIOD * k
                 ends_k = values[:, p:]
                 chunks.append(((rows_k + steps).ravel(), ends_k[:, 0::2].ravel(), ends_k[:, 1::2].ravel()))
-                pairing += zip((rows_k + paired).ravel().tolist(), values[:, paired].ravel().tolist())
+                pairs.append(((rows_k + paired).ravel(), values[:, paired].ravel()))
                 write(_FLUSH)
             seen.clear()
         else:
@@ -334,14 +352,15 @@ def _upper_rows(seq: Sequence[int], bits: np.ndarray) -> tuple[tuple[int, int], 
             rows += [i] * (len(recv) // 2)
             ends += recv
             if partner >= 0:
-                pairing.append((i, partner))
+                paired_now += i, partner
             if len(rows) >= _FLUSH:
                 write(0)
             now = (i + 1, runs)
         seen.append(now)
 
     write(0)
-    return tuple(pairing)
+    lo, hi = map(np.concatenate, zip(*pairs))
+    return lo, hi
 
 
 def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int]:
@@ -583,8 +602,10 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     imbalances come out as the xs and the negated ys, while every
     original vertex keeps its imbalance.  See the module docstring for
     the construction; it degenerates to the single-apex picture when
-    the witness is the trivial ([0], []).  The base's packed rows are
-    copied into a grown matrix, which :func:`_complete` completes.
+    the witness is the trivial ([0], []).  The report's pairing must be
+    its graph's unjoined pairs, which is checked in O(n).  The base's
+    packed rows are copied into a grown matrix, which :func:`_complete`
+    completes.
     """
     if not near.is_near_tournament:
         raise ValueError("base graph must be a near tournament")
@@ -603,36 +624,42 @@ def add_arcs(near: RealizationReport, witness: EqualSumWitness) -> Digraph:
     if couples and -(-couples // n_pairs) > (k - 1) // 2:
         raise ValueError("witness couple load exceeds the new-clique capacity")
 
+    lo, hi = np.array(near.non_neighbour_pairing, dtype=np.int64).reshape(-1, 2).T
+    # A near tournament's unjoined pairs are a perfect matching, so a
+    # perfect matching of unjoined pairs is all of them.
+    matching = np.array_equal(np.sort(np.concatenate((lo, hi))), np.arange(n))
+    if not (matching and _unjoined(near.graph._bits, lo, hi)):
+        raise ValueError("the pairing is not the base graph's unjoined pairs")
     bits = _resized(near.graph._bits, n + k)
-    _complete(bits, near.non_neighbour_pairing, witness)
+    _complete(bits, lo, hi, witness)
     _mirror(bits)
     return Digraph._from_bits(bits)
 
 
 def _certificate(
-    seq: Sequence[int], witness: EqualSumWitness | None, members: frozenset[int]
+    runs: Sequence[tuple[int, int]], witness: EqualSumWitness | None, members: frozenset[int]
 ) -> Digraph:
     """The checked tournament with imbalance set ``members``, built in
-    one matrix: the maximum realization of ``seq``, completed by
-    ``witness`` unless that is None (k = 0)."""
-    _check_sequence(seq)
-    n = len(seq)
+    one matrix: the maximum realization of the sequence with runs
+    (value, count) ``runs``, completed by ``witness`` unless that is
+    None (k = 0).  The sequence is not checked: it is a canonical
+    expansion, which the :mod:`imbalanceset.sequences` docstring proves
+    feasible, or (0,)."""
+    n = sum(count for _, count in runs)
     k = 0 if witness is None else witness.total_length
     bits = _zeros(n + k)
-    pairing = _upper_rows(seq, bits)
+    lo, hi = _upper_rows(runs, bits)
     if witness is not None:
-        _complete(bits, pairing, witness)
+        _complete(bits, lo, hi, witness)
     return _certified(bits, members, n + k, _mirror)
 
 
-def _complete(
-    bits: np.ndarray, pairing: tuple[tuple[int, int], ...], witness: EqualSumWitness
-) -> None:
+def _complete(bits: np.ndarray, lo: np.ndarray, hi: np.ndarray, witness: EqualSumWitness) -> None:
     """Write the completion's upper cells, as the module docstring says,
     into ``bits``: packed (n + k)-order rows whose top-left block holds
-    at least the upper cells of the base, a near tournament with unjoined
-    pairs ``pairing``, and whose new rows and columns are zero, for a
-    ``witness`` that :func:`add_arcs` accepts.
+    at least the upper cells of the base, a near tournament whose
+    unjoined pairs are (lo[j], hi[j]), lo ascending, and whose new rows
+    and columns are zero, for a ``witness`` that :func:`add_arcs` accepts.
 
     Every row is a few intervals of new columns (vertex id v at column
     n + v), set by one :func:`~imbalanceset.digraph._fill`, which XORs
@@ -661,9 +688,8 @@ def _complete(
     n_pairs = n // 2
     couples = witness.common_sum // 2
 
-    # The pairing is sorted, so its keys increase and need no sort.
-    lo, hi = np.array(pairing, dtype=np.int64).reshape(-1, 2).T
-    _place_arcs(bits, lo, hi)
+    # Each pair is unjoined, so its cell (lo, hi) is unset until this flip.
+    _toggle(bits, lo, hi)
 
     # Couple j pairs the j-th positive half-unit with the j-th negative
     # one and goes to pair j mod n/2 as its t-th couple, so one owner's

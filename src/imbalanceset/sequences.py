@@ -23,6 +23,23 @@ entry.
 The :class:`ImbalanceSet` container splits a candidate set into its
 non-negative and negative parts and owns the arithmetic (part sums and
 the canonical expansion length) used throughout the package.
+
+Every canonical expansion is a digraph imbalance sequence, so the
+certificate builder takes it as runs from
+:meth:`ImbalanceSet.canonical_runs` and checks nothing.  Write it as
+x_1 > ... > x_l >= 0, each M times, then -y_1 > ... > -y_m, each L
+times (L, M the part sums, both positive), n = l*M + m*L, and let the
+slack be s(j) = j(n - j) - P(j), P(j) the sum of the first j entries.
+The expansion is nonincreasing by construction and P(n) = L*M - M*L =
+0, so only s(j) >= 0 is left.  Inside a run P is linear and j(n - j) concave, so s
+is concave and least at the run's ends: j = a*M (a <= l) and j = l*M +
+b*L (b <= m).
+* At j = a*M, a >= 1: P = M * S_a, S_a = x_1 + ... + x_a <= L, and
+  s = M(a((l - a)M + mL) - S_a) >= M(L - S_a) >= 0, as m, a >= 1.
+  At j = 0, s = 0.
+* At j = l*M + b*L, b < m: P = L(M - Y_b), Y_b = y_1 + ... + y_b, and
+  s = L((lM + bL)(m - b) - M + Y_b) >= L * Y_b >= 0, as m - b >= 1 and
+  lM >= M.  At b = m, j = n and s = 0.
 """
 
 from __future__ import annotations
@@ -206,25 +223,31 @@ class ImbalanceSet:
         )
 
 
-def canonical_sequence(parts: ImbalanceSet) -> tuple[int, ...]:
-    """Expand a set into its canonical zero-sum imbalance sequence.
+    def canonical_runs(self) -> tuple[tuple[int, int], ...]:
+        """The canonical expansion as runs (value, count), values
+        decreasing: each non-negative member x counted M times (M = sum
+        of negative magnitudes), then each negative member -y counted L
+        times (L = sum of non-negative members).  It needs a positive
+        and a negative member, and is a digraph imbalance sequence by
+        the module docstring's proof.
+        """
+        if not self.non_negative or not self.negative_abs:
+            raise ValueError("canonical sequence needs both ends of the sign range")
+        big_l = self.non_negative_sum
+        big_m = self.negative_abs_sum
+        if big_l == 0:
+            # Non-negative part is {0} alone: the negatives could never appear.
+            raise ValueError("canonical sequence needs a strictly positive member")
+        return tuple((x, big_m) for x in self.non_negative) + tuple((-y, big_l) for y in self.negative_abs)
 
-    Each non-negative member x is repeated M times (M = sum of negative
-    magnitudes) and each negative member -y is repeated L times (L = sum
-    of non-negative members), listed nonincreasing.  The result has
-    length l*M + m*L, sums to zero, and contains every member of the
-    set, which requires both a positive and a negative member.
+
+def canonical_sequence(parts: ImbalanceSet) -> tuple[int, ...]:
+    """Expand a set into its canonical zero-sum imbalance sequence: the
+    runs of :meth:`ImbalanceSet.canonical_runs`, written out.  The
+    result has length l*M + m*L, sums to zero, and contains every member
+    of the set, which requires both a positive and a negative member.
     """
-    if not parts.non_negative or not parts.negative_abs:
-        raise ValueError("canonical sequence needs both ends of the sign range")
-    big_l = parts.non_negative_sum
-    big_m = parts.negative_abs_sum
-    if big_l == 0:
-        # Non-negative part is {0} alone: the negatives could never appear.
-        raise ValueError("canonical sequence needs a strictly positive member")
     out: list[int] = []
-    for x in parts.non_negative:
-        out.extend([x] * big_m)
-    for y in parts.negative_abs:
-        out.extend([-y] * big_l)
+    for value, count in parts.canonical_runs():
+        out += [value] * count
     return tuple(out)

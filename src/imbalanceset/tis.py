@@ -16,13 +16,16 @@ The decision pipeline, in order:
    ([0], []) with k = 1, or when the members do not all share one
    2-adic valuation, with k the least odd zero-sum length: in closed
    form for two members, else found by a search capped on its work, at
-   most n.  :mod:`imbalanceset.equalsum` owns the pair, its proofs and
+   most n; a search refused by that cap leaves the yes without its
+   order.  :mod:`imbalanceset.equalsum` owns the pair, its proofs and
    its witness, and answers :func:`~imbalanceset.min_odd_equal_sum`
    with the same two steps.
 
 The verdict and the order are arithmetic and load no numpy.  The
 certificate is built, in one matrix, and checked by
-:mod:`imbalanceset.realize`; for ``{0}`` the greedy realizes (0,).
+:mod:`imbalanceset.realize`, from the runs of the canonical expansion,
+which the :mod:`imbalanceset.sequences` docstring proves feasible; for
+``{0}`` the greedy realizes (0,).
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .equalsum import EqualSumWitness, _has_odd_pair, _lex_min_witness, _shortest_odd_zero_sum
-from .errors import check_matrix_order
-from .sequences import ImbalanceSet, canonical_sequence
+from .errors import ResourceLimitError, check_matrix_order
+from .sequences import ImbalanceSet
 
 if TYPE_CHECKING:
     from .digraph import Digraph
@@ -46,10 +49,11 @@ class TisDecision(NamedTuple):
     """Outcome of the decision, as a named tuple: a verdict plus its
     certificate or reason.
 
-    ``order`` is the order of the tournament the pipeline constructs
-    (present on every yes, even when the certificate itself was not
-    requested).  ``witness`` carries the equal-sum pair backing an
-    even-case yes when the certificate was requested.
+    ``order`` is the order of the tournament the pipeline constructs,
+    present on every yes, even when the certificate itself was not
+    requested, unless the search for it was refused: then ``capped``
+    holds the cap's message.  ``witness`` carries the equal-sum pair
+    backing an even-case yes when the certificate was requested.
     """
 
     verdict: bool
@@ -57,6 +61,7 @@ class TisDecision(NamedTuple):
     order: int | None = None
     certificate: Digraph | None = None
     witness: EqualSumWitness | None = None
+    capped: str | None = None
 
 
 def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisDecision:
@@ -74,10 +79,11 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     ``with_certificate`` a realizing tournament is built and verified
     once, by :mod:`imbalanceset.realize`, before returning.
     Members must be integers: 1.5 raises TypeError.  Caps bound work,
-    not answers: only the search for k (on its work, at most n by fact 4
-    there) and, for a certificate, the orders n and n + k and the
-    witness raise :class:`ResourceLimitError`, each before the work it
-    bounds.
+    not answers: a search for k refused on its work (at most n by fact 4
+    there) still gives the yes, with ``order`` None and the cap's
+    message in ``capped``.  Only a certificate needs k, so only with one
+    do that search, the orders n and n + k and the witness raise
+    :class:`ResourceLimitError`, each before the work it bounds.
     """
     members = frozenset(map(operator.index, values))
     refusal = _refusal(members)
@@ -90,7 +96,12 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
         check_matrix_order(n)
     # The completing odd equal-sum pair: k terms, common sum S.
     sides = parts.non_negative[::-1], parts.negative_abs
-    k, common = (0, 0) if next(iter(members)) % 2 else _shortest_odd_zero_sum(*sides)
+    try:
+        k, common = (0, 0) if next(iter(members)) % 2 else _shortest_odd_zero_sum(*sides)
+    except ResourceLimitError as exc:
+        if with_certificate:
+            raise
+        return TisDecision(True, capped=str(exc))
     if not with_certificate:
         return TisDecision(True, order=n + k)
 
@@ -98,9 +109,9 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     from .realize import _certificate
 
     if n == 0:  # {0}: the greedy builds the one-vertex tournament from (0,)
-        return TisDecision(True, order=1, certificate=_certificate((0,), None, members))
+        return TisDecision(True, order=1, certificate=_certificate(((0, 1),), None, members))
     witness = _lex_min_witness(*sides, k, common) if k else None
-    cert = _certificate(canonical_sequence(parts), witness, members)
+    cert = _certificate(parts.canonical_runs(), witness, members)
     return TisDecision(True, order=n + k, certificate=cert, witness=witness)
 
 

@@ -101,10 +101,32 @@ class TestDecide:
         assert code == 1 and "duplicates" in err
 
     def test_resource_cap(self, capsys):
-        # Both need the odd zero-sum search, whose work 2000006 exceeds its cap.
+        # Both need the odd zero-sum search, whose work 2000006 exceeds its
+        # cap: the yes stands, without its order.
+        capped = "odd zero-sum search of work 2000006 exceeds the cap"
         for literal in ("1000000,-2,-6", "4,-1999998,-6"):
-            code, _, err = run(capsys, "decide", literal)
-            assert code == 3 and "resource cap" in err and "search of work 2000006" in err
+            code, out, err = run(capsys, "decide", literal)
+            assert code == 0 and err == ""
+            assert out == f"yes: realizable by a tournament; order not computed ({capped})\n"
+
+    def test_a_refused_search_keeps_the_verdict(self, capsys):
+        capped = "odd zero-sum search of work 2000010 exceeds the cap"
+        code, out, err = run(capsys, "decide", "4,-2000002,-6")
+        assert code == 0 and err == ""
+        assert out == f"yes: realizable by a tournament; order not computed ({capped})\n"
+        code, out, err = run(capsys, "decide", "4,-2000002,-6", "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {
+            "set": [4, -6, -2000002],
+            "verdict": "yes",
+            "refusal": None,
+            "order": None,
+            "capped": capped,
+        }
+        code, out, err = run(capsys, "realize", "4,-2000002,-6")
+        assert code == 3 and out == "" and "matrix cells" in err
+        code, out, _ = run(capsys, "bound", "4,-2000002,-6")
+        assert code == 0 and out == "4000031\n"
 
     def test_two_members_are_not_capped(self, capsys):
         # k and S in closed form: (x + y)/gcd(x, y) terms of sum lcm(x, y).

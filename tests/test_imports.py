@@ -151,7 +151,7 @@ class TestRecordTypes:
             (
                 lambda: imbalanceset.decide_tis({4, -6}, with_certificate=True),
                 "TisDecision(verdict=True, refusal=None, order=15, certificate=Digraph(n=15, arcs=105), "
-                "witness=EqualSumWitness(xs=(4, 4, 4), ys=(6, 6), common_sum=12))",
+                "witness=EqualSumWitness(xs=(4, 4, 4), ys=(6, 6), common_sum=12), capped=None)",
             ),
             (
                 lambda: imbalanceset.max_realization([1, -1]),

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imbalanceset import (
@@ -220,7 +220,7 @@ class TestCanonicalSequence:
                     yield combo
 
     def test_odd_sets_expand_to_tournament_sequences(self):
-        for combo in self._mixed_sign_subsets((-7, -5, -3, -1, 1, 3, 5, 7), 3):
+        for combo in self._mixed_sign_subsets((-11, -9, -7, -5, -3, -1, 1, 3, 5, 7, 9, 11), 4):
             parts = ImbalanceSet.from_values(combo)
             seq = canonical_sequence(parts)
             assert len(seq) == parts.canonical_length
@@ -229,9 +229,26 @@ class TestCanonicalSequence:
             assert check_tournament_imbalance(seq), combo
 
     def test_even_sets_expand_to_digraph_but_not_tournament_sequences(self):
-        for combo in self._mixed_sign_subsets((-6, -4, -2, 0, 2, 4, 6), 3):
+        for combo in self._mixed_sign_subsets((-10, -8, -6, -4, -2, 0, 2, 4, 6, 8, 10), 4):
             parts = ImbalanceSet.from_values(combo)
             seq = canonical_sequence(parts)
             assert len(seq) % 2 == 0
             assert check_digraph_imbalance(seq), combo
             assert not check_tournament_imbalance(seq), combo
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sets(st.integers(0, 400), min_size=1, max_size=5),
+        st.sets(st.integers(1, 400), min_size=1, max_size=5),
+    )
+    def test_every_expansion_is_a_digraph_sequence(self, non_negative, negative_abs):
+        # The certificate builder relies on this without checking it (the
+        # proof is in the sequences docstring); any two sides, any parity.
+        parts = ImbalanceSet(non_negative, negative_abs)
+        assume(parts.non_negative_sum > 0)  # else refused: test_zero_with_only_negatives_is_rejected
+        runs = parts.canonical_runs()
+        seq = canonical_sequence(parts)
+        assert seq == tuple(v for v, count in runs for _ in range(count))
+        assert [v for v, _ in runs] == sorted(parts.members(), reverse=True)
+        assert len(seq) == parts.canonical_length
+        assert check_digraph_imbalance(seq), runs

@@ -74,9 +74,26 @@ class TestDecide:
             decide_tis(set())
 
     def test_resource_cap(self):
-        # The search's work 1 * 6 + 2 * 10**6 exceeds SEARCH_WORK_CAP.
-        with pytest.raises(ResourceLimitError, match="search of work 2000006 exceeds the cap"):
-            decide_tis({10**6, -2, -6})
+        # The search's work 1 * 6 + 2 * 10**6 exceeds SEARCH_WORK_CAP: the
+        # yes stands, without its order.  A certificate still raises, for
+        # its matrix first, as the search's work is at most n.
+        capped = "odd zero-sum search of work 2000006 exceeds the cap"
+        assert decide_tis({10**6, -2, -6}) == (True, None, None, None, None, capped)
+        with pytest.raises(ResourceLimitError, match="matrix cells"):
+            decide_tis({10**6, -2, -6}, with_certificate=True)
+
+    def test_a_refused_search_keeps_the_verdict(self):
+        # The 2-adic rule says yes in O(|Z|); only the order needs the search.
+        d = decide_tis({4, -2000002, -6})
+        assert d.verdict and d.refusal is None and d.order is None
+        assert d.capped == "odd zero-sum search of work 2000010 exceeds the cap"
+        with pytest.raises(ResourceLimitError, match="matrix cells"):
+            decide_tis({4, -2000002, -6}, with_certificate=True)
+        with pytest.raises(ResourceLimitError, match="matrix cells"):
+            realize_imbalance_set({4, -2000002, -6})
+        assert order_upper_bound({4, -2000002, -6}) == 4000031
+        # Answered orders carry no cap message.
+        assert decide_tis({4, 2, -2}).capped is None and decide_tis({6, -10}).capped is None
 
     def test_two_members_need_no_search(self):
         # Fact 5 of the equalsum docstring: k = (x + y)/g, S = lcm(x, y).
@@ -282,6 +299,17 @@ class TestAddArcs:
         report = max_realization([0, 0, 0, 0])
         with pytest.raises(ValueError, match="capacity"):
             add_arcs(report, EqualSumWitness((6,), (2, 4), 6))
+
+    def test_a_pairing_that_is_not_the_unjoined_pairs_is_rejected(self):
+        # The completion sets each pair's arc by flipping its cell, so a
+        # pairing that names a joined pair, misses a pair or leaves the
+        # graph's range would build a wrong graph without this check.
+        report = max_realization(canonical_sequence(ImbalanceSet.from_values({4, 2, -2})))
+        pairs = report.non_neighbour_pairing
+        assert pairs[:2] == ((0, 1), (2, 3))
+        for forged in (((0, 2), (1, 3), *pairs[2:]), pairs[1:], (*pairs[:-1], (8, 10))):
+            with pytest.raises(ValueError):
+                add_apex_zero(report._replace(non_neighbour_pairing=forged))
 
     def test_degenerate_witness_matches_the_apex_construction(self):
         for seq in (
