@@ -28,7 +28,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.  Each submodule named
-# here also resolves as an attribute, as when these were eager imports.
+# here also resolves as an attribute, as when these were eager imports,
+# and so does formats, whose emit, parse and write no name here exports.
 _EXPORTS = {
     "CheckFailure": "sequences",
     "Digraph": "digraph",
@@ -67,6 +68,7 @@ _EXPORTS = {
 }
 
 __all__ = list(_EXPORTS)
+_MODULES = {*_EXPORTS.values(), "formats"}
 
 
 def __getattr__(name: str):
@@ -74,7 +76,7 @@ def __getattr__(name: str):
         value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
         globals()[name] = value
         return value
-    if name in _EXPORTS.values():
+    if name in _MODULES:
         return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

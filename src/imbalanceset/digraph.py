@@ -29,11 +29,13 @@ arcs)`` delegates to ``from_arcs``, :meth:`Digraph.matrix` unpacks a
 copy of the cells, and instances are immutable.
 
 Transposed access goes through 8 x 8 bit blocks: the block (R, C) of the
-packed rows is byte C of rows 8R .. 8R + 7.  :func:`_transpose8`
-transposes every block of an array with three delta swaps, and
-:func:`_flip` lays them out as the blocks of the transpose.  The
-transposed passes, :func:`_mirror` (with :func:`_check_packed`) and the
-unjoined-pair scans, walk the bands of ``_TILE`` rows of :func:`_bands`.
+packed rows is byte C of rows 8R .. 8R + 7.  :func:`_planes` lays the
+blocks of a band out as eight bit planes, plane i holding row i of every
+block, and :func:`_transpose8` transposes every block with three delta
+swaps between whole planes.  The transposed passes, :func:`_mirror`
+(with :func:`_check_packed`) and the unjoined-pair scans, walk the bands
+of ``_TILE`` rows of :func:`_bands`; the mirror meets the transposed
+planes through a view of the band's lower columns as planes.
 
 First touch.  An array that numpy gets fresh from the kernel is mapped
 on its first access to each page: a read maps the shared zero page, and
@@ -43,7 +45,7 @@ do, has its zeros written when it is allocated, not left to
 ``np.zeros``: the rows of :func:`_zeros`, which :func:`_resized` and the
 parsers take too, and the word buffer of :func:`_fill`.  Each page then
 faults once, on that write.  An array that is written before it is read
-(the blocks of :func:`_blocks`), or read and never written (the cell
+(the planes of :func:`_planes`), or read and never written (the cell
 span of :func:`_set_arcs` where no arc falls), faults once a page from
 ``np.zeros`` as it is.
 """
@@ -53,6 +55,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain
+from math import gcd
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -265,13 +268,14 @@ class Digraph:
         n = self.n
         for r0, upper, lower in _bands(self._bits):
             h = lower.shape[1]
-            # The lower columns flipped, transposed in place along their width
-            # (a whole number of words, see _transpose8), then moved.
-            free = ~(_blocks(upper) | _transpose8(_blocks(lower)).transpose(2, 1, 0))
-            free[:, :, :h] &= _upper(h, diagonal=False)
+            # The lower columns as planes, transposed, then as the band's rows.
+            free = _transpose8(_planes(lower)).transpose(1, 0, 2).reshape(8 * h, -1)[: len(upper)]
+            free |= upper
+            np.invert(free, out=free)
+            free[:, :h] &= _upper(h, diagonal=False).transpose(1, 0, 2).reshape(8 * h, h)[: len(upper)]
             if n % 8:
-                free[:, :, -1] &= (1 << n % 8) - 1  # the columns past n - 1
-            rows, cols = _set_cells(free.reshape(8 * h, -1)[: n - 8 * r0])
+                free[:, -1] &= (1 << n % 8) - 1  # the columns past n - 1
+            rows, cols = _set_cells(free)
             yield from zip((rows + 8 * r0).tolist(), (cols + 8 * r0).tolist())
 
     # -- plumbing ----------------------------------------------------------
@@ -446,14 +450,23 @@ def _mirror(bits: np.ndarray, *, write: bool = True, bands: Iterable | None = No
     :func:`_check_packed`.  ``bands`` are those of :func:`_bands`, of
     ``_TILE`` rows if None.
 
-    Per band of :func:`_bands`, the band's upper rows are flipped once by
-    :func:`_flip`, and the complement is written into its lower columns,
-    keeping the upper cells and the diagonal of the band's own square.
-    So every write is a whole byte, no temporary is larger than a band,
-    and no cell is written twice.  Then the lower columns are read back
-    from ``bits``, not from the flip written, and met with that flip
-    below the square's diagonal: a set bit is a pair with both cells
-    set, and raises.  Last the band's rows are counted.
+    Per band of :func:`_bands`, the band's upper rows are laid out as
+    bit planes by :func:`_planes` and transposed once by
+    :func:`_transpose8`, so that byte R of plane j, block C holds the
+    cells (u, v) of the lower cells (v, u) in byte R of lower row
+    8C + j.  The lower columns are met as the same planes, through the
+    view ``lower.reshape(-1, 8, h).transpose(1, 0, 2)`` of their whole
+    block rows and, for the last block row, cut short at row n - 1, on
+    its own (:func:`_meet`).  The complement is written into the lower
+    columns, keeping the upper cells and the diagonal of the band's own
+    square.  So every write is a whole byte, and no cell is written
+    twice.  Then the lower columns are read back from ``bits``, not from
+    the planes written, and met with them below the square's diagonal: a
+    set bit is a pair with both cells set, and raises.  Last the band's
+    rows are counted.  The planes, the swaps' temporary and the counts
+    share one scratch block of one and a half first bands, taken once
+    for the pass: the first band is the largest, and a block freed and
+    taken again in every band has its pages mapped again in every band.
 
     Why the tested and counted cells are final.  The band of columns
     [c0, c1) writes only cells (v, c) with c0 <= c < c1 and v > c: lower
@@ -467,19 +480,39 @@ def _mirror(bits: np.ndarray, *, write: bool = True, bands: Iterable | None = No
     exactly when they sum to n(n - 1)/2.
     """
     out = np.empty(len(bits), dtype=np.int64)
+    scratch = None
     for r0, upper, lower in _bands(bits) if bands is None else bands:
         h = lower.shape[1]
-        flip = _flip(upper).reshape(-1, h)[: len(lower)]  # as rows of the lower columns
-        keep = _upper(h, diagonal=True).reshape(-1, h)[: len(lower)]  # the square's rows
-        square = len(keep)
-        if write:
-            np.invert(flip[square:], out=lower[square:])
-            lower[:square] = lower[:square] & keep | ~flip[:square] & ~keep
-        # Read back: a set bit below the square's diagonal is a doubled pair.
-        if (flip[square:] & lower[square:]).any() or (flip[:square] & lower[:square] & ~keep).any():
-            raise _NotOriented("opposing arc pairs are not allowed")
-        _row_counts(bits[8 * r0 : 8 * r0 + len(upper)], out[8 * r0 : 8 * r0 + len(upper)])
+        rows = slice(8 * r0, 8 * r0 + len(upper))
+        if scratch is None:  # the first band is the largest: every band's planes, spare and rows fit
+            scratch = np.empty(12 * -(-len(upper) // 8) * bits.shape[1], dtype=np.uint8)
+        planes = _planes(upper, scratch)
+        flip = _transpose8(planes, scratch[planes.size :])
+        keep = _upper(h, diagonal=True)
+        full, part = divmod(len(lower), 8)
+        if full:
+            _meet(lower[: 8 * full].reshape(full, 8, h).transpose(1, 0, 2), flip[:, :full], keep, write)
+        if part:
+            _meet(lower[8 * full :, None], flip[:part, full:], keep[:part, full:], write)
+        _row_counts(bits[rows], out[rows], scratch)
     return out
+
+
+def _meet(lower: np.ndarray, flip: np.ndarray, keep: np.ndarray, write: bool) -> None:
+    """Write (if ``write``) and test block rows of a band's lower columns,
+    as planes (j, C, R) of byte R of lower row 8C + j, against their
+    transpose ``flip`` and the square's mask ``keep`` from the same
+    block row on: the body of :func:`_mirror`.  ``flip`` below the
+    square is spent: the read-back test runs in it."""
+    square = min(keep.shape[1], lower.shape[1])  # block rows in the band's square
+    keep, below, spent = keep[:, :square], lower[:, square:], flip[:, square:]
+    if write:
+        np.invert(spent, out=below)
+        lower[:, :square] = lower[:, :square] & keep | ~(flip[:, :square] | keep)
+    # Read back: a set bit below the square's diagonal is a doubled pair.
+    np.bitwise_and(spent, below, out=spent)
+    if spent.max(initial=0) or (flip[:, :square] & lower[:, :square] & ~keep).any():
+        raise _NotOriented("opposing arc pairs are not allowed")
 
 
 def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -579,40 +612,51 @@ def _bands(bits: np.ndarray, tile: int = 0) -> Iterator[tuple[int, np.ndarray, n
         yield r0, bits[8 * r0 : 8 * (r0 + step), r0:], bits[8 * r0 :, r0 : r0 + step]
 
 
-def _flip(rows: np.ndarray) -> np.ndarray:
-    """Packed rows as 8 x 8 blocks, each transposed and laid out as the
-    blocks of the transpose: for ``a`` rows of ``w`` bytes, a new
-    (w, 8, ceil(a / 8)) array whose block (C, R) is block (R, C) of
-    ``rows`` transposed.  The blocks are moved first, so that
-    :func:`_transpose8` runs along the rows' blocks, a whole number of
-    64-bit words for a band's rows."""
-    return _transpose8(np.ascontiguousarray(_blocks(rows).transpose(2, 1, 0)))
+def _planes(rows: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Packed rows as a (8, bytes, ceil(rows / 8)) array of bit planes:
+    plane i holds row i of every 8 x 8 block, block (R, C) of the rows at
+    [:, C, R], and the rows past the last are zero.  The planes are the
+    front of ``scratch`` if given, else new, and never a view of
+    ``rows``, which :func:`_transpose8` would transpose in place."""
+    r, width = rows.shape
+    full, part = divmod(r, 8)
+    shape = (8, width, full + (part > 0))
+    planes = np.empty(shape, dtype=np.uint8) if scratch is None else scratch[: 8 * width * shape[2]].reshape(shape)
+    planes[:, :, :full] = rows[: 8 * full].reshape(full, 8, width).transpose(1, 2, 0)
+    if part:
+        planes[:, :, full] = 0
+        planes[:part, :, full] = rows[8 * full :]
+    return planes
 
 
-def _transpose8(x: np.ndarray) -> np.ndarray:
+def _transpose8(x: np.ndarray, spare: np.ndarray | None = None) -> np.ndarray:
     """Transpose in place each 8 x 8 bit block of ``x``, a contiguous
-    (blocks, 8, bytes) array as :func:`_blocks` makes it or
-    :func:`_flip` moves it, and return it.
+    array of eight bit planes as :func:`_planes` makes it, and return it.
+    The swaps' temporary, four planes, is the front of the bytes
+    ``spare`` if given, else new.
 
-    In a block, bit j of row i is cell (i, j).  Three delta swaps
-    exchange cells (i, j + s) and (i + s, j) for every i and j with bit s
-    clear, s = 1, 2, 4: first across the diagonal of each 2 x 2 square,
-    then of each 4 x 4 square of 2 x 2 squares, then of the whole block.
-    Row i + s is the partner row; the mask holds the bits j of each
-    swap (0x55, 0x33, 0x0F).
+    In a block, bit j of row i is cell (i, j), and row i lies in plane i.
+    Three delta swaps exchange cells (i, j + s) and (i + s, j) for every
+    i and j with bit s clear, s = 1, 2, 4: first across the diagonal of
+    each 2 x 2 square, then of each 4 x 4 square of 2 x 2 squares, then
+    of the whole block.  Plane i + s is the partner plane, so each step
+    runs over whole planes; the mask holds the bits j of each swap
+    (0x55, 0x33, 0x0F).
 
     The swaps run on the widest unsigned words, up to 64 bits, that
-    divide the last axis, with the mask repeated in every byte.  On
-    either byte order, the right shift by s carries bits across a byte
-    edge only into the top s bits of a byte, which the mask clears, and
-    the masked bits shift back left within their own byte.
+    divide a plane, with the mask repeated in every byte.  On either
+    byte order, the right shift by s carries bits across a byte edge
+    only into the top s bits of a byte, which the mask clears, and the
+    masked bits shift back left within their own byte.
     """
-    h, _, w = x.shape
-    size = int(np.gcd(w, 8))  # bytes of a word
+    size = gcd(x[0].size, 8)  # bytes of a word
+    planes = x.reshape(8, -1).view(f"u{size}")
+    half = 4 * x[0].size  # bytes of four planes
+    spare = (np.empty(half, dtype=np.uint8) if spare is None else spare[:half]).view(planes.dtype)
     for s, mask in ((1, 0x55), (2, 0x33), (4, 0x0F)):
-        pairs = x.view(f"u{size}").reshape(h, 4 // s, 2, s, -1)
-        top, bottom = pairs[:, :, 0], pairs[:, :, 1]
-        t = top >> s
+        pairs = planes.reshape(4 // s, 2, s, -1)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        t = np.right_shift(top, s, out=spare.reshape(top.shape))
         t ^= bottom
         t &= mask * 0x0101010101010101 >> 64 - 8 * size  # in every byte of a word
         bottom ^= t
@@ -621,37 +665,34 @@ def _transpose8(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _blocks(rows: np.ndarray) -> np.ndarray:
-    """Packed rows as a new (ceil(rows / 8), 8, bytes) array of 8 x 8
-    blocks, padded with zero rows."""
-    r, width = rows.shape
-    out = np.zeros((-(-r // 8), 8, width), dtype=np.uint8)
-    out.reshape(-1, width)[:r] = rows
-    return out
-
-
 @cache
 def _upper(h: int, *, diagonal: bool) -> np.ndarray:
-    """The read-only mask, as h x h blocks, of the cells (u, v) of a
-    square on the diagonal with v > u, and v == u if ``diagonal``."""
-    mask = np.zeros((h, 8, h), dtype=np.uint8)
-    r, c = np.triu_indices(h, 1)
-    mask[r, :, c] = 0xFF
+    """The read-only mask of the cells (v, u) of a square on the diagonal
+    with u > v, and u == v if ``diagonal``, as planes (j, C, R) of byte R
+    of row 8C + j, as :func:`_transpose8` leaves the lower columns."""
+    mask = np.zeros((8, h, h), dtype=np.uint8)
+    c, r = np.triu_indices(h, 1)
+    mask[:, c, r] = 0xFF
     d = np.arange(h)
-    mask[d, :, d] = ((0xFF if diagonal else 0xFE) << np.arange(8)) & 0xFF
+    mask[:, d, d] = ((0xFF if diagonal else 0xFE) << np.arange(8)[:, None]) & 0xFF
     mask.flags.writeable = False
     return mask
 
 
-def _row_counts(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _row_counts(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Write the set bits of each packed row into ``out``, ``_TILE`` rows
-    at a time, and return it.  A row's bits are summed in ``uint16`` when
-    it has fewer than 2**16 of them, as at every order the matrix cap
-    passes, else in ``uint32``: exact, and about twice as fast as a sum
-    in ``int64``."""
+    at a time, and return it.  The bytes' counts go into the front of
+    ``scratch`` if given, else into one new block.  A row's bits are
+    summed in ``uint16`` when it has fewer than 2**16 of them, as at
+    every order the matrix cap passes, else in ``uint32``: exact, and
+    about twice as fast as a sum in ``int64``."""
     total = np.uint16 if 8 * rows.shape[1] < 1 << 16 else np.uint32
+    if scratch is None:
+        scratch = np.empty(min(len(rows), _TILE) * rows.shape[1], dtype=np.uint8)
     for lo in range(0, len(rows), _TILE):
-        np.add.reduce(np.bitwise_count(rows[lo : lo + _TILE]), axis=1, dtype=total, out=out[lo : lo + _TILE])
+        block = rows[lo : lo + _TILE]
+        counts = np.bitwise_count(block, out=scratch[: block.size].reshape(block.shape))
+        np.add.reduce(counts, axis=1, dtype=total, out=out[lo : lo + _TILE])
     return out
 
 

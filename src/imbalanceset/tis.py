@@ -81,9 +81,10 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     Members must be integers: 1.5 raises TypeError.  Caps bound work,
     not answers: a search for k refused on its work (at most n by fact 4
     there) still gives the yes, with ``order`` None and the cap's
-    message in ``capped``.  Only a certificate needs k, so only with one
-    do that search, the orders n and n + k and the witness raise
-    :class:`ResourceLimitError`, each before the work it bounds.
+    message in ``capped``.  With a certificate, the orders n and n + k
+    and the witness raise :class:`ResourceLimitError`, each before the
+    work it bounds, and the search is never refused: its work is at most
+    n <= ``MAX_MATRIX_ORDER`` <= ``SEARCH_WORK_CAP``.
     """
     members = frozenset(map(operator.index, values))
     refusal = _refusal(members)
@@ -98,9 +99,7 @@ def decide_tis(values: Iterable[int], *, with_certificate: bool = False) -> TisD
     sides = parts.non_negative[::-1], parts.negative_abs
     try:
         k, common = (0, 0) if next(iter(members)) % 2 else _shortest_odd_zero_sum(*sides)
-    except ResourceLimitError as exc:
-        if with_certificate:
-            raise
+    except ResourceLimitError as exc:  # never with a certificate: see MAX_MATRIX_ORDER in errors
         return TisDecision(True, capped=str(exc))
     if not with_certificate:
         return TisDecision(True, order=n + k)

@@ -10,17 +10,18 @@ replaced: it scatters the arcs into a flat ``uint8`` order-n matrix, one
 byte a cell, where the program sets bits in packed rows.  Behaviour is
 exactly the replaced code's, including its error messages.
 
-``mirror`` is the mirror pass that ``digraph._mirror`` replaced: it
-writes each lower cell (v, u), v > u, as 1 - (u, v) band by band, with
-no test and no count, where the program also reads the written columns
-back for doubled pairs and returns the out-degrees.
+``mirror`` is the mirror pass on unpacked cells: it writes each lower
+cell (v, u), v > u, as 1 - (u, v) in the whole ``uint8`` matrix, with no
+test and no count, where the program transposes the packed rows band by
+band as bit planes, reads the written columns back for doubled pairs
+and returns the out-degrees.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from imbalanceset.digraph import _bands, _blocks, _first_doubled_pair, _flip, _upper
+from imbalanceset.digraph import _first_doubled_pair
 
 
 def validate_matrix(adj: np.ndarray) -> None:
@@ -61,10 +62,8 @@ def _distinct(keys: np.ndarray) -> bool:
 
 
 def mirror(bits: np.ndarray) -> None:
-    for _, upper, lower in _bands(bits):
-        h = lower.shape[1]
-        low = np.invert(_flip(upper), order="C")
-        keep = _upper(h, diagonal=True)
-        low[:h] &= ~keep
-        low[:h] |= _blocks(lower[: 8 * h]) & keep
-        lower[...] = low.reshape(-1, h)[: len(lower)]
+    n = len(bits)
+    adj = np.unpackbits(bits, axis=1, count=n, bitorder="little")
+    lower = np.tril_indices(n, -1)
+    adj[lower] = 1 - adj.T[lower]
+    bits[...] = np.packbits(adj, axis=1, bitorder="little")

@@ -60,6 +60,16 @@ class TestEdgelist:
             parse_edgelist("0 1\n")
 
 
+class TestScratch:
+    def test_a_line_longer_than_a_block_grows_the_scratch(self, monkeypatch):
+        sizes = []
+        take = formats._Scratch.__call__
+        monkeypatch.setattr(formats._Scratch, "__call__", lambda self, size: sizes.append(size) or take(self, size))
+        text = "# tournament n=2\n0" + " " * (2 * formats._CHUNK) + "1\n"
+        assert parse_edgelist(text) == Digraph(2, [(0, 1)])
+        assert max(sizes) > 3 * (formats._CHUNK + 256)  # the scratch's first size
+
+
 class TestJson:
     def test_document_fields(self):
         text = emit(square_cycle(), "json")
@@ -83,6 +93,16 @@ class TestJson:
     def test_a_tail_that_is_not_utf8_is_refused(self, note):
         with pytest.raises(UnicodeDecodeError):
             parse_json(b'{"n": 2, "arcs": [[0, 1]], "note": "' + note + b'"}')
+
+    def test_an_id_with_a_leading_zero_is_read_whole(self, monkeypatch):
+        # The scan refuses the chunk, and json.loads refuses the number.
+        whole = []
+        load = formats._load_json
+        monkeypatch.setattr(formats, "_load_json", lambda text: whole.append(text) or load(text))
+        text = '{"n": 3, "arcs": [[01, 2]]}'
+        with pytest.raises(ValueError, match="Expecting ',' delimiter"):
+            parse_json(text)
+        assert whole == [text]
 
     @pytest.mark.parametrize("key", ['"arcs"', '"\\u0061rcs"'])
     def test_a_later_arcs_key_wins_as_in_json_loads(self, key):

@@ -141,6 +141,15 @@ class TestPackageSurface:
         )
         assert got == [[], "imbalanceset.tis", imbalanceset.__version__]
 
+    def test_a_submodule_reads_as_an_attribute_before_it_loads(self):
+        got = _fresh(
+            "import json, sys, imbalanceset\n"
+            "before = 'imbalanceset.formats' in sys.modules\n"
+            "module = imbalanceset.formats\n"
+            "print(json.dumps([before, module.__name__, module is sys.modules['imbalanceset.formats']]))"
+        )
+        assert got == [False, "imbalanceset.formats", True]
+
 
 class TestRecordTypes:
     @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""The mirror pass that finishes every build against the mirror it replaced.
+"""The mirror pass that finishes every build against a mirror of unpacked cells.
 
 ``digraph._mirror`` writes each lower cell (v, u), v > u, as 1 - (u, v),
 reads the written columns back for doubled pairs and returns the

@@ -12,6 +12,8 @@ cells set one by one in an unpacked ``uint8`` matrix; and the resizing
 of packed rows against ``np.packbits`` of the same cells.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,11 +40,14 @@ def _tournament(rng, n):
 
 def test_transpose8_matches_np_transpose_on_random_blocks():
     rng = np.random.default_rng(8)
-    cells = rng.integers(0, 2, size=(5, 8, 3, 8), dtype=np.uint8)  # blocks (R, C) of 8 x 8 cells
-    x = np.ascontiguousarray(_pack(cells.reshape(40, 24)).reshape(5, 8, 3))
-    digraph._transpose8(x)
-    got = _unpack(x.reshape(40, 3), 24).reshape(5, 8, 3, 8)
-    assert (got == cells.transpose(0, 3, 2, 1)).all()  # each block transposed in place
+    # Planes of 15, 6, 4 and 16 bytes: words of 1, 2, 4 and 8 bytes.
+    for blocks, width in ((5, 3), (3, 2), (1, 4), (4, 4)):
+        cells = rng.integers(0, 2, size=(blocks, 8, width, 8), dtype=np.uint8)  # blocks (R, C) of 8 x 8 cells
+        rows = _pack(cells.reshape(8 * blocks, 8 * width))
+        x = rows.reshape(blocks, 8, width).transpose(1, 2, 0).copy()  # plane i: row i of every block
+        digraph._transpose8(x)
+        got = _unpack(x.transpose(2, 0, 1).reshape(8 * blocks, width), 8 * width).reshape(cells.shape)
+        assert (got == cells.transpose(0, 3, 2, 1)).all(), (blocks, width)  # each block transposed in place
 
 
 @pytest.mark.parametrize("tile", TILES)
@@ -54,6 +59,20 @@ def test_mirror_fills_every_lower_cell(monkeypatch, n, tile):
     bits = _pack(upper)
     digraph._mirror(bits)
     assert (_unpack(bits, n) == upper + np.tril(1 - upper.T, -1)).all()
+
+
+@pytest.mark.parametrize("tile", TILES)
+@pytest.mark.parametrize("n", ORDERS)
+def test_check_packed_leaves_the_rows_byte_identical(monkeypatch, n, tile):
+    monkeypatch.setattr(digraph, "_TILE", tile)
+    rng = np.random.default_rng(n * 10 + tile)
+    state = np.triu(rng.integers(0, 3, size=(n, n)), 1)
+    adj = ((state == 1) | (state == 2).T).astype(np.uint8)  # unjoined pairs too
+    bits = _pack(adj)
+    before = bits.tobytes()
+    degrees = digraph._check_packed(bits)
+    assert bits.tobytes() == before
+    assert (degrees == adj.sum(axis=1)).all()
 
 
 def _intervals(rng, n, disjoint):
@@ -142,7 +161,7 @@ def test_first_unjoined_pair_scans_one_band(monkeypatch):
     transpose8 = digraph._transpose8
     monkeypatch.setattr(digraph, "_transpose8", lambda x: calls.append(x.shape) or transpose8(x))
     assert g.first_non_neighbour_pair() == (3, 5)
-    assert calls == [(5, 8, 1)]  # band 0 of 5: its columns below, as blocks
+    assert calls == [(8, 1, 5)]  # band 0 of 5: its columns below, as planes
 
 
 def _forgeries(n, tile):
@@ -178,7 +197,8 @@ def test_a_broken_pass_is_not_reported_as_a_bad_certificate(monkeypatch):
     # as itself, not as a certificate that is not a simple oriented graph.
     bands = digraph._bands
     monkeypatch.setattr(digraph, "_bands", lambda bits: ((r0, up[:, 1:], low) for r0, up, low in bands(bits)))
-    with pytest.raises(ValueError, match="could not be broadcast"):
+    message = "non-broadcastable output operand with shape (7,1,64) doesn't match the broadcast shape (7,0,64)"
+    with pytest.raises(ValueError, match=re.escape(message)):
         realize_imbalance_set({4, -998})
 
 

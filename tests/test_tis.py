@@ -29,7 +29,7 @@ from imbalanceset import (
     order_upper_bound,
     realize_imbalance_set,
 )
-from imbalanceset.errors import SEARCH_WORK_CAP
+from imbalanceset.errors import MAX_MATRIX_ORDER, SEARCH_WORK_CAP
 
 
 class TestDecide:
@@ -81,6 +81,12 @@ class TestDecide:
         assert decide_tis({10**6, -2, -6}) == (True, None, None, None, None, capped)
         with pytest.raises(ResourceLimitError, match="matrix cells"):
             decide_tis({10**6, -2, -6}, with_certificate=True)
+
+    def test_a_certificate_search_is_never_refused(self):
+        # decide_tis checks the order n against the matrix cap before the
+        # search, whose work is at most n (fact 4 of equalsum); with a
+        # certificate it has no path for a refused search.
+        assert MAX_MATRIX_ORDER <= SEARCH_WORK_CAP
 
     def test_a_refused_search_keeps_the_verdict(self):
         # The 2-adic rule says yes in O(|Z|); only the order needs the search.
