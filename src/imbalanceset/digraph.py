@@ -69,10 +69,8 @@ _TILE = 512
 # in-degrees of a graph that is not a tournament): 64 KB, a few hundred
 # microseconds of work per block, so the blocks' fixed costs stay small.
 _CELLS = 1 << 16
-# Bytes of the word buffer in which _fill sets one band of rows, and the
-# most bytes of a matrix that _fill sets as one Python int instead.
+# Bytes of the word buffer in which _fill sets one band of rows.
 _FILL = 1 << 18
-_SMALL = 128
 
 
 class _NotOriented(ValueError):
@@ -538,17 +536,9 @@ def _fill(bits: np.ndarray, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     ``'<u8'`` is little-endian on every host, so byte c of word w holds
     columns 64(w0 + w) + 8c .. + 7 and a buffer row read as bytes is its
     packed row from byte 8 * w0 on (a native-endian view would reverse the
-    bytes on a big-endian host).  A matrix of at most ``_SMALL`` bytes
-    skips numpy's fixed costs: as one little-endian Python int, cell
-    (r, c) is bit 8 * width * r + c and -1 << p the suffix from bit p.
+    bytes on a big-endian host).
     """
-    n, width = bits.shape
-    if bits.size <= _SMALL:
-        value = 0
-        for r, a, b in zip(*(np.asarray(x).tolist() for x in (rows, lo, hi))):
-            value ^= (-1 << 8 * width * r + a) ^ (-1 << 8 * width * r + b)
-        bits |= np.frombuffer(value.to_bytes(bits.size, "little"), dtype=np.uint8).reshape(n, width)
-        return
+    width = bits.shape[1]
     rows, lo, hi = (np.asarray(a, dtype=np.int64) for a in (rows, lo, hi))
     w0 = int(lo.min()) >> 6
     row_bits = 64 * (-(-width // 8) - w0 + 1)

@@ -396,14 +396,16 @@ def solve_esseq(
 def _bounded_lex_min(
     values: Sequence[int], max_repeats: int, target: int
 ) -> tuple[int, ...]:
-    """Fewest-terms, then lex-smallest, bounded-repeat multiset for target."""
-    positives = [v for v in values if v > 0]
-    # Counts beyond target are futile: every usable term is >= 1.
-    for count in range(1, target + 1):
-        found = _bounded_walk(positives, max_repeats, target, count)
-        if found is not None:
-            return found
-    raise AssertionError("target was reported reachable but is not")
+    """Fewest-terms, then lex-smallest, bounded-repeat multiset for target.
+
+    ``target`` is a positive sum that the values reach.  Fewer than
+    ceil(target / max(values)) terms, each at most the largest value,
+    sum below target, and more than target terms, each at least 1,
+    above it; so the first count in that range with a walk is the least.
+    """
+    positives = [v for v in values if v > 0]  # ascending, as the sides are
+    counts = range(-(-target // positives[-1]), target + 1)
+    return next(w for w in (_bounded_walk(positives, max_repeats, target, c) for c in counts) if w is not None)
 
 
 def _bounded_walk(

@@ -1,7 +1,9 @@
 """Brute-force ground truth for the rest of the package.
 
-Nothing here is used by the main pipeline; tests call these to check
-the fast paths against exhaustive enumeration.
+Tests call these to check the fast paths against exhaustive
+enumeration.  The main pipeline does not use them; only the CLI's
+``decide --budget`` and ``bound --budget`` run one, as a second answer
+next to the program's (see ``cli._oracle``).
 
 Two tiers: tournament enumeration is the primitive truth but only
 affordable at tiny orders (2^(n(n-1)/2) labeled tournaments), so

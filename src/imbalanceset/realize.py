@@ -195,7 +195,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .digraph import (
-    Digraph, _check_loops, _check_packed, _fill, _mirror, _NotOriented, _resized, _toggle,
+    Digraph, _check_loops, _fill, _mirror, _NotOriented, _resized, _toggle,
     _tournament_imbalances, _unjoined, _zeros,
 )
 from .equalsum import EqualSumWitness
@@ -716,15 +716,6 @@ def _complete(bits: np.ndarray, lo: np.ndarray, hi: np.ndarray, witness: EqualSu
     firsts = (new + 1, start, np.zeros_like(start), stop, owners)
     lasts = (np.minimum(new + (k + 1) // 2, k), stop, start, np.full_like(stop, k), owners + 1)
     _fill(bits, np.concatenate(rows), n + np.concatenate(firsts), n + np.concatenate(lasts))
-
-
-def _verified_certificate(
-    graph: Digraph, members: frozenset[int], order: int
-) -> Digraph:
-    """The check of a finished certificate: :func:`_certified`, with
-    self-loops, then opposing pairs, refused and the rows counted by
-    :func:`~imbalanceset.digraph._check_packed`."""
-    return _certified(graph._bits, members, order, _check_packed)
 
 
 def _certified(bits: np.ndarray, members: frozenset[int], order: int, finish: Callable) -> Digraph:

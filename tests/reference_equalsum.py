@@ -9,7 +9,8 @@ witness reconstruction shows up as a difference.  Behaviour is exactly
 the replaced code's, without its resource cap.
 
 :func:`bounded_walk` is the recursive walk that ``solve_esseq`` used
-before its walk kept an explicit stack.
+before its walk kept an explicit stack, and :func:`bounded_lex_min` the
+loop that tried its term counts from one up.
 """
 
 from __future__ import annotations
@@ -173,3 +174,14 @@ def bounded_walk(
         return found
 
     return go(target, count, 0, 0)
+
+
+def bounded_lex_min(values: Sequence[int], max_repeats: int, target: int) -> tuple[int, ...]:
+    """Fewest-terms, then lex-smallest, bounded-repeat multiset for target."""
+    positives = [v for v in values if v > 0]
+    # Counts beyond target are futile: every usable term is >= 1.
+    for count in range(1, target + 1):
+        found = bounded_walk(positives, max_repeats, target, count)
+        if found is not None:
+            return found
+    raise AssertionError("target was reported reachable but is not")

@@ -96,6 +96,12 @@ class TestSolveEsseq:
         w = solve_esseq({1}, {1000}, 1000)
         assert w.xs == (1,) * 1000 and w.ys == (1000,) and w.common_sum == 1000
 
+    def test_a_long_witness_skips_the_counts_that_cannot_reach_it(self):
+        # 16,000 ones: tried from one term up, the counts below 16,000
+        # took 61 s; fewer terms of at most 1 cannot sum to 16,000.
+        w = solve_esseq({1}, {16000}, 16000)
+        assert w == EqualSumWitness((1,) * 16000, (16000,), 16000)
+
     def test_tables_stop_at_the_least_members_common_multiple(self):
         # y0/g copies of x0 against x0/g copies of y0 bound the least
         # common sum by lcm(x0, y0), far below max_repeats * min side sum.

@@ -5,10 +5,12 @@ over every sum up to (n - 1) * min(max X, max |Y|).  The program's
 search must return the same whole witness (xs, ys and common sum, or
 None) on every set of the grid, and its length must be the one the
 brute-force oracle finds.  The bounded walk of ``solve_esseq`` must
-return what the recursive walk it replaced returns.
+return what the recursive walk it replaced returns, and its count loop
+what the loop from one term up returned.
 """
 
 import itertools
+import random
 
 import reference_equalsum
 from imbalanceset import (
@@ -19,7 +21,7 @@ from imbalanceset import (
     min_odd_equal_sum,
 )
 from imbalanceset.cli import main
-from imbalanceset.equalsum import _bounded_walk
+from imbalanceset.equalsum import _bounded_lex_min, _bounded_sum_rows, _bounded_walk
 
 
 def _grid():
@@ -54,6 +56,20 @@ def test_bounded_walk_matches_the_recursive_walk():
                 assert new == old, (values, max_repeats, target, count)
                 found += new is not None
     assert found > 1000
+
+
+def test_bounded_lex_min_matches_the_loop_from_one_term():
+    rng = random.Random(7)
+    cases = 0
+    while cases < 5000:
+        values = tuple(sorted(set(rng.choices(range(30), k=rng.randint(1, 4)))))
+        max_repeats = rng.randint(1, 6)
+        reach = _bounded_sum_rows(values, max_repeats, 81)
+        for target in range(1, 81):
+            if reach >> target & 1:
+                old = reference_equalsum.bounded_lex_min(values, max_repeats, target)
+                assert _bounded_lex_min(values, max_repeats, target) == old, (values, max_repeats, target)
+                cases += 1
 
 
 def test_lengths_match_the_oracle():

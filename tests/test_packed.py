@@ -19,7 +19,8 @@ import pytest
 
 import reference_digraph
 from imbalanceset import Digraph, digraph, realize_imbalance_set
-from imbalanceset.realize import _verified_certificate
+from imbalanceset.digraph import _check_packed
+from imbalanceset.realize import _certified
 
 ORDERS = (1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70)
 TILES = (8, 16, 24, 512)  # bands of 1, 2, 3 and 64 block rows
@@ -97,21 +98,19 @@ def _intervals(rng, n, disjoint):
     return tuple(np.array(x, dtype=np.int64)[order] for x in (rows, lo, hi))
 
 
-# Orders 0-130 in all (every n mod 8 and mod 64); bands of 1 row, of a
-# few rows and the program's; numpy words only, and Python ints up to
-# order 32.
+# Orders 1-130 in all (every n mod 8 and mod 64; _fill takes at least
+# one interval, so no order 0); bands of 1 row, of a few rows and the
+# program's.
 @pytest.mark.parametrize("first", range(0, 131, 27))
 @pytest.mark.parametrize("fill", (1, 100, 400, digraph._FILL))
-@pytest.mark.parametrize("small", (0, digraph._SMALL))
-def test_fill_matches_the_uint8_cells(monkeypatch, fill, first, small):
+def test_fill_matches_the_uint8_cells(monkeypatch, fill, first):
     monkeypatch.setattr(digraph, "_FILL", fill)
-    monkeypatch.setattr(digraph, "_SMALL", small)
     rng = np.random.default_rng(fill + first)
-    for n in range(first, min(first + 27, 131)):
+    for n in range(max(first, 1), min(first + 27, 131)):
         for disjoint in (True, False):
             adj = (rng.random((n, n)) < 0.2).astype(np.uint8)  # cells already set stay set
             want = adj.copy()
-            rows, lo, hi = _intervals(rng, n, disjoint) if n else (np.zeros(0, dtype=np.int64),) * 3
+            rows, lo, hi = _intervals(rng, n, disjoint)
             parity = np.zeros_like(adj)
             for r, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
                 parity[r, a:b] ^= 1
@@ -177,7 +176,7 @@ def test_forged_certificates_are_refused(monkeypatch, n, tile):
     monkeypatch.setattr(digraph, "_TILE", tile)
     adj = _tournament(np.random.default_rng(n * tile), n)
     members = frozenset(Digraph.from_matrix(adj).imbalance_set())
-    assert _verified_certificate(Digraph.from_matrix(adj), members, n).n == n
+    assert _certified(_pack(adj), members, n, _check_packed).n == n
     for u, v in _forgeries(n, tile):
         opposing = adj.copy()
         opposing[u, v] = opposing[v, u] = 1
@@ -185,11 +184,11 @@ def test_forged_certificates_are_refused(monkeypatch, n, tile):
         missing[u, v] = missing[v, u] = 0
         for forged, message in ((opposing, "opposing arc pairs"), (missing, "not a tournament")):
             with pytest.raises(AssertionError, match=message):
-                _verified_certificate(Digraph._from_bits(_pack(forged)), members, n)
+                _certified(_pack(forged), members, n, _check_packed)
         looped = adj.copy()
         looped[v, v] = 1
         with pytest.raises(AssertionError, match="self-loops"):
-            _verified_certificate(Digraph._from_bits(_pack(looped)), members, n)
+            _certified(_pack(looped), members, n, _check_packed)
 
 
 def test_a_broken_pass_is_not_reported_as_a_bad_certificate(monkeypatch):

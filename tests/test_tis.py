@@ -29,7 +29,9 @@ from imbalanceset import (
     order_upper_bound,
     realize_imbalance_set,
 )
+from imbalanceset.digraph import _check_packed
 from imbalanceset.errors import MAX_MATRIX_ORDER, SEARCH_WORK_CAP
+from imbalanceset.realize import _certified
 
 
 class TestDecide:
@@ -359,7 +361,7 @@ class TestCertificateCheck:
         forged = Digraph._from_bits(np.packbits(adj, axis=1, bitorder="little"))
         assert forged.is_tournament() and forged.imbalance_set() == {1, -1}
         with pytest.raises(AssertionError, match="opposing"):
-            imbalanceset.realize._verified_certificate(forged, frozenset({1, -1}), 4)
+            _certified(forged._bits, frozenset({1, -1}), 4, _check_packed)
 
     def test_rejects_a_missing_pair(self):
         # A transitive tournament of order 4 without its arc 0 -> 3: a
@@ -368,19 +370,19 @@ class TestCertificateCheck:
         adj[0, 3] = 0
         forged = Digraph.from_matrix(adj)
         with pytest.raises(AssertionError, match="certificate is not a tournament"):
-            imbalanceset.realize._verified_certificate(forged, frozenset({2, 1, -1, -3}), 4)
+            _certified(forged._bits, frozenset({2, 1, -1, -3}), 4, _check_packed)
 
     def test_rejects_a_wrong_order(self):
         # A right certificate for {3, -1}, checked against another order.
         graph = realize_imbalance_set({3, -1})
-        assert imbalanceset.realize._verified_certificate(graph, frozenset({3, -1}), 4) == graph
+        assert _certified(graph._bits, frozenset({3, -1}), 4, _check_packed) == graph
         with pytest.raises(AssertionError, match="certificate order 4, expected 5"):
-            imbalanceset.realize._verified_certificate(graph, frozenset({3, -1}), 5)
+            _certified(graph._bits, frozenset({3, -1}), 5, _check_packed)
 
     def test_rejects_a_wrong_member_set(self):
         graph = realize_imbalance_set({3, -1})
         with pytest.raises(AssertionError, match="certificate imbalance set mismatch"):
-            imbalanceset.realize._verified_certificate(graph, frozenset({3, -3}), 4)
+            _certified(graph._bits, frozenset({3, -3}), 4, _check_packed)
 
 
 class TestOrderBounds:

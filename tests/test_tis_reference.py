@@ -7,10 +7,9 @@ transposed complement.  Both must return the same matrix bytes, or fail
 with the same exception type and message.  Every input also runs with
 ``digraph._FILL`` patched small, so that many bands run and band
 boundaries cut through the rows of the pairs one owner's couples land
-on, with ``realize._FLUSH`` patched small, so that the greedy that
+on, and with ``realize._FLUSH`` patched small, so that the greedy that
 builds the base writes its stretches a few at a time (that base must
-be the same), and with ``digraph._SMALL`` at 0, so that no matrix is
-set as one int.  The inputs are the even sets the pipeline completes (with
+be the same).  The inputs are the even sets the pipeline completes (with
 and without 0), large ones included, and random near tournaments with a
 random pairing whose witnesses deal more couples than there are pairs.
 """
@@ -36,11 +35,10 @@ from imbalanceset import (
     realize,
 )
 
-# Band bytes, flush stretches and the largest matrix set as one int:
-# the program's, then bands of one row with every stretch written on its
-# own, and bands of a few rows for small k but one for k > 64 with a few
-# stretches at a time, both setting even the smallest matrix in words.
-SIZES = ((digraph._FILL, realize._FLUSH, digraph._SMALL), (1, 1, 0), (100, 7, 0))
+# Band bytes and flush stretches: the program's, then bands of one row
+# with every stretch written on its own, and bands of a few rows for
+# small k but one for k > 64 with a few stretches at a time.
+SIZES = ((digraph._FILL, realize._FLUSH), (1, 1), (100, 7))
 
 
 def _digest(complete, report, witness):
@@ -57,14 +55,13 @@ def _assert_same_for_every_size(report, witness, seq=None):
     pairs over two bands."""
     expected = _digest(reference_tis.add_arcs, report, witness)
     splits = 0
-    for fill, flush, small in SIZES:
+    for fill, flush in SIZES:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(digraph, "_FILL", fill)
             mp.setattr(realize, "_FLUSH", flush)
-            mp.setattr(digraph, "_SMALL", small)
             if seq is not None:
-                assert max_realization(seq) == report, (fill, flush, small)
-            assert _digest(realize.add_arcs, report, witness) == expected, (witness, fill, flush, small)
+                assert max_realization(seq) == report, (fill, flush)
+            assert _digest(realize.add_arcs, report, witness) == expected, (witness, fill, flush)
             splits += _splits_an_owner(report.non_neighbour_pairing, witness, fill)
     return expected, splits
 
@@ -72,11 +69,8 @@ def _assert_same_for_every_size(report, witness, seq=None):
 def _splits_an_owner(pairing, witness, fill):
     """Whether the rows of the pairs of some owner's couples fall in two
     bands, as ``digraph._fill`` cuts the completion's rows (every row of
-    the order-(n + k) matrix holds an interval) unless the matrix is
-    small enough to be set as one int."""
+    the order-(n + k) matrix holds an interval)."""
     n, k = 2 * len(pairing), witness.total_length
-    if (n + k) * -(-(n + k) // 8) <= digraph._SMALL:
-        return False
     words = -(-(n + k) // 64) - (n >> 6) + 1
     rows = max(1, fill // (8 * words))
     ends = np.array(pairing, dtype=np.int64).reshape(-1, 2)
