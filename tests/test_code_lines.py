@@ -17,6 +17,8 @@ import io
 import tokenize
 from pathlib import Path
 
+import pytest
+
 HERE = Path(__file__).resolve().parent
 PACKAGE = HERE.parent / "src" / "imbalanceset"
 BUDGET = HERE / "data" / "code_line_budget.txt"
@@ -57,6 +59,32 @@ def f(x):
     return x  # a trailing comment
 '''
     assert code_lines(source) == 4  # def, the two lines of s, return
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("", 0),
+        ("\n\n    \n", 0),
+        ("# a comment\n#another\n", 0),
+        ('"""A module docstring\nover two lines."""\n', 0),
+        ('class C:\n    """Doc."""\n    x = 1\n', 2),
+        ('class C:\n    def m(self):\n        """Doc."""\n        return 1\n', 3),
+        ('async def f():\n    """Doc."""\n    await g()\n', 2),
+        ('x = 1\n"""A string after the first statement is code."""\n', 2),
+        ("x = (1 +\n     2)\n", 2),
+        ("x = 1 + \\\n    2\n", 2),
+        ("@decorate\ndef f():\n    pass\n", 3),
+        ("def f():\n    x = 1  # trailing\n\n    # inner\n    return x\n", 3),
+    ],
+    ids=[
+        "empty", "blank", "comments", "module-docstring", "class-docstring",
+        "method-docstring", "async-docstring", "later-string", "bracketed",
+        "backslash", "decorator", "comments-in-body",
+    ],
+)
+def test_counts_each_kind_of_line(source, want):
+    assert code_lines(source) == want
 
 
 def test_the_package_keeps_its_code_line_budget():

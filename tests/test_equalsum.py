@@ -19,6 +19,7 @@ from imbalanceset import (
     min_odd_equal_sum,
     solve_esseq,
 )
+from imbalanceset.equalsum import _bounded_lex_min
 
 
 class TestWitnessInvariants:
@@ -101,6 +102,23 @@ class TestSolveEsseq:
         # took 61 s; fewer terms of at most 1 cannot sum to 16,000.
         w = solve_esseq({1}, {16000}, 16000)
         assert w == EqualSumWitness((1,) * 16000, (16000,), 16000)
+
+    # (values, cap, sum, witness).  The least count, ceil(sum / max
+    # value), has a walk in the first three; the cap pushes the last two
+    # past it; 0 is never a term.
+    @pytest.mark.parametrize(
+        "values, max_repeats, target, want",
+        [
+            ((1,), 16000, 16000, (1,) * 16000),
+            ((1, 7), 300, 700, (7,) * 100),
+            ((2, 3), 500, 1501, (2, 2) + (3,) * 499),
+            ((1, 10), 3, 32, (1, 1, 10, 10, 10)),
+            ((0, 1, 2), 1, 3, (1, 2)),
+        ],
+        ids=["ones", "all-largest", "two-small", "cap-binds", "zero-skipped"],
+    )
+    def test_bounded_lex_min_starts_at_the_least_count(self, values, max_repeats, target, want):
+        assert _bounded_lex_min(values, max_repeats, target) == want
 
     def test_tables_stop_at_the_least_members_common_multiple(self):
         # y0/g copies of x0 against x0/g copies of y0 bound the least

@@ -12,6 +12,8 @@ what the loop from one term up returned.
 import itertools
 import random
 
+import pytest
+
 import reference_equalsum
 from imbalanceset import (
     REFUSAL_NO_ODD_EQUAL_SUM,
@@ -58,12 +60,12 @@ def test_bounded_walk_matches_the_recursive_walk():
     assert found > 1000
 
 
-def test_bounded_lex_min_matches_the_loop_from_one_term():
-    rng = random.Random(7)
+@pytest.mark.parametrize("max_repeats", range(1, 7))
+def test_bounded_lex_min_matches_the_loop_from_one_term(max_repeats):
+    rng = random.Random(max_repeats)
     cases = 0
-    while cases < 5000:
+    while cases < 1000:
         values = tuple(sorted(set(rng.choices(range(30), k=rng.randint(1, 4)))))
-        max_repeats = rng.randint(1, 6)
         reach = _bounded_sum_rows(values, max_repeats, 81)
         for target in range(1, 81):
             if reach >> target & 1:
