@@ -2,7 +2,19 @@
 
 Subcommands: decide, realize, check, verify, bound, equal-sum.  Exit
 codes: 0 yes/pass, 2 no/fail, 1 usage or parse error, 3 resource cap
-exceeded.  Only ``realize`` and ``verify`` make a matrix, so only they
+exceeded.
+
+The arguments are read against one table, ``_COMMANDS`` with its
+``_OPTIONS``, from which ``-h``/``--help`` is printed too.  The command
+comes first; its positionals and options follow in any order.  An
+option is named in full and takes its value as ``--opt value`` or
+``--opt=value``; a dash followed by a digit starts a literal such as
+``-2,4``, not an option.  A usage error prints the usage line and an
+``error:`` line in argparse's wording, and exits 1.  The reader imports
+nothing, because argparse, with the gettext and locale it loads, would
+be most of the program's own start-up in a ``decide`` call.
+
+Only ``realize`` and ``verify`` make a matrix, so only they
 import :mod:`imbalanceset.formats` (and with it numpy); the brute-force
 oracles are imported only when ``--budget`` runs them, and :mod:`json`
 only when ``--json`` prints a document.
@@ -10,38 +22,20 @@ only when ``--json`` prints a document.
 
 from __future__ import annotations
 
-import argparse
 import os
-import re
 import sys
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable, NoReturn, Sequence
 
 from .equalsum import solve_esseq
 from .errors import FORMATS, DoubledPairError, ResourceLimitError
-from .sequences import (
-    CheckFailure,
-    digraph_imbalance_failure,
-    landau_failure,
-    tournament_imbalance_failure,
-)
+from .sequences import digraph_imbalance_failure, landau_failure, tournament_imbalance_failure
 from .tis import _refusal, decide_tis, order_upper_bound
 
 EXIT_YES = 0
 EXIT_USAGE = 1
 EXIT_NO = 2
 EXIT_RESOURCE = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # A dash and a digit start a literal such as -2,4, not an option.
-        self._negative_number_matcher = re.compile(r"-\d")
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _parse_literal(text: str, what: str) -> tuple[int, ...]:
@@ -65,26 +59,20 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
 
 
 # The sequence conditions of ``check``, by --mode.
-_CONDITIONS = {
-    "landau": landau_failure,
-    "digraph": digraph_imbalance_failure,
-    "tournament": tournament_imbalance_failure,
-}
+_CONDITIONS = {"landau": landau_failure, "digraph": digraph_imbalance_failure,
+               "tournament": tournament_imbalance_failure}
 
 
-def _failure_text(failure: CheckFailure) -> str:
-    if failure.kind == "parity":
-        return f"parity mismatch at position {failure.index}"
-    if failure.kind == "prefix":
-        return f"prefix inequality violated at index {failure.index}"
-    return "total sum misses its forced value"
+# What ``check`` prints for each kind of CheckFailure, given its index.
+_FAILURES = {"parity": "parity mismatch at position {}", "prefix": "prefix inequality violated at index {}",
+             "total": "total sum misses its forced value"}
 
 
 def _oracle():
@@ -94,14 +82,8 @@ def _oracle():
     return oracle
 
 
-def _print_answer(
-    args: argparse.Namespace,
-    doc: dict,
-    line: str,
-    key: str = "",
-    label: str = "",
-    oracle: Callable[[], object] | None = None,
-) -> None:
+def _print_answer(args: SimpleNamespace, doc: dict, line: str, key: str = "", label: str = "",
+                  oracle: Callable[[], object] | None = None) -> None:
     """Print ``doc`` as JSON or ``line`` as text, then the oracle's answer
     under ``key`` or ``label`` if the command has a --budget and it is set.
 
@@ -126,80 +108,22 @@ def _print_answer(
     print(json.dumps(doc))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="imbalanceset")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    decide = sub.add_parser("decide", help="decide realizability of a set")
-    decide.add_argument("set_literal", help="comma-separated integers, e.g. '4,2,-2'")
-    decide.add_argument("--json", action="store_true", dest="as_json")
-    decide.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=None,
-        metavar="LENGTH",
-        help="also search odd zero sums of up to LENGTH terms by brute force",
-    )
-
-    realize = sub.add_parser("realize", help="build a realizing tournament")
-    realize.add_argument("set_literal")
-    realize.add_argument("--format", choices=FORMATS, default="dot")
-    realize.add_argument("--out", default=None, help="output path (default stdout)")
-
-    check = sub.add_parser("check", help="test a sequence condition")
-    check.add_argument("seq_literal")
-    check.add_argument("--mode", choices=_CONDITIONS, required=True)
-    check.add_argument("--json", action="store_true", dest="as_json")
-
-    verify = sub.add_parser("verify", help="verify a tournament file against a set")
-    verify.add_argument("graph_path")
-    verify.add_argument("set_literal")
-
-    bound = sub.add_parser("bound", help="order bound for a realizable set")
-    bound.add_argument("set_literal")
-    bound.add_argument("--json", action="store_true", dest="as_json")
-    bound.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=None,
-        metavar="ORDER",
-        help="also search orders up to ORDER (and the bound) by brute force",
-    )
-
-    equal = sub.add_parser("equal-sum", help="equal-sum sequences from two sets")
-    equal.add_argument("x_literal")
-    equal.add_argument("y_literal")
-    equal.add_argument("--k", type=_positive_int, required=True, help="per-element repetition cap")
-    equal.add_argument("--json", action="store_true", dest="as_json")
-
-    return parser
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
+def _cmd_decide(args: SimpleNamespace) -> int:
     members = _parse_set(args.set_literal)
     decision = decide_tis(members)
-    doc = {
-        "set": sorted(members, reverse=True),
-        "verdict": "yes" if decision.verdict else "no",
-        "refusal": decision.refusal,
-        "order": decision.order,
-    }
+    doc = {"set": sorted(members, reverse=True), "verdict": "yes" if decision.verdict else "no",
+           "refusal": decision.refusal, "order": decision.order}
     yes = f"yes: realizable by a tournament of order {decision.order}"
     if decision.capped is not None:  # the verdict stands; only the order's search was refused
         doc["capped"] = decision.capped
         yes = f"yes: realizable by a tournament; order not computed ({decision.capped})"
-    _print_answer(
-        args,
-        doc,
-        yes if decision.verdict else f"no: {decision.refusal}",
-        "brute_zero_sum_min_odd",
-        "brute-force minimal odd zero-sum length",
-        lambda: _oracle().brute_zero_sum_min_odd(members, args.budget),
-    )
+    _print_answer(args, doc, yes if decision.verdict else f"no: {decision.refusal}", "brute_zero_sum_min_odd",
+                  "brute-force minimal odd zero-sum length",
+                  lambda: _oracle().brute_zero_sum_min_odd(members, args.budget))
     return EXIT_YES if decision.verdict else EXIT_NO
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
+def _cmd_realize(args: SimpleNamespace) -> int:
     from .digraph import _tournament_imbalances
     from .formats import write
 
@@ -241,16 +165,16 @@ def _silence_stdout() -> None:
     os.close(devnull)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     seq = _parse_literal(args.seq_literal, "sequence")
     failure = _CONDITIONS[args.mode](seq)
     ok = failure is None
     doc = {"mode": args.mode, "ok": ok, "failure": None if ok else failure._asdict()}
-    _print_answer(args, doc, "pass" if ok else f"fail: {_failure_text(failure)}")
+    _print_answer(args, doc, "pass" if ok else f"fail: {_FAILURES[failure.kind].format(failure.index)}")
     return EXIT_YES if ok else EXIT_NO
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from .digraph import _tournament_imbalances
     from .formats import detect_format, parse
 
@@ -273,34 +197,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_NO
     got = frozenset(imbalances.tolist())
     if got != members:
-        print(
-            "imbalance mismatch: graph has "
-            f"{sorted(got, reverse=True)}, stated {sorted(members, reverse=True)}"
-        )
+        stated = sorted(members, reverse=True)
+        print(f"imbalance mismatch: graph has {sorted(got, reverse=True)}, stated {stated}")
         return EXIT_NO
     print(f"ok: tournament of order {graph.n} with the stated imbalance set")
     return EXIT_YES
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: SimpleNamespace) -> int:
     members = _parse_set(args.set_literal)
     refusal = _refusal(members)
     if refusal is not None:
         print(f"no: {refusal}", file=sys.stderr)
         return EXIT_NO
     bound = order_upper_bound(members)
-    _print_answer(
-        args,
-        {"set": sorted(members, reverse=True), "bound": bound},
-        str(bound),
-        "exact_min_order",
-        "exact minimal order (searched)",
-        lambda: _oracle().brute_min_order(members, min(bound, args.budget)),
-    )
+    _print_answer(args, {"set": sorted(members, reverse=True), "bound": bound}, str(bound), "exact_min_order",
+                  "exact minimal order (searched)",
+                  lambda: _oracle().brute_min_order(members, min(bound, args.budget)))
     return EXIT_YES
 
 
-def _cmd_equal_sum(args: argparse.Namespace) -> int:
+def _cmd_equal_sum(args: SimpleNamespace) -> int:
     xs = _parse_set(args.x_literal)
     ys = _parse_set(args.y_literal)
     witness = solve_esseq(xs, ys, args.k)
@@ -312,24 +229,131 @@ def _cmd_equal_sum(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-_DISPATCH = {
-    "decide": _cmd_decide,
-    "realize": _cmd_realize,
-    "check": _cmd_check,
-    "verify": _cmd_verify,
-    "bound": _cmd_bound,
-    "equal-sum": _cmd_equal_sum,
+_REQUIRED = object()
+# Every option: (dest, read, default, metavar, help).  read None makes a
+# switch, a collection a choice among its members, and a function reads
+# the value; the default _REQUIRED makes the option required.
+_OPTIONS = {
+    "--json": ("as_json", None, False, "", "print the report as one JSON document"),
+    "--budget": ("budget", _positive_int, None, "N",
+                 "also search by brute force: odd zero sums of up to N terms (decide), orders to N (bound)"),
+    "--format": ("format", FORMATS, "dot", "{" + ",".join(FORMATS) + "}", "graph file format (default dot)"),
+    "--out": ("out", str, None, "OUT", "output path (default stdout)"),
+    "--mode": ("mode", _CONDITIONS, _REQUIRED, "{" + ",".join(_CONDITIONS) + "}", "the sequence condition"),
+    "--k": ("k", _positive_int, _REQUIRED, "K", "per-element repetition cap"),
+}
+_COMMANDS = {  # command: (its function, help, positionals, options)
+    "decide": (_cmd_decide, "decide realizability of a set", ("set_literal",), ("--json", "--budget")),
+    "realize": (_cmd_realize, "build a realizing tournament", ("set_literal",), ("--format", "--out")),
+    "check": (_cmd_check, "test a sequence condition", ("seq_literal",), ("--mode", "--json")),
+    "verify": (_cmd_verify, "verify a tournament file against a set", ("graph_path", "set_literal"), ()),
+    "bound": (_cmd_bound, "order bound for a realizable set", ("set_literal",), ("--json", "--budget")),
+    "equal-sum": (_cmd_equal_sum, "equal-sum sequences from two sets", ("x_literal", "y_literal"),
+                  ("--k", "--json")),
 }
 
 
+def _is_option(token: str) -> bool:
+    """A dash and a digit start a literal such as -2,4, not an option."""
+    return len(token) > 1 and token[0] == "-" and not token[1].isdecimal()
+
+
+def _shown(flag: str) -> str:
+    """The option ``flag`` with its value, as usage and help show it."""
+    return flag if _OPTIONS[flag][1] is None else f"{flag} {_OPTIONS[flag][3]}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: imbalanceset [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, positionals, options = _COMMANDS[command]
+    shown = [_shown(f) if _OPTIONS[f][2] is _REQUIRED else f"[{_shown(f)}]" for f in options]
+    return " ".join(["usage: imbalanceset", command, "[-h]", *shown, *positionals])
+
+
+def _error(command: str | None, message: str) -> NoReturn:
+    print(_usage(command), f"error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the help of ``command``, or of the program for None; exit 0."""
+    about, rows = "commands:", [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    if command is not None:
+        _, about, positionals, options = _COMMANDS[command]
+        rows = [(name, "") for name in positionals] + [(_shown(f), _OPTIONS[f][4]) for f in options]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    lines = [f"  {name:<{width}}{text}".rstrip() for name, text in rows]
+    print(_usage(command), "", about, *lines, sep="\n")
+    raise SystemExit(EXIT_YES)
+
+
+class _Reader:
+    """Reads a command line against _COMMANDS, in one pass over it."""
+
+    def parse_args(self, argv: Sequence[str] | None = None) -> SimpleNamespace:
+        """The command and its arguments, as attributes named by their
+        dests; SystemExit(0) after -h or --help, (1) on a usage error."""
+        command, *tokens = list(sys.argv[1:] if argv is None else argv) or [None]
+        if command in ("-h", "--help"):
+            _help(None)
+        if command is None:
+            _error(None, "the following arguments are required: command")
+        if command not in _COMMANDS:
+            choices = ", ".join(map(repr, _COMMANDS))
+            _error(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        _, _, positionals, options = _COMMANDS[command]
+        values = {_OPTIONS[flag][0]: _OPTIONS[flag][2] for flag in options}
+        words: list[str] = []  # the tokens that are not options, in order
+        extras: list[str] = []  # the options that the command does not take
+        rest = iter(tokens)
+        for token in rest:
+            flag, equals, value = token.partition("=")
+            if not _is_option(token):
+                words.append(token)
+            elif flag in ("-h", "--help"):
+                _help(command)
+            elif flag not in options:
+                extras.append(token)
+            elif _OPTIONS[flag][1] is None:  # a switch
+                if equals:
+                    _error(command, f"argument {flag}: ignored explicit argument {value!r}")
+                values[_OPTIONS[flag][0]] = True
+            else:
+                if not equals:
+                    value = next(rest, None)
+                    if value is None or _is_option(value):
+                        _error(command, f"argument {flag}: expected one argument")
+                dest, read = _OPTIONS[flag][:2]
+                try:
+                    if not callable(read) and value not in read:
+                        choices = ", ".join(map(repr, read))
+                        raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+                    values[dest] = read(value) if callable(read) else value
+                except ValueError as exc:
+                    _error(command, f"argument {flag}: {exc}")
+        values.update(zip(positionals, words))
+        missing = [*positionals[len(words):], *(f for f in options if values[_OPTIONS[f][0]] is _REQUIRED)]
+        if missing:
+            _error(command, f"the following arguments are required: {', '.join(missing)}")
+        if extras or words[len(positionals):]:
+            _error(command, f"unrecognized arguments: {' '.join(extras + words[len(positionals):])}")
+        return SimpleNamespace(command=command, **values)
+
+
+def build_parser() -> _Reader:
+    """The command-line reader: ``build_parser().parse_args(argv)`` reads argv."""
+    return _Reader()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ResourceLimitError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -415,8 +415,13 @@ def _bounded_walk(
 
     Values are scanned ascending and each first takes as many copies as
     feasible, one fewer on each backtrack, which yields the
-    lexicographically smallest nondecreasing tuple.  The search keeps an
-    explicit stack, so long witnesses do not hit the recursion limit.
+    lexicographically smallest nondecreasing tuple.  The last value is
+    never retried with fewer copies: with no value after it, only
+    exactly ``left`` copies summing to ``remaining`` can end the walk,
+    and the most copies it can take are those if any are, so one try
+    settles its state (and a long remainder costs one step, not one per
+    copy).  The search keeps an explicit stack, so long witnesses do not
+    hit the recursion limit.
     """
     dead: set[tuple[int, int, int]] = set()  # (remaining, left, idx) that fail
     # (idx, copies of values[idx], remaining and left before those copies)
@@ -426,7 +431,7 @@ def _bounded_walk(
         if left and idx < len(values) and (remaining, left, idx) not in dead:
             copies = min(max_repeats, remaining // values[idx], left)
         else:
-            while frames and not frames[-1][1]:
+            while frames and (not frames[-1][1] or frames[-1][0] == len(values) - 1):
                 i, _, rem_in, left_in = frames.pop()
                 dead.add((rem_in, left_in, i))
             if not frames:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -540,6 +541,87 @@ class TestUsage:
                 assert code == 0
                 assert parse(path.read_text(), kind).n == n
             assert path.read_bytes() == zero[kind]
+
+
+# Every argument of each command, all of which its -h must name.
+HELP_NAMES = {
+    (): ["decide", "realize", "check", "verify", "bound", "equal-sum"],
+    ("decide",): ["set_literal", "--json", "--budget"],
+    ("realize",): ["set_literal", "--format", "--out"],
+    ("check",): ["seq_literal", "--mode", "--json"],
+    ("verify",): ["graph_path", "set_literal"],
+    ("bound",): ["set_literal", "--json", "--budget"],
+    ("equal-sum",): ["x_literal", "y_literal", "--k", "--json"],
+}
+
+
+class TestArgumentSyntax:
+    def test_option_equals_value(self, tmp_path, capsys):
+        path = tmp_path / "t.json"
+        code, out, err = run(capsys, "realize", "4,2,-2", "--format=json", f"--out={path}")
+        assert (code, err) == (0, "") and out.startswith("order 13;")
+        assert json.loads(path.read_text())["n"] == 13
+        assert run(capsys, "equal-sum", "3", "2", "--k=3") == (0, "xs=[3, 3] ys=[2, 2, 2] sum=6\n", "")
+
+    def test_options_before_the_positionals(self, tmp_path, capsys):
+        path = tmp_path / "t.edges"
+        code, out, _ = run(capsys, "realize", "--format", "edgelist", "--out", str(path), "4,-2")
+        assert code == 0 and out.startswith("order 9;")
+        assert path.read_text().startswith("# tournament n=9\n")
+        assert run(capsys, "check", "--mode", "landau", "--json", "0,1,2") == run(
+            capsys, "check", "0,1,2", "--mode", "landau", "--json"
+        )
+        assert run(capsys, "equal-sum", "--k", "3", "3", "2")[1] == "xs=[3, 3] ys=[2, 2, 2] sum=6\n"
+        assert run(capsys, "decide", "--budget=15", "--json", "6,-10") == run(
+            capsys, "decide", "6,-10", "--json", "--budget", "15"
+        )
+
+    def test_an_option_value_may_start_with_a_minus_and_a_digit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "realize", "1,-1", "--out", "-2")[0] == 0
+        assert (tmp_path / "-2").read_text() == "digraph {\n  0 -> 1;\n}\n"
+        assert run(capsys, "verify", "-2", "-1,1") == (0, "ok: tournament of order 2 with the stated imbalance set\n", "")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", list(HELP_NAMES))
+    def test_help_names_every_argument(self, capsys, command, flag):
+        code, out, err = run(capsys, *command, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: imbalanceset")
+        for name in HELP_NAMES[command]:  # each on a line of its own, not only in the usage
+            assert re.search(rf"^\s+{re.escape(name)}\b", out, re.MULTILINE), name
+
+    def test_help_stops_the_reading(self, capsys):
+        assert run(capsys, "check", "-h")[:2] == run(capsys, "check", "1,,2", "extra", "-h")[:2]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize", "4,2,-2", "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+            (["realize", "4,2,-2", "--format=svg"], "argument --format: invalid choice: 'svg'"),
+            (["check", "0,1,2", "--mode", "scores"], "argument --mode: invalid choice: 'scores'"),
+            (["check", "0,1,2"], "the following arguments are required: --mode"),
+            (["check", "--mode", "landau"], "the following arguments are required: seq_literal"),
+            (["equal-sum", "3", "2"], "the following arguments are required: --k"),
+            (["equal-sum", "3"], "the following arguments are required: y_literal, --k"),
+            (["realize", "4,2,-2", "--out"], "argument --out: expected one argument"),
+            (["realize", "4,2,-2", "--format", "--out", "x.dot"], "argument --format: expected one argument"),
+            (["decide", "4,-6", "--budget"], "argument --budget: expected one argument"),
+            (["equal-sum", "3", "2", "--k", "--json"], "argument --k: expected one argument"),
+            (["decide", "4,-6", "5,-7"], "unrecognized arguments: 5,-7"),
+            (["verify", "t.dot", "4,-2", "extra"], "unrecognized arguments: extra"),
+            (["decide", "4,-6", "--out", "x.dot"], "unrecognized arguments: --out x.dot"),
+            (["decide", "4,-6", "--json=yes"], "argument --json: ignored explicit argument 'yes'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            ([], "the following arguments are required: command"),
+            # No prefix stands for an option, as argparse let --form stand for --format.
+            (["realize", "4,2,-2", "--form", "dot"], "unrecognized arguments: --form dot"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: imbalanceset") and f"\nerror: {message}" in err
 
 
 class TestLeadingMinus:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import imbalanceset
+import reference_equalsum
 from imbalanceset import (
     REFUSAL_NO_ODD_EQUAL_SUM,
     EqualSumWitness,
@@ -119,6 +120,18 @@ class TestSolveEsseq:
     )
     def test_bounded_lex_min_starts_at_the_least_count(self, values, max_repeats, target, want):
         assert _bounded_lex_min(values, max_repeats, target) == want
+
+    def test_the_last_value_fills_a_long_remainder_at_once(self):
+        # 3c + 1 = 2 * 2 + 3 * (c - 1): the walk tried each count of 3s
+        # from c down at every count of 2s, 4.7 s at c = 5,000.  The
+        # reference loop gives that witness at c = 50 (at c = 500 it
+        # takes seconds).
+        assert reference_equalsum.bounded_lex_min((2, 3), 50, 151) == (2, 2) + (3,) * 49
+        c = 5000
+        t0 = time.perf_counter()
+        w = _bounded_lex_min((2, 3), c, 3 * c + 1)
+        assert time.perf_counter() - t0 < 1.0
+        assert w == (2, 2) + (3,) * (c - 1)
 
     def test_tables_stop_at_the_least_members_common_multiple(self):
         # y0/g copies of x0 against x0/g copies of y0 bound the least

@@ -2,8 +2,10 @@
 
 Only code that builds, writes, reads or checks a matrix loads numpy,
 and only JSON output or a JSON graph loads json; no command without a
-matrix loads dataclasses or its inspect.  So the boundary is checked in
-fresh interpreters: within this test process these are loaded already.
+matrix loads dataclasses or its inspect.  No command loads argparse,
+gettext or locale: the CLI reads its arguments itself.  So the boundary
+is checked in fresh interpreters: within this test process these are
+loaded already.
 """
 
 import ast
@@ -41,8 +43,10 @@ def _loaded(modules: tuple[str, ...]) -> str:
 
 # What only a matrix needs: numpy, and the modules that build or check one.
 MATRIX_LOADED = _loaded(("numpy", "imbalanceset.digraph", "imbalanceset.realize"))
+# The argument parser that the CLI does not use, and what it imports.
+PARSER = ("argparse", "gettext", "locale")
 # What no command without a matrix needs, bar json for --json output.
-START_UP_LOADED = _loaded(("dataclasses", "inspect", "json"))
+START_UP_LOADED = _loaded(("dataclasses", "inspect", "json", *PARSER))
 
 
 def _fresh(code: str) -> dict:
@@ -104,6 +108,13 @@ class TestImportBoundary:
         probe = f"print(json.dumps([code, {_loaded(('json',))}]))\n"
         for argv in (["realize", "4,2,-2", "--format", kind, "--out", str(path)], ["verify", str(path), "4,2,-2"]):
             assert _fresh(CLI_CALL.format(argv=argv) + probe) == [0, []], argv
+
+    def test_matrix_commands_load_numpy_but_no_argument_parser(self, tmp_path):
+        path = tmp_path / "built.dot"
+        probe = f"print(json.dumps([code, {MATRIX_LOADED}, {_loaded(PARSER)}]))\n"
+        for argv in (["realize", "4,2,-2", "--format", "dot", "--out", str(path)], ["verify", str(path), "4,2,-2"]):
+            got = _fresh(CLI_CALL.format(argv=argv) + probe)
+            assert got[0] == 0 and "numpy" in got[1] and got[2] == [], argv
 
     def test_no_module_imports_dataclasses(self):
         for path in Path(imbalanceset.__file__).parent.glob("*.py"):
