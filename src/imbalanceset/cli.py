@@ -18,6 +18,23 @@ Only ``realize`` and ``verify`` make a matrix, so only they
 import :mod:`imbalanceset.formats` (and with it numpy); the brute-force
 oracles are imported only when ``--budget`` runs them, and :mod:`json`
 only when ``--json`` prints a document.
+
+A process ends through :func:`run`, which ``python -m imbalanceset``
+and the ``imbalanceset`` script both call: it runs :func:`main`,
+flushes standard output and standard error, and ends with
+``os._exit``, so interpreter teardown (module teardown and a last
+garbage collection, tens of milliseconds once numpy is loaded) never
+runs.  Skipping it loses nothing: the two streams are flushed by hand,
+the files a command writes or reads are closed by their ``with``
+blocks before ``main`` returns, and the program registers no
+``atexit`` handler.  A handler that something else registers, a
+coverage tracer's say, does not run either.  ``run`` also owns a
+write to standard output that fails, a reader that closed its pipe
+say, for every command: in the write itself when the stream is
+unbuffered, in the last flush when it is buffered, either way one line
+``error: cannot write standard output: ...`` on stderr and exit 1.
+``main(argv)`` returns its code as before, so in-process callers and
+tests see no change.
 """
 
 from __future__ import annotations
@@ -140,29 +157,13 @@ def _cmd_realize(args: SimpleNamespace) -> int:
                 write(graph, args.format, fh)
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}") from None
-    else:
-        try:
-            write(graph, args.format, sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:  # a closed pipe, say
-            _silence_stdout()
-            raise ValueError(f"cannot write standard output: {exc}") from None
+    else:  # a failed write reaches run(); the flush makes it fail before the line below
+        write(graph, args.format, sys.stdout)
+        sys.stdout.flush()
     # A certificate is a verified tournament: one out-degree pass.
     seq = ",".join(map(str, sorted(_tournament_imbalances(graph.out_degrees()).tolist(), reverse=True)))
     print(f"order {graph.n}; imbalance sequence {seq}", file=sys.stderr if not args.out else sys.stdout)
     return EXIT_YES
-
-
-def _silence_stdout() -> None:
-    """Point standard output at the null device, so that the rest still
-    buffered for it cannot fail again when the interpreter flushes it at exit."""
-    try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):  # not a file, as under a capture
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 def _cmd_check(args: SimpleNamespace) -> int:
@@ -348,6 +349,9 @@ def build_parser() -> _Reader:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.  A write to standard output or standard error
+    that fails is not caught: its OSError reaches the caller."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -362,5 +366,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Run :func:`main` and end the process with its code, flushing both
+    standard streams first and skipping interpreter teardown.
+
+    A write to standard output that fails, in ``main`` or in the flush
+    here, prints one ``error:`` line on standard error and exits 1.  No
+    other OSError leaves ``main``: a file it reads or writes turns its
+    error into a ValueError, which ``main`` reports itself, and after a
+    failed write to standard error there is nowhere left to report.
+    """
+    try:
+        try:
+            code = main()
+            sys.stdout.flush()
+        except OSError as exc:  # a closed pipe, say
+            code = EXIT_USAGE
+            print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:  # standard error is gone too: nothing is left to tell
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

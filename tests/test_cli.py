@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from imbalanceset import Digraph, cli, digraph, formats, order_upper_bound
+from imbalanceset import Digraph, cli, decide_tis, digraph, formats, order_upper_bound
 from imbalanceset.cli import main
 from imbalanceset.formats import emit, parse, parse_dot
 
@@ -650,3 +651,143 @@ class TestLeadingMinus:
         code, out, err = run(capsys, "decide", "-x")
         assert code == 1 and out == ""
         assert "required: set_literal" in err
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_4_2_-2.dot"
+
+
+def _python(args, *, unbuffered=False, **popen):
+    """Run ``python args`` to its end with the package importable, and with
+    standard output unbuffered or not whatever the caller's environment says."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **popen)
+
+
+def _cli_child(argv, **kw):
+    return _python(["-m", "imbalanceset", *argv], **kw)
+
+
+def _cli_child_after(setup, argv):
+    """Run the statements ``setup``, then ``python -m imbalanceset argv``
+    in the same process, as ``-m`` runs it."""
+    code = (
+        f"import atexit, io, runpy, sys\n{setup}\nsys.argv = ['imbalanceset', *{argv!r}]\n"
+        "runpy.run_module('imbalanceset', run_name='__main__', alter_sys=True)\n"
+    )
+    return _python(["-c", code], capture_output=True, text=True)
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed already, so that
+    a child's first write to it fails, however little it writes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+class TestExitPath:
+    """``python -m imbalanceset`` and the ``imbalanceset`` script end
+    through ``cli.run``: both streams flushed, then ``os._exit``."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "4,-6"],
+            ["decide", "4,-6", "--json"],
+            ["bound", "4,-6"],
+            ["check", "2,0,-2", "--mode", "tournament"],
+            ["equal-sum", "3", "2", "--k", "3"],
+            ["verify", str(GOLDEN), "4,2,-2"],
+            ["realize", "4,2,-2"],
+        ],
+        ids=["decide", "decide-json", "bound", "check", "equal-sum", "verify", "realize"],
+    )
+    def test_closed_stdout_is_one_error_line(self, argv, unbuffered):
+        stdout = _closed_pipe()
+        try:
+            done = _cli_child(argv, unbuffered=unbuffered, stdout=stdout, stderr=subprocess.PIPE)
+        finally:
+            os.close(stdout)
+        assert done.returncode == 1
+        assert done.stderr == b"error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+    def test_closed_stdout_and_stderr_exit_1(self):
+        stdout, stderr = _closed_pipe(), _closed_pipe()
+        try:
+            assert _cli_child(["decide", "4,-6"], stdout=stdout, stderr=stderr).returncode == 1
+        finally:
+            os.close(stdout)
+            os.close(stderr)
+
+    def test_teardown_is_skipped(self, capsys):
+        done = _cli_child_after(
+            "atexit.register(lambda: sys.stderr.write('teardown ran\\n'))", ["decide", "4,-6"]
+        )
+        want = run(capsys, "decide", "4,-6")
+        assert (done.returncode, done.stdout, done.stderr) == want == (0, want[1], "")
+
+    def test_a_fully_buffered_stderr_is_flushed(self, capsys):
+        # sys.stderr is line-buffered by default; one that is not keeps its
+        # lines until run() flushes it.
+        argv = ["realize", "4,2,-2", "--format", "edgelist"]
+        done = _cli_child_after(
+            "sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False), line_buffering=False)", argv
+        )
+        want = run(capsys, *argv)
+        assert (done.returncode, done.stdout, done.stderr) == want
+        assert want[2].startswith("order 13;")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_in_a_file_is_complete(self, tmp_path, unbuffered):
+        path = tmp_path / "stdout.dot"
+        with open(path, "wb") as fh:
+            done = _cli_child(
+                ["realize", "4,2,-2", "--format", "dot"], unbuffered=unbuffered, stdout=fh
+            )
+        assert done.returncode == 0
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_out_file_is_complete(self, tmp_path):
+        path = tmp_path / "out.dot"
+        done = _cli_child(
+            ["realize", "4,2,-2", "--format", "dot", "--out", str(path)], capture_output=True
+        )
+        assert done.returncode == 0 and done.stdout.startswith(b"order 13;")
+        assert path.read_bytes() == GOLDEN.read_bytes()
+
+    def test_a_long_edge_list_in_a_file_is_complete(self, tmp_path):
+        path = tmp_path / "stdout.edges"
+        with open(path, "wb") as fh:
+            assert _cli_child(["realize", "4,-998", "--format", "edgelist"], stdout=fh).returncode == 0
+        graph = decide_tis(frozenset({4, -998}), with_certificate=True).certificate
+        assert path.read_text(encoding="utf-8") == emit(graph, "edgelist")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["decide", "4,-6"], 0),
+            (["decide", "4,-6", "--budget", "0"], 1),
+            (["decide", "6,-10"], 2),
+            (["realize", "3,-40001"], 3),
+        ],
+    )
+    def test_exit_codes_survive_a_child(self, capsys, argv, code):
+        done = _cli_child(argv, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+        assert done.returncode == code
+
+    def test_the_script_and_the_module_end_through_one_function(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(cli.__file__).resolve().parents[2]
+        script = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+        tree = ast.parse((root / "src" / "imbalanceset" / "__main__.py").read_text())
+        (imported,) = [n for n in tree.body if isinstance(n, ast.ImportFrom)]
+        (call,) = [n.value for n in tree.body if isinstance(n, ast.Expr)]
+        assert (imported.level, imported.module, [a.name for a in imported.names]) == (1, "cli", ["run"])
+        assert isinstance(call, ast.Call) and call.func.id == "run" and not call.args
+        assert script == {"imbalanceset": "imbalanceset.cli:run"}
