@@ -59,6 +59,20 @@ def _fresh(code: str) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _imported_by_python_m(argv: list[str]) -> list[str]:
+    """The modules that ``python -X importtime -m imbalanceset argv`` loads,
+    read from its stderr: the whole path through runpy, ``__main__.py``
+    and ``cli.run``, as a user starts the CLI."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "imbalanceset", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return [line.rpartition("|")[2].strip() for line in lines[1:]]  # [0] is the header
+
+
 class TestImportBoundary:
     @pytest.mark.parametrize(
         "argv, code",
@@ -115,6 +129,15 @@ class TestImportBoundary:
         for argv in (["realize", "4,2,-2", "--format", "dot", "--out", str(path)], ["verify", str(path), "4,2,-2"]):
             got = _fresh(CLI_CALL.format(argv=argv) + probe)
             assert got[0] == 0 and "numpy" in got[1] and got[2] == [], argv
+
+    def test_python_m_loads_only_what_each_command_runs(self, tmp_path):
+        loaded = _imported_by_python_m(["decide", "4,-6"])
+        unused = ("numpy", "imbalanceset.realize", "imbalanceset.digraph", "dataclasses", "inspect", "json", *PARSER)
+        assert loaded and [m for m in loaded if m in unused] == []
+        path = tmp_path / "built.dot"
+        for argv in (["realize", "4,2,-2", "--format", "dot", "--out", str(path)], ["verify", str(path), "4,2,-2"]):
+            loaded = _imported_by_python_m(argv)
+            assert "numpy" in loaded and [m for m in loaded if m in PARSER] == [], argv
 
     def test_no_module_imports_dataclasses(self):
         for path in Path(imbalanceset.__file__).parent.glob("*.py"):
