@@ -54,49 +54,92 @@ Rows are written once, then mirrored, as :mod:`imbalanceset.digraph`
 lays down.  In :func:`_upper_rows`, row i gets only its upper cells:
 its stretches of receivers [lo, hi), which
 :func:`~imbalanceset.digraph._fill` sets in the packed rows
-``_FLUSH`` stretches or so at a time.  A plain step appends its own; a
-fast-forward appends the stretches of all its periods at once, as
-arrays affine in the period (below).  Then one
+``_FLUSH`` stretches or so at a time.  A plain step appends its own;
+a stretch (below) appends those of its periods 2 .. K - 1 at once, as
+arrays affine in the period.  Then one
 :func:`~imbalanceset.digraph._mirror` pass sets every lower cell
 (c, i) to 1 - (i, c): 1 for each sender c, 0 for each receiver, and 1
 for the partner, whose pair is then cleared.
 
-The greedy fast-forwards over affine stretches.  Write the state
-before step i as the integer vector v = (i, then start, stop, rem_out
-of each run), with the runs' free flags beside it; a run's in-demand,
-n - 1 - i - rem_out - free, is affine in v too.  On a canonical
-expansion v moves by one delta every ``_PERIOD`` = 2 steps over long
-stretches.  When the last two periods kept the run count and free
-flags and moved v by the same delta, :func:`_fast_forward` runs the
-greedy's next two periods traced, on ints that log every difference
-they compare (sorting and run positions included): period 0 from v0
-and, once it has ended at v0 + delta, period 1 from there.  If both
-compare with the same signs and period 1 ends at v0 + 2 * delta, it
-skips periods 0..K for the K below, writing their rows by formula.
-Detection compares run counts first, so a step with no candidate costs
-O(1) more; the all-distinct transitive sequence never repeats its run
-count and runs every step.
+The stretch lemma.  Before step i, let c = i + 1 + f(i) be the first
+candidate after i and, if i is free, after i + 1, and cut each run
+(s, e) at c to [max(s, c), e).  The state is a stretch state when
+(a) i + 1 is free if i is, so that i + 1 is i's partner;
+(b) the cut runs start with a block [c, h) of one run, or of two runs
+    of in-demands lam and lam + 1 in that order, the upper one [p, h)
+    of q vertices (q = 0 for one run), all free if i is;
+(c) each later run, of the tail [h, n) of t vertices, has in-demand at
+    least lam + 2, and at least lam + 3 if x < q;
+(d) lam >= 1 and each block run has out-quota o >= 1; and
+(e) 0 <= x <= h - c, where x = o(i) - t.
+Its margins, computed by :func:`_margins`, are lam, each block run's o,
+each tail run's in-demand less lam + 1 + [x < q] (all positive by (c)
+and (d)), x, h - c - x, x - q and each run's length past c.
 
-Why the skip is exact.  Fix the comparison path of periods 0 and 1.
-Along it, a step only adds and subtracts state entries and constants,
-so with period k started at v0 + k * delta, each compared difference,
-the end state and the rows (stretch ends and partners) are affine in
-k: the j-th difference is a_j + k * b_j, where a_j and a_j + b_j are
-the ones periods 0 and 1 logged with one sign.  It keeps that sign for
-every k >= 0 when a_j * b_j >= 0 (a_j = 0 forces b_j = 0), and up to
-k = (|a_j| - 1) // |b_j|.  K is the least of these bounds, and at most
-(n - i) // 2 - 1, so that the periods end by vertex n.  By induction
-over the comparisons in order, each one is that affine function on
-[0, K], since the path before it is fixed, and keeps its sign there; so
-every k in [0, K] takes the path, and period K + 1 leaves it unless
-the cap stopped K.  The end state minus v0 + (k + 1) * delta is affine
-and zero at k = 0 and k = 1, so it is zero throughout: period k starts
-where period k - 1 ends, and the greedy itself runs through every
-skipped period, whose rows are rows(0) + k * (rows(1) - rows(0)).
-Every traced step is one the greedy takes, and how far a skip reaches
-does not change the rows, which are the greedy's own; so under
-``python -O``, where the asserts and their comparisons vanish, the
-certificates are the same.
+Lemma 1 (a step).  From a stretch state, step i pairs i with i + 1 if i
+is free, sends to the whole tail and to the x block vertices that follow
+p in the cyclic order [p, h), [c, p), and leaves the tail's runs as they
+were.  On the stretch states of given free flags, block run count and
+margin signs, its runs after it, stretches and partner are affine in
+the state vector (i, then start, stop and out-quota of each run).
+Proof.  i + 1 is the lowest free vertex after i.  By (d) no block
+vertex is forced; a tail vertex is a forced receiver (no out-quota
+left) or ranks above the whole block, by (c).  So the tail receives
+whole, x = o(i) - t receivers are left for the block, and (e) is the
+balance guard.  By in-demand, then id, the block ranks [p, h) before
+[c, p), and :func:`_step` takes the lowest ids of the run it cuts, so
+the receivers are the first x in the cyclic order.  Receivers keep
+their out-quota, so the tail's runs stay.  The block's pieces
+(receivers keep o, senders lose 1) are of in-demand lam - 1, lam or
+lam + 1, and two neighbours of one flag merge exactly when their
+in-demands agree.  Which pieces are empty, and so which are neighbours,
+is read off the signs of x, h - c - x and x - q.  No piece merges with
+the partner (not free, the block being free) or with the tail, whose
+in-demand, one less now, still exceeds theirs by (c).  Which receiver
+stretches touch (the upper run's with the tail when x = q, the lower
+run's with the upper's when x = h - c) is read off the same signs.  So
+on those states the step is one formula in which every end and quota
+is a sum of state entries and constants.  Each margin is affine there
+as well: which runs reach past c is fixed by the signs of the lengths
+past c.
+
+Lemma 2 (a stretch).  Let periods 0 and 1, of ``_PERIOD`` = 2 steps
+each, run from v0 to v1 = v0 + delta to v2 = v1 + delta, with one run
+count and the same free flags, and let the states before their steps be
+stretch states, the first steps' two of one flags, block run count and
+margin signs, and the second steps' two likewise.  For a margin of value
+a in period 0 and b in period 1 let K_a = (|a| - 1) // (|a| - |b|) + 1
+when |b| < |a|, with no bound otherwise, and K the least K_a
+(:func:`_periods`).  Then every period k < K runs from v0 + k * delta to
+v0 + (k + 1) * delta, and each of its steps has the partner and
+stretches of period 0 plus k times their change.
+Proof.  By induction on k; periods 0 and 1 are given.  Let period k
+start at v0 + k * delta.  A margin is affine in the state, so there it
+is a + k * (b - a), of the sign of a as k < K_a.  The rest of the shape
+holds too: (a) and the flags in (b) are fixed by the flags and the
+signs of the lengths past c, and the in-demand gap of the block's runs
+is affine and 1 at k = 0 and k = 1, so 1 throughout.  So the first step
+starts in the set of Lemma 1 that holds the first steps of periods 0
+and 1, where it is an affine map A with A(v0) = m0 and A(v1) = m1 (the
+states after those steps); so it ends at m0 + k * (m1 - m0), with a
+partner and stretches affine in k the same way.  The second step, from
+there, likewise ends at v1 + k * (v2 - v1) = v0 + (k + 1) * delta.  K
+is finite: the block loses 2 vertices a period, while each of its runs
+keeps a length of at least 1 past c.
+
+So every decision is :func:`_step`'s.  :func:`_upper_rows` steps every
+vertex but those of the periods 2 .. K - 1 of a trial.  A trial starts
+at a stretch state with at least 3 periods left and with the run count
+of two steps back (a stretch repeats its run count every period, so
+this test is O(1) where none can start): its periods 0 and 1 are
+stepped and written as usual, and when K >= 3 periods 2 .. K - 1 are
+written as arrays affine in k and the state jumps to v0 + K * delta.  A
+trial that fails costs only its margins.  On the canonical expansions
+of the 11,850 one-parity two-signed 2- to 4-member sets from {-20..20}
+of order at most 3,000, each of the 12,057 stretches moves i by 2 and
+each block run's out-quota by -1 a period, and the tail not at all; it
+ends when its block runs out, when the tail's in-demand comes down to
+the block's, or when x - q changes sign.
 
 Why the greedy finishes.  Call a state completable when some maximum
 realization extends every arc and pairing fixed so far.  The start is
@@ -120,7 +163,10 @@ completable: the theorem above gives a realization with these quotas.
   greedy's unordered residual demands do not guarantee.  Evidence: it
   finished on all 168,789 digraph imbalance sequences of orders 1-10
   and on the canonical expansions of all 2,891 one-parity two-signed
-  2- to 4-member sets from {-14..14} with n <= 300.
+  2- to 4-member sets from {-14..14} with n <= 300.  The stretch lemma
+  does not settle it: it says which pairs the greedy makes along a
+  stretch (i with i + 1), not that they keep the state completable; it
+  does show that no step of a stretch fails, by (a) and (e).
 A failed step, with no free partner or failing the balance guard,
 raises :class:`RealizationError`; a finished greedy has built the
 imbalances t, by the quota identity.
@@ -187,10 +233,8 @@ Outputs are deterministic, which the golden-file tests rely on.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from itertools import groupby
-from operator import add, sub
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,16 +248,13 @@ from .sequences import digraph_imbalance_failure
 # Receiver stretches that _upper_rows gathers before it writes them: it
 # holds fewer than twice as many at once, unless one period has more.
 _FLUSH = 1 << 13
-# Period, in steps, of the repeating moves of the greedy's state that
-# _upper_rows fast-forwards over (every one found on canonical expansions
-# has period 2; a stretch of another period runs step by step).
+# Steps in a period of the stretch lemma (module docstring).
 _PERIOD = 2
 
-# A run (start, stop, rem_out, free) of unprocessed vertices, and the
-# greedy's state before a step: (vertex, runs).  Before step i, a run's
-# residual in-quota is n - 1 - i - rem_out - free (module docstring).
+# A run (start, stop, rem_out, free) of unprocessed vertices.  Before
+# step i, its residual in-quota is n - 1 - i - rem_out - free (module
+# docstring).
 _Run = tuple[int, int, int, bool]
-_State = tuple[int, list[_Run]]
 
 
 class RealizationError(RuntimeError):
@@ -297,15 +338,14 @@ def _upper_rows(seq_runs: Sequence[tuple[int, int]], bits: np.ndarray) -> tuple[
     def write(hold: int) -> None:
         """Move the plain steps' pairs to ``pairs`` and their stretches
         to ``chunks``, then write every chunk unless they hold fewer
-        than ``hold`` stretches or none (a fast-forward period may have
+        than ``hold`` stretches or none (a stretch's period may have
         none), so that no call of :func:`_fill` is given empty rows."""
         if paired_now:
             pairs.append((np.array(paired_now[0::2]), np.array(paired_now[1::2])))
             paired_now.clear()
         if rows:
             chunks.append((np.array(rows), np.array(ends[0::2]), np.array(ends[1::2])))
-            rows.clear()
-            ends.clear()
+            del rows[:], ends[:]
         if sum(len(chunk[0]) for chunk in chunks) >= max(hold, 1):
             _fill(bits, *map(np.concatenate, zip(*chunks)))
             chunks.clear()
@@ -321,42 +361,48 @@ def _upper_rows(seq_runs: Sequence[tuple[int, int]], bits: np.ndarray) -> tuple[
         out, free = divmod(n - 1 + t, 2)
         runs.append((start, start + count, out, bool(free)))
         start += count
-    # The state, and the states the last plain steps reached.
-    now: _State = (0, runs)
-    seen: deque[_State] = deque([now], maxlen=2 * _PERIOD + 1)
-    while now[0] < n:
-        delta = _repeating(seen, n)
-        if delta is not None:
-            i = now[0]
-            now, steps, out, slope, periods = _fast_forward(now, delta, n)
+    # Every step is a plain _step call.  A state of the stretch lemma's
+    # shape starts a trial, in which the states and the partners and
+    # stretches of periods 0 and 1 are kept; only a state with the run
+    # count of two steps back is tested (a stretch keeps its run count
+    # from period to period), so the test costs O(1) where none starts.
+    i, back, last, trial = 0, -1, -1, []
+    while i < n:
+        if back == len(runs) and not trial and n - i >= 3 * _PERIOD and _margins(i, runs, n):
+            trial = [(i, runs, -1, [])]
+        back, last = last, len(runs)
+        runs, recv, partner = _step(i, runs, n)
+        rows += [i] * (len(recv) // 2)
+        ends += recv
+        if partner >= 0:
+            paired_now += i, partner
+        if len(rows) >= _FLUSH:
+            write(0)
+        i += 1
+        if not trial:
+            continue
+        trial.append((i, runs, partner, recv))
+        if len(trial) <= 2 * _PERIOD:
+            continue
+        periods, done, trial = _periods(trial, n), trial, []
+        if periods <= 2:
+            continue
+        (i0, runs0, *_), (_, runs1, *_) = done[0], done[_PERIOD]
+        # Periods 2 .. K - 1 by formula: period k's stretches (row, lo, hi)
+        # and pairs (row, partner) are period 0's plus k times their change.
+        (recv0, pair0), (recv1, pair1) = (
+            (np.array([(j - 1, *r[m : m + 2]) for j, _, _, r in h for m in range(0, len(r), 2)], dtype=np.int64),
+             np.array([(j - 1, p) for j, _, p, _ in h if p >= 0], dtype=np.int64)) for h in (done[1:3], done[3:])
+        )
+        per = max(1, _FLUSH // max(1, len(recv0)))
+        write(_FLUSH)
+        for k0 in range(2, periods, per):
+            k = np.arange(k0, min(k0 + per, periods))[:, None, None]
+            chunks.append(tuple((recv0 + k * (recv1 - recv0)).reshape(-1, 3).T))
+            pairs.append(tuple((pair0 + k * (pair1 - pair0)).reshape(-1, 2).T))
             write(_FLUSH)
-            # Period k's rows are i + s + k * _PERIOD for step s, and its
-            # partners and stretch ends are those of period 0 plus k times
-            # their change: a chunk of periods at a time, in row order.
-            first, change, steps = np.array(out), np.array(slope), np.array(steps, dtype=np.int64)
-            p = len(out) - 2 * len(steps)  # the partners come first
-            paired = np.flatnonzero(first[:p] >= 0)
-            per = max(1, _FLUSH // max(1, len(steps)))
-            for k0 in range(0, periods, per):
-                k = np.arange(k0, min(k0 + per, periods))[:, None]
-                values = first + k * change
-                rows_k = i + _PERIOD * k
-                ends_k = values[:, p:]
-                chunks.append(((rows_k + steps).ravel(), ends_k[:, 0::2].ravel(), ends_k[:, 1::2].ravel()))
-                pairs.append(((rows_k + paired).ravel(), values[:, paired].ravel()))
-                write(_FLUSH)
-            seen.clear()
-        else:
-            i, runs = now
-            runs, recv, partner = _step(i, runs, n)
-            rows += [i] * (len(recv) // 2)
-            ends += recv
-            if partner >= 0:
-                paired_now += i, partner
-            if len(rows) >= _FLUSH:
-                write(0)
-            now = (i + 1, runs)
-        seen.append(now)
+        i = i0 + _PERIOD * periods
+        runs = [(*(x + periods * (y - x) for x, y in zip(r[:3], q)), r[3]) for r, q in zip(runs0, runs1)]
 
     write(0)
     lo, hi = map(np.concatenate, zip(*pairs))
@@ -452,125 +498,44 @@ def _step(i: int, runs: list[_Run], n: int) -> tuple[list[_Run], list[int], int]
     return new, recv, partner
 
 
-def _vector(state: _State) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """A state as plain ints (i, then s, e, o of each run) and the runs'
-    free flags."""
-    i, runs = state
-    vec = (int(i), *(int(x) for run in runs for x in run[:3]))
-    return vec, tuple(run[3] for run in runs)
-
-
-def _state(vec: Iterable[int], flags: tuple[bool, ...]) -> _State:
-    """The inverse of :func:`_vector`."""
-    i, *cells = vec
-    return i, [(*cells[3 * j : 3 * j + 3], f) for j, f in enumerate(flags)]
-
-
-def _repeating(seen: deque[_State], n: int) -> tuple[int, ...] | None:
-    """The delta by which each of the last two periods of ``_PERIOD``
-    steps moved the state, with the same run count and free flags; None
-    if there is none or fewer than two periods are left.  Run counts are
-    compared first, so a step without a candidate costs O(1)."""
-    if len(seen) < 2 * _PERIOD + 1 or n - seen[-1][0] < 2 * _PERIOD:
+def _margins(i: int, runs: list[_Run], n: int) -> tuple[list, list[int]] | None:
+    """The stretch lemma's view of the state before step i (module
+    docstring): its structure (the runs' free flags and the block's run
+    count) and its margins, or None if it is not a stretch state."""
+    _, stop, out, free = runs[0]
+    c = i + 1 + free  # the first candidate after i and its partner
+    # The runs cut at c, as (start, stop, out-quota, free, in-demand).
+    pieces = [(max(s, c), e, o, f, n - 1 - i - o - f) for s, e, o, f in runs if e > c]
+    if not pieces or free and not runs[stop == i + 1][3]:  # (a)
         return None
-    first, mid, last = seen[-1 - 2 * _PERIOD], seen[-1 - _PERIOD], seen[-1]
-    if not len(first[1]) == len(mid[1]) == len(last[1]):
+    low = pieces[0][4]
+    k = 1 + (len(pieces) > 1 and pieces[1][4] == low + 1)  # (b)
+    block, tail, h = pieces[:k], pieces[k:], pieces[k - 1][1]
+    x, size = out - (n - h), h - c
+    upper = h - block[1][0] if k == 2 else 0
+    # (c) and (d) as positive margins, then (e) and (b)'s flags.
+    margins = [low, *(p[2] for p in block), *(p[4] - low - 1 - (x < upper) for p in tail)]
+    if min(margins) <= 0 or not 0 <= x <= size or free and not all(p[3] for p in block):
         return None
-    (a, fa), (b, fb), (c, fc) = map(_vector, (first, mid, last))
-    delta = tuple(map(sub, c, b))
-    return delta if fa == fb == fc and delta == tuple(map(sub, b, a)) else None
+    return [*(f for *_, f in runs), k], [*margins, x, size - x, x - upper, *(e - max(s, c) for s, e, *_ in runs)]
 
 
-def _fast_forward(
-    now: _State, delta: tuple[int, ...], n: int
-) -> tuple[_State, list[int], list[int], list[int], int]:
-    """Run the greedy from ``now`` over as many whole periods as move
-    its state by ``delta`` along one comparison path.  Returns the state
-    after them, the step of each stretch in a period, the first period's
-    partners and stretch ends and their change per period, laid out as
-    :func:`_trace` lays them out, and the number of periods.  Periods 0
-    and 1 are the greedy's own next steps, run traced; the last period
-    on their path follows from their compared differences, as the
-    module docstring proves.  When period 0 or 1 leaves the path, the
-    steps traced so far are handed back as one period, with no change.
-    """
-    v0, flags = _vector(now)
-    v1 = tuple(map(add, v0, delta))
-    traced = _tracer()
-    end, out0, steps, diffs0 = _trace(traced, v0, flags, n)
-    if end != (v1, flags):
-        return _state(*end), steps, out0, [0] * len(out0), 1
-    end, out1, steps1, diffs1 = _trace(traced, v1, flags, n)
-    if (
-        end != (tuple(map(add, v1, delta)), flags)
-        or len(diffs0) != len(diffs1)
-        or not all(a * b > 0 or a == b for a, b in zip(diffs0, diffs1))
-    ):
-        out = out0[:_PERIOD] + out1[:_PERIOD] + out0[_PERIOD:] + out1[_PERIOD:]
-        return _state(*end), steps + [s + _PERIOD for s in steps1], out, [0] * len(out), 1
-    # Comparison j of period k compares a + k * b, of one sign up to k =
-    # (|a| - 1) // |b| when a and b have opposite signs, for ever if not.
-    last = (n - v0[0]) // _PERIOD - 1
-    for a, b in zip(diffs0, map(sub, diffs1, diffs0)):
-        if a * b < 0:
-            last = min(last, (abs(a) - 1) // abs(b))
-    end = _state((a + (last + 1) * d for a, d in zip(v0, delta)), flags)
-    return end, steps, out0, list(map(sub, out1, out0)), last + 1
-
-
-def _trace(
-    traced: type, vec: tuple[int, ...], flags: tuple[bool, ...], n: int
-) -> tuple[tuple[tuple[int, ...], tuple[bool, ...]], list[int], list[int], list[int]]:
-    """Run ``_PERIOD`` greedy steps from the state (vec, flags) on fresh
-    ``traced`` ints.  Returns the state after them as :func:`_vector`
-    gives it; the steps' partners (-1 for none), then their receiver
-    stretches (lo, hi, lo, hi, ...), as plain ints; the step of each
-    stretch; and every difference compared, in order.
-    """
-    diffs: list[int] = []
-    traced.diffs = diffs
-    now = _state(map(traced, vec), flags)
-    partners, ends, steps = [], [], []
-    for s in range(_PERIOD):
-        i, runs = now
-        runs, recv, partner = _step(i, runs, n)
-        partners.append(int(partner))
-        ends += map(int, recv)
-        steps += [s] * (len(recv) // 2)
-        now = (i + 1, runs)
-    return _vector(now), partners + ends, steps, diffs
-
-
-def _tracer() -> type:
-    """A fresh int type for :func:`_trace`.  Sums, differences and
-    negations of its values are traced values, and each comparison or
-    truth test appends the difference it tests to the class's
-    ``diffs``.  An equality that Python settles by identity (one
-    object in both tuples) logs nothing, and holds along the whole path,
-    which makes the same objects."""
-
-    class Traced(int):
-        diffs: list[int] = []
-
-        def diff(self, other: int) -> int:
-            d = int.__sub__(self, other)
-            Traced.diffs.append(d)
-            return d
-
-        __lt__ = lambda a, b: a.diff(b) < 0
-        __le__ = lambda a, b: a.diff(b) <= 0
-        __eq__ = lambda a, b: a.diff(b) == 0
-        __ne__ = lambda a, b: a.diff(b) != 0
-        __gt__ = lambda a, b: a.diff(b) > 0
-        __ge__ = lambda a, b: a.diff(b) >= 0
-        __bool__ = lambda a: a.diff(0) != 0
-        __neg__ = lambda a: Traced(-int(a))
-        __add__ = __radd__ = lambda a, b: Traced(int.__add__(a, b))
-        __sub__ = lambda a, b: Traced(int.__sub__(a, b))
-        __rsub__ = lambda a, b: Traced(int.__rsub__(a, b))
-        __hash__ = int.__hash__
-
-    return Traced
+def _periods(states: list[tuple], n: int) -> int:
+    """The number K of periods from ``states[0]`` over which the stretch
+    lemma proves the greedy affine, given a trial's five states (i, runs,
+    ...): before the steps of periods 0 and 1, and after them.  It is at
+    most 2 when the lemma does not apply."""
+    views = [_margins(i, runs, n) for i, runs, *_ in states[: 2 * _PERIOD]]
+    a, b, c = ([x for run in runs for x in run] for _, runs, *_ in states[::_PERIOD])
+    moved = len(b) == len(c) and [y - x for x, y in zip(a, b)] == [y - x for x, y in zip(b, c)]
+    if not moved or None in views or [v[0] for v in views[:2]] != [v[0] for v in views[2:]]:
+        return 0
+    # A margin x at period 0 and y at period 1 is x + k * (y - x) at
+    # period k, of the sign of x for k < (|x| - 1) // (|x| - |y|) + 1.
+    margins = list(zip(views[0][1] + views[1][1], views[2][1] + views[3][1]))
+    if any(x * y <= 0 and (x or y) for x, y in margins):
+        return 0
+    return min(((abs(x) - 1) // (abs(x) - abs(y)) + 1 for x, y in margins if abs(y) < abs(x)), default=0)
 
 
 def verify_realization(seq: Sequence[int], report: RealizationReport) -> bool:

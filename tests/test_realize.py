@@ -1,7 +1,8 @@
-import collections
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from imbalanceset import (
     check_digraph_imbalance,
     max_arc_count,
     max_realization,
+    realize_imbalance_set,
     verify_realization,
 )
 
@@ -205,45 +207,152 @@ def _canonical(rng):
             return canonical_sequence(ImbalanceSet.from_values(members))
 
 
-class TestFastForward:
-    def test_fast_forward_builds_what_single_steps_build(self, monkeypatch):
-        """The greedy with its fast-forward against the greedy stepping
-        every vertex (no repeat ever detected): same packed rows, pairing
-        and flags."""
+def _one_parity_runs(lo, hi):
+    """The canonical runs of every one-parity, two-signed 2- to 4-member
+    set from {lo..hi}."""
+    return [
+        ImbalanceSet.from_values(members).canonical_runs()
+        for size in (2, 3, 4)
+        for members in itertools.combinations(range(lo, hi + 1), size)
+        if members[0] < 0 < members[-1] and len({m % 2 for m in members}) == 1
+    ]
+
+
+def _near_stretch_state(rng):
+    """A random state before step 0, as runs, near the stretch lemma's
+    shape: a head run, a block of in-demands lam and lam + 1 (the upper
+    run may be empty) and tail runs of larger in-demands; None if some
+    out-quota would be negative."""
+    sizes = [rng.choice([1, 2, rng.randint(1, 30)]), rng.randint(1, 40), rng.choice([0, rng.randint(1, 40)])]
+    sizes += [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+    n = sum(sizes)
+    lam = max(1, (sum(sizes[:3]) - 1) // 2 + rng.randint(-3, 3))
+    demands = [lam + rng.choice([-1, 0, 1, 2]), lam, lam + 1]
+    demands += [lam + rng.choice([2, 3, 4, rng.randint(2, 20)]) for _ in sizes[3:]]
+    head_free = rng.random() < 0.5
+    block_free = head_free or rng.random() < 0.5
+    flags = [head_free] + [block_free if rng.random() < 0.9 else not block_free for _ in range(2)]
+    flags += [rng.random() < 0.5 for _ in sizes[3:]]
+    runs, start = [], 0
+    for size, r, f in zip(sizes, demands, flags):
+        out = n - 1 - r - f
+        if out < 0:
+            return None, n
+        if runs and runs[-1][2:] == (out, f):
+            runs[-1] = (runs[-1][0], start + size, out, f)
+        elif size:
+            runs.append((start, start + size, out, f))
+        start += size
+    return runs, n
+
+
+STEP_COUNTS = Path(__file__).resolve().parent / "data" / "step_counts.json"
+
+
+class TestStretchLemma:
+    def test_stretches_build_what_single_steps_build(self, monkeypatch):
+        """The greedy with the stretch lemma against the greedy running
+        _step alone (the lemma stubbed out): same packed rows, pairing and
+        flags, on every one-parity two-signed 2- to 4-member set from
+        {-14..14} and on random few-valued, block and canonical
+        sequences."""
         rng = random.Random(20261019)
         seqs = [make(rng) for make in (_few_valued, _block, _canonical) for _ in range(120)]
         seqs = [s for s in seqs if len(s) <= 400 and check_digraph_imbalance(s)]
         assert len(seqs) > 250
+        sets = _one_parity_runs(-14, 14)
+        assert len(sets) == 2891
 
-        # How each fast-forward ended: cut short by a comparison before the
-        # sequence's end, or handing back the steps traced as one period.
-        ends = collections.Counter()
-        fast_forward = imbalanceset.realize._fast_forward
+        # Each stretch the lemma wrote: (its first vertex, its periods, n).
+        stretches = []
+        periods = imbalanceset.realize._periods
 
-        def watched(now, delta, n):
-            result = fast_forward(now, delta, n)
-            periods = result[4]
-            if periods == 1:
-                ends["single period"] += 1
-            elif periods < (n - now[0]) // imbalanceset.realize._PERIOD:
-                ends["cut by a comparison"] += 1
-            return result
+        def watched(states, n):
+            count = periods(states, n)
+            if count > 2:
+                stretches.append((states[0][0], count, n))
+            return count
 
-        def facts(rep):
-            return (
-                rep.graph._bits.tobytes(),
-                rep.non_neighbour_pairing,
-                rep.arc_count,
-                rep.is_tournament,
-                rep.is_near_tournament,
-            )
+        def built():
+            for runs in sets:
+                bits = imbalanceset.realize._zeros(sum(count for _, count in runs))
+                lo, hi = imbalanceset.realize._upper_rows(runs, bits)
+                yield bits.tobytes(), lo.tolist(), hi.tolist()
+            for seq in seqs:
+                rep = max_realization(seq)
+                yield (
+                    rep.graph._bits.tobytes(),
+                    rep.non_neighbour_pairing,
+                    rep.arc_count,
+                    rep.is_tournament,
+                    rep.is_near_tournament,
+                )
 
         with monkeypatch.context() as m:
-            m.setattr(imbalanceset.realize, "_fast_forward", watched)
-            fast = [facts(max_realization(s)) for s in seqs]
+            m.setattr(imbalanceset.realize, "_periods", watched)
+            lemma = list(built())
         with monkeypatch.context() as m:
-            m.setattr(imbalanceset.realize, "_repeating", lambda seen, n: None)
-            m.setattr(imbalanceset.realize, "_fast_forward", None)
-            for seq, built in zip(seqs, fast):
-                assert facts(max_realization(seq)) == built, seq
-        assert ends["single period"] and ends["cut by a comparison"], ends
+            m.setattr(imbalanceset.realize, "_margins", lambda i, runs, n: None)
+            m.setattr(imbalanceset.realize, "_periods", None)
+            for want, got in zip(built(), lemma):
+                assert got == want
+        # The lemma fired, and some stretch stopped with a whole period
+        # of the sequence left, by a margin's sign.
+        step = imbalanceset.realize._PERIOD
+        assert stretches
+        assert any(i + step * (count + 1) <= n for i, count, n in stretches)
+
+    def test_random_states_follow_the_lemma(self):
+        """From random states near the lemma's shape, every period k < K
+        that _periods grants runs as periods 0 and 1 predict: after each
+        of its steps, the partner, the receiver stretches and the runs
+        are those of period 0 plus k times their change."""
+        realize = imbalanceset.realize
+        step = 2 * realize._PERIOD
+
+        def flat(state):
+            i, runs, partner, recv = state
+            return [partner, *recv, *(x for run in runs for x in run)]
+
+        rng = random.Random(20261022)
+        fired = 0
+        for _ in range(12000):
+            runs, n = _near_stretch_state(rng)
+            if runs is None or realize._margins(0, runs, n) is None:
+                continue
+            states = [(0, runs, -1, [])]
+            try:
+                while len(states) <= step or len(states) <= realize._PERIOD * periods:
+                    i, runs = states[-1][:2]
+                    runs, recv, partner = realize._step(i, runs, n)
+                    states.append((i + 1, runs, partner, recv))
+                    if len(states) == step + 1:
+                        periods = realize._periods(states, n)
+            except realize.RealizationError:
+                continue
+            fired += periods > 2
+            for j in range(step + 1, len(states)):
+                k, s = divmod(j - 1, realize._PERIOD)
+                first, then = flat(states[s + 1]), flat(states[s + 1 + realize._PERIOD])
+                assert len(first) == len(then)
+                assert flat(states[j]) == [a + k * (b - a) for a, b in zip(first, then)], (runs, n, j)
+        assert fired > 100, fired
+
+    def test_no_certificate_takes_more_steps(self, monkeypatch):
+        """Every set of ``data/step_counts.json`` (those of
+        ``data/certificate_digests.json``) builds its certificate in at
+        most the _step calls listed there, which the greedy took before
+        the stretch lemma, its traced periods included."""
+        calls = 0
+        step = imbalanceset.realize._step
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(imbalanceset.realize, "_step", counted)
+        for want in json.loads(STEP_COUNTS.read_text()):
+            calls = 0
+            realize_imbalance_set(want["members"])
+            assert calls <= want["steps"], want
